@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke livesmoke
 	go test -race ./...
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
 
@@ -48,6 +48,20 @@ constsmoke:
 tracesmoke:
 	go test ./internal/channel -count=1 -run 'TestParseModel|TestModelNew|TestLegacySpecs|TestTrace|TestRecorder|TestReplay|TestEncode|TestReadTrace|TestImportTwoColumn|TestGESplitClock|TestSpecGrammar'
 	go test ./internal/bench -race -count=1 -run 'TestTraceRoundTripSeeds|TestTraceReplayWorkerInvariance|TestTraceReplayEveryEngine|TestAnalyticalModelProb'
+
+# Live wire path smoke (ISSUE 12): the real-time driver under the race
+# detector — it is the one package where goroutines share state by design
+# (driver mutex, transmit double buffer, reader batches) — then ten seconds
+# of each fuzz target against the bytewise stuffing oracle, then the three
+# live micro-benchmarks at a fixed iteration count so their bodies cannot
+# rot. Nothing here measures; `bash benchmarks/run.sh --workload
+# live_loopback` does.
+.PHONY: livesmoke
+livesmoke:
+	go test ./internal/live -race -count=1
+	go test ./internal/live -run xxx -fuzz FuzzDeframer -fuzztime 10s
+	go test ./internal/live -run xxx -fuzz FuzzStuffRoundTrip -fuzztime 10s
+	go test ./internal/live -run xxx -bench 'BenchmarkAppendStuffed1K|BenchmarkDeframerFeed1K|BenchmarkLoopback' -benchtime 100x -benchmem
 
 # Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside the
 # allocs/op budget pinned in BENCH_PR6.json (229483 before the per-run

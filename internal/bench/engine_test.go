@@ -97,6 +97,21 @@ func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestE7NoSharedChannelModels runs E7 alone at 8 workers. A BurstTrain
+// memoises per-frame-length probabilities, so two configurations sharing one
+// instance race on that cache as soon as RunMany puts them on different
+// workers (E7's LAMS and SR-HDLC configurations once did). Under -race
+// (make ci) this test is the detector; in any build it pins the table
+// across worker counts.
+func TestE7NoSharedChannelModels(t *testing.T) {
+	var one, eight string
+	withWorkers(t, 1, func() { one = E7BurstResilience().Render() })
+	withWorkers(t, 8, func() { eight = E7BurstResilience().Render() })
+	if one != eight {
+		t.Fatalf("E7 output differs across worker counts:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", one, eight)
+	}
+}
+
 // TestMultiHopDeterministicAcrossWorkers extends the determinism pin to a
 // constellation run carried over the HDLC baselines: E18 relays through a
 // 3-node line under every registered engine, so its rendered table covers

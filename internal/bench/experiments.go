@@ -395,8 +395,13 @@ func E7BurstResilience() *Result {
 		cl.N = 3000
 		cl.IModel = mk()
 		cl.CModel = mk()
+		// The two runs may execute on different RunMany workers, and a
+		// BurstTrain caches per-frame-length probabilities: each gets its
+		// own instances (identical parameters, so identical draws).
 		ch := cl
 		ch.Protocol = SRHDLC
+		ch.IModel = mk()
+		ch.CModel = mk()
 		cfgs = append(cfgs, cl, ch)
 	}
 	results := RunMany(cfgs)

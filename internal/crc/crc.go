@@ -11,16 +11,12 @@
 // untrusted byte streams.
 package crc
 
+import "hash/crc32"
+
 // CCITT polynomial (reversed) used by HDLC/X.25.
 const ccittPoly = 0x8408
 
-// IEEE 802.3 polynomial (reversed) used by CRC-32.
-const ieeePoly = 0xEDB88320
-
-var (
-	ccittTable [256]uint16
-	ieeeTable  [256]uint32
-)
+var ccittTable [256]uint16
 
 func init() {
 	for i := range ccittTable {
@@ -33,17 +29,6 @@ func init() {
 			}
 		}
 		ccittTable[i] = crc
-	}
-	for i := range ieeeTable {
-		crc := uint32(i)
-		for b := 0; b < 8; b++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ ieeePoly
-			} else {
-				crc >>= 1
-			}
-		}
-		ieeeTable[i] = crc
 	}
 }
 
@@ -65,19 +50,11 @@ func fcs16Bytewise(data []byte) uint16 {
 // CheckFCS16 reports whether sum is the correct FCS16 of data.
 func CheckFCS16(data []byte, sum uint16) bool { return FCS16(data) == sum }
 
-// Sum32 returns the CRC-32/IEEE checksum of data. The hot loop uses
-// slicing-by-8; sum32Bytewise is the reference the tests cross-check.
-func Sum32(data []byte) uint32 {
-	return update32(0xFFFFFFFF, data) ^ 0xFFFFFFFF
-}
-
-func sum32Bytewise(data []byte) uint32 {
-	crc := uint32(0xFFFFFFFF)
-	for _, b := range data {
-		crc = (crc >> 8) ^ ieeeTable[byte(crc)^b]
-	}
-	return crc ^ 0xFFFFFFFF
-}
+// Sum32 returns the CRC-32/IEEE checksum of data (reflected polynomial
+// 0xEDB88320, init and final XOR 0xFFFFFFFF). It is the standard library's
+// implementation, which uses the carry-less-multiply instructions where the
+// CPU has them; the tests cross-check it against a bytewise reference.
+func Sum32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // CheckSum32 reports whether sum is the correct CRC-32 of data.
 func CheckSum32(data []byte, sum uint32) bool { return Sum32(data) == sum }

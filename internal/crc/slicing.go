@@ -4,11 +4,10 @@ package crc
 // it so that eight input bytes fold into the running CRC with eight table
 // lookups and no inter-byte dependency chain. For a reflected CRC the
 // recurrence is t[j][i] = t[0][t[j-1][i] & 0xff] ^ (t[j-1][i] >> 8): one
-// more zero byte pushed through the register.
-var (
-	ccittSlice [8][256]uint16
-	ieeeSlice  [8][256]uint32
-)
+// more zero byte pushed through the register. Only the 16-bit FCS needs
+// them: no CPU instruction computes CRC-16/X.25, whereas CRC-32/IEEE is the
+// standard library's (see Sum32).
+var ccittSlice [8][256]uint16
 
 func init() {
 	ccittSlice[0] = ccittTable
@@ -16,13 +15,6 @@ func init() {
 		for i := range ccittSlice[j] {
 			prev := ccittSlice[j-1][i]
 			ccittSlice[j][i] = ccittSlice[0][byte(prev)] ^ (prev >> 8)
-		}
-	}
-	ieeeSlice[0] = ieeeTable
-	for j := 1; j < 8; j++ {
-		for i := range ieeeSlice[j] {
-			prev := ieeeSlice[j-1][i]
-			ieeeSlice[j][i] = ieeeSlice[0][byte(prev)] ^ (prev >> 8)
 		}
 	}
 }
@@ -44,28 +36,6 @@ func update16(crc uint16, data []byte) uint16 {
 	}
 	for _, b := range data {
 		crc = (crc >> 8) ^ ccittTable[byte(crc)^b]
-	}
-	return crc
-}
-
-// update32 is the CRC-32 analogue of update16: the 32-bit register absorbs
-// the first four bytes, the next four are folded through the low tables.
-func update32(crc uint32, data []byte) uint32 {
-	for len(data) >= 8 {
-		crc ^= uint32(data[0]) | uint32(data[1])<<8 |
-			uint32(data[2])<<16 | uint32(data[3])<<24
-		crc = ieeeSlice[7][byte(crc)] ^
-			ieeeSlice[6][byte(crc>>8)] ^
-			ieeeSlice[5][byte(crc>>16)] ^
-			ieeeSlice[4][byte(crc>>24)] ^
-			ieeeSlice[3][data[4]] ^
-			ieeeSlice[2][data[5]] ^
-			ieeeSlice[1][data[6]] ^
-			ieeeSlice[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		crc = (crc >> 8) ^ ieeeTable[byte(crc)^b]
 	}
 	return crc
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"io"
 	"sync"
 
@@ -12,51 +13,99 @@ import (
 	"repro/internal/sim"
 )
 
+// txQueueBytes bounds the stuffed bytes a connWire holds for its writer:
+// about a thousand 1 KiB frames, several round trips of any link the
+// examples configure. A frame that does not fit is dropped, never waited for.
+const txQueueBytes = 1 << 20
+
 // connWire adapts an io.Writer into the arq.Wire the protocol entities
-// transmit on: frames are encoded with the real codec, flag-framed, and
-// handed to a writer goroutine, so protocol callbacks never block on the
-// network. TxTime derives from the configured virtual-rate so pacing
-// matches the link the operator says they have.
+// transmit on. Send encodes the frame with the real codec and byte-stuffs
+// it straight onto the tail of a pending buffer; a writer goroutine swaps
+// that buffer for an empty one and issues one Write for everything queued
+// since its last wake-up, so protocol callbacks never block on the network,
+// frames that queue up while a Write is in progress leave together, and the
+// two buffers are the only memory the path ever allocates. TxTime derives
+// from the configured virtual rate so pacing matches the link the operator
+// says they have.
 type connWire struct {
 	rateBps float64
-	out     chan []byte
-	wg      sync.WaitGroup
+	w       io.Writer
 	onError func(error)
-	// dropped counts frames discarded because the outbound queue was
-	// full. Send must never block: it is called from the driver loop with
-	// the driver mutex held, and blocking there can deadlock two
-	// endpoints against each other through a synchronous transport.
-	// Dropping is safe — to the protocol a full transmit queue is
-	// indistinguishable from wire loss, which it recovers from by design.
-	dropped uint64
-	// enc is the encode scratch buffer. Send is only ever called from the
-	// driver loop with the driver mutex held, so a single buffer suffices;
-	// only the flag-stuffed copy crosses the channel to the writer.
+	// enc is the encode scratch buffer. Send is only ever called with the
+	// driver mutex held, so a single buffer suffices.
 	enc []byte
+
+	mu      sync.Mutex
+	ready   sync.Cond // pending became non-empty, or closing was set
+	pending []byte    // stuffed frames awaiting the writer
+	queued  uint64    // frames in pending
+	closing bool      // Close was called: flush, then exit
+	failed  bool      // a Write failed: discard everything from now on
+	done    chan struct{}
+
+	// dropped counts frames discarded because they did not fit in the
+	// queue. Send must never block: it is called with the driver mutex
+	// held, and blocking there can deadlock two endpoints against each
+	// other through a synchronous transport. Dropping is safe — to the
+	// protocol a full transmit queue is indistinguishable from wire loss,
+	// which it recovers from by design.
+	dropped *metrics.Counter
+	writes  *metrics.Counter // Write calls issued
+	frames  *metrics.Counter // frames those writes carried
 }
 
-func newConnWire(w io.Writer, rateBps float64, onError func(error)) *connWire {
+// newConnWire starts the writer. With a non-nil registry the queue exports
+// live_txq_dropped_total, live_tx_writes_total and live_tx_frames_total;
+// frames per write is the batching the coalescing achieves.
+func newConnWire(w io.Writer, rateBps float64, onError func(error), reg *metrics.Registry) *connWire {
 	cw := &connWire{
 		rateBps: rateBps,
-		out:     make(chan []byte, 1024),
+		w:       w,
 		onError: onError,
+		done:    make(chan struct{}),
+		dropped: reg.Counter("live_txq_dropped_total"),
+		writes:  reg.Counter("live_tx_writes_total"),
+		frames:  reg.Counter("live_tx_frames_total"),
 	}
-	cw.wg.Add(1)
-	go func() {
-		defer cw.wg.Done()
-		for buf := range cw.out {
-			if _, err := w.Write(buf); err != nil {
-				if cw.onError != nil {
-					cw.onError(err)
-				}
-				// Drain remaining frames so senders never block.
-				for range cw.out {
-				}
-				return
-			}
-		}
-	}()
+	if cw.dropped == nil {
+		cw.dropped = new(metrics.Counter) // Dropped() counts with or without a registry
+	}
+	cw.ready.L = &cw.mu
+	go cw.writeLoop()
 	return cw
+}
+
+// writeLoop is the writer goroutine: one Write per wake-up, double-buffered
+// against Send.
+func (cw *connWire) writeLoop() {
+	defer close(cw.done)
+	var buf []byte // the buffer being written; Send fills the other one
+	for {
+		cw.mu.Lock()
+		for len(cw.pending) == 0 && !cw.closing {
+			cw.ready.Wait()
+		}
+		if len(cw.pending) == 0 {
+			cw.mu.Unlock()
+			return
+		}
+		buf, cw.pending = cw.pending, buf[:0]
+		n := cw.queued
+		cw.queued = 0
+		cw.mu.Unlock()
+
+		cw.writes.Inc()
+		cw.frames.Add(n)
+		if _, err := cw.w.Write(buf); err != nil {
+			cw.mu.Lock()
+			cw.failed = true
+			cw.mu.Unlock()
+			if cw.onError != nil {
+				cw.onError(err)
+			}
+			return
+		}
+	}
 }
 
 // Send encodes and queues the frame. Encoding failures (only possible for
@@ -71,15 +120,32 @@ func (cw *connWire) Send(f *frame.Frame) {
 		}
 		return
 	}
-	select {
-	case cw.out <- AppendStuffed(nil, raw):
-	default:
-		cw.dropped++
+	cw.mu.Lock()
+	if cw.failed || cw.closing {
+		cw.mu.Unlock()
+		return // the transport is gone; its error has been reported
+	}
+	before := len(cw.pending)
+	cw.pending = AppendStuffed(cw.pending, raw)
+	fits := len(cw.pending) <= txQueueBytes
+	if fits {
+		cw.queued++
+	} else {
+		cw.pending = cw.pending[:before]
+	}
+	cw.mu.Unlock()
+	switch {
+	case !fits:
+		cw.dropped.Inc()
+	case before == 0:
+		// The writer may be asleep. Signalled after the unlock, so that it
+		// does not wake only to block on the mutex.
+		cw.ready.Signal()
 	}
 }
 
 // Dropped returns the number of frames discarded at the transmit queue.
-func (cw *connWire) Dropped() uint64 { return cw.dropped }
+func (cw *connWire) Dropped() uint64 { return cw.dropped.Value() }
 
 // TxTime reports the serialization time at the nominal link rate.
 func (cw *connWire) TxTime(f *frame.Frame) sim.Duration {
@@ -89,10 +155,13 @@ func (cw *connWire) TxTime(f *frame.Frame) sim.Duration {
 	return sim.Duration(float64(f.Bits()) / cw.rateBps * float64(sim.Second))
 }
 
-// Close flushes and stops the writer.
+// Close writes out what is pending and stops the writer. Idempotent.
 func (cw *connWire) Close() {
-	close(cw.out)
-	cw.wg.Wait()
+	cw.mu.Lock()
+	cw.closing = true
+	cw.ready.Signal()
+	cw.mu.Unlock()
+	<-cw.done
 }
 
 // Endpoint binds protocol halves to one full-duplex connection: a data
@@ -113,6 +182,13 @@ type Endpoint struct {
 	wire   *connWire
 	conn   io.ReadWriteCloser
 	readWG sync.WaitGroup
+
+	// handlers lists the protocol halves present, in dispatch order
+	// (Receiver, Sender, HRecv, HSender), for frames no kind can route.
+	handlers []func(sim.Time, *frame.Frame)
+	// damaged stands for every undecodable frame: nothing about one is
+	// known but that it arrived, and handlers only read it.
+	damaged frame.Frame
 }
 
 // EndpointConfig parameterizes NewEndpoint.
@@ -151,8 +227,11 @@ func NewEndpoint(conn io.ReadWriteCloser, cfg EndpointConfig) *Endpoint {
 	sched.Instrument(cfg.Metrics)
 	cfg.Config.Metrics = cfg.Metrics
 	drv := NewDriver(sched, cfg.Speed)
-	wire := newConnWire(conn, cfg.RateBps, cfg.OnError)
-	ep := &Endpoint{Driver: drv, Metrics: &arq.Metrics{}, wire: wire, conn: conn}
+	wire := newConnWire(conn, cfg.RateBps, cfg.OnError, cfg.Metrics)
+	ep := &Endpoint{
+		Driver: drv, Metrics: &arq.Metrics{}, wire: wire, conn: conn,
+		damaged: frame.Frame{Corrupted: true},
+	}
 
 	switch {
 	case cfg.HDLC != nil:
@@ -172,56 +251,102 @@ func NewEndpoint(conn io.ReadWriteCloser, cfg EndpointConfig) *Endpoint {
 			ep.Receiver = lamsdlc.NewReceiver(sched, wire, cfg.Config, ep.Metrics, cfg.Deliver)
 		}
 	}
+	var starts []func()
+	if ep.Receiver != nil {
+		ep.handlers = append(ep.handlers, ep.Receiver.HandleFrame)
+		starts = append(starts, ep.Receiver.Start)
+	}
+	if ep.Sender != nil {
+		ep.handlers = append(ep.handlers, ep.Sender.HandleFrame)
+		starts = append(starts, ep.Sender.Start)
+	}
+	if ep.HRecv != nil {
+		ep.handlers = append(ep.handlers, ep.HRecv.HandleFrame)
+		starts = append(starts, ep.HRecv.Start)
+	}
+	if ep.HSender != nil {
+		ep.handlers = append(ep.handlers, ep.HSender.HandleFrame)
+		starts = append(starts, ep.HSender.Start)
+	}
 
 	drv.Post(func() {
-		if ep.Sender != nil {
-			ep.Sender.Start()
-		}
-		if ep.Receiver != nil {
-			ep.Receiver.Start()
-		}
-		if ep.HSender != nil {
-			ep.HSender.Start()
-		}
-		if ep.HRecv != nil {
-			ep.HRecv.Start()
+		for _, start := range starts {
+			start()
 		}
 	})
 	go drv.Run()
 
 	ep.readWG.Add(1)
-	go func() {
-		defer ep.readWG.Done()
-		err := ReadStream(conn, func(raw []byte) error {
-			f, _, derr := frame.Decode(raw)
-			if derr != nil {
-				// A damaged frame: deliver it as detectably corrupted,
-				// exactly like the simulator's channel marking. Both
-				// halves ignore corrupted frames, but arrival ordering
-				// side effects (none today) stay faithful.
-				f = &frame.Frame{Corrupted: true}
-			}
-			drv.Post(func() { ep.dispatch(f) })
-			return nil
-		})
-		if err != nil && cfg.OnError != nil {
-			cfg.OnError(err)
-		}
-	}()
+	go ep.readLoop(cfg.OnError)
 	return ep
 }
 
-// dispatch routes an inbound frame to the protocol half that consumes it.
+// readLoop is the reader goroutine. It deframes and decodes every frame of
+// one Read off the driver — the CRC work overlaps the protocol's — and
+// hands the lot to the driver with a single Post: one lock, one wake-up and
+// one closure per chunk of stream, however many frames it held.
+func (ep *Endpoint) readLoop(onError func(error)) {
+	defer ep.readWG.Done()
+	var (
+		d     Deframer
+		batch []*frame.Frame // reused; each Post takes a copy
+	)
+	decode := func(raw []byte) error {
+		f := frame.Get()
+		if _, err := f.DecodeFrom(raw); err != nil {
+			// A damaged frame: deliver it as detectably corrupted,
+			// exactly like the simulator's channel marking. Both
+			// halves ignore corrupted frames, but arrival ordering
+			// side effects (none today) stay faithful.
+			frame.Put(f)
+			f = &ep.damaged
+		}
+		batch = append(batch, f)
+		return nil
+	}
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := ep.conn.Read(buf)
+		if n > 0 {
+			ferr := d.Feed(buf[:n], decode)
+			if len(batch) > 0 {
+				frames := append([]*frame.Frame(nil), batch...)
+				batch = batch[:0]
+				ep.Driver.Post(func() {
+					for _, f := range frames {
+						ep.dispatch(f)
+					}
+				})
+			}
+			if err == nil {
+				err = ferr
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, io.EOF) && onError != nil {
+				onError(err)
+			}
+			return
+		}
+	}
+}
+
+// dispatch routes an inbound frame to the protocol half that consumes it,
+// under the simulator's ownership rule (channel.Handler): an information
+// frame becomes its handler's, anything else goes back to the frame pool
+// when the handler returns.
 func (ep *Endpoint) dispatch(f *frame.Frame) {
 	now := ep.Driver.sched.Now()
 	if f.Corrupted {
 		// Undecodable: receivers handle it (gap detection / discard);
 		// senders ignore corrupted control frames either way.
-		for _, h := range ep.handlers() {
+		for _, h := range ep.handlers {
 			h(now, f)
 		}
 		return
 	}
+	// Read the kind first: an information frame's handler may recycle it.
+	control := f.Kind.Control()
 	switch f.Kind {
 	case frame.KindI, frame.KindRequestNAK:
 		if ep.Receiver != nil {
@@ -240,27 +365,15 @@ func (ep *Endpoint) dispatch(f *frame.Frame) {
 			ep.HSender.HandleFrame(now, f)
 		}
 	}
-}
-
-func (ep *Endpoint) handlers() []func(sim.Time, *frame.Frame) {
-	var hs []func(sim.Time, *frame.Frame)
-	if ep.Receiver != nil {
-		hs = append(hs, ep.Receiver.HandleFrame)
+	if control {
+		frame.Put(f)
 	}
-	if ep.Sender != nil {
-		hs = append(hs, ep.Sender.HandleFrame)
-	}
-	if ep.HRecv != nil {
-		hs = append(hs, ep.HRecv.HandleFrame)
-	}
-	if ep.HSender != nil {
-		hs = append(hs, ep.HSender.HandleFrame)
-	}
-	return hs
 }
 
 // Enqueue submits a datagram on the send side from any goroutine; it
-// reports acceptance synchronously.
+// reports acceptance synchronously. The send half runs on the calling
+// goroutine (Driver.Call), so must not be called from one of this
+// endpoint's own callbacks.
 func (ep *Endpoint) Enqueue(dg arq.Datagram) bool {
 	ok := false
 	switch {
