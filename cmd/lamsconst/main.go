@@ -9,6 +9,7 @@
 //	lamsconst -sats 1024 -shards 8
 //	lamsconst -planes 6 -perplane 11 -phasing 2 -incl 86.4 -proto srhdlc
 //	lamsconst -sweep 64,256,1024 -shards 4
+//	lamsconst -sats 1024 -shards 2 -rounds
 package main
 
 import (
@@ -52,6 +53,7 @@ func main() {
 		horizon   = flag.Duration("horizon", 30*time.Second, "virtual-time cap")
 		full      = flag.Bool("to-horizon", false, "run the full horizon instead of stopping at completion")
 		sweep     = flag.String("sweep", "", "comma-separated grid sizes to sweep (overrides -sats)")
+		rounds    = flag.Bool("rounds", false, "also print where the host time went: per-shard busy, barrier wait, mailbox volume, empty rounds")
 	)
 	flag.Parse()
 
@@ -111,5 +113,8 @@ func main() {
 			rep.Sats, rep.Shards, *proto, time.Since(t0).Round(time.Millisecond),
 			float64(rep.Events)/time.Since(t0).Seconds())
 		fmt.Print(rep.Render())
+		if *rounds {
+			fmt.Print(rep.Host.Render())
+		}
 	}
 }

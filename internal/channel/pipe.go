@@ -37,10 +37,12 @@ func ConstantDelay(d sim.Duration) DelayFn {
 }
 
 // OrbitDelay derives the propagation delay from an orbital link, with
-// simulation time mapped 1:1 onto orbital time offset by epoch.
+// simulation time mapped 1:1 onto orbital time offset by epoch. The link's
+// time-invariant geometry is evaluated here, once, not per frame.
 func OrbitDelay(l orbit.Link, epoch time.Duration) DelayFn {
+	pl := l.Prepare()
 	return func(at sim.Time) sim.Duration {
-		return orbit.PropagationDelay(l.RangeM(epoch + time.Duration(at)))
+		return orbit.PropagationDelay(pl.RangeM(epoch + time.Duration(at)))
 	}
 }
 

@@ -2,7 +2,7 @@ package node
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arq"
 	"repro/internal/channel"
@@ -24,6 +24,7 @@ type Stats struct {
 
 // outLink is the transmitting side of one neighbor adjacency.
 type outLink struct {
+	peer      ID
 	pair      arq.Pair
 	nextID    uint64 // per-link DLC datagram IDs
 	failed    bool
@@ -36,17 +37,28 @@ type Node struct {
 	sched *sim.Scheduler
 	eng   arq.Engine
 
-	links  map[ID]*outLink
-	routes map[ID]ID // destination -> next hop
-	reseq  map[ID]*resequence.Resequencer
+	// links holds one outgoing session per neighbor, in neighbor-ID order:
+	// every walk over a node's adjacencies is deterministic by construction.
+	links []*outLink
+	// The three tables below are indexed by node ID and grow to the largest
+	// ID stored (see slot). routes[dst] is 1 + the index in links of the
+	// next hop toward dst — two bytes per destination — and 0, like a dst
+	// beyond the table, means no route.
+	routes []uint16
+	reseq  []*resequence.Resequencer // per source
+	seqTo  []uint64                  // per-destination originating sequence numbers
 
 	// OnDeliver receives in-order, exactly-once packets addressed to this
 	// node. May be nil.
 	OnDeliver func(now sim.Time, pkt Packet)
 
-	pendingReroute []Packet
+	// release is n.released bound once, shared by every resequencer.
+	release func(now sim.Time, dg arq.Datagram)
 
-	seqTo map[ID]uint64 // per-destination originating sequence numbers
+	// pendingReroute holds encoded packets reclaimed from failed links or
+	// refused by the next hop, until the next RecomputeRoutes pass
+	// re-dispatches them.
+	pendingReroute [][]byte
 
 	Stats Stats
 }
@@ -58,37 +70,52 @@ func New(sched *sim.Scheduler, id ID, eng arq.Engine) *Node {
 	if err := eng.Validate(); err != nil {
 		panic(err)
 	}
-	return &Node{
-		id:     id,
-		sched:  sched,
-		eng:    eng,
-		links:  make(map[ID]*outLink),
-		routes: make(map[ID]ID),
-		reseq:  make(map[ID]*resequence.Resequencer),
-		seqTo:  make(map[ID]uint64),
+	n := &Node{id: id, sched: sched, eng: eng}
+	n.release = n.released
+	return n
+}
+
+// slot returns &(*t)[id], growing the table to reach it.
+func slot[T any](t *[]T, id ID) *T {
+	if grow := int(id) + 1 - len(*t); grow > 0 {
+		*t = append(*t, make([]T, grow)...)
 	}
+	return &(*t)[id]
+}
+
+// linkIndex finds the outgoing link toward neighbor in the sorted links.
+func (n *Node) linkIndex(neighbor ID) (int, bool) {
+	return slices.BinarySearchFunc(n.links, neighbor, func(ol *outLink, id ID) int {
+		return int(ol.peer) - int(id)
+	})
 }
 
 // ID returns the node's identity.
 func (n *Node) ID() ID { return n.id }
 
-// SetRoute installs a static next-hop route.
-func (n *Node) SetRoute(dst, nextHop ID) { n.routes[dst] = nextHop }
+// SetRoute installs a static next-hop route. nextHop must already be a
+// connected neighbor; a route through anything else is no route.
+func (n *Node) SetRoute(dst, nextHop ID) {
+	hop := uint16(0)
+	if i, ok := n.linkIndex(nextHop); ok {
+		hop = uint16(i + 1)
+	}
+	*slot(&n.routes, dst) = hop
+}
 
 // Neighbors lists directly connected nodes, sorted.
 func (n *Node) Neighbors() []ID {
-	out := make([]ID, 0, len(n.links))
-	for id := range n.links {
-		out = append(out, id)
+	out := make([]ID, len(n.links))
+	for i, ol := range n.links {
+		out[i] = ol.peer
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // LinkMetrics exposes the DLC metrics of the outgoing link to a neighbor.
 func (n *Node) LinkMetrics(neighbor ID) *arq.Metrics {
-	if l, ok := n.links[neighbor]; ok {
-		return l.pair.Metrics()
+	if i, ok := n.linkIndex(neighbor); ok {
+		return n.links[i].pair.Metrics()
 	}
 	return nil
 }
@@ -110,15 +137,15 @@ func Connect(sched *sim.Scheduler, a, b *Node, pipe channel.PipeConfig, rng *sim
 // session's receiver logically lives at the neighbor: its deliveries feed
 // the neighbor's network layer.
 func (n *Node) attach(neighbor *Node, link *channel.Link) {
-	ol := &outLink{}
+	ol := &outLink{peer: neighbor.id}
 	ol.pair = n.eng.NewPair(n.sched, link,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
-			neighbor.handleArrival(now, dg)
+			neighbor.handleArrival(now, dg.Payload)
 		},
 		func(now sim.Time, reason string) {
 			ol.failed = true
 		})
-	n.links[neighbor.id] = ol
+	n.insertLink(ol)
 	ol.pair.Start()
 }
 
@@ -131,50 +158,66 @@ func (n *Node) attach(neighbor *Node, link *channel.Link) {
 // between the two shards (channel.Pipe.SetRemote) before the run starts.
 // The wired pair is returned for report collection.
 func (n *Node) AttachSplit(neighbor *Node, link *channel.Link, eng arq.Engine) arq.Pair {
-	ol := &outLink{}
+	ol := &outLink{peer: neighbor.id}
 	ol.pair = eng.NewSplitPair(n.sched, neighbor.sched, link,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
-			neighbor.handleArrival(now, dg)
+			neighbor.handleArrival(now, dg.Payload)
 		},
 		func(now sim.Time, reason string) {
 			ol.failed = true
 		})
-	n.links[neighbor.id] = ol
+	n.insertLink(ol)
 	ol.pair.Start()
 	return ol.pair
 }
 
-// Send originates a packet to dst. It reports whether the packet was
-// accepted by the first-hop link (or delivered locally).
-func (n *Node) Send(dst ID, payload []byte) bool {
-	pkt := Packet{Src: n.id, Dst: dst, Seq: n.seqTo[dst], Payload: payload}
-	n.seqTo[dst]++
-	n.Stats.Originated.Inc()
-	if dst == n.id {
-		n.deliverLocal(n.sched.Now(), pkt)
-		return true
+// insertLink files ol under its peer, keeping links sorted (a second
+// session toward the same peer replaces the first) and the hop indices in
+// routes pointing at the links they named before.
+func (n *Node) insertLink(ol *outLink) {
+	i, found := n.linkIndex(ol.peer)
+	if found {
+		n.links[i] = ol
+		return
 	}
-	return n.dispatch(pkt)
+	n.links = slices.Insert(n.links, i, ol)
+	for d, hop := range n.routes {
+		if int(hop) > i {
+			n.routes[d] = hop + 1
+		}
+	}
 }
 
-// dispatch routes and enqueues an encoded packet on the next-hop link.
-func (n *Node) dispatch(pkt Packet) bool {
-	nh, ok := n.routes[pkt.Dst]
-	if !ok {
+// Send originates a packet to dst. It reports whether the packet was
+// accepted by the first-hop link (or delivered locally). This is the one
+// place a packet is encoded: every hop after it, and the destination's
+// resequencer, is handed the same buffer, so payload must not be modified
+// after Send — the rule channel.Pipe.Send already imposes on a frame's
+// payload, extended end to end.
+func (n *Node) Send(dst ID, payload []byte) bool {
+	seq := slot(&n.seqTo, dst)
+	buf := Packet{Src: n.id, Dst: dst, Seq: *seq, Payload: payload}.Encode()
+	*seq++
+	n.Stats.Originated.Inc()
+	if dst == n.id {
+		n.deliverLocal(n.sched.Now(), buf)
+		return true
+	}
+	return n.dispatch(dst, buf)
+}
+
+// dispatch routes an encoded packet and enqueues it on the next-hop link.
+func (n *Node) dispatch(dst ID, buf []byte) bool {
+	if int(dst) >= len(n.routes) || n.routes[dst] == 0 {
 		n.Stats.NoRoute.Inc()
 		return false
 	}
-	ol, ok := n.links[nh]
-	if !ok {
-		n.Stats.NoRoute.Inc()
-		return false
-	}
+	ol := n.links[n.routes[dst]-1]
 	if ol.failed {
 		n.Stats.LinkDown.Inc()
 		return false
 	}
-	dg := arq.Datagram{ID: ol.nextID, Payload: pkt.Encode()}
-	if !ol.pair.Enqueue(dg) {
+	if !ol.pair.Enqueue(arq.Datagram{ID: ol.nextID, Payload: buf}) {
 		n.Stats.BufferFull.Inc()
 		return false
 	}
@@ -182,50 +225,58 @@ func (n *Node) dispatch(pkt Packet) bool {
 	return true
 }
 
-// handleArrival processes a datagram delivered by one of this node's
-// incoming DLC sessions: deliver locally or forward immediately (the
-// paper's relaxed in-sequence model — no reordering at transit nodes).
-func (n *Node) handleArrival(now sim.Time, dg arq.Datagram) {
-	pkt, err := DecodePacket(dg.Payload)
+// handleArrival processes an encoded packet delivered by one of this
+// node's incoming DLC sessions: deliver locally or forward immediately (the
+// paper's relaxed in-sequence model — no reordering at transit nodes). A
+// transit node reads the header and passes the buffer on as it arrived; it
+// neither copies nor re-encodes it.
+func (n *Node) handleArrival(now sim.Time, buf []byte) {
+	pkt, err := DecodePacket(buf)
 	if err != nil {
 		return // malformed; a real node would log and count
 	}
 	if pkt.Dst == n.id {
-		n.deliverLocal(now, pkt)
+		n.deliverLocal(now, buf)
 		return
 	}
 	n.Stats.Forwarded.Inc()
-	if !n.dispatch(pkt) {
+	if !n.dispatch(pkt.Dst, buf) {
 		// The next hop refused (failed link, buffer full, or no route).
 		// A transit node has no upstream to push back on — the DLC behind
 		// us already released the frame — so park the packet for the next
 		// route recomputation rather than lose it.
-		n.pendingReroute = append(n.pendingReroute, pkt)
+		n.pendingReroute = append(n.pendingReroute, buf)
 	}
 }
 
-// deliverLocal resequences per source and releases in order.
-func (n *Node) deliverLocal(now sim.Time, pkt Packet) {
-	rs, ok := n.reseq[pkt.Src]
-	if !ok {
-		rs = resequence.New(func(now sim.Time, dg arq.Datagram) {
-			n.Stats.Delivered.Inc()
-			if n.OnDeliver != nil {
-				p, err := DecodePacket(dg.Payload)
-				if err != nil {
-					return
-				}
-				n.OnDeliver(now, p)
-			}
-		})
-		n.reseq[pkt.Src] = rs
+// deliverLocal hands a well-formed encoded packet addressed to this node
+// to its source's resequencer, which releases in order.
+func (n *Node) deliverLocal(now sim.Time, buf []byte) {
+	pkt, _ := DecodePacket(buf)
+	rs := slot(&n.reseq, pkt.Src)
+	if *rs == nil {
+		*rs = resequence.New(n.release)
 	}
-	rs.Push(now, arq.Datagram{ID: pkt.Seq, Payload: pkt.Encode()})
+	(*rs).Push(now, arq.Datagram{ID: pkt.Seq, Payload: buf})
+}
+
+// released is every resequencer's in-order release callback.
+func (n *Node) released(now sim.Time, dg arq.Datagram) {
+	n.Stats.Delivered.Inc()
+	if n.OnDeliver != nil {
+		pkt, _ := DecodePacket(dg.Payload)
+		n.OnDeliver(now, pkt)
+	}
 }
 
 // Resequencer exposes the per-source resequencer (nil if none yet), for
 // buffer-occupancy measurements.
-func (n *Node) Resequencer(src ID) *resequence.Resequencer { return n.reseq[src] }
+func (n *Node) Resequencer(src ID) *resequence.Resequencer {
+	if int(src) >= len(n.reseq) {
+		return nil
+	}
+	return n.reseq[src]
+}
 
 // Summary renders headline counters.
 func (n *Node) Summary() string {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/arq"
@@ -386,4 +387,212 @@ func TestRingPanicsTooSmall(t *testing.T) {
 		}
 	}()
 	Ring(sim.NewScheduler(), 2, testEng(), testPipe(), sim.NewRNG(1))
+}
+
+// sinkPair stands in for a DLC session at the Enqueue seam: it records what
+// the network layer hands the link and does nothing else. Every other Pair
+// method is the embedded nil interface's and must not be reached.
+type sinkPair struct {
+	arq.Pair
+	got []arq.Datagram
+}
+
+func (s *sinkPair) Enqueue(dg arq.Datagram) bool {
+	s.got = append(s.got, dg)
+	return true
+}
+
+// sinkNode returns node id with one outgoing link, toward next, that ends
+// in a sinkPair, and a route to dst through it.
+func sinkNode(id, next, dst ID) (*Node, *sinkPair) {
+	n := New(sim.NewScheduler(), id, testEng())
+	sink := &sinkPair{}
+	n.insertLink(&outLink{peer: next, pair: sink})
+	n.SetRoute(dst, next)
+	return n, sink
+}
+
+// TestForwardingIsZeroCopy pins the frame path's central property: the
+// buffer the source encodes is the buffer every transit node enqueues and
+// the buffer the destination's resequencer releases — same bytes, same
+// backing array — across three transit hops.
+func TestForwardingIsZeroCopy(t *testing.T) {
+	const dst = 4
+	payload := []byte("immutable after Send")
+	src, out := sinkNode(0, 1, dst)
+	if !src.Send(dst, payload) {
+		t.Fatal("send refused")
+	}
+	encoded := out.got[0].Payload
+	want := append([]byte(nil), encoded...)
+	if p, err := DecodePacket(encoded); err != nil || p.Src != 0 || p.Dst != dst || !bytes.Equal(p.Payload, payload) {
+		t.Fatalf("source encoded %v, %v", p, err)
+	}
+
+	buf := encoded
+	for id := ID(1); id < dst; id++ {
+		transit, sink := sinkNode(id, id+1, dst)
+		transit.handleArrival(0, buf)
+		if len(sink.got) != 1 || transit.Stats.Forwarded.Value() != 1 {
+			t.Fatalf("node %d forwarded %d datagrams", id, len(sink.got))
+		}
+		buf = sink.got[0].Payload
+		if &buf[0] != &encoded[0] || len(buf) != len(encoded) {
+			t.Fatalf("node %d handed the next hop a different buffer", id)
+		}
+	}
+
+	end := New(sim.NewScheduler(), dst, testEng())
+	var got Packet
+	end.OnDeliver = func(_ sim.Time, p Packet) { got = p }
+	end.handleArrival(0, buf)
+	if got.Src != 0 || got.Seq != 0 || !bytes.Equal(got.Payload, payload) {
+		t.Fatalf("destination released %v", got)
+	}
+	if &got.Payload[0] != &encoded[headerLen] {
+		t.Fatal("destination released a copy of the payload")
+	}
+	if !bytes.Equal(encoded, want) {
+		t.Fatal("the encoded packet changed in transit")
+	}
+}
+
+// TestTransitStepDoesNotAllocate pins the transit step — handleArrival
+// through dispatch, up to the engine's Enqueue — at zero allocations.
+func TestTransitStepDoesNotAllocate(t *testing.T) {
+	transit, sink := sinkNode(1, 2, 9)
+	buf := Packet{Src: 0, Dst: 9, Seq: 7, Payload: make([]byte, 256)}.Encode()
+	sink.got = make([]arq.Datagram, 0, 2000)
+	if avg := testing.AllocsPerRun(1000, func() { transit.handleArrival(0, buf) }); avg != 0 {
+		t.Fatalf("transit step allocates %v times per packet", avg)
+	}
+	if len(sink.got) == 0 || transit.pendingReroute != nil {
+		t.Fatalf("transit step did not forward: %d enqueued, %d parked", len(sink.got), len(transit.pendingReroute))
+	}
+}
+
+// TestRelayPayloadIntactOverLossyHops sends distinct payloads across four
+// lossy hops (three transit nodes, retransmissions on every link) and
+// requires each delivered byte for byte.
+func TestRelayPayloadIntactOverLossyHops(t *testing.T) {
+	sched := sim.NewScheduler()
+	pipe := testPipe()
+	pipe.IModel = channel.FixedProb{P: 0.15}
+	pipe.CModel = channel.FixedProb{P: 0.03}
+	nodes, _ := Line(sched, 5, testEng(), pipe, sim.NewRNG(31))
+	const n = 60
+	rng := sim.NewRNG(32)
+	sent := make([][]byte, n)
+	for i := range sent {
+		sent[i] = make([]byte, 1+rng.Intn(300))
+		for j := range sent[i] {
+			sent[i][j] = byte(rng.Uint64())
+		}
+	}
+	var got []Packet
+	nodes[4].OnDeliver = func(_ sim.Time, p Packet) { got = append(got, p) }
+	for _, payload := range sent {
+		if !nodes[0].Send(4, payload) {
+			t.Fatal("send refused")
+		}
+	}
+	sched.RunFor(60 * sim.Second)
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d", len(got), n)
+	}
+	for i, p := range got {
+		if p.Seq != uint64(i) || !bytes.Equal(p.Payload, sent[i]) {
+			t.Fatalf("packet %d arrived as seq %d with a different payload", i, p.Seq)
+		}
+	}
+}
+
+// TestReclaimOrderIsNeighborOrder is the regression test for reroute order:
+// node 0 loses its links to neighbors 3 and 1 before one RecomputeRoutes,
+// with traffic stranded on both. The packets must be reclaimed — and so
+// re-dispatched, and renumbered on the surviving link — in neighbor-ID
+// order, each link's oldest first, on every one of fifty runs. (When the
+// links lived in a map the order followed map iteration and differed run
+// to run.)
+func TestReclaimOrderIsNeighborOrder(t *testing.T) {
+	const perLink = 6
+	var want []string
+	for _, dst := range []ID{1, 3} {
+		for seq := 0; seq < perLink; seq++ {
+			want = append(want, Packet{Src: 0, Dst: dst, Seq: uint64(seq)}.String())
+		}
+	}
+	for run := 0; run < 50; run++ {
+		sched := sim.NewScheduler()
+		rng := sim.NewRNG(uint64(run))
+		nodes := make([]*Node, 4)
+		for i := range nodes {
+			nodes[i] = New(sched, ID(i), testEng())
+		}
+		// Hub 0 with spokes 3, 1, 2 (attached out of ID order), and a rim
+		// 2–1, 2–3 so both destinations stay reachable through 2.
+		ab3, ba3 := Connect(sched, nodes[0], nodes[3], testPipe(), rng)
+		ab1, ba1 := Connect(sched, nodes[0], nodes[1], testPipe(), rng)
+		Connect(sched, nodes[0], nodes[2], testPipe(), rng)
+		Connect(sched, nodes[2], nodes[1], testPipe(), rng)
+		Connect(sched, nodes[2], nodes[3], testPipe(), rng)
+		RecomputeRoutes(nodes)
+		delivered := map[ID]int{}
+		for _, dst := range []ID{1, 3} {
+			nodes[dst].OnDeliver = func(_ sim.Time, p Packet) { delivered[p.Dst]++ }
+		}
+
+		for _, l := range []*channel.Link{ab3, ba3, ab1, ba1} {
+			l.Fail()
+		}
+		for seq := 0; seq < perLink; seq++ {
+			nodes[0].Send(3, []byte{byte(seq)})
+			nodes[0].Send(1, []byte{byte(seq)})
+		}
+		sched.RunFor(sim.Second) // both DLC failures declared
+		if nodes[0].LinkAlive(1) || nodes[0].LinkAlive(3) {
+			t.Fatal("links did not fail")
+		}
+
+		nodes[0].reclaimFailedLinks()
+		var got []string
+		for _, buf := range nodes[0].pendingReroute {
+			p, _ := DecodePacket(buf)
+			p.Payload = nil
+			got = append(got, p.String())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: reclaimed %v, want %v", run, got, want)
+		}
+
+		RecomputeRoutes(nodes)
+		sched.RunFor(sim.Second)
+		if delivered[1] != perLink || delivered[3] != perLink {
+			t.Fatalf("run %d: delivered %v after rerouting through node 2", run, delivered)
+		}
+	}
+}
+
+// TestRoutesSurviveLaterAttach pins the hop indices in the route table:
+// attaching a lower-numbered neighbor after routes exist shifts the sorted
+// links, and every route must still name the link it named before.
+func TestRoutesSurviveLaterAttach(t *testing.T) {
+	n, viaFive := sinkNode(3, 5, 9)
+	viaOne := &sinkPair{}
+	n.insertLink(&outLink{peer: 1, pair: viaOne})
+	n.SetRoute(8, 1)
+	buf9 := Packet{Src: 0, Dst: 9}.Encode()
+	buf8 := Packet{Src: 0, Dst: 8}.Encode()
+	n.handleArrival(0, buf9)
+	n.handleArrival(0, buf8)
+	if len(viaFive.got) != 1 || len(viaOne.got) != 1 {
+		t.Fatalf("dst 9 via 5: %d, dst 8 via 1: %d, want 1 and 1", len(viaFive.got), len(viaOne.got))
+	}
+	if nb := n.Neighbors(); len(nb) != 2 || nb[0] != 1 || nb[1] != 5 {
+		t.Fatalf("neighbors = %v", nb)
+	}
+	n.SetRoute(9, 7) // not a neighbor: no route
+	if n.dispatch(9, buf9) || n.Stats.NoRoute.Value() != 1 {
+		t.Fatal("route through a non-neighbor accepted")
+	}
 }

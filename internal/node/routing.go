@@ -1,8 +1,6 @@
 package node
 
 import (
-	"sort"
-
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/sim"
@@ -19,12 +17,15 @@ import (
 // LinkAlive reports whether the outgoing DLC session toward neighbor is
 // still usable (no declared link failure).
 func (n *Node) LinkAlive(neighbor ID) bool {
-	ol, ok := n.links[neighbor]
-	return ok && !ol.failed
+	i, ok := n.linkIndex(neighbor)
+	return ok && !n.links[i].failed
 }
 
-// pendingReroute accumulates packets reclaimed from failed links until the
-// next RecomputeRoutes pass re-dispatches them.
+// reclaimFailedLinks pulls the datagrams stranded in every newly failed
+// link's sending buffer back into pendingReroute. Links are walked in
+// neighbor-ID order, so when several fail before one recomputation the
+// reclaimed packets — and the datagram IDs they are re-dispatched under —
+// come out in the same order every run.
 func (n *Node) reclaimFailedLinks() {
 	for _, ol := range n.links {
 		if !ol.failed || ol.reclaimed {
@@ -32,11 +33,10 @@ func (n *Node) reclaimFailedLinks() {
 		}
 		ol.reclaimed = true
 		for _, dg := range ol.pair.Reclaim() {
-			pkt, err := DecodePacket(dg.Payload)
-			if err != nil {
+			if len(dg.Payload) < headerLen {
 				continue
 			}
-			n.pendingReroute = append(n.pendingReroute, pkt)
+			n.pendingReroute = append(n.pendingReroute, dg.Payload)
 		}
 	}
 }
@@ -45,15 +45,16 @@ func (n *Node) reclaimFailedLinks() {
 func (n *Node) flushPending() {
 	pending := n.pendingReroute
 	n.pendingReroute = nil
-	for _, pkt := range pending {
+	for _, buf := range pending {
 		n.Stats.Rerouted.Inc()
+		pkt, _ := DecodePacket(buf)
 		if pkt.Dst == n.id {
-			n.deliverLocal(n.sched.Now(), pkt)
+			n.deliverLocal(n.sched.Now(), buf)
 			continue
 		}
-		if !n.dispatch(pkt) {
+		if !n.dispatch(pkt.Dst, buf) {
 			// Still unroutable: keep for the next recompute.
-			n.pendingReroute = append(n.pendingReroute, pkt)
+			n.pendingReroute = append(n.pendingReroute, buf)
 		}
 	}
 }
@@ -64,56 +65,49 @@ func (n *Node) flushPending() {
 // constellation would run it from its topology manager on every pass
 // schedule or failure notification).
 func RecomputeRoutes(nodes []*Node) {
-	byID := make(map[ID]*Node, len(nodes))
-	for _, n := range nodes {
-		byID[n.id] = n
+	// at[id] is 1 + the position in nodes of the node with that ID.
+	var at []int
+	for i, n := range nodes {
+		*slot(&at, n.id) = i + 1
 		n.reclaimFailedLinks()
 	}
-	// Alive adjacency, deterministic order.
-	adj := make(map[ID][]ID, len(nodes))
-	for _, n := range nodes {
-		var out []ID
-		for _, nb := range n.Neighbors() {
-			peer, ok := byID[nb]
-			if !ok {
+	// Alive adjacency as positions in nodes, in neighbor-ID order. An
+	// adjacency is usable only if both directions live (each direction is
+	// its own DLC session).
+	adj := make([][]int, len(nodes))
+	for i, n := range nodes {
+		for _, ol := range n.links {
+			if int(ol.peer) >= len(at) || at[ol.peer] == 0 || ol.failed {
 				continue
 			}
-			// The adjacency is usable only if both directions live (each
-			// direction is its own DLC session).
-			if n.LinkAlive(nb) && peer.LinkAlive(n.id) {
-				out = append(out, nb)
+			if peer := at[ol.peer] - 1; nodes[peer].LinkAlive(n.id) {
+				adj[i] = append(adj[i], peer)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		adj[n.id] = out
 	}
-	// BFS from every node.
-	for _, src := range nodes {
-		routes := make(map[ID]ID)
-		type hop struct {
-			id    ID
-			first ID // first hop on the path from src
+	// BFS from every node. hop[j] is the first hop on the path from src to
+	// nodes[j], in the form src.routes stores it; 0 marks j unvisited.
+	hop := make([]uint16, len(nodes))
+	queue := make([]int, 0, len(nodes))
+	for si, src := range nodes {
+		clear(hop)
+		clear(src.routes)
+		queue = queue[:0]
+		for _, nb := range adj[si] {
+			li, _ := src.linkIndex(nodes[nb].id)
+			hop[nb] = uint16(li + 1)
+			queue = append(queue, nb)
 		}
-		visited := map[ID]bool{src.id: true}
-		var queue []hop
-		for _, nb := range adj[src.id] {
-			visited[nb] = true
-			routes[nb] = nb
-			queue = append(queue, hop{nb, nb})
-		}
-		for len(queue) > 0 {
-			h := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[h.id] {
-				if visited[nb] {
-					continue
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			*slot(&src.routes, nodes[u].id) = hop[u]
+			for _, nb := range adj[u] {
+				if nb != si && hop[nb] == 0 {
+					hop[nb] = hop[u]
+					queue = append(queue, nb)
 				}
-				visited[nb] = true
-				routes[nb] = h.first
-				queue = append(queue, hop{nb, h.first})
 			}
 		}
-		src.routes = routes
 	}
 	for _, n := range nodes {
 		n.flushPending()

@@ -69,12 +69,39 @@ func (o Orbit) MeanMotion() float64 {
 }
 
 // Position returns the ECI position at time t after epoch.
-func (o Orbit) Position(t time.Duration) Vec3 {
-	u := o.PhaseRad + o.MeanMotion()*t.Seconds() // argument of latitude
-	r := o.Radius()
+func (o Orbit) Position(t time.Duration) Vec3 { return o.Prepare().Position(t) }
+
+// Prepared is an Orbit with its time-invariant terms — mean motion, radius,
+// and the sines and cosines of inclination and RAAN — evaluated once, so a
+// caller that samples one orbit many times pays two trigonometric calls per
+// sample instead of six. Orbit.Position is Prepare().Position: there is one
+// expression of the geometry, and the prepared form agrees with the
+// unprepared one to the last bit.
+type Prepared struct {
+	phase, motion, radius  float64
+	cosI, sinI, cosO, sinO float64
+}
+
+// Prepare evaluates the orbit's time-invariant terms.
+func (o Orbit) Prepare() Prepared {
+	return Prepared{
+		phase:  o.PhaseRad,
+		motion: o.MeanMotion(),
+		radius: o.Radius(),
+		cosI:   math.Cos(o.InclinationRad),
+		sinI:   math.Sin(o.InclinationRad),
+		cosO:   math.Cos(o.RAANRad),
+		sinO:   math.Sin(o.RAANRad),
+	}
+}
+
+// Position returns the ECI position at time t after epoch.
+func (p Prepared) Position(t time.Duration) Vec3 {
+	u := p.phase + p.motion*t.Seconds() // argument of latitude
+	r := p.radius
 	cosU, sinU := math.Cos(u), math.Sin(u)
-	cosI, sinI := math.Cos(o.InclinationRad), math.Sin(o.InclinationRad)
-	cosO, sinO := math.Cos(o.RAANRad), math.Sin(o.RAANRad)
+	cosI, sinI := p.cosI, p.sinI
+	cosO, sinO := p.cosO, p.sinO
 	// Rotate the in-plane position (r cosU, r sinU, 0) by inclination about
 	// x then RAAN about z.
 	x := r * (cosO*cosU - sinO*sinU*cosI)
@@ -93,8 +120,21 @@ type Link struct {
 }
 
 // RangeM returns the inter-satellite distance at time t.
-func (l Link) RangeM(t time.Duration) float64 {
-	return l.B.Position(t).Sub(l.A.Position(t)).Norm()
+func (l Link) RangeM(t time.Duration) float64 { return l.Prepare().RangeM(t) }
+
+// PreparedLink is a Link's two orbits in prepared form, for callers that
+// sample the range once per frame (channel.OrbitDelay).
+type PreparedLink struct{ a, b Prepared }
+
+// Prepare evaluates both orbits' time-invariant terms.
+func (l Link) Prepare() PreparedLink {
+	return PreparedLink{a: l.A.Prepare(), b: l.B.Prepare()}
+}
+
+// RangeM returns the inter-satellite distance at time t, equal (==) to
+// Link.RangeM.
+func (l PreparedLink) RangeM(t time.Duration) float64 {
+	return l.b.Position(t).Sub(l.a.Position(t)).Norm()
 }
 
 // Visible reports whether the two satellites have line of sight at t: the

@@ -206,6 +206,11 @@ type Report struct {
 	// Utilization is BitsSent over the aggregate wire capacity of every
 	// pipe up to EndTime.
 	Utilization float64
+
+	// Host is the engine's host-time account of the run. Like Shards it
+	// varies with K (and with the machine), so Render never prints it;
+	// Host.Render does.
+	Host RunStats
 }
 
 // Render prints the shard-count-invariant report, one experiment row per
@@ -699,6 +704,7 @@ func (c *Constellation) Run() Report {
 		Events:      c.eng.Executed(),
 		EndTime:     c.eng.Shard(0).Scheduler().Now(),
 		Handover:    c.handover,
+		Host:        c.eng.Stats(),
 	}
 	var delays []sim.Duration
 	for fi := range flows {

@@ -2,10 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -110,5 +114,245 @@ func TestEngineRoundCount(t *testing.T) {
 	got := eng.Run(100*sim.Millisecond, func() bool { calls++; return calls >= 3 })
 	if got != 3 {
 		t.Fatalf("early stop after 3 barriers ran %d rounds", got)
+	}
+}
+
+// TestEngineEmptyRounds pins the barrier alone: ten thousand rounds with
+// nothing to do complete at every K, on every shard, and are counted empty.
+func TestEngineEmptyRounds(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 8} {
+		eng := New(k, sim.Millisecond)
+		if got := eng.Run(9999*sim.Millisecond, nil); got != 10000 {
+			t.Fatalf("k=%d: %d rounds, want 10000", k, got)
+		}
+		st := eng.Stats()
+		if st.Rounds != 10000 || len(st.Shards) != k {
+			t.Fatalf("k=%d: stats %+v", k, st)
+		}
+		for i, sh := range st.Shards {
+			if sh.EmptyRounds != 10000 || sh.Drained != 0 {
+				t.Fatalf("k=%d shard %d: %+v", k, i, sh)
+			}
+		}
+	}
+}
+
+// TestEngineStopSeesQuiescentShards pins the barrier's contract with stop:
+// it runs with every shard parked between rounds, each clock exactly on the
+// round boundary, so it may read shard-owned state with no synchronization
+// of its own. Under the race detector an early stop call is a reported race
+// on ticks; without it, a clock off the boundary fails the test.
+func TestEngineStopSeesQuiescentShards(t *testing.T) {
+	const k, window = 3, sim.Millisecond
+	eng := New(k, window)
+	ticks := make([]int, k)
+	for i := 0; i < k; i++ {
+		sched := eng.Shard(i).Scheduler()
+		var tick func()
+		tick = func() {
+			ticks[i]++
+			sched.ScheduleAfterDetached(100*sim.Microsecond, tick)
+		}
+		sched.ScheduleDetached(0, tick)
+	}
+	calls := 0
+	rounds := eng.Run(sim.Second, func() bool {
+		calls++
+		end := sim.Time(int64(calls)*int64(window) - 1)
+		for i := 0; i < k; i++ {
+			if now := eng.Shard(i).Scheduler().Now(); now != end {
+				t.Errorf("barrier %d: shard %d clock %v, want %v", calls, i, now, end)
+			}
+			if ticks[i] != 10*calls {
+				t.Errorf("barrier %d: shard %d ran %d ticks, want %d", calls, i, ticks[i], 10*calls)
+			}
+		}
+		return calls == 50
+	})
+	if rounds != 50 {
+		t.Fatalf("ran %d rounds, want 50", rounds)
+	}
+}
+
+// TestEngineWorkersExitWithRun pins the worker lifetime: Run starts K−1
+// goroutines and every one of them is gone when it returns, after a full
+// run and after an early stop alike.
+func TestEngineWorkersExitWithRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, stopAt := range []int{0, 3} {
+		eng := New(8, sim.Millisecond)
+		calls := 0
+		eng.Run(100*sim.Millisecond, func() bool { calls++; return calls == stopAt })
+	}
+	// A worker's last act is to signal Run, so it may still be unwinding
+	// for an instant after Run returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before Run, %d after", before, after)
+	}
+}
+
+// boundaryScenario sends one frame per entry of sendAt (shard 0's clock)
+// over an infinitely fast pipe with the given propagation delay into shard
+// k−1, runs to the horizon, and returns the arrival time and the round
+// (counted from 1) of every delivery, plus the engine for mailbox checks.
+func boundaryScenario(t *testing.T, k int, window, delay, horizon sim.Duration, sendAt ...sim.Time) (*Engine, []sim.Time, []int) {
+	t.Helper()
+	eng := New(k, window)
+	src, dst := eng.Shard(0), eng.Shard(k-1)
+	p := channel.NewPipe(src.Scheduler(), channel.PipeConfig{Delay: channel.ConstantDelay(delay)}, sim.NewRNG(1))
+	eng.Wire(src, dst, p, 0)
+	barriers := 0
+	var at []sim.Time
+	var round []int
+	p.SetHandler(func(now sim.Time, f *frame.Frame) {
+		at = append(at, now)
+		round = append(round, barriers+1)
+		frame.Put(f)
+	})
+	for i, when := range sendAt {
+		seq := uint32(i)
+		src.Scheduler().ScheduleDetached(when, func() {
+			g := frame.NewI(seq, 0, nil)
+			p.Send(g)
+			frame.Put(g)
+		})
+	}
+	eng.Run(horizon, func() bool { barriers++; return false })
+	return eng, at, round
+}
+
+// TestEngineBoundaryInstantBelongsToNextRound pins the round arithmetic on
+// the mailbox side: round k ends at k·W−1, so a frame stamped exactly k·W
+// is drained in round k+1 — and one stamped k·W−1 in round k — at every K.
+func TestEngineBoundaryInstantBelongsToNextRound(t *testing.T) {
+	const w = 2 * sim.Millisecond
+	for _, k := range []int{1, 2} {
+		// Sent at W and at 2W−1 with delay W: stamped 2W and 3W−1.
+		_, at, round := boundaryScenario(t, k, w, w, 10*w, sim.Time(w), sim.Time(2*w-1))
+		want := []sim.Time{sim.Time(2 * w), sim.Time(3*w - 1)}
+		if fmt.Sprint(at) != fmt.Sprint(want) || fmt.Sprint(round) != "[3 3]" {
+			t.Fatalf("k=%d: arrivals %v in rounds %v, want %v in rounds [3 3]", k, at, round, want)
+		}
+		// Stamped 2W−1 (sent at W−1): the last instant of round 2.
+		_, at, round = boundaryScenario(t, k, w, w, 10*w, sim.Time(w-1))
+		if len(at) != 1 || at[0] != sim.Time(2*w-1) || round[0] != 2 {
+			t.Fatalf("k=%d: arrival %v in round %v, want %v in round 2", k, at, round, sim.Time(2*w-1))
+		}
+	}
+}
+
+// inflight counts the frames a shard's mailbox still holds.
+func (e *Engine) inflight() int {
+	n := 0
+	for _, sh := range e.shards {
+		for _, s := range sh.in.slots {
+			n += len(s)
+		}
+		n += len(sh.late)
+	}
+	return n
+}
+
+// TestEngineDropInflightReturnsHorizonCutFrames pins the end of a run: a
+// frame stamped inside the final round but past the horizon, and one
+// stamped rounds beyond it (far enough to grow the mailbox ring), are
+// never delivered, stay in the mailbox, and are handed back by
+// DropInflight.
+func TestEngineDropInflightReturnsHorizonCutFrames(t *testing.T) {
+	const w = 2 * sim.Millisecond
+	horizon := 4*w + w/2 // the fifth round is cut short
+	for _, k := range []int{1, 2} {
+		// Delay W: sent at 3W+W/2+1 → stamped one past the horizon, in the
+		// final round's slot. Sent at 2W → stamped 3W, delivered.
+		eng, at, _ := boundaryScenario(t, k, w, w, horizon, sim.Time(2*w), sim.Time(3*w+w/2+1))
+		if len(at) != 1 || at[0] != sim.Time(3*w) {
+			t.Fatalf("k=%d: deliveries %v, want only %v", k, at, sim.Time(3*w))
+		}
+		if got := eng.inflight(); got != 1 {
+			t.Fatalf("k=%d: %d frames in flight after the run, want 1", k, got)
+		}
+		eng.DropInflight()
+		if got := eng.inflight(); got != 0 {
+			t.Fatalf("k=%d: %d frames in flight after DropInflight", k, got)
+		}
+
+		// Delay 40W: stamped 41W, forty rounds past anything drained.
+		eng, at, _ = boundaryScenario(t, k, w, 40*w, horizon, sim.Time(w))
+		if len(at) != 0 || eng.inflight() != 1 {
+			t.Fatalf("k=%d: deliveries %v, %d in flight, want none and 1", k, at, eng.inflight())
+		}
+		eng.DropInflight()
+		if got := eng.inflight(); got != 0 {
+			t.Fatalf("k=%d: %d frames in flight after DropInflight", k, got)
+		}
+	}
+}
+
+// TestEngineMailboxRingGrowth drives arrivals spread over far more rounds
+// than the mailbox ring starts with, posted out of round order, and
+// requires every one delivered at its stamp, in stamp order.
+func TestEngineMailboxRingGrowth(t *testing.T) {
+	const w = sim.Millisecond
+	eng := New(2, w)
+	src, dst := eng.Shard(0), eng.Shard(1)
+	sent := sim.Time(w / 2)
+	delays := []sim.Duration{70 * w, 3 * w, 33 * w, w, 9 * w, 130 * w}
+	var got, want []string
+	for i, delay := range delays {
+		p := channel.NewPipe(src.Scheduler(), channel.PipeConfig{Delay: channel.ConstantDelay(delay)}, sim.NewRNG(uint64(i)))
+		eng.Wire(src, dst, p, uint32(i))
+		p.SetHandler(func(now sim.Time, f *frame.Frame) {
+			got = append(got, fmt.Sprintf("%d@%v", f.Seq, now))
+			frame.Put(f)
+		})
+		src.Scheduler().ScheduleDetached(sent, func() {
+			g := frame.NewI(uint32(i), 0, nil)
+			p.Send(g)
+			frame.Put(g)
+		})
+	}
+	for _, i := range []int{3, 1, 4, 2, 0, 5} { // pipes by increasing delay
+		want = append(want, fmt.Sprintf("%d@%v", i, sent.Add(delays[i])))
+	}
+	eng.Run(200*w, nil)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+	if n := eng.inflight(); n != 0 {
+		t.Fatalf("%d frames left in flight", n)
+	}
+}
+
+// TestRunStatsPublish pins the two outlets of the host-time account: the
+// shard_* counter families (a nil registry is accepted) and the rendered
+// rows lamsconst -rounds prints.
+func TestRunStatsPublish(t *testing.T) {
+	eng := New(2, sim.Millisecond)
+	eng.Run(10*sim.Millisecond, nil)
+	st := eng.Stats()
+	st.Publish(nil)
+	reg := metrics.New()
+	st.Publish(reg)
+	snap := reg.Snapshot()
+	if got := snap.Counter("shard_rounds_total"); got != uint64(st.Rounds) || got == 0 {
+		t.Fatalf("shard_rounds_total = %d, rounds = %d", got, st.Rounds)
+	}
+	if got := snap.Counter("shard_empty_rounds_total"); got != uint64(2*st.Rounds) {
+		t.Fatalf("shard_empty_rounds_total = %d, want %d", got, 2*st.Rounds)
+	}
+	for _, name := range []string{"shard_wall_ns_total", "shard_critical_ns_total", "shard_busy_ns_total", "shard_barrier_wait_ns_total"} {
+		if snap.Counter(name) == 0 {
+			t.Fatalf("%s is zero", name)
+		}
+	}
+	if _, ok := snap.Counters["shard_messages_drained_total"]; !ok {
+		t.Fatal("shard_messages_drained_total not registered")
+	}
+	if out := st.Render(); !strings.Contains(out, "shards=2 rounds=11 ") || strings.Count(out, "\n") != 3 {
+		t.Fatalf("Render:\n%s", out)
 	}
 }
