@@ -131,17 +131,13 @@ cover:
 	go tool cover -func=coverage.out > coverage.txt
 	@tail -1 coverage.txt
 
-# Micro-benchmarks for the hot paths the allocation diet targets, plus the
-# constellation-scale shard sweep. The combined output lands in
-# BENCH_PR8.json (via cmd/benchjson) as the machine-readable snapshot the
-# perf tables in EXPERIMENTS.md cite; BENCH_PR3.json (pre-arena) and
-# BENCH_PR6.json (pre-shard) are frozen baselines and are never rewritten.
+# The perf number: lamsbench (benchmarks/, BENCHMARK.json), every workload,
+# each in a fresh process, one environment-stamped record per workload on
+# stdout (add `-out file.jsonl` to keep them; `lamsbench -compare old.jsonl
+# new.jsonl` judges two sets, see benchmarks/README.md). It is the one
+# harness since PR 11; BENCH_PR3/6/8.json are the frozen snapshots of the
+# `go test -bench` pipeline it replaced and are never rewritten — they stay
+# as the history EXPERIMENTS.md cites.
 .PHONY: bench
 bench:
-	{ go test ./internal/frame -run xxx -bench 'BenchmarkEncodeI|BenchmarkDecode' -benchmem; \
-	  go test ./internal/crc -run xxx -bench . -benchmem; \
-	  go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchmem; \
-	  go test ./internal/channel -run xxx -bench BenchmarkPipeSendDeliver -benchmem; \
-	  go test ./internal/shard -run xxx -bench BenchmarkConstellation -benchtime 1x -benchmem; \
-	  go test . -run xxx -bench 'BenchmarkE4|BenchmarkLAMSTransfer' -benchtime 1x -benchmem; } \
-	| go run ./cmd/benchjson -o BENCH_PR8.json
+	bash benchmarks/run.sh -all

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -87,8 +86,7 @@ func BenchmarkE17CheckpointInterval(b *testing.B) {
 // datagrams across the canonical link: the end-to-end hot path.
 func BenchmarkLAMSTransfer2000(b *testing.B) {
 	c := bench.Base()
-	c.IModel = channel.FixedProb{P: 0.05}
-	c.CModel = channel.FixedProb{P: 0.0125}
+	c.IModelSpec, c.CModelSpec = "fixed:p=0.05", "fixed:p=0.0125"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Seed = uint64(i) + 1
@@ -103,8 +101,7 @@ func BenchmarkLAMSTransfer2000(b *testing.B) {
 func BenchmarkSRHDLCTransfer2000(b *testing.B) {
 	c := bench.Base()
 	c.Protocol = bench.SRHDLC
-	c.IModel = channel.FixedProb{P: 0.05}
-	c.CModel = channel.FixedProb{P: 0.0125}
+	c.IModelSpec, c.CModelSpec = "fixed:p=0.05", "fixed:p=0.0125"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Seed = uint64(i) + 1

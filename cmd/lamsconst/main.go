@@ -96,8 +96,12 @@ func main() {
 		cfg.PayloadBytes = *payload
 		cfg.OfferInterval = sim.Duration(*interval)
 		cfg.RateBps = *rate
-		cfg.IModelSpec = *imodel
-		cfg.CModelSpec = *cmodel
+		if *imodel != "" {
+			cfg.IModelSpec = *imodel
+		}
+		if *cmodel != "" {
+			cfg.CModelSpec = *cmodel
+		}
 		cfg.Horizon = sim.Duration(*horizon)
 		cfg.RunToHorizon = *full
 		cfg.PolarDeg = *polar

@@ -119,10 +119,7 @@ func main() {
 		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(*ber, *pf, *pc)
 	}
 	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
-		if spec == "" {
-			continue
-		}
-		if _, err := channel.ParseModel(spec); err != nil {
+		if _, err := channel.ModelFactory(spec); err != nil {
 			fmt.Fprintf(os.Stderr, "lamsim: %v\n", err)
 			os.Exit(2)
 		}

@@ -168,10 +168,7 @@ func csvQuote(s string) string {
 func applyModels(c *bench.RunConfig, imodel, cmodel string, ber, pf, pc float64) {
 	if imodel != "" || cmodel != "" {
 		for _, spec := range []string{imodel, cmodel} {
-			if spec == "" {
-				continue
-			}
-			if _, err := channel.ParseModel(spec); err != nil {
+			if _, err := channel.ModelFactory(spec); err != nil {
 				fatal("%v", err)
 			}
 		}

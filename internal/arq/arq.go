@@ -95,7 +95,7 @@ func (m *Metrics) NoteDelivery(now sim.Time, dg Datagram) {
 
 // MergeSplit combines the two Metrics blocks of a split pair (sender entity
 // and receiver entity on different schedulers, each with its own block; see
-// Engine.NewSplitPair) into the single view a report reads. Sender-side
+// PairMetrics) into the single view a report reads. Sender-side
 // fields come from sender, receiver-side fields from receiver, and
 // ControlSent — the one counter both sides bump — is summed. The result is a
 // read-only snapshot: its Histogram/Welford fields alias the source blocks'

@@ -21,9 +21,10 @@ type Endpoint interface {
 
 // Pair is the engine contract every layer above the protocols programs
 // against: a wired sender/receiver pair running one ARQ engine over one
-// full-duplex link. lamsdlc.Pair and hdlc.Pair implement it; the node,
-// session, bench, and faults layers consume it, so any registered engine
-// runs in any topology or harness.
+// full-duplex link. PairBase is its one implementation; each engine's Pair
+// embeds it next to its typed halves and adds the capability interfaces
+// below. The node, session, bench, and faults layers consume it, so any
+// registered engine runs in any topology or harness.
 //
 // Datagram ownership: a datagram handed to Enqueue belongs to the engine
 // until it is either delivered (the deliver callback fires at the far end)
@@ -63,6 +64,120 @@ type Pair interface {
 	// exist in their state machine and skip the rest, which is how the
 	// invariant checker's applicable subset follows the protocol.
 	SetProbe(p *Probe)
+}
+
+// SenderHalf is what a pair needs of an engine's sending entity (the
+// I-frame source, transmitting on link.AtoB). UnreleasedDatagrams backs
+// Reclaim: the datagrams never positively acknowledged, oldest first.
+// Shutdown backs Stop: timers stop and further work is refused without
+// declaring failure.
+type SenderHalf interface {
+	Endpoint
+	Enqueue(dg Datagram) bool
+	UnreleasedDatagrams() []Datagram
+	Outstanding() int
+	Failed() bool
+	Shutdown()
+	SetProbe(p *Probe)
+}
+
+// ReceiverHalf is what a pair needs of an engine's receiving entity
+// (transmitting acknowledgement traffic on link.BtoA). Stop halts its
+// periodic processes; a purely reactive receiver implements Stop and
+// SetProbe as no-ops.
+type ReceiverHalf interface {
+	Endpoint
+	Stop()
+	SetProbe(p *Probe)
+}
+
+// PairBase is the one implementation of the Pair contract: it forwards to
+// an engine's two halves and owns the pair's measurement blocks. An engine's
+// Pair embeds it; PairMetrics and NewPairBase make the constructor.
+type PairBase struct {
+	sender   SenderHalf
+	receiver ReceiverHalf
+	link     *channel.Link
+	metrics  *Metrics
+	// rmetrics is non-nil only for a split pair: the receiver entity runs
+	// on another scheduler and has its own block; Metrics merges the two on
+	// demand into merged.
+	rmetrics *Metrics
+	merged   Metrics
+}
+
+// PairMetrics returns the measurement blocks for a pair whose sender entity
+// runs on sendSched and whose receiver entity runs on recvSched. On one
+// scheduler the two share ONE block, and Pair.Metrics returns that pointer
+// for the pair's whole life (bench.Run holds it across the run). On two —
+// a crosslink session whose satellites live on different shards — each
+// entity gets its own, so the two goroutines never write the same counter.
+func PairMetrics(sendSched, recvSched *sim.Scheduler) (sender, receiver *Metrics) {
+	sender = &Metrics{}
+	if sendSched == recvSched {
+		return sender, sender
+	}
+	return sender, &Metrics{}
+}
+
+// NewPairBase connects the two halves across link — I-frames flow A→B into
+// receiver, acknowledgement traffic B→A into sender — and returns the pair
+// over them. ms and mr are the blocks the halves were built with
+// (PairMetrics). For a split pair the caller routes link.AtoB to the
+// receiver's shard and link.BtoA back (channel.Pipe.SetRemote).
+func NewPairBase(link *channel.Link, sender SenderHalf, receiver ReceiverHalf, ms, mr *Metrics) PairBase {
+	link.AtoB.SetHandler(receiver.HandleFrame)
+	link.BtoA.SetHandler(sender.HandleFrame)
+	p := PairBase{sender: sender, receiver: receiver, link: link, metrics: ms}
+	if mr != ms {
+		p.rmetrics = mr
+	}
+	return p
+}
+
+// Start activates both ends, sender first.
+func (p *PairBase) Start() {
+	p.sender.Start()
+	p.receiver.Start()
+}
+
+// Stop is orderly teardown: the receiver's periodic process halts, then the
+// sender refuses further work; undelivered datagrams stay reclaimable.
+func (p *PairBase) Stop() {
+	p.receiver.Stop()
+	p.sender.Shutdown()
+}
+
+// Enqueue accepts a datagram from the network layer.
+func (p *PairBase) Enqueue(dg Datagram) bool { return p.sender.Enqueue(dg) }
+
+// Reclaim returns the datagrams the sender still holds, oldest first.
+func (p *PairBase) Reclaim() []Datagram { return p.sender.UnreleasedDatagrams() }
+
+// Outstanding returns the sending-buffer occupancy.
+func (p *PairBase) Outstanding() int { return p.sender.Outstanding() }
+
+// Failed reports whether the sender declared the link failed or was stopped.
+func (p *PairBase) Failed() bool { return p.sender.Failed() }
+
+// Metrics exposes the pair's measurement block. For a split pair the two
+// per-entity blocks are merged on demand; call only while both shards are
+// quiesced (between rounds or after the run).
+func (p *PairBase) Metrics() *Metrics {
+	if p.rmetrics == nil {
+		return p.metrics
+	}
+	p.merged = MergeSplit(p.metrics, p.rmetrics)
+	return &p.merged
+}
+
+// Link exposes the underlying simulated link.
+func (p *PairBase) Link() *channel.Link { return p.link }
+
+// SetProbe installs the transition observer on both ends.
+func (p *PairBase) SetProbe(pr *Probe) {
+	p.sender.SetProbe(pr)
+	p.receiver.SetProbe(pr)
 }
 
 // Optional capability interfaces, discovered by type assertion on a Pair.

@@ -6,13 +6,14 @@ import (
 	"strings"
 
 	"repro/internal/channel"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // EngineConfig is the protocol-specific configuration a registered engine
-// consumes. Concrete types are lamsdlc.Config and hdlc.Config; the
-// interface carries only what protocol-agnostic layers need: validation and
-// the link-lifetime hint the session layer sets per pass.
+// consumes. Concrete types are lamsdlc.Config, hdlc.Config and ssarq.Config;
+// the interface carries only what protocol-agnostic layers need: validation
+// and the link-lifetime hint the session layer sets per pass.
 type EngineConfig interface {
 	// Validate reports the first configuration error.
 	Validate() error
@@ -22,18 +23,24 @@ type EngineConfig interface {
 	WithLinkLifetime(d sim.Duration) EngineConfig
 }
 
-// NewPairFunc builds a wired endpoint pair over link. cfg must be the
-// registration's concrete configuration type (its Defaults return);
-// deliver and onFailure may be nil.
-type NewPairFunc func(sched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) Pair
-
-// SplitPairFunc builds a pair whose two entities run on different
-// schedulers: the sender (I-frame source, driving link.AtoB) on sendSched,
-// the receiver (driving link.BtoA) on recvSched. The shard engine uses it to
-// home each end of a crosslink session on the shard owning that satellite.
-// Implementations must give each entity its own Metrics block (the two run
-// on different goroutines) and merge them in Pair.Metrics — see MergeSplit.
-type SplitPairFunc func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) Pair
+// Knobs is the protocol-neutral parameter set a harness turns (the
+// protocol fields of bench.RunConfig). Each engine's Configure maps the
+// knobs that have a counterpart in its own configuration and ignores the
+// rest; internal/arq's TestConfigureTable is the written record of
+// which is which.
+type Knobs struct {
+	RoundTrip sim.Duration // R; every engine
+	Icp       sim.Duration // checkpoint interval W_cp
+	Cdepth    int          // cumulation depth
+	W         int          // sliding window
+	Alpha     sim.Duration // timeout slack: t_out = R + α
+	Stutter   bool         // idle-time stutter retransmission
+	N2        int          // timeout retry budget before failure (0 = supervision off)
+	Tproc     sim.Duration // per-frame processing time
+	RecvCap   int          // receive buffer cap (0 = unbounded)
+	SendCap   int          // sending buffer cap (0 = unbounded)
+	Metrics   *metrics.Registry
+}
 
 // Registration describes one ARQ engine in the protocol registry.
 type Registration struct {
@@ -45,12 +52,17 @@ type Registration struct {
 	Display string
 	// Defaults returns the engine's default configuration for a round trip.
 	Defaults func(roundTrip sim.Duration) EngineConfig
-	// New builds a wired pair.
-	New NewPairFunc
-	// NewSplit builds a pair split across two schedulers. Optional: engines
-	// without it can still run under the shard engine when both ends land
-	// on the same shard (Engine.NewSplitPair falls back to New).
-	NewSplit SplitPairFunc
+	// Configure maps the harness knobs onto the engine's configuration.
+	Configure func(k Knobs) EngineConfig
+	// New builds a wired pair: the sender entity (I-frame source, driving
+	// link.AtoB) on sendSched, the receiver entity (driving link.BtoA) on
+	// recvSched. The two are the same scheduler except for a crosslink
+	// session the shard engine homes on two shards; see PairMetrics for
+	// what that changes. cfg must have the engine's own configuration type
+	// (what Defaults and Configure return); deliver and onFailure may be nil.
+	New func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) Pair
+	// accepts reports a cfg of another engine's type as an error.
+	accepts func(cfg EngineConfig) error
 }
 
 var (
@@ -58,12 +70,31 @@ var (
 	names    []string                        // canonical names, sorted
 )
 
-// Register adds an engine to the registry. Engines call it from init()
-// (blank-import repro/internal/engines to link every implementation in).
-// Duplicate names panic: the registry is wiring, not configuration.
-func Register(r Registration) {
-	if r.Name == "" || r.New == nil || r.Defaults == nil {
+// Register adds an engine to the registry: r carries its names, and the
+// three typed functions fill r.Defaults, r.Configure and r.New — this is the
+// one place an engine's concrete configuration type C is asserted. Engines
+// call it from init() (blank-import repro/internal/engines to link every
+// implementation in). Duplicate names panic: the registry is wiring, not
+// configuration.
+func Register[C EngineConfig, P Pair](r Registration,
+	defaults func(roundTrip sim.Duration) C,
+	configure func(k Knobs) C,
+	newPair func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg C, deliver DeliverFunc, onFailure FailureFunc) P,
+) {
+	if r.Name == "" || defaults == nil || configure == nil || newPair == nil {
 		panic("arq: incomplete engine registration")
+	}
+	r.Defaults = func(roundTrip sim.Duration) EngineConfig { return defaults(roundTrip) }
+	r.Configure = func(k Knobs) EngineConfig { return configure(k) }
+	r.New = func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) Pair {
+		return newPair(sendSched, recvSched, link, cfg.(C), deliver, onFailure)
+	}
+	r.accepts = func(cfg EngineConfig) error {
+		if _, ok := cfg.(C); !ok {
+			var want C
+			return fmt.Errorf("arq: engine %q given %T, want %T", r.Name, cfg, want)
+		}
+		return nil
 	}
 	for _, key := range append([]string{r.Name}, r.Aliases...) {
 		key = strings.ToLower(key)
@@ -95,16 +126,6 @@ func ParseProtocol(name string) (Registration, error) {
 	return r, nil
 }
 
-// New builds a wired pair for the named engine. cfg is required; use
-// Registration.Defaults (or DefaultEngine) to build one.
-func New(name string, sched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) (Pair, error) {
-	r, err := ParseProtocol(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.New(sched, link, cfg, deliver, onFailure), nil
-}
-
 // Engine binds a registered protocol to a concrete configuration: the
 // value the node and session layers carry instead of a lamsdlc.Config.
 // The zero Engine is invalid; build one with NewEngine or MustEngine.
@@ -113,19 +134,18 @@ type Engine struct {
 	cfg EngineConfig
 }
 
-// NewEngine resolves name and validates cfg.
+// NewEngine resolves name and validates cfg, which must be of the named
+// engine's own configuration type.
 func NewEngine(name string, cfg EngineConfig) (Engine, error) {
 	r, err := ParseProtocol(name)
 	if err != nil {
 		return Engine{}, err
 	}
-	if cfg == nil {
-		return Engine{}, fmt.Errorf("arq: nil configuration for engine %q", name)
-	}
-	if err := cfg.Validate(); err != nil {
+	e := Engine{reg: r, cfg: cfg}
+	if err := e.Validate(); err != nil {
 		return Engine{}, err
 	}
-	return Engine{reg: r, cfg: cfg}, nil
+	return e, nil
 }
 
 // MustEngine is NewEngine, panicking on error (wiring-time misuse).
@@ -156,13 +176,17 @@ func (e Engine) Display() string { return e.reg.Display }
 // Config returns the bound configuration.
 func (e Engine) Config() EngineConfig { return e.cfg }
 
-// Validate reports whether the engine is usable.
+// Validate reports whether the engine is usable: registered, configured,
+// the configuration of the engine's own type and itself valid.
 func (e Engine) Validate() error {
 	if e.reg.Name == "" {
 		return fmt.Errorf("arq: zero Engine (build with NewEngine)")
 	}
 	if e.cfg == nil {
 		return fmt.Errorf("arq: engine %q has no configuration", e.reg.Name)
+	}
+	if err := e.reg.accepts(e.cfg); err != nil {
+		return err
 	}
 	return e.cfg.Validate()
 }
@@ -174,25 +198,12 @@ func (e Engine) WithLinkLifetime(d sim.Duration) Engine {
 	return e
 }
 
-// NewPair builds a wired pair over link with this engine's configuration.
-func (e Engine) NewPair(sched *sim.Scheduler, link *channel.Link, deliver DeliverFunc, onFailure FailureFunc) Pair {
+// NewPair builds a wired pair over link with this engine's configuration,
+// the sender entity on sendSched and the receiver entity on recvSched
+// (the same scheduler everywhere but across a shard boundary).
+func (e Engine) NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, deliver DeliverFunc, onFailure FailureFunc) Pair {
 	if e.reg.New == nil {
 		panic("arq: NewPair on zero Engine")
 	}
-	return e.reg.New(sched, link, e.cfg, deliver, onFailure)
-}
-
-// NewSplitPair builds a pair whose sender entity runs on sendSched and whose
-// receiver entity runs on recvSched (the shard engine's session seam). For an
-// engine registered without split support it falls back to New when both
-// schedulers are the same, and panics otherwise — a cross-shard session
-// cannot be faked on one wheel without breaking the ownership model.
-func (e Engine) NewSplitPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, deliver DeliverFunc, onFailure FailureFunc) Pair {
-	if e.reg.NewSplit != nil {
-		return e.reg.NewSplit(sendSched, recvSched, link, e.cfg, deliver, onFailure)
-	}
-	if sendSched == recvSched {
-		return e.NewPair(sendSched, link, deliver, onFailure)
-	}
-	panic(fmt.Sprintf("arq: engine %q does not support split pairs across schedulers", e.reg.Name))
+	return e.reg.New(sendSched, recvSched, link, e.cfg, deliver, onFailure)
 }

@@ -1,10 +1,15 @@
 package arq_test
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/channel"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 
 	_ "repro/internal/engines" // link every registered engine in
@@ -66,5 +71,206 @@ func TestEngineValidation(t *testing.T) {
 	var zero arq.Engine
 	if zero.Validate() == nil {
 		t.Fatal("zero Engine validated")
+	}
+}
+
+// TestEngineRejectsForeignConfig: every registered engine against every
+// registered engine's Defaults. A configuration of another engine's type
+// used to pass NewEngine (which only called cfg.Validate) and panic inside
+// the first NewPair; it is now an error naming both types.
+func TestEngineRejectsForeignConfig(t *testing.T) {
+	const roundTrip = 13 * sim.Millisecond
+	for _, name := range arq.Protocols() {
+		reg, _ := arq.ParseProtocol(name)
+		own := fmt.Sprintf("%T", reg.Defaults(roundTrip))
+		for _, other := range arq.Protocols() {
+			oreg, _ := arq.ParseProtocol(other)
+			cfg := oreg.Defaults(roundTrip)
+			given := fmt.Sprintf("%T", cfg)
+			_, err := arq.NewEngine(name, cfg)
+			switch {
+			case given == own && err != nil:
+				t.Errorf("NewEngine(%q, %s defaults): %v", name, other, err)
+			case given != own && err == nil:
+				t.Errorf("NewEngine(%q, %s) accepted a foreign configuration", name, given)
+			case given != own && !(strings.Contains(err.Error(), given) && strings.Contains(err.Error(), own)):
+				t.Errorf("NewEngine(%q, %s): error %q does not name both types", name, given, err)
+			}
+		}
+	}
+}
+
+// configureTable is the written record of what each engine does with each
+// harness knob: the configuration fields a knob lands in; a knob not listed
+// has no counterpart in that engine and is ignored. An engine registered
+// without a row here fails TestConfigureTable.
+var configureTable = map[string]map[string][]string{
+	"lams": {
+		"RoundTrip": {"Timing.RoundTrip"},
+		"Icp":       {"CheckpointInterval"},
+		"Cdepth":    {"CumulationDepth"},
+		"Tproc":     {"Timing.ProcTime"},
+		"RecvCap":   {"RecvBufferCap"},
+		"SendCap":   {"SendBufferCap"},
+		"Metrics":   {"Metrics"},
+	},
+	"srhdlc": hdlcKnobs,
+	"gbn":    hdlcKnobs,
+	// SS-ARQ runs on Defaults(RoundTrip): Tproc, SendCap and Metrics have
+	// counterparts the mapping deliberately leaves alone (DESIGN.md §16).
+	"ssarq": {
+		"RoundTrip": {"ConvergenceSlack", "RetxInterval", "Timing.RoundTrip"},
+	},
+}
+
+var hdlcKnobs = map[string][]string{
+	"RoundTrip": {"Timeout", "Timing.RoundTrip"},
+	"W":         {"WindowSize"},
+	"Alpha":     {"Timeout"},
+	"Stutter":   {"Stutter"},
+	"N2":        {"MaxTimeouts"},
+	"Tproc":     {"Timing.ProcTime"},
+	"Metrics":   {"Metrics"},
+}
+
+// TestConfigureTable turns one knob at a time and diffs the engine
+// configuration Configure returns against the baseline's, field by field.
+func TestConfigureTable(t *testing.T) {
+	base := arq.Knobs{
+		RoundTrip: 20 * sim.Millisecond, Icp: 10 * sim.Millisecond, Cdepth: 3, W: 64,
+		Alpha: 5 * sim.Millisecond, Tproc: 10 * sim.Microsecond,
+	}
+	turned := arq.Knobs{
+		RoundTrip: 30 * sim.Millisecond, Icp: 7 * sim.Millisecond, Cdepth: 5, W: 32,
+		Alpha: 9 * sim.Millisecond, Stutter: true, N2: 4, Tproc: 25 * sim.Microsecond,
+		RecvCap: 48, SendCap: 96, Metrics: metrics.New(),
+	}
+	kt := reflect.TypeOf(base)
+	for _, name := range arq.Protocols() {
+		want, ok := configureTable[name]
+		if !ok {
+			t.Errorf("engine %q has no row in configureTable", name)
+			continue
+		}
+		reg, _ := arq.ParseProtocol(name)
+		baseline := reg.Configure(base)
+		for i := 0; i < kt.NumField(); i++ {
+			k := base
+			reflect.ValueOf(&k).Elem().Field(i).Set(reflect.ValueOf(turned).Field(i))
+			got := diffFields("", reflect.ValueOf(baseline), reflect.ValueOf(reg.Configure(k)))
+			if knob := kt.Field(i).Name; !reflect.DeepEqual(got, want[knob]) {
+				t.Errorf("%s: knob %s lands in %v, table says %v", name, knob, got, want[knob])
+			}
+		}
+		// The mapping starts from Defaults: nothing but the round trip
+		// reaches an engine that maps no other knob.
+		if len(want) == 1 && !reflect.DeepEqual(reg.Configure(turned), reg.Defaults(turned.RoundTrip)) {
+			t.Errorf("%s: Configure(knobs) != Defaults(roundTrip)", name)
+		}
+	}
+}
+
+// diffFields lists the leaf fields (dotted through nested structs) in which
+// two values of one struct type differ, sorted.
+func diffFields(prefix string, a, b reflect.Value) []string {
+	var out []string
+	for i := 0; i < a.NumField(); i++ {
+		name := prefix + a.Type().Field(i).Name
+		fa, fb := a.Field(i), b.Field(i)
+		if fa.Kind() == reflect.Struct {
+			out = append(out, diffFields(name+".", fa, fb)...)
+		} else if !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPairOwnershipContract drives every registered engine through the
+// arq.Pair datagram-ownership contract: whatever was accepted is, after
+// Stop, either delivered or handed back by Reclaim; a stopped pair refuses
+// work and reports Failed; and an unsplit pair hands out one Metrics block
+// for its whole life (bench.Run reads the pointer it took before the run).
+func TestPairOwnershipContract(t *testing.T) {
+	const n = 300
+	newPair := func(name string, deliver arq.DeliverFunc) (*sim.Scheduler, arq.Pair) {
+		reg, err := arq.ParseProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := sim.NewScheduler()
+		link := channel.NewLink(sched, channel.PipeConfig{
+			RateBps:    100e6,
+			Delay:      channel.ConstantDelay(4 * sim.Millisecond),
+			IModelSpec: "fixed:p=0.2",
+			CModelSpec: "fixed:p=0.05",
+		}, sim.NewRNG(9))
+		pair := reg.New(sched, sched, link, reg.Defaults(8*sim.Millisecond), deliver, nil)
+		pair.Start()
+		return sched, pair
+	}
+	enqueue := func(pair arq.Pair) {
+		for id := uint64(0); id < n; id++ {
+			if !pair.Enqueue(arq.Datagram{ID: id, Payload: make([]byte, 256)}) {
+				t.Fatalf("enqueue %d refused by a fresh pair", id)
+			}
+		}
+	}
+	for _, name := range arq.Protocols() {
+		t.Run(name+"/lossy", func(t *testing.T) {
+			delivered := make(map[uint64]bool)
+			sched, pair := newPair(name, func(_ sim.Time, dg arq.Datagram, _ uint32) { delivered[dg.ID] = true })
+			m := pair.Metrics()
+			enqueue(pair)
+			sched.RunFor(30 * sim.Millisecond)
+			pair.Stop()
+			held := pair.Reclaim()
+			if len(delivered) == 0 || len(held) == 0 {
+				t.Fatalf("not stopped mid-transfer: %d delivered, %d held", len(delivered), len(held))
+			}
+			owned := make(map[uint64]bool, len(held))
+			for _, dg := range held {
+				if owned[dg.ID] {
+					t.Errorf("Reclaim returned datagram %d twice", dg.ID)
+				}
+				owned[dg.ID] = true
+			}
+			for id := uint64(0); id < n; id++ {
+				if !delivered[id] && !owned[id] {
+					t.Errorf("datagram %d neither delivered nor reclaimable", id)
+				}
+			}
+			if pair.Enqueue(arq.Datagram{ID: n}) {
+				t.Error("stopped pair accepted a datagram")
+			}
+			if !pair.Failed() {
+				t.Error("stopped pair does not report Failed")
+			}
+			if pair.Metrics() != m {
+				t.Error("unsplit pair's Metrics() pointer changed over the run")
+			}
+			if got := m.Delivered.Value(); got < uint64(len(delivered)) {
+				t.Errorf("shared Metrics block saw %d deliveries, callback saw %d", got, len(delivered))
+			}
+		})
+		// Oldest first: on a dead link nothing is released or renumbered,
+		// so Reclaim must hand back exactly the enqueue order.
+		t.Run(name+"/order", func(t *testing.T) {
+			sched, pair := newPair(name, nil)
+			pair.Link().Fail()
+			enqueue(pair)
+			sched.RunFor(sim.Millisecond)
+			pair.Stop()
+			held := pair.Reclaim()
+			if len(held) != n {
+				t.Fatalf("Reclaim returned %d of %d datagrams", len(held), n)
+			}
+			for i, dg := range held {
+				if dg.ID != uint64(i) {
+					t.Fatalf("Reclaim()[%d] is datagram %d: not oldest first", i, dg.ID)
+				}
+			}
+		})
 	}
 }

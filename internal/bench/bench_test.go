@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -58,6 +59,46 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpecsMatchInstanceGoldens pins the channel seam's replacement of
+// RunConfig.IModel/CModel: the goldens are sha256(%+v of the RunResult) from
+// the last commit that had the instance fields, Base() with one instance
+// shared by both directions — channel.FixedProb{0.05}/{0.0125};
+// &channel.BSC{BER: 3e-5} uncoded for I-frames, repetition-3 for control;
+// &channel.BurstTrain{Period: 250ms, BurstLen: 15ms, Offset: 40ms, BaseBER:
+// 1e-7} for both — and the same channels named by spec must reproduce every
+// field, metrics snapshot included.
+func TestSpecsMatchInstanceGoldens(t *testing.T) {
+	specs := map[string][2]string{
+		"fixed": {"fixed:p=0.05", "fixed:p=0.0125"},
+		"bsc":   {"bsc:ber=3e-05,fec=none", "bsc:ber=3e-05,fec=rep3"},
+		"burst": {"burst:period=250ms,len=15ms,offset=40ms,ber=1e-7", "burst:period=250ms,len=15ms,offset=40ms,ber=1e-7"},
+	}
+	for _, g := range []struct {
+		kind string
+		seed uint64
+		want string
+	}{
+		{"fixed", 1, "4b720ad9bf9ce91fd10749f6e02041a030a8f03087b55efa6ba8b452cdebe23d"},
+		{"fixed", 2, "c5f264cf4eadff30b9674a029e4ca8d6fbdbd5f3b65b2561037aa6d6c0e2e400"},
+		{"fixed", 3, "1c075e42fea570284c35f769cb4cbbb992841e33887e3264ed9fbe92f1d73f68"},
+		{"bsc", 1, "1b384d61e9b94e5523a9cfc2067e9401b21730a4c4fd2c1fddadc1dc37a8c3e9"},
+		{"bsc", 2, "9c66c5eae1a515c2f0437c4f053fe11eec34aefef80ce092bdc28178ce26bf5b"},
+		{"bsc", 3, "b8757956c23b3ef301b91436edfa3478ed5482f5f0a3b80d4baa6c9f426bad54"},
+		{"burst", 1, "42a019152d5cb7bec49b03e7920f36c2a7d276fc542ab2e8c2f94c4a175d1119"},
+		{"burst", 2, "5e83f460757dd167f13d9785d91bc3359492d1aeea12ed79771515b84845b760"},
+		{"burst", 3, "c08b28c0d5e2159fa131d9c8bbc27cbee91d7da154b8c99db2c2f22e45d5aa02"},
+	} {
+		c := Base()
+		c.Seed = g.seed
+		c.IModelSpec, c.CModelSpec = specs[g.kind][0], specs[g.kind][1]
+		res := Run(c)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))); got != g.want {
+			t.Errorf("%s seed %d: RunResult digest %s, instance golden %s (delivered %d, retx %d, elapsed %v)",
+				g.kind, g.seed, got, g.want, res.Delivered, res.Retransmissions, res.Elapsed)
+		}
+	}
+}
+
 func TestAnalyticalMapping(t *testing.T) {
 	c := withErrors(Base(), 0.1, 0.02)
 	p := c.Analytical()
@@ -69,7 +110,7 @@ func TestAnalyticalMapping(t *testing.T) {
 	}
 	// Models without a closed-form per-frame probability map to NaN (the
 	// analytic columns render "-"), never to a silent 0.
-	c.IModel = &channel.BSC{BER: 1e-6}
+	c.IModelSpec = "bsc:ber=1e-6"
 	if !math.IsNaN(c.Analytical().PF) {
 		t.Fatal("BSC should map to NaN, not a fixed P_F")
 	}

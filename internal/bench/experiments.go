@@ -11,7 +11,6 @@ import (
 	_ "repro/internal/engines" // E18/E20 sweep the full engine registry
 	"repro/internal/faults"
 	"repro/internal/fec"
-	"repro/internal/lamsdlc"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -38,10 +37,11 @@ func Base() RunConfig {
 	}
 }
 
-// withErrors sets FixedProb error models.
+// withErrors sets fixed per-frame error probabilities (%g round-trips a
+// float64 exactly).
 func withErrors(c RunConfig, pf, pc float64) RunConfig {
-	c.IModel = channel.FixedProb{P: pf}
-	c.CModel = channel.FixedProb{P: pc}
+	c.IModelSpec = fmt.Sprintf("fixed:p=%g", pf)
+	c.CModelSpec = fmt.Sprintf("fixed:p=%g", pc)
 	return c
 }
 
@@ -383,25 +383,12 @@ func E7BurstResilience() *Result {
 	bursts := []sim.Duration{5 * sim.Millisecond, 15 * sim.Millisecond, 25 * sim.Millisecond, 60 * sim.Millisecond}
 	cfgs := make([]RunConfig, 0, 2*len(bursts))
 	for _, burst := range bursts {
-		mk := func() *channel.BurstTrain {
-			return &channel.BurstTrain{
-				Period:   250 * sim.Millisecond,
-				BurstLen: burst,
-				Offset:   40 * sim.Millisecond,
-				BaseBER:  1e-7,
-			}
-		}
 		cl := Base()
 		cl.N = 3000
-		cl.IModel = mk()
-		cl.CModel = mk()
-		// The two runs may execute on different RunMany workers, and a
-		// BurstTrain caches per-frame-length probabilities: each gets its
-		// own instances (identical parameters, so identical draws).
+		cl.IModelSpec = fmt.Sprintf("burst:period=250ms,len=%v,offset=40ms,ber=1e-7", burst)
+		cl.CModelSpec = cl.IModelSpec
 		ch := cl
 		ch.Protocol = SRHDLC
-		ch.IModel = mk()
-		ch.CModel = mk()
 		cfgs = append(cfgs, cl, ch)
 	}
 	results := RunMany(cfgs)
@@ -455,15 +442,16 @@ func E8FailureDetection() *Result {
 	}
 	points := mapIndexed(len(cds), func(pi int) e8point {
 		base := Base()
-		cfg := base.lamsConfig()
-		cfg.CumulationDepth = cds[pi]
+		base.Cdepth = cds[pi]
+		reg, cfg := base.engine()
 		sched := sim.NewScheduler()
-		link := channel.NewLink(sched, base.pipe("ab"), sim.NewRNG(7))
+		ab, _ := base.pipes()
+		link := channel.NewLink(sched, ab, sim.NewRNG(7))
 		var failedAt sim.Time
-		pair := lamsdlc.NewPair(sched, link, cfg, nil, func(now sim.Time, _ string) { failedAt = now })
+		pair := reg.New(sched, sched, link, cfg, nil, func(now sim.Time, _ string) { failedAt = now })
 		pair.Start()
 		for i := 0; i < 50; i++ {
-			pair.Sender.Enqueue(arq.Datagram{ID: uint64(i), Payload: make([]byte, 512)})
+			pair.Enqueue(arq.Datagram{ID: uint64(i), Payload: make([]byte, 512)})
 		}
 		sched.RunFor(300 * sim.Millisecond)
 		killAt := sched.Now()
@@ -473,7 +461,8 @@ func E8FailureDetection() *Result {
 		// Bound: the armed checkpoint timer (C_depth·W_cp plus phase
 		// grace, plus one interval of phase) then the failure timer
 		// (response + C_depth·W_cp).
-		bound := cfg.CheckpointTimerTimeout() + cfg.CheckpointInterval + cfg.FailureTimeout()
+		w := cfg.(arq.WindowsProvider).RecoveryWindows()
+		bound := w.CheckpointTimer + base.Icp + w.FailureTimeout
 		return e8point{bound: bound, detect: detect, within: failedAt != 0 && detect <= bound}
 	})
 	prev := sim.Duration(0)
@@ -727,12 +716,13 @@ func E14HybridFECTradeoff() *Result {
 	}
 	type codec struct {
 		name   string
+		fec    string // the scheme's spec name (fec.Named)
 		scheme fec.Scheme
 	}
 	codecs := []codec{
-		{"uncoded", fec.Uncoded},
-		{"hamming", fec.Hamming74},
-		{"rep3", fec.Repetition3},
+		{"uncoded", "none", fec.Uncoded},
+		{"hamming", "hamming74", fec.Hamming74},
+		{"rep3", "rep3", fec.Repetition3},
 	}
 	series := map[string]*stats.Series{}
 	for _, c := range codecs {
@@ -749,8 +739,8 @@ func E14HybridFECTradeoff() *Result {
 			// the hopeless uncoded runs at high BER (they report 0).
 			cl.N = 5000
 			cl.Horizon = 20 * sim.Second
-			cl.IModel = &channel.BSC{BER: ber, Scheme: c.scheme}
-			cl.CModel = &channel.BSC{BER: ber, Scheme: fec.Repetition3}
+			cl.IModelSpec = fmt.Sprintf("bsc:ber=%g,fec=%s", ber, c.fec)
+			cl.CModelSpec = fmt.Sprintf("bsc:ber=%g,fec=rep3", ber)
 			cl.IExpansion = c.scheme.Overhead()
 			cl.CExpansion = fec.Repetition3.Overhead()
 			cfgs = append(cfgs, cl)

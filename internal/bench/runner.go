@@ -19,8 +19,6 @@ import (
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/faults"
-	"repro/internal/hdlc"
-	"repro/internal/lamsdlc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -43,15 +41,20 @@ const (
 // "SR-HDLC", "GBN-HDLC"), keeping table and CSV output byte-stable with the
 // pre-registry harness.
 func (p Protocol) String() string {
-	name := string(p)
-	if name == "" {
-		name = string(LAMS)
-	}
-	reg, err := arq.ParseProtocol(name)
+	reg, err := p.registration()
 	if err != nil {
-		return fmt.Sprintf("Protocol(%q)", name)
+		return fmt.Sprintf("Protocol(%q)", string(p))
 	}
 	return reg.Display
+}
+
+// registration resolves the protocol in the engine registry; the zero
+// Protocol is LAMS-DLC.
+func (p Protocol) registration() (arq.Registration, error) {
+	if p == "" {
+		p = LAMS
+	}
+	return arq.ParseProtocol(string(p))
 }
 
 // RunConfig describes one protocol run.
@@ -71,16 +74,14 @@ type RunConfig struct {
 	// Link.
 	RateBps float64
 	OneWay  sim.Duration
-	IModel  channel.ErrorModel // nil = Perfect
-	CModel  channel.ErrorModel
 	// IModelSpec and CModelSpec name the error models by registry spec
 	// ("fixed:p=0.05", "ge:gber=1e-7,...", "trace:file=..."; see
-	// channel.ParseModel). Each of the link's pipes instantiates a FRESH
-	// model from its spec, so stateful models (Gilbert-Elliott, replay
-	// cursors) work per direction — unlike the instance fields above,
-	// which both directions share and which therefore must stay
-	// stateless. Instances take precedence when non-nil; a malformed spec
-	// panics in Run (validate with channel.ParseModel at the flag layer).
+	// channel.ParseModel); empty is the perfect channel. Run parses each
+	// spec once and every pipe of the link instantiates a FRESH model from
+	// it, so stateful models (Gilbert-Elliott, replay cursors) work per
+	// direction and no instance is ever shared between two runs of a
+	// RunMany batch. A malformed spec panics in Run (validate with
+	// channel.ParseModel at the flag layer).
 	IModelSpec, CModelSpec string
 
 	// RecordChannels, when non-nil, wraps every channel model in a
@@ -184,77 +185,76 @@ type RunResult struct {
 	ConvergenceTime sim.Duration
 }
 
-func (c RunConfig) lamsConfig() lamsdlc.Config {
-	cfg := lamsdlc.Defaults(2 * c.OneWay)
-	cfg.CheckpointInterval = c.Icp
-	cfg.CumulationDepth = c.Cdepth
-	cfg.ProcTime = c.Tproc
-	cfg.RecvBufferCap = c.RecvCap
-	cfg.SendBufferCap = c.SendCap
-	cfg.Metrics = c.Metrics
-	return cfg
-}
-
-func (c RunConfig) hdlcConfig() hdlc.Config {
-	cfg := hdlc.Defaults(2 * c.OneWay)
-	cfg.WindowSize = c.W
-	cfg.ModulusBits = 0
-	cfg.Timeout = 2*c.OneWay + c.Alpha
-	cfg.ProcTime = c.Tproc
-	cfg.Stutter = c.Stutter
-	cfg.MaxTimeouts = c.N2
-	cfg.Metrics = c.Metrics
-	return cfg
-}
-
-// engineConfig maps the harness knobs onto the named engine's configuration.
-// The registry's New forces the recovery mode for the HDLC names, so only
-// the config family matters here.
-func (c RunConfig) engineConfig(reg arq.Registration) arq.EngineConfig {
-	switch reg.Name {
-	case string(LAMS):
-		return c.lamsConfig()
-	case string(SRHDLC), string(GBNHDLC):
-		return c.hdlcConfig()
-	default:
-		// A protocol registered outside this package runs on its own
-		// defaults for the link's round trip.
-		return reg.Defaults(2 * c.OneWay)
+// knobs is the protocol-neutral view of the run's protocol parameters that
+// each engine's registration maps onto its own configuration
+// (arq.Registration.Configure).
+func (c RunConfig) knobs() arq.Knobs {
+	return arq.Knobs{
+		RoundTrip: 2 * c.OneWay,
+		Icp:       c.Icp,
+		Cdepth:    c.Cdepth,
+		W:         c.W,
+		Alpha:     c.Alpha,
+		Stutter:   c.Stutter,
+		N2:        c.N2,
+		Tproc:     c.Tproc,
+		RecvCap:   c.RecvCap,
+		SendCap:   c.SendCap,
+		Metrics:   c.Metrics,
 	}
 }
 
-// pipe builds one direction's config. dir ("ab" or "ba") names the
-// direction's trace streams. Model specs are resolved here rather than in
+// engine resolves the run's protocol and maps the run's knobs onto its
+// configuration. An unregistered protocol panics: a wiring error, like a
+// malformed spec.
+func (c RunConfig) engine() (arq.Registration, arq.EngineConfig) {
+	reg, err := c.Protocol.registration()
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return reg, reg.Configure(c.knobs())
+}
+
+// modelFactory parses spec once and returns the per-pipe instance factory
+// (the perfect channel for the empty spec).
+func modelFactory(spec string) func() channel.ErrorModel {
+	f, err := channel.ModelFactory(spec)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// pipes builds the two directions' configs ("ab", "ba": the names of each
+// direction's trace streams). Model specs are resolved here rather than in
 // channel.NewPipe so the record/replay wrappers below — and the fault
 // injector's burst gates, which Run applies after this — compose around
 // the concrete per-direction instance.
-func (c RunConfig) pipe(dir string) channel.PipeConfig {
-	p := channel.PipeConfig{
-		RateBps:    c.RateBps,
-		Delay:      channel.ConstantDelay(c.OneWay),
-		IModel:     c.IModel,
-		CModel:     c.CModel,
-		IExpansion: c.IExpansion,
-		CExpansion: c.CExpansion,
-		Metrics:    c.Metrics,
+func (c RunConfig) pipes() (ab, ba channel.PipeConfig) {
+	newI, newC := modelFactory(c.IModelSpec), modelFactory(c.CModelSpec)
+	pipe := func(dir string) channel.PipeConfig {
+		p := channel.PipeConfig{
+			RateBps:    c.RateBps,
+			Delay:      channel.ConstantDelay(c.OneWay),
+			IModel:     newI(),
+			CModel:     newC(),
+			IExpansion: c.IExpansion,
+			CExpansion: c.CExpansion,
+			Metrics:    c.Metrics,
+		}
+		if c.ReplayChannels != nil {
+			// Get, not Stream: replay must not mutate a set shared across a
+			// concurrent batch; absent streams replay clean.
+			p.IModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/i"), c.ReplayPolicy)
+			p.CModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/c"), c.ReplayPolicy)
+		}
+		if c.RecordChannels != nil {
+			p.IModel = channel.NewRecorder(p.IModel, c.RecordChannels.Stream(dir+"/i"))
+			p.CModel = channel.NewRecorder(p.CModel, c.RecordChannels.Stream(dir+"/c"))
+		}
+		return p
 	}
-	if p.IModel == nil && c.IModelSpec != "" {
-		p.IModel = channel.MustParseModel(c.IModelSpec).New()
-	}
-	if p.CModel == nil && c.CModelSpec != "" {
-		p.CModel = channel.MustParseModel(c.CModelSpec).New()
-	}
-	if c.ReplayChannels != nil {
-		// Get, not Stream: replay must not mutate a set shared across a
-		// concurrent batch; absent streams replay clean.
-		p.IModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/i"), c.ReplayPolicy)
-		p.CModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/c"), c.ReplayPolicy)
-	}
-	if c.RecordChannels != nil {
-		p.IModel = channel.NewRecorder(p.IModel, c.RecordChannels.Stream(dir+"/i"))
-		p.CModel = channel.NewRecorder(p.CModel, c.RecordChannels.Stream(dir+"/c"))
-	}
-	return p
+	return pipe("ab"), pipe("ba")
 }
 
 // runScratch is the per-run mutable state a worker recycles across runs:
@@ -282,10 +282,8 @@ func Run(c RunConfig) RunResult {
 	sched := sim.NewScheduler()
 	sched.Instrument(c.Metrics)
 	rng := sim.NewRNG(c.Seed)
-	ab := c.pipe("ab")
-	ab.Tap = c.TapAB
-	ba := c.pipe("ba")
-	ba.Tap = c.TapBA
+	ab, ba := c.pipes()
+	ab.Tap, ba.Tap = c.TapAB, c.TapBA
 	var inj *faults.Injector
 	if c.Faults != nil && len(c.Faults.Events) > 0 {
 		inj = faults.NewInjector(sched, c.Faults, c.Metrics)
@@ -321,15 +319,7 @@ func Run(c RunConfig) RunResult {
 		}
 	}
 
-	protoName := string(c.Protocol)
-	if protoName == "" {
-		protoName = string(LAMS)
-	}
-	reg, err := arq.ParseProtocol(protoName)
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
-	ecfg := c.engineConfig(reg)
+	reg, ecfg := c.engine()
 
 	var chk *faults.Checker
 	var finish func(*RunResult)
@@ -357,7 +347,7 @@ func Run(c RunConfig) RunResult {
 		}
 	}
 
-	pair := reg.New(sched, link, ecfg, deliver, nil)
+	pair := reg.New(sched, sched, link, ecfg, deliver, nil)
 	if chk != nil {
 		pair.SetProbe(chk.Probe())
 		finish = func(res *RunResult) {
@@ -455,8 +445,8 @@ func Run(c RunConfig) RunResult {
 // frame sizes from the codec. Non-analytic channels (BSC, Gilbert-Elliott,
 // traces) yield NaN probabilities; render them as "-", never as 0.
 func (c RunConfig) Analytical() analysis.Params {
-	pf := modelProb(analyticModel(c.IModel, c.IModelSpec))
-	pc := modelProb(analyticModel(c.CModel, c.CModelSpec))
+	pf := modelProb(c.IModelSpec)
+	pc := modelProb(c.CModelSpec)
 	frameBytes := c.PayloadBytes + 21 // I-frame header + CRC
 	ctrlBytes := 20                   // empty checkpoint
 	return analysis.Params{
@@ -473,26 +463,13 @@ func (c RunConfig) Analytical() analysis.Params {
 	}
 }
 
-// analyticModel resolves the effective model for the analysis: the
-// instance when set, else a transient instantiation of the spec, else nil
-// (a perfect channel).
-func analyticModel(inst channel.ErrorModel, spec string) channel.ErrorModel {
-	if inst != nil || spec == "" {
-		return inst
-	}
-	return channel.MustParseModel(spec).New()
-}
-
-// modelProb extracts the per-frame error probability through the
-// channel.AnalyticModel capability. A model without it has no closed-form
-// probability, and the honest answer is NaN — the old FixedProb type
-// switch silently returned 0, making every other channel read as
-// error-free in the analytic columns.
-func modelProb(m channel.ErrorModel) float64 {
-	if m == nil {
-		return 0 // nil means Perfect
-	}
-	if am, ok := m.(channel.AnalyticModel); ok {
+// modelProb extracts a spec's per-frame error probability through the
+// channel.AnalyticModel capability of a transient instance. A model without
+// it has no closed-form probability, and the honest answer is NaN — the old
+// FixedProb type switch silently returned 0, making every other channel
+// read as error-free in the analytic columns.
+func modelProb(spec string) float64 {
+	if am, ok := modelFactory(spec)().(channel.AnalyticModel); ok {
 		return am.MeanFrameErrorProb()
 	}
 	return math.NaN()

@@ -118,7 +118,7 @@ func TestAnalyticalModelProb(t *testing.T) {
 
 	c = withErrors(Base(), 0.05, 0.01)
 	if pf := c.Analytical().PF; pf != 0.05 {
-		t.Fatalf("fixed instance PF = %v, want 0.05", pf)
+		t.Fatalf("withErrors PF = %v, want 0.05", pf)
 	}
 
 	c = Base()

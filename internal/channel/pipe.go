@@ -158,6 +158,10 @@ type Pipe struct {
 	Stats PipeStats
 }
 
+// wireQueueBuckets is computed once: a constellation builds thousands of
+// pipes, most against a nil registry that would discard a fresh slice.
+var wireQueueBuckets = metrics.ExpBuckets(1e3, 4, 16)
+
 // NewPipe returns a pipe on the given scheduler. rng must not be shared with
 // the reverse pipe if runs are to stay reproducible under refactoring.
 func NewPipe(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Pipe {
@@ -183,20 +187,17 @@ func NewPipe(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Pipe {
 	p.mCorrupted = cfg.Metrics.Counter("channel_frames_corrupted_total")
 	p.mLost = cfg.Metrics.Counter("channel_frames_lost_total")
 	p.mBits = cfg.Metrics.Counter("channel_bits_sent_total")
-	p.mQueueNS = cfg.Metrics.Histogram("channel_wire_queue_ns", metrics.ExpBuckets(1e3, 4, 16))
+	p.mQueueNS = cfg.Metrics.Histogram("channel_wire_queue_ns", wireQueueBuckets)
 	return p
 }
 
 // specModel instantiates a model spec for one pipe ("" = Perfect).
 func specModel(spec string) ErrorModel {
-	if spec == "" {
-		return Perfect{}
-	}
-	m, err := ParseModel(spec)
+	newModel, err := ModelFactory(spec)
 	if err != nil {
 		panic(err)
 	}
-	return m.New()
+	return newModel()
 }
 
 // SetHandler installs the receiver callback. Frames arriving with no handler
@@ -444,13 +445,15 @@ func NewLink(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Link {
 // a split DLC session), BtoA from recvSched (the reverse/control
 // direction). A pipe's scheduler is its transmit-side clock — with
 // SetRemote installed the arrival side never touches it — so each pipe is
-// homed where its Send calls originate. Both directions still split their
-// RNG streams from one rng, in the same order as NewLink, so a split link
-// consumes randomness identically to a local one.
-func NewSplitLink(sendSched, recvSched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Link {
+// homed where its Send calls originate. Like NewAsymmetricLink it takes one
+// config per direction, so a caller holding parsed models hands each pipe
+// its own instances. Both directions still split their RNG streams from one
+// rng, in the same order as NewLink, so a split link consumes randomness
+// identically to a local one.
+func NewSplitLink(sendSched, recvSched *sim.Scheduler, ab, ba PipeConfig, rng *sim.RNG) *Link {
 	return &Link{
-		AtoB: NewPipe(sendSched, cfg, rng.Split()),
-		BtoA: NewPipe(recvSched, cfg, rng.Split()),
+		AtoB: NewPipe(sendSched, ab, rng.Split()),
+		BtoA: NewPipe(recvSched, ba, rng.Split()),
 	}
 }
 

@@ -259,7 +259,7 @@ func TestGESplitClockDeterminism(t *testing.T) {
 	// Split: transmit clock and receive clock are different schedulers,
 	// frames crossing via SetRemote/DeliverInbound like the shard engine.
 	sendSched, recvSched := sim.NewScheduler(), sim.NewScheduler()
-	split := NewSplitLink(sendSched, recvSched, cfg, sim.NewRNG(42))
+	split := NewSplitLink(sendSched, recvSched, cfg, cfg, sim.NewRNG(42))
 	splitGot := collect(split.AtoB)
 	split.AtoB.SetRemote(func(at sim.Time, f *frame.Frame) {
 		recvSched.Schedule(at, func() { split.AtoB.DeliverInbound(at, f) })

@@ -303,10 +303,10 @@ func TestEnforcedRecoveryResolicitAfterBlackout(t *testing.T) {
 	cfg.CheckpointInterval = 10 * sim.Millisecond
 	cfg.CumulationDepth = 8 // widen FailureTimeout so the stall is visible
 
-	pair := lamsdlc.NewPair(sched, link, cfg, nil, nil)
+	pair := lamsdlc.NewPair(sched, sched, link, cfg, nil, nil)
 	var started, ended []sim.Time
 	var failures int
-	pair.Sender.SetProbe(&lamsdlc.Probe{
+	pair.Sender.SetProbe(&arq.Probe{
 		RecoveryStarted: func(now sim.Time) { started = append(started, now) },
 		RecoveryEnded:   func(now sim.Time, enforced bool) { ended = append(ended, now) },
 		FailureDeclared: func(now sim.Time, reason string) { failures++ },
@@ -363,11 +363,11 @@ func TestNoStallAfterIFrameBeamOutage(t *testing.T) {
 	cfg.CumulationDepth = 3
 
 	delivered := make(map[uint64]bool)
-	pair := lamsdlc.NewPair(sched, link, cfg,
+	pair := lamsdlc.NewPair(sched, sched, link, cfg,
 		func(_ sim.Time, dg arq.Datagram, _ uint32) { delivered[dg.ID] = true }, nil)
 	var firstTx []sim.Time
 	var failures int
-	pair.Sender.SetProbe(&lamsdlc.Probe{
+	pair.Sender.SetProbe(&arq.Probe{
 		FirstTransmission: func(now sim.Time, seq uint32, dgID uint64) { firstTx = append(firstTx, now) },
 		FailureDeclared:   func(sim.Time, string) { failures++ },
 	})

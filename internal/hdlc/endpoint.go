@@ -7,97 +7,25 @@ import (
 )
 
 // Pair wires an HDLC Sender and Receiver across a full-duplex simulated
-// link, mirroring lamsdlc.Pair so experiments can swap protocols. It is the
-// HDLC implementation of the arq.Pair engine contract.
+// link, mirroring lamsdlc.Pair so experiments can swap protocols. The
+// arq.Pair contract is the embedded arq.PairBase forwarding to the two
+// halves (the receiver half is purely reactive: its share of Stop and
+// SetProbe is a no-op); the corruption-adversary capabilities are in
+// corrupt.go.
 type Pair struct {
+	arq.PairBase
 	Sender   *Sender
 	Receiver *Receiver
-	cfg      Config
-	metrics  *arq.Metrics
-	// rmetrics is non-nil only for split pairs (NewSplitPair): the receiver
-	// entity runs on another scheduler and gets its own block; Metrics
-	// merges the two on demand into merged.
-	rmetrics *arq.Metrics
-	merged   arq.Metrics
-	link     *channel.Link
 }
 
-// NewPair builds and wires the endpoints. deliver and onFailure may be nil;
-// onFailure fires on N2 (MaxTimeouts) exhaustion.
-func NewPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	m := &arq.Metrics{}
-	s := NewSender(sched, link.AtoB, cfg, m)
-	s.SetOnFailure(onFailure)
-	r := NewReceiver(sched, link.BtoA, cfg, m, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: m, link: link}
-}
-
-// NewSplitPair is NewPair with the sender entity on sendSched and the
-// receiver entity on recvSched, for sessions split across shard boundaries.
-// Each side gets its own metrics block (merged on read); the shard engine
-// must route link.AtoB to recvSched's shard and link.BtoA back (SetRemote).
-func NewSplitPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	ms, mr := &arq.Metrics{}, &arq.Metrics{}
+// NewPair builds and wires the endpoints, the sender entity on sendSched and
+// the receiver entity on recvSched (one scheduler, or two for a session
+// split across a shard boundary; see arq.PairMetrics). deliver and onFailure
+// may be nil; onFailure fires on N2 (MaxTimeouts) exhaustion.
+func NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
+	ms, mr := arq.PairMetrics(sendSched, recvSched)
 	s := NewSender(sendSched, link.AtoB, cfg, ms)
 	s.SetOnFailure(onFailure)
 	r := NewReceiver(recvSched, link.BtoA, cfg, mr, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: ms, rmetrics: mr, link: link}
+	return &Pair{PairBase: arq.NewPairBase(link, s, r, ms, mr), Sender: s, Receiver: r}
 }
-
-// Start activates both ends.
-func (p *Pair) Start() {
-	p.Sender.Start()
-	p.Receiver.Start()
-}
-
-// Stop is orderly teardown at the end of a pass: the sender's timers stop
-// and further work is refused without declaring failure; undelivered
-// datagrams stay reclaimable. The receiver is purely reactive (no timers),
-// so it needs no teardown.
-func (p *Pair) Stop() { p.Sender.Shutdown() }
-
-// Enqueue accepts a datagram from the network layer.
-func (p *Pair) Enqueue(dg arq.Datagram) bool { return p.Sender.Enqueue(dg) }
-
-// Reclaim returns the datagrams not yet cumulatively acknowledged, oldest
-// first. HDLC promises in-order delivery, so — unlike LAMS-DLC — an
-// unreleased in-window frame may in fact have reached the receiver; the
-// exactly-once guarantee across passes is then the resequencer's job, as
-// §2.3 assigns it.
-func (p *Pair) Reclaim() []arq.Datagram { return p.Sender.UnreleasedDatagrams() }
-
-// Outstanding returns the sending-buffer occupancy.
-func (p *Pair) Outstanding() int { return p.Sender.Outstanding() }
-
-// Failed reports whether the sender declared the link failed.
-func (p *Pair) Failed() bool { return p.Sender.Failed() }
-
-// Metrics exposes the pair's measurement block. For a split pair the two
-// per-entity blocks are merged on demand; call only while both shards are
-// quiesced (between rounds or after the run).
-func (p *Pair) Metrics() *arq.Metrics {
-	if p.rmetrics == nil {
-		return p.metrics
-	}
-	p.merged = arq.MergeSplit(p.metrics, p.rmetrics)
-	return &p.merged
-}
-
-// Link exposes the underlying simulated link.
-func (p *Pair) Link() *channel.Link { return p.link }
-
-// SetProbe installs the transition observer. Only the sender has observable
-// transitions (the receiver is reactive), and only the transmission-
-// lifecycle callbacks fire; see Sender.SetProbe.
-func (p *Pair) SetProbe(pr *arq.Probe) { p.Sender.SetProbe(pr) }
-
-// Compile-time contract checks.
-var (
-	_ arq.Pair     = (*Pair)(nil)
-	_ arq.Endpoint = (*Sender)(nil)
-	_ arq.Endpoint = (*Receiver)(nil)
-)

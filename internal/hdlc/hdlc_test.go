@@ -21,7 +21,7 @@ func newScenario(cfg Config, pipe channel.PipeConfig, seed uint64) *scenario {
 	sched := sim.NewScheduler()
 	link := channel.NewLink(sched, pipe, sim.NewRNG(seed))
 	sc := &scenario{sched: sched, link: link, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	sc.pair = NewPair(sched, sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		sc.got[dg.ID]++
 		sc.order = append(sc.order, dg.ID)
 	}, nil)
@@ -215,7 +215,7 @@ func TestLostRRRecoveredByPoll(t *testing.T) {
 	}, rng)
 	got := map[uint64]int{}
 	var order []uint64
-	pair := NewPair(sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	pair := NewPair(sched, sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		got[dg.ID]++
 		order = append(order, dg.ID)
 	}, nil)
@@ -373,7 +373,7 @@ func TestStutterBeatsTimeoutRecovery(t *testing.T) {
 		}, rng)
 		var last sim.Time
 		count := 0
-		pair := NewPair(sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
+		pair := NewPair(sched, sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
 			count++
 			last = now
 		}, nil)

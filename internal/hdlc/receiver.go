@@ -54,6 +54,13 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 // Start is a no-op: HDLC receivers are purely reactive.
 func (r *Receiver) Start() {}
 
+// Stop is a no-op: a reactive receiver has no timers to tear down.
+func (r *Receiver) Stop() {}
+
+// SetProbe is a no-op: only the sender has observable transitions (see
+// Sender.SetProbe).
+func (r *Receiver) SetProbe(*arq.Probe) {}
+
 // RecvBase exposes N(R) for tests.
 func (r *Receiver) RecvBase() uint32 { return r.recvBase }
 

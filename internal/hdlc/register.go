@@ -1,8 +1,6 @@
 package hdlc
 
 import (
-	"fmt"
-
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/sim"
@@ -13,50 +11,35 @@ import (
 // Blank-import repro/internal/engines to link every registered engine into a
 // binary.
 func init() {
-	arq.Register(arq.Registration{
-		Name:    "srhdlc",
-		Aliases: []string{"sr", "sr-hdlc", "hdlc"},
-		Display: "SR-HDLC",
-		Defaults: func(roundTrip sim.Duration) arq.EngineConfig {
-			c := Defaults(roundTrip)
-			c.Mode = SelectiveRepeat
-			return c
-		},
-		New:      newPairFor("srhdlc", SelectiveRepeat),
-		NewSplit: newSplitPairFor("srhdlc", SelectiveRepeat),
-	})
-	arq.Register(arq.Registration{
-		Name:    "gbn",
-		Aliases: []string{"gbnhdlc", "gbn-hdlc"},
-		Display: "GBN-HDLC",
-		Defaults: func(roundTrip sim.Duration) arq.EngineConfig {
-			c := Defaults(roundTrip)
-			c.Mode = GoBackN
-			return c
-		},
-		New:      newPairFor("gbn", GoBackN),
-		NewSplit: newSplitPairFor("gbn", GoBackN),
-	})
+	register(SelectiveRepeat, arq.Registration{Name: "srhdlc", Aliases: []string{"sr", "sr-hdlc", "hdlc"}, Display: "SR-HDLC"})
+	register(GoBackN, arq.Registration{Name: "gbn", Aliases: []string{"gbnhdlc", "gbn-hdlc"}, Display: "GBN-HDLC"})
 }
 
-func newPairFor(name string, mode Mode) arq.NewPairFunc {
-	return func(sched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-		c, ok := cfg.(Config)
-		if !ok {
-			panic(fmt.Sprintf("hdlc: engine %q given %T, want hdlc.Config", name, cfg))
-		}
+func register(mode Mode, r arq.Registration) {
+	force := func(c Config) Config {
 		c.Mode = mode
-		return NewPair(sched, link, c, deliver, onFailure)
+		return c
 	}
+	arq.Register(r,
+		func(roundTrip sim.Duration) Config { return force(Defaults(roundTrip)) },
+		func(k arq.Knobs) Config { return force(configure(k)) },
+		func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
+			return NewPair(sendSched, recvSched, link, force(cfg), deliver, onFailure)
+		})
 }
 
-func newSplitPairFor(name string, mode Mode) arq.SplitPairFunc {
-	return func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-		c, ok := cfg.(Config)
-		if !ok {
-			panic(fmt.Sprintf("hdlc: engine %q given %T, want hdlc.Config", name, cfg))
-		}
-		c.Mode = mode
-		return NewSplitPair(sendSched, recvSched, link, c, deliver, onFailure)
-	}
+// configure maps the harness knobs onto an HDLC configuration: absolute
+// numbering (no modulus constraint on W) and t_out = R + α. Icp, Cdepth,
+// RecvCap and SendCap have no counterpart: there is no checkpoint process,
+// and the window is the only buffer bound.
+func configure(k arq.Knobs) Config {
+	cfg := Defaults(k.RoundTrip)
+	cfg.WindowSize = k.W
+	cfg.ModulusBits = 0
+	cfg.Timeout = k.RoundTrip + k.Alpha
+	cfg.ProcTime = k.Tproc
+	cfg.Stutter = k.Stutter
+	cfg.MaxTimeouts = k.N2
+	cfg.Metrics = k.Metrics
+	return cfg
 }

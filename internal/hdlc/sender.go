@@ -324,7 +324,10 @@ func (s *Sender) Shutdown() {
 
 // UnreleasedDatagrams returns the datagrams not yet cumulatively
 // acknowledged — in-window frames in sequence order, then the untransmitted
-// queue — so a higher layer can carry them into the next pass.
+// queue — so a higher layer can carry them into the next pass. HDLC
+// promises in-order delivery, so — unlike LAMS-DLC — an unreleased
+// in-window frame may in fact have reached the receiver; the exactly-once
+// guarantee across passes is then the resequencer's job, as §2.3 assigns it.
 func (s *Sender) UnreleasedDatagrams() []arq.Datagram {
 	out := make([]arq.Datagram, 0, len(s.window)+s.queue.Len())
 	for _, e := range s.window {

@@ -24,7 +24,7 @@ func TestImplausibleSeqJumpDiscarded(t *testing.T) {
 
 	ghost := frame.Get()
 	ghost.Kind = frame.KindI
-	ghost.Seq = before + sc.pair.cfg.SeqJumpLimit() + 1000
+	ghost.Seq = before + sc.pair.Sender.cfg.SeqJumpLimit() + 1000
 	ghost.DatagramID = 1 << 62
 	ghost.Payload = make([]byte, 64)
 	sc.link.AtoB.Send(ghost)
@@ -137,7 +137,7 @@ func TestRecoveryReentryWithFutureClock(t *testing.T) {
 	if s.reqSentAt > now {
 		t.Fatalf("reqSentAt still in the future after repair: %v > %v", s.reqSentAt, now)
 	}
-	sc.runFor(2 * sc.pair.cfg.ExpectedResponse())
+	sc.runFor(2 * sc.pair.Sender.cfg.ExpectedResponse())
 	cp2 := frame.Frame{Kind: frame.KindCheckpoint, Serial: 101, Ack: 0}
 	s.HandleFrame(sc.sched.Now(), &cp2)
 	if s.reqSerial == reqBefore {

@@ -9,91 +9,26 @@ import (
 // Pair wires a Sender and a Receiver across a full-duplex simulated link:
 // I-frames flow A→B, checkpoint traffic flows B→A. It is the one-line setup
 // the experiments and examples use for unidirectional data transfer (a
-// bidirectional node runs one Pair per direction; see internal/node), and
-// the LAMS-DLC implementation of the arq.Pair engine contract.
+// bidirectional node runs one Pair per direction; see internal/node). The
+// arq.Pair contract is the embedded arq.PairBase forwarding to the two
+// halves; the methods here add LAMS-DLC's capability interfaces.
 type Pair struct {
+	arq.PairBase
 	Sender   *Sender
 	Receiver *Receiver
-	cfg      Config
-	metrics  *arq.Metrics
-	// rmetrics is non-nil only for split pairs (NewSplitPair): the receiver
-	// entity runs on another scheduler and gets its own block; Metrics
-	// merges the two on demand into merged.
-	rmetrics *arq.Metrics
-	merged   arq.Metrics
-	link     *channel.Link
 }
 
-// NewPair builds and wires the endpoints. deliver and onFailure may be nil.
-func NewPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	m := &arq.Metrics{}
-	s := NewSender(sched, link.AtoB, cfg, m, onFailure)
-	r := NewReceiver(sched, link.BtoA, cfg, m, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: m, link: link}
-}
-
-// NewSplitPair is NewPair for a session whose two satellites live on
-// different shards: the sender entity and its timers run on sendSched, the
-// receiver entity on recvSched. The entities are unchanged — the sans-IO
-// construction already takes scheduler and wire separately — but each side
-// gets its own metrics block so the two shards never write the same counter,
-// and link.AtoB must carry frames from sendSched's shard to recvSched's
-// (SetRemote) and link.BtoA the reverse. deliver runs on recvSched's shard.
-func NewSplitPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	ms, mr := &arq.Metrics{}, &arq.Metrics{}
+// NewPair builds and wires the endpoints: the sender entity and its timers
+// on sendSched, the receiver entity on recvSched — the same scheduler
+// unless the session's two satellites live on different shards. The
+// entities are the same either way (the sans-IO construction already takes
+// scheduler and wire separately); deliver runs on recvSched's shard.
+// deliver and onFailure may be nil.
+func NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
+	ms, mr := arq.PairMetrics(sendSched, recvSched)
 	s := NewSender(sendSched, link.AtoB, cfg, ms, onFailure)
 	r := NewReceiver(recvSched, link.BtoA, cfg, mr, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: ms, rmetrics: mr, link: link}
-}
-
-// Start activates both ends (receiver checkpointing begins immediately).
-func (p *Pair) Start() {
-	p.Sender.Start()
-	p.Receiver.Start()
-}
-
-// Stop is orderly teardown at the end of a pass: the checkpoint process
-// halts and the sender refuses further work without declaring failure;
-// undelivered datagrams stay reclaimable.
-func (p *Pair) Stop() {
-	p.Receiver.Stop()
-	p.Sender.Shutdown()
-}
-
-// Enqueue accepts a datagram from the network layer.
-func (p *Pair) Enqueue(dg arq.Datagram) bool { return p.Sender.Enqueue(dg) }
-
-// Reclaim returns the datagrams the sender still holds, oldest first.
-func (p *Pair) Reclaim() []arq.Datagram { return p.Sender.UnreleasedDatagrams() }
-
-// Outstanding returns the sending-buffer occupancy.
-func (p *Pair) Outstanding() int { return p.Sender.Outstanding() }
-
-// Failed reports whether the sender declared the link failed.
-func (p *Pair) Failed() bool { return p.Sender.Failed() }
-
-// Metrics exposes the pair's measurement block. For a split pair the two
-// per-entity blocks are merged on demand; call only while both shards are
-// quiesced (between rounds or after the run).
-func (p *Pair) Metrics() *arq.Metrics {
-	if p.rmetrics == nil {
-		return p.metrics
-	}
-	p.merged = arq.MergeSplit(p.metrics, p.rmetrics)
-	return &p.merged
-}
-
-// Link exposes the underlying simulated link.
-func (p *Pair) Link() *channel.Link { return p.link }
-
-// SetProbe installs the transition observer on both ends.
-func (p *Pair) SetProbe(pr *arq.Probe) {
-	p.Sender.SetProbe(pr)
-	p.Receiver.SetProbe(pr)
+	return &Pair{PairBase: arq.NewPairBase(link, s, r, ms, mr), Sender: s, Receiver: r}
 }
 
 // MaxLiveSpan implements arq.SpanReporter.
@@ -106,12 +41,9 @@ func (p *Pair) RateFraction() float64 { return p.Sender.RateFraction() }
 // clock skew).
 func (p *Pair) SetCheckpointPeriod(d sim.Duration) { p.Receiver.SetCheckpointPeriod(d) }
 
-// Compile-time contract checks.
+// The capabilities consumers discover by type assertion.
 var (
-	_ arq.Pair              = (*Pair)(nil)
 	_ arq.SpanReporter      = (*Pair)(nil)
 	_ arq.RateReporter      = (*Pair)(nil)
 	_ arq.CheckpointRetimer = (*Pair)(nil)
-	_ arq.Endpoint          = (*Sender)(nil)
-	_ arq.Endpoint          = (*Receiver)(nil)
 )

@@ -11,6 +11,9 @@ import "repro/internal/metrics"
 //
 // Histogram unit convention: *_ns instruments record virtual-time
 // durations in nanoseconds.
+// Bucket bounds are computed once (spanBuckets, nsBuckets): a constellation
+// builds thousands of endpoints, most against a nil registry that would
+// discard a fresh slice each.
 type senderInstr struct {
 	firstTx       *metrics.Counter   // lams_iframes_first_tx_total
 	retx          *metrics.Counter   // lams_iframes_retx_total (all causes)
@@ -52,10 +55,12 @@ func newSenderInstr(reg *metrics.Registry) senderInstr {
 		implausibleCp: reg.Counter("lams_implausible_cp_total"),
 		rateFraction:  reg.Gauge("lams_send_rate_fraction"),
 		outstanding:   reg.Gauge("lams_send_outstanding"),
-		liveSpan:      reg.Histogram("lams_resolving_span", metrics.ExpBuckets(1, 2, 16)),
-		holdingNS:     reg.Histogram("lams_holding_time_ns", metrics.ExpBuckets(1e5, 2, 24)),
+		liveSpan:      reg.Histogram("lams_resolving_span", spanBuckets),
+		holdingNS:     reg.Histogram("lams_holding_time_ns", nsBuckets),
 	}
 }
+
+var spanBuckets, nsBuckets = metrics.ExpBuckets(1, 2, 16), metrics.ExpBuckets(1e5, 2, 24)
 
 type receiverInstr struct {
 	checkpoints    *metrics.Counter   // lams_checkpoints_sent_total
@@ -85,6 +90,6 @@ func newReceiverInstr(reg *metrics.Registry) receiverInstr {
 		delivered:      reg.Counter("lams_delivered_total"),
 		stopGoFlips:    reg.Counter("lams_stopgo_transitions_total"),
 		queueLen:       reg.Gauge("lams_recv_queue_len"),
-		cpSpacingNS:    reg.Histogram("lams_checkpoint_spacing_ns", metrics.ExpBuckets(1e5, 2, 24)),
+		cpSpacingNS:    reg.Histogram("lams_checkpoint_spacing_ns", nsBuckets),
 	}
 }

@@ -39,7 +39,7 @@ func newScenario(t *testing.T, opts scenarioOpts) *scenario {
 		link = channel.NewLink(sched, opts.pipe, rng)
 	}
 	sc := &scenario{sched: sched, link: link, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, link, opts.cfg,
+	sc.pair = NewPair(sched, sched, link, opts.cfg,
 		func(now sim.Time, dg arq.Datagram, seq uint32) {
 			sc.got[dg.ID]++
 			sc.order = append(sc.order, dg.ID)
@@ -217,7 +217,7 @@ func TestZeroLossProperty(t *testing.T) {
 		sched := sim.NewScheduler()
 		link := channel.NewLink(sched, pipe, sim.NewRNG(uint64(seed)+1))
 		got := map[uint64]int{}
-		pair := NewPair(sched, link, cfg,
+		pair := NewPair(sched, sched, link, cfg,
 			func(_ sim.Time, dg arq.Datagram, _ uint32) { got[dg.ID]++ }, nil)
 		pair.Start()
 		const n = 60

@@ -59,7 +59,7 @@ type Receiver struct {
 	cpf     frame.Frame
 
 	deliver arq.DeliverFunc
-	probe   *Probe
+	probe   *arq.Probe
 }
 
 // dedupRec is one dedup-memory recording awaiting expiry. A refreshed
@@ -93,10 +93,8 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 	return r
 }
 
-// SetDeliver replaces the upward delivery callback. The node layer uses it
-// to route a link's deliveries into the receiving node's network layer
-// after the endpoints are wired.
-func (r *Receiver) SetDeliver(fn arq.DeliverFunc) { r.deliver = fn }
+// SetProbe installs the transition observer; nil detaches.
+func (r *Receiver) SetProbe(p *arq.Probe) { r.probe = p }
 
 // Start begins the periodic checkpoint process.
 func (r *Receiver) Start() {

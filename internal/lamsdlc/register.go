@@ -1,12 +1,6 @@
 package lamsdlc
 
-import (
-	"fmt"
-
-	"repro/internal/arq"
-	"repro/internal/channel"
-	"repro/internal/sim"
-)
+import "repro/internal/arq"
 
 // init publishes the protocol in the engine registry, so protocol-agnostic
 // layers (node, session, bench, faults, the CLIs) can build LAMS-DLC pairs
@@ -17,22 +11,19 @@ func init() {
 		Name:    "lams",
 		Aliases: []string{"lamsdlc", "lams-dlc"},
 		Display: "LAMS-DLC",
-		Defaults: func(roundTrip sim.Duration) arq.EngineConfig {
-			return Defaults(roundTrip)
-		},
-		New: func(sched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-			c, ok := cfg.(Config)
-			if !ok {
-				panic(fmt.Sprintf("lamsdlc: engine %q given %T, want lamsdlc.Config", "lams", cfg))
-			}
-			return NewPair(sched, link, c, deliver, onFailure)
-		},
-		NewSplit: func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-			c, ok := cfg.(Config)
-			if !ok {
-				panic(fmt.Sprintf("lamsdlc: engine %q given %T, want lamsdlc.Config", "lams", cfg))
-			}
-			return NewSplitPair(sendSched, recvSched, link, c, deliver, onFailure)
-		},
-	})
+	}, Defaults, configure, NewPair)
+}
+
+// configure maps the harness knobs onto a LAMS-DLC configuration. W, Alpha,
+// Stutter and N2 have no counterpart: the protocol has no sliding window,
+// and its timeouts derive from W_cp and C_depth.
+func configure(k arq.Knobs) Config {
+	cfg := Defaults(k.RoundTrip)
+	cfg.CheckpointInterval = k.Icp
+	cfg.CumulationDepth = k.Cdepth
+	cfg.ProcTime = k.Tproc
+	cfg.RecvBufferCap = k.RecvCap
+	cfg.SendBufferCap = k.SendCap
+	cfg.Metrics = k.Metrics
+	return cfg
 }

@@ -73,7 +73,7 @@ type Sender struct {
 	reqSentAt    sim.Time
 	maxLiveSpan  uint32 // widest nextSeq − oldestUnacked observed
 
-	probe     *Probe
+	probe     *arq.Probe
 	onFailure arq.FailureFunc
 }
 
@@ -110,6 +110,10 @@ func (s *Sender) Start() {
 	s.startAt = s.sched.Now()
 	s.cpTimer.Start(s.cfg.ExpectedResponse() + s.cfg.CheckpointTimerTimeout())
 }
+
+// SetProbe installs the transition observer; nil detaches. Install before
+// Start: the probe is read synchronously by the state machine.
+func (s *Sender) SetProbe(p *arq.Probe) { s.probe = p }
 
 // Failed reports whether the sender has declared the link failed.
 func (s *Sender) Failed() bool { return s.failed }
@@ -396,7 +400,7 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 		case isNaked:
 			// First notification for this incarnation: retransmit under
 			// a new number. (Stale NAKs name retired seqs and miss.)
-			retransmit = append(retransmit, retxDecision{e, RetxNAK})
+			retransmit = append(retransmit, retxDecision{e, arq.RetxNAK})
 			s.im.retxNAK.Inc()
 		case e.seq < effAck && covered:
 			// Covered positive acknowledgement: release buffer space.
@@ -406,7 +410,7 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 			// retransmit rather than risk loss (duplicates are resolved
 			// downstream). Frames still in flight are left alone.
 			if now.Sub(e.lastTx) >= s.cfg.RoundTrip {
-				retransmit = append(retransmit, retxDecision{e, RetxCoverage})
+				retransmit = append(retransmit, retxDecision{e, arq.RetxCoverage})
 				s.im.retxCoverage.Inc()
 			} else {
 				s.ordered[w] = e
@@ -415,13 +419,13 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 		case f.Enforced && now.Sub(e.lastTx) >= s.cfg.RoundTrip:
 			// Enforced recovery: the receiver has never seen this frame
 			// although it has had a full round trip to arrive — resend.
-			retransmit = append(retransmit, retxDecision{e, RetxEnforced})
+			retransmit = append(retransmit, retxDecision{e, arq.RetxEnforced})
 			s.im.retxEnforced.Inc()
 		case now.Sub(e.lastTx) >= resolving:
 			// Resolving-period timeout (§3.3): an unreported frame this
 			// old can only be a corrupted trailing frame with no
 			// successor to reveal the gap.
-			retransmit = append(retransmit, retxDecision{e, RetxResolving})
+			retransmit = append(retransmit, retxDecision{e, arq.RetxResolving})
 			s.im.retxResolving.Inc()
 		default:
 			s.ordered[w] = e
@@ -448,12 +452,12 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 // chose to retransmit it.
 type retxDecision struct {
 	e     *entry
-	cause RetxCause
+	cause arq.RetxCause
 }
 
 // retransmit re-sends e under a fresh sequence number and re-appends it to
 // the ordered buffer (new seq = highest, so order is preserved).
-func (s *Sender) retransmit(now sim.Time, e *entry, cause RetxCause) {
+func (s *Sender) retransmit(now sim.Time, e *entry, cause arq.RetxCause) {
 	old := e.seq
 	e.seq = s.nextSeq
 	s.nextSeq++

@@ -128,38 +128,24 @@ func (n *Node) LinkMetrics(neighbor ID) *arq.Metrics {
 func Connect(sched *sim.Scheduler, a, b *Node, pipe channel.PipeConfig, rng *sim.RNG) (abData, baData *channel.Link) {
 	abData = channel.NewLink(sched, pipe, rng.Split())
 	baData = channel.NewLink(sched, pipe, rng.Split())
-	a.attach(b, abData)
-	b.attach(a, baData)
+	a.AttachSplit(b, abData, a.eng)
+	b.AttachSplit(a, baData, b.eng)
 	return abData, baData
 }
 
-// attach creates the outgoing DLC session toward neighbor over link. The
-// session's receiver logically lives at the neighbor: its deliveries feed
-// the neighbor's network layer.
-func (n *Node) attach(neighbor *Node, link *channel.Link) {
-	ol := &outLink{peer: neighbor.id}
-	ol.pair = n.eng.NewPair(n.sched, link,
-		func(now sim.Time, dg arq.Datagram, _ uint32) {
-			neighbor.handleArrival(now, dg.Payload)
-		},
-		func(now sim.Time, reason string) {
-			ol.failed = true
-		})
-	n.insertLink(ol)
-	ol.pair.Start()
-}
-
-// AttachSplit is attach for topologies partitioned across schedulers (the
-// shard engine): the outgoing session's sender entity runs on this node's
-// scheduler, its receiver entity — and therefore the deliver callback that
-// feeds neighbor's network layer — on the neighbor's. eng is per-adjacency
-// (crosslink round trips differ link to link, so the node-wide engine is
-// only a default). The caller is responsible for routing link's pipes
-// between the two shards (channel.Pipe.SetRemote) before the run starts.
-// The wired pair is returned for report collection.
+// AttachSplit creates the outgoing DLC session toward neighbor over link.
+// The session's receiver logically lives at the neighbor: its deliveries
+// feed the neighbor's network layer. In a topology partitioned across
+// schedulers (the shard engine) the sender entity therefore runs on this
+// node's scheduler and the receiver entity — with the deliver callback — on
+// the neighbor's. eng is per-adjacency (crosslink round trips differ link
+// to link, so the node-wide engine is only a default). The caller is
+// responsible for routing link's pipes between the two shards
+// (channel.Pipe.SetRemote) before the run starts. The wired pair is
+// returned for report collection.
 func (n *Node) AttachSplit(neighbor *Node, link *channel.Link, eng arq.Engine) arq.Pair {
 	ol := &outLink{peer: neighbor.id}
-	ol.pair = eng.NewSplitPair(n.sched, neighbor.sched, link,
+	ol.pair = eng.NewPair(n.sched, neighbor.sched, link,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
 			neighbor.handleArrival(now, dg.Payload)
 		},

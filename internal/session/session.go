@@ -150,7 +150,7 @@ func (m *Manager) CurrentPass() int {
 func (m *Manager) startPass(i int, p Pass) {
 	link := m.factory(i, p)
 	eng := m.cfg.Engine.WithLinkLifetime(p.End.Sub(m.sched.Now()))
-	pair := eng.NewPair(m.sched, link,
+	pair := eng.NewPair(m.sched, m.sched, link,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
 			// Cross-pass duplicate suppression + ordering.
 			before := m.reseq.Stats.Duplicates.Value()

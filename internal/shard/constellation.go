@@ -34,7 +34,7 @@ const flowStream = 1 << 30
 const relVelMS = 16e3
 
 // Config parameterizes one constellation run. Build one with
-// DefaultConfig and override fields; Run validates.
+// DefaultConfig and override fields; Build validates.
 type Config struct {
 	Walker orbit.Walker
 	// Proto names a registered ARQ engine ("lams", "srhdlc", "gbn").
@@ -54,18 +54,15 @@ type Config struct {
 	// OfferInterval spaces a flow's consecutive datagrams.
 	OfferInterval sim.Duration
 
-	// RateBps is the crosslink wire rate; IErrProb and CErrProb are the
-	// per-frame corruption probabilities for information and control
-	// frames.
-	RateBps            float64
-	IErrProb, CErrProb float64
-	// IModelSpec and CModelSpec, when set, name the per-link error models
-	// by registry spec (channel.ParseModel; "ge:...", "trace:file=...")
-	// and take precedence over IErrProb/CErrProb. Every adjacency pipe
-	// instantiates a FRESH model from its spec inside channel.NewPipe, and
-	// each pipe's RNG stream is keyed by adjacency index, not by shard —
-	// so stateful models (Gilbert-Elliott sojourns, replay cursors) stay
-	// bit-identical at every shard count.
+	// RateBps is the crosslink wire rate.
+	RateBps float64
+	// IModelSpec and CModelSpec name the per-link error models for
+	// information and control frames by registry spec (channel.ParseModel;
+	// "fixed:p=...", "ge:...", "trace:file=..."); empty is the perfect
+	// channel. Build parses each spec once and every adjacency pipe gets a
+	// FRESH instance, and each pipe's RNG stream is keyed by adjacency
+	// index, not by shard — so stateful models (Gilbert-Elliott sojourns,
+	// replay cursors) stay bit-identical at every shard count.
 	IModelSpec, CModelSpec string
 
 	// Horizon bounds simulated time. Unless RunToHorizon is set, the run
@@ -121,8 +118,8 @@ func DefaultConfig(w orbit.Walker) Config {
 		PayloadBytes:     256,
 		OfferInterval:    2 * sim.Millisecond,
 		RateBps:          300e6,
-		IErrProb:         0.01,
-		CErrProb:         0.002,
+		IModelSpec:       "fixed:p=0.01",
+		CModelSpec:       "fixed:p=0.002",
 		Horizon:          30 * sim.Second,
 		PolarDeg:         60,
 		Retarget:         200 * sim.Millisecond,
@@ -130,8 +127,9 @@ func DefaultConfig(w orbit.Walker) Config {
 	}
 }
 
-// Validate reports the first configuration error.
-func (c Config) Validate() error {
+// validate reports the first configuration error outside the channel specs,
+// which Build checks by parsing them.
+func (c Config) validate() error {
 	if err := c.Walker.Validate(); err != nil {
 		return err
 	}
@@ -156,14 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.RateBps <= 0 {
 		return fmt.Errorf("shard: rate must be positive")
-	}
-	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
-		if spec == "" {
-			continue
-		}
-		if _, err := channel.ParseModel(spec); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -442,7 +432,16 @@ func Run(cfg Config) (Report, error) {
 // engine, sessions, handover schedule, routes and flows — without
 // advancing simulated time.
 func Build(cfg Config) (*Constellation, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	// Each spec is parsed once; every pipe below gets its own instances.
+	newI, err := channel.ModelFactory(cfg.IModelSpec)
+	if err != nil {
+		return nil, err
+	}
+	newC, err := channel.ModelFactory(cfg.CModelSpec)
+	if err != nil {
 		return nil, err
 	}
 	w := cfg.Walker
@@ -458,7 +457,7 @@ func Build(cfg Config) (*Constellation, error) {
 	shardOf := func(i int) *Shard { return eng.Shard(i * cfg.Shards / n) }
 
 	// One node per satellite, homed on its shard's scheduler. The node-wide
-	// engine is only the default for plain attach(), which the
+	// engine is only the default node.Connect uses, which the
 	// constellation never uses — every session is per-adjacency.
 	var maxDelay sim.Duration
 	for i := range adjs {
@@ -480,25 +479,13 @@ func Build(cfg Config) (*Constellation, error) {
 	// and engine round trips are all keyed by adjacency index, so they are
 	// identical at every K.
 	sessions := make([]session, 0, 2*len(adjs))
-	pipeCfg := channel.PipeConfig{
-		RateBps:    cfg.RateBps,
-		IModelSpec: cfg.IModelSpec,
-		CModelSpec: cfg.CModelSpec,
-	}
-	if pipeCfg.IModelSpec == "" && cfg.IErrProb > 0 {
-		pipeCfg.IModel = channel.FixedProb{P: cfg.IErrProb}
-	}
-	if pipeCfg.CModelSpec == "" && cfg.CErrProb > 0 {
-		pipeCfg.CModel = channel.FixedProb{P: cfg.CErrProb}
-	}
 	for ai := range adjs {
 		a := &adjs[ai]
 		linkEng, err := arq.DefaultEngine(cfg.Proto, 2*a.maxDelay)
 		if err != nil {
 			return nil, err
 		}
-		pc := pipeCfg
-		pc.Delay = channel.OrbitDelay(a.geom, 0)
+		pc := channel.PipeConfig{RateBps: cfg.RateBps, Delay: channel.OrbitDelay(a.geom, 0)}
 		for dir := 0; dir < 2; dir++ {
 			src, dst := a.u, a.v
 			if dir == 1 {
@@ -507,7 +494,10 @@ func Build(cfg Config) (*Constellation, error) {
 			si := 2*ai + dir
 			rng := sim.NewRNG(sim.DeriveSeed(cfg.Seed, si))
 			ss, ds := shardOf(src), shardOf(dst)
-			link := channel.NewSplitLink(ss.Scheduler(), ds.Scheduler(), pc, rng)
+			ab, ba := pc, pc
+			ab.IModel, ab.CModel = newI(), newC()
+			ba.IModel, ba.CModel = newI(), newC()
+			link := channel.NewSplitLink(ss.Scheduler(), ds.Scheduler(), ab, ba, rng)
 			pair := nodes[src].AttachSplit(nodes[dst], link, linkEng)
 			eng.Wire(ss, ds, link.AtoB, uint32(2*si))
 			eng.Wire(ds, ss, link.BtoA, uint32(2*si+1))

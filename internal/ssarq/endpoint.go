@@ -8,86 +8,27 @@ import (
 )
 
 // Pair wires a Sender and Receiver across a full-duplex link: I-frames
-// A→B, echo acknowledgements B→A. It is the SS-ARQ implementation of the
-// arq.Pair engine contract, plus the two corruption-adversary surfaces
-// (arq.StateCorruptor, arq.GhostForger) that let the fault injector
-// exercise the self-stabilization claim directly.
+// A→B, echo acknowledgements B→A. The arq.Pair contract is the embedded
+// arq.PairBase forwarding to the two halves; the methods here are the two
+// corruption-adversary surfaces (arq.StateCorruptor, arq.GhostForger) that
+// let the fault injector exercise the self-stabilization claim directly.
 type Pair struct {
+	arq.PairBase
 	Sender   *Sender
 	Receiver *Receiver
-	cfg      Config
-	metrics  *arq.Metrics
-	rmetrics *arq.Metrics
-	merged   arq.Metrics
-	link     *channel.Link
 }
 
-// NewPair builds and wires the endpoints. deliver and onFailure may be
-// nil; onFailure is never invoked (SS-ARQ declares no failures).
-func NewPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	m := &arq.Metrics{}
-	s := NewSender(sched, link.AtoB, cfg, m, onFailure)
-	r := NewReceiver(sched, link.BtoA, cfg, m, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: m, link: link}
-}
-
-// NewSplitPair is NewPair for a session whose two ends live on different
-// shards; each side gets its own metrics block (see lamsdlc.NewSplitPair).
-// The corruption adversary is not wired across shards — CorruptState and
+// NewPair builds and wires the endpoints, the sender entity on sendSched and
+// the receiver entity on recvSched (one scheduler, or two for a session
+// split across a shard boundary; see arq.PairMetrics). deliver and onFailure
+// may be nil; onFailure is never invoked (SS-ARQ declares no failures). The
+// corruption adversary is not wired across shards — CorruptState and
 // ForgeGhost are driven only by the single-scheduler fault harness.
-func NewSplitPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-	ms, mr := &arq.Metrics{}, &arq.Metrics{}
+func NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
+	ms, mr := arq.PairMetrics(sendSched, recvSched)
 	s := NewSender(sendSched, link.AtoB, cfg, ms, onFailure)
 	r := NewReceiver(recvSched, link.BtoA, cfg, mr, deliver)
-	link.AtoB.SetHandler(r.HandleFrame)
-	link.BtoA.SetHandler(s.HandleFrame)
-	return &Pair{Sender: s, Receiver: r, cfg: cfg, metrics: ms, rmetrics: mr, link: link}
-}
-
-// Start activates both ends.
-func (p *Pair) Start() {
-	p.Sender.Start()
-	p.Receiver.Start()
-}
-
-// Stop is orderly teardown; undelivered datagrams stay reclaimable.
-func (p *Pair) Stop() {
-	p.Receiver.Stop()
-	p.Sender.Shutdown()
-}
-
-// Enqueue accepts a datagram from the network layer.
-func (p *Pair) Enqueue(dg arq.Datagram) bool { return p.Sender.Enqueue(dg) }
-
-// Reclaim returns the datagrams the sender still holds, oldest first.
-func (p *Pair) Reclaim() []arq.Datagram { return p.Sender.UnreleasedDatagrams() }
-
-// Outstanding returns the sending-buffer occupancy.
-func (p *Pair) Outstanding() int { return p.Sender.Outstanding() }
-
-// Failed reports whether the pair was stopped; SS-ARQ never declares
-// link failure on its own.
-func (p *Pair) Failed() bool { return p.Sender.Failed() }
-
-// Metrics exposes the pair's measurement block (merged on demand for a
-// split pair; call only while both shards are quiesced).
-func (p *Pair) Metrics() *arq.Metrics {
-	if p.rmetrics == nil {
-		return p.metrics
-	}
-	p.merged = arq.MergeSplit(p.metrics, p.rmetrics)
-	return &p.merged
-}
-
-// Link exposes the underlying simulated link.
-func (p *Pair) Link() *channel.Link { return p.link }
-
-// SetProbe installs the transition observer on both ends.
-func (p *Pair) SetProbe(pr *arq.Probe) {
-	p.Sender.SetProbe(pr)
-	p.Receiver.SetProbe(pr)
+	return &Pair{PairBase: arq.NewPairBase(link, s, r, ms, mr), Sender: s, Receiver: r}
 }
 
 // CorruptState implements arq.StateCorruptor with the strongest contract
@@ -182,13 +123,9 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 	return f
 }
 
-// Compile-time contract checks.
+// The capabilities consumers discover by type assertion.
 var (
-	_ arq.Pair               = (*Pair)(nil)
 	_ arq.StateCorruptor     = (*Pair)(nil)
 	_ arq.GhostForger        = (*Pair)(nil)
 	_ arq.StabilizationBound = Config{}
-	_ arq.EngineConfig       = Config{}
-	_ arq.Endpoint           = (*Sender)(nil)
-	_ arq.Endpoint           = (*Receiver)(nil)
 )

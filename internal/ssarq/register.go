@@ -1,12 +1,6 @@
 package ssarq
 
-import (
-	"fmt"
-
-	"repro/internal/arq"
-	"repro/internal/channel"
-	"repro/internal/sim"
-)
+import "repro/internal/arq"
 
 // init publishes SS-ARQ in the engine registry, so every protocol-agnostic
 // layer (node, session, bench, faults, the CLIs) can run the
@@ -16,22 +10,14 @@ func init() {
 		Name:    "ssarq",
 		Aliases: []string{"ss", "ss-arq", "stab"},
 		Display: "SS-ARQ",
-		Defaults: func(roundTrip sim.Duration) arq.EngineConfig {
-			return Defaults(roundTrip)
-		},
-		New: func(sched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-			c, ok := cfg.(Config)
-			if !ok {
-				panic(fmt.Sprintf("ssarq: engine %q given %T, want ssarq.Config", "ssarq", cfg))
-			}
-			return NewPair(sched, link, c, deliver, onFailure)
-		},
-		NewSplit: func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg arq.EngineConfig, deliver arq.DeliverFunc, onFailure arq.FailureFunc) arq.Pair {
-			c, ok := cfg.(Config)
-			if !ok {
-				panic(fmt.Sprintf("ssarq: engine %q given %T, want ssarq.Config", "ssarq", cfg))
-			}
-			return NewSplitPair(sendSched, recvSched, link, c, deliver, onFailure)
-		},
-	})
+	}, Defaults, configure, NewPair)
 }
+
+// configure maps the harness knobs onto an SS-ARQ configuration: the round
+// trip, and nothing else. Icp, Cdepth, W, Alpha, Stutter and N2 have no
+// counterpart (no checkpoints, no window, no failure declaration). Tproc,
+// SendCap and Metrics do (ProcTime, BufferLimit, Metrics) but are left at
+// their defaults on purpose: the harness has always run this engine on
+// Defaults(roundTrip), that trajectory is pinned by the benchmark's
+// link_engines_burst digest, and DESIGN.md §16 records the gap.
+func configure(k arq.Knobs) Config { return Defaults(k.RoundTrip) }

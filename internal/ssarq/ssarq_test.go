@@ -19,7 +19,7 @@ func newScenario(cfg Config, pipe channel.PipeConfig, seed uint64) *scenario {
 	sched := sim.NewScheduler()
 	link := channel.NewLink(sched, pipe, sim.NewRNG(seed))
 	sc := &scenario{sched: sched, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
+	sc.pair = NewPair(sched, sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
 		sc.got[dg.ID]++
 		sc.last = now
 	}, nil)

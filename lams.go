@@ -185,7 +185,7 @@ type HDLCPair = hdlc.Pair
 // NewLAMSPair wires a LAMS-DLC session over link (data flows A→B) and
 // starts it.
 func (s *Simulation) NewLAMSPair(link *Link, cfg Config, deliver DeliverFunc, onFailure FailureFunc) *LAMSPair {
-	p := lamsdlc.NewPair(s.sched, link, cfg, deliver, onFailure)
+	p := lamsdlc.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
 	p.Start()
 	return p
 }
@@ -194,7 +194,7 @@ func (s *Simulation) NewLAMSPair(link *Link, cfg Config, deliver DeliverFunc, on
 // (may be nil) fires if the sender exhausts its N2 retry count
 // (HDLCConfig.MaxTimeouts), matching NewLAMSPair's signature.
 func (s *Simulation) NewHDLCPair(link *Link, cfg HDLCConfig, deliver DeliverFunc, onFailure FailureFunc) *HDLCPair {
-	p := hdlc.NewPair(s.sched, link, cfg, deliver, onFailure)
+	p := hdlc.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
 	p.Start()
 	return p
 }
