@@ -39,7 +39,7 @@ func (p *Pair) CorruptState(rng *sim.RNG) {
 		s.timeoutsInRow = rng.Intn(8)
 	}
 	s.stutterIdx = rng.Intn(2 * s.cfg.WindowSize)
-	s.wireFree = now.Add(sim.Duration(rng.Int63n(int64(4 * s.cfg.Timeout))))
+	s.FreeAt = now.Add(sim.Duration(rng.Int63n(int64(4 * s.cfg.Timeout))))
 
 	// Receiver: RR cadence counter (self-corrects within one window of
 	// deliveries), the GBN one-REJ-per-gap latch (a suppressed REJ is
@@ -86,13 +86,13 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 	switch rng.Intn(3) {
 	case 0: // plausible RR: early release inside the live window
 		f.Kind = frame.KindRR
-		f.Ack = s.sendBase + 1 + uint32(rng.Int63n(int64(s.nextSeq-s.sendBase)+1))
-		if f.Ack > s.nextSeq {
-			f.Ack = s.nextSeq
+		f.Ack = s.sendBase + 1 + uint32(rng.Int63n(int64(s.NextSeq()-s.sendBase)+1))
+		if f.Ack > s.NextSeq() {
+			f.Ack = s.NextSeq()
 		}
 	case 1: // implausible RR: acknowledges frames never sent
 		f.Kind = frame.KindRR
-		f.Ack = s.nextSeq + 1 + uint32(rng.Intn(1<<16))
+		f.Ack = s.NextSeq() + 1 + uint32(rng.Intn(1<<16))
 	default: // spurious SREJ inside the window
 		f.Kind = frame.KindSREJ
 		f.Ack = s.sendBase

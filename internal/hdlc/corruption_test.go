@@ -27,7 +27,7 @@ func TestImplausibleRRRefused(t *testing.T) {
 	}
 	base := sc.pair.Sender.SendBase()
 
-	ghost := frame.Frame{Kind: frame.KindRR, Ack: sc.pair.Sender.nextSeq + 5000}
+	ghost := frame.Frame{Kind: frame.KindRR, Ack: sc.pair.Sender.NextSeq() + 5000}
 	sc.pair.Sender.HandleFrame(sc.sched.Now(), &ghost)
 	if got := sc.pair.Sender.Unacked(); got < out {
 		t.Fatalf("implausible RR released %d frames", out-got)
@@ -37,7 +37,7 @@ func TestImplausibleRRRefused(t *testing.T) {
 	}
 
 	// A genuine RR must still release: sendBase was not poisoned.
-	genuine := frame.Frame{Kind: frame.KindRR, Ack: sc.pair.Sender.nextSeq}
+	genuine := frame.Frame{Kind: frame.KindRR, Ack: sc.pair.Sender.NextSeq()}
 	sc.pair.Sender.HandleFrame(sc.sched.Now(), &genuine)
 	if sc.pair.Sender.Unacked() != 0 {
 		t.Fatal("genuine RR no longer releases: window wedged")

@@ -34,9 +34,13 @@ func newSenderInstr(reg *metrics.Registry) senderInstr {
 		releases:      reg.Counter("hdlc_releases_total"),
 		failures:      reg.Counter("hdlc_failures_total"),
 		outstanding:   reg.Gauge("hdlc_send_outstanding"),
-		holdingNS:     reg.Histogram("hdlc_holding_time_ns", metrics.ExpBuckets(1e5, 2, 24)),
+		holdingNS:     reg.Histogram("hdlc_holding_time_ns", holdingBuckets),
 	}
 }
+
+// holdingBuckets is computed once: a constellation builds thousands of
+// senders, most against a nil registry that would discard a fresh slice each.
+var holdingBuckets = metrics.ExpBuckets(1e5, 2, 24)
 
 type receiverInstr struct {
 	rrSent    *metrics.Counter // hdlc_rr_sent_total

@@ -48,8 +48,8 @@ func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 		// Checkpoint acking everything, NAKing the last seq sent: exercises
 		// the naked bitset, one renumbered retransmission, and releases.
 		serial++
-		cp.Kind, cp.Serial, cp.Ack = frame.KindCheckpoint, serial, s.nextSeq
-		cp.NAKs = append(cp.NAKs[:0], s.nextSeq-1)
+		cp.Kind, cp.Serial, cp.Ack = frame.KindCheckpoint, serial, s.NextSeq()
+		cp.NAKs = append(cp.NAKs[:0], s.NextSeq()-1)
 		s.HandleFrame(sched.Now(), cp)
 	}
 

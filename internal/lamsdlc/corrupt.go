@@ -36,7 +36,7 @@ func (p *Pair) CorruptState(rng *sim.RNG) {
 	// onFailureTimeout, and pump are what make this bounded.
 	s.reqSentAt = now.Add(jitter(rng, s.cfg.FailureTimeout()))
 	s.lastCpAt = now.Add(jitter(rng, s.cfg.CheckpointTimeout()))
-	s.wireFreeAt = now.Add(sim.Duration(rng.Int63n(int64(4 * s.cfg.ResolvingPeriod()))))
+	s.FreeAt = now.Add(sim.Duration(rng.Int63n(int64(4 * s.cfg.ResolvingPeriod()))))
 	if s.cfg.RequestRetries > 0 {
 		s.retriesLeft = rng.Intn(s.cfg.RequestRetries + 1)
 	}
@@ -93,10 +93,10 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 	}
 	f.Kind = frame.KindCheckpoint
 	f.Serial = r.serial + uint32(rng.Intn(4))
-	if rng.Intn(2) == 0 && s.nextSeq > 0 {
-		f.Ack = uint32(rng.Int63n(int64(s.nextSeq) + 1))
+	if rng.Intn(2) == 0 && s.NextSeq() > 0 {
+		f.Ack = uint32(rng.Int63n(int64(s.NextSeq()) + 1))
 	} else {
-		f.Ack = s.nextSeq + 1 + uint32(rng.Intn(1<<16))
+		f.Ack = s.NextSeq() + 1 + uint32(rng.Intn(1<<16))
 	}
 	f.StopGo = rng.Intn(2) == 0
 	f.Enforced = rng.Intn(2) == 0

@@ -276,7 +276,7 @@ func (r *Receiver) updateStopGo() {
 // union of the last C_depth intervals' error lists, and the Stop-Go bit.
 func (r *Receiver) emitCheckpoint() {
 	r.serial++
-	r.send(false)
+	r.send(false, 0)
 	// Rotate the cumulation window: the expiring oldest generation's
 	// backing array becomes the fresh current interval, so steady-state
 	// gap reporting reuses C_depth arrays instead of allocating.
@@ -297,10 +297,12 @@ func (r *Receiver) emitCheckpoint() {
 func (r *Receiver) handleRequestNAK(_ sim.Time, req *frame.Frame) {
 	r.im.reqNAKsHeard.Inc()
 	r.serial++
-	r.sendEnforced(req.Serial)
+	r.send(true, req.Serial)
 }
 
-func (r *Receiver) send(enforced bool) {
+// send emits one checkpoint: the periodic Check-Point command, or — enforced,
+// echoing the Request-NAK's serial for correlation — its Enforced-NAK answer.
+func (r *Receiver) send(enforced bool, reqSerial uint32) {
 	naks := r.cumulativeNAKs()
 	r.cpf = frame.Frame{
 		Kind:     frame.KindCheckpoint,
@@ -309,6 +311,7 @@ func (r *Receiver) send(enforced bool) {
 		NAKs:     naks,
 		StopGo:   r.stopGo,
 		Enforced: enforced,
+		Seq:      reqSerial,
 	}
 	if r.probe != nil && r.probe.CheckpointSent != nil {
 		r.probe.CheckpointSent(r.sched.Now(), r.serial, enforced)
@@ -316,26 +319,9 @@ func (r *Receiver) send(enforced bool) {
 	r.wire.Send(&r.cpf)
 	r.m.ControlSent.Inc()
 	r.im.naksReported.Add(uint64(len(naks)))
-}
-
-func (r *Receiver) sendEnforced(reqSerial uint32) {
-	naks := r.cumulativeNAKs()
-	r.cpf = frame.Frame{
-		Kind:     frame.KindCheckpoint,
-		Serial:   r.serial,
-		Ack:      r.expected,
-		NAKs:     naks,
-		StopGo:   r.stopGo,
-		Enforced: true,
-		Seq:      reqSerial, // echo for correlation
+	if enforced {
+		r.im.enforcedSent.Inc()
 	}
-	if r.probe != nil && r.probe.CheckpointSent != nil {
-		r.probe.CheckpointSent(r.sched.Now(), r.serial, true)
-	}
-	r.wire.Send(&r.cpf)
-	r.m.ControlSent.Inc()
-	r.im.naksReported.Add(uint64(len(naks)))
-	r.im.enforcedSent.Inc()
 }
 
 // cumulativeNAKs returns the union of the stored intervals, deduplicated

@@ -2,30 +2,12 @@ package lamsdlc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/arq"
+	"repro/internal/arq/txq"
 	"repro/internal/frame"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
-
-// entryPool recycles buffer entries across sender lifetimes: within one run
-// release→Enqueue cycles reuse the same objects, and across a sweep of
-// hermetic runs (bench.RunMany) each worker's entry population is allocated
-// once instead of once per run. Entries are always zeroed before Put, so Get
-// never observes stale state or pinned payload memory.
-var entryPool = sync.Pool{New: func() any { return new(entry) }}
-
-// entry is one datagram held in the sending buffer, keyed by the sequence
-// number of its current incarnation (LAMS-DLC renumbers retransmissions).
-type entry struct {
-	dg        arq.Datagram
-	seq       uint32   // current sequence number
-	lastTx    sim.Time // start of the latest transmission
-	holdStart sim.Time // start of the first transmission (holding time base)
-	txCount   int
-}
 
 // Sender is the transmitting half of a LAMS-DLC endpoint. It is a sans-IO
 // state machine driven by the scheduler's virtual clock and checkpoint
@@ -33,30 +15,28 @@ type entry struct {
 // serialize all calls (the simulation is single-threaded; the live driver
 // owns a per-endpoint event loop).
 type Sender struct {
+	// The sending buffer, keyed by the sequence number of each entry's
+	// current incarnation (LAMS-DLC renumbers retransmissions). Enqueue
+	// refuses at SendBufferCap and once the link has failed; the pacing
+	// debt bound is one resolving period (see retransmit).
+	txq.Queue
+
 	sched *sim.Scheduler
 	wire  arq.Wire
 	cfg   Config
 	m     *arq.Metrics
 	im    senderInstr
 
-	queue   ring.Ring[arq.Datagram] // accepted, not yet first-transmitted
-	ordered []*entry                // unacknowledged, ascending current seq
-	nextSeq uint32
-
 	// Run-scoped scratch, recycled across checkpoints so the steady state
-	// allocates nothing (ISSUE 6): released buffer entries return to
-	// entryPool, the per-checkpoint naked-seq set is a bitset spanning the
-	// live window, the retransmit decision list keeps its capacity, and
-	// outbound frames are built in a reusable scratch frame (the Wire
-	// contract says implementations copy on Send).
+	// allocates nothing (ISSUE 6): the per-checkpoint naked-seq set is a
+	// bitset spanning the live window, the retransmit decision list keeps
+	// its capacity, and outbound frames are built in a reusable scratch
+	// frame (the Wire contract says implementations copy on Send).
 	nakBits []uint64
 	retxBuf []retxDecision
 	txf     frame.Frame
 
-	// Send pacing.
-	pumpTimer    *sim.Timer
-	pumpArmed    bool
-	wireFreeAt   sim.Time
+	// Flow-control send-rate fraction (§3.4): scales the pump's pacing.
 	rateFraction float64
 
 	// Checkpoint / failure supervision.
@@ -65,7 +45,6 @@ type Sender struct {
 	lastRxSerial uint32
 	haveRxSerial bool
 	recovering   bool
-	failed       bool
 	reqSerial    uint32
 	retriesLeft  int
 	startAt      sim.Time
@@ -73,7 +52,6 @@ type Sender struct {
 	reqSentAt    sim.Time
 	maxLiveSpan  uint32 // widest nextSeq − oldestUnacked observed
 
-	probe     *arq.Probe
 	onFailure arq.FailureFunc
 }
 
@@ -94,7 +72,8 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, 
 		onFailure:    onFailure,
 	}
 	s.im.rateFraction.Set(1)
-	s.pumpTimer = sim.NewTimer(sched, s.pump)
+	s.Queue = txq.New(sched, m, cfg.SendBufferCap, cfg.ResolvingPeriod(), s.pump,
+		s.im.releases, s.im.holdingNS, s.im.outstanding)
 	s.cpTimer = sim.NewTimer(sched, s.onCheckpointTimeout)
 	s.failTimer = sim.NewTimer(sched, s.onFailureTimeout)
 	return s
@@ -113,29 +92,14 @@ func (s *Sender) Start() {
 
 // SetProbe installs the transition observer; nil detaches. Install before
 // Start: the probe is read synchronously by the state machine.
-func (s *Sender) SetProbe(p *arq.Probe) { s.probe = p }
+func (s *Sender) SetProbe(p *arq.Probe) { s.Probe = p }
 
 // Failed reports whether the sender has declared the link failed.
-func (s *Sender) Failed() bool { return s.failed }
+func (s *Sender) Failed() bool { return s.Closed() }
 
 // Recovering reports whether an Enforced Recovery is in progress (new
 // I-frames suspended).
 func (s *Sender) Recovering() bool { return s.recovering }
-
-// Outstanding returns the number of unacknowledged frames plus queued
-// datagrams — the sending-buffer occupancy whose transparent bound §4
-// derives.
-func (s *Sender) Outstanding() int { return len(s.ordered) + s.queue.Len() }
-
-// QueuedDatagrams returns only the not-yet-transmitted backlog.
-func (s *Sender) QueuedDatagrams() int { return s.queue.Len() }
-
-// Unacked returns the number of transmitted-but-unreleased frames.
-func (s *Sender) Unacked() int { return len(s.ordered) }
-
-// NextSeq exposes the next sequence number to be assigned (tests and the
-// numbering-size experiment use it).
-func (s *Sender) NextSeq() uint32 { return s.nextSeq }
 
 // RateFraction returns the current flow-control send-rate fraction.
 func (s *Sender) RateFraction() float64 { return s.rateFraction }
@@ -147,67 +111,27 @@ func (s *Sender) RateFraction() float64 { return s.rateFraction }
 func (s *Sender) MaxLiveSpan() uint32 { return s.maxLiveSpan }
 
 func (s *Sender) noteSpan() {
-	if len(s.ordered) == 0 {
+	if s.Unacked() == 0 {
 		return
 	}
-	if span := s.nextSeq - s.ordered[0].seq; span > s.maxLiveSpan {
+	if span := s.NextSeq() - s.InFlight()[0].Seq; span > s.maxLiveSpan {
 		s.maxLiveSpan = span
 	}
-}
-
-// Enqueue accepts a datagram from the network layer. It returns false when
-// the sending buffer is at capacity or the link has failed; the network
-// layer retries or routes around, mirroring the store-and-forward model.
-func (s *Sender) Enqueue(dg arq.Datagram) bool {
-	if s.failed {
-		return false
-	}
-	if s.cfg.SendBufferCap > 0 && s.Outstanding() >= s.cfg.SendBufferCap {
-		return false
-	}
-	dg.EnqueuedAt = s.sched.Now()
-	s.queue.PushBack(dg)
-	s.m.Submitted.Inc()
-	s.noteOccupancy()
-	s.schedulePump(0)
-	return true
-}
-
-// newEntry fetches a zeroed buffer entry from the pool.
-func (s *Sender) newEntry() *entry {
-	return entryPool.Get().(*entry)
-}
-
-// freeEntry recycles a released buffer entry. The entry is zeroed before Put
-// so the pool never pins payload memory and Get hands out clean objects.
-func (s *Sender) freeEntry(e *entry) {
-	*e = entry{}
-	entryPool.Put(e)
 }
 
 // sendI transmits e's current incarnation via the scratch frame, returning
 // the frame for pacing math. The Wire contract (arq.Wire) says Send copies;
 // the scratch is valid until the sender's next send.
-func (s *Sender) sendI(e *entry) *frame.Frame {
+func (s *Sender) sendI(e *txq.Entry) *frame.Frame {
 	s.txf = frame.Frame{
 		Kind:       frame.KindI,
-		Seq:        e.seq,
-		DatagramID: e.dg.ID,
-		Payload:    e.dg.Payload,
-		EnqueuedNS: int64(e.dg.EnqueuedAt),
+		Seq:        e.Seq,
+		DatagramID: e.Dg.ID,
+		Payload:    e.Dg.Payload,
+		EnqueuedNS: int64(e.Dg.EnqueuedAt),
 	}
 	s.wire.Send(&s.txf)
 	return &s.txf
-}
-
-// schedulePump arms the pump after d, unless an earlier pump is pending.
-func (s *Sender) schedulePump(d sim.Duration) {
-	at := s.sched.Now().Add(d)
-	if s.pumpArmed && s.pumpTimer.Deadline() <= at {
-		return
-	}
-	s.pumpArmed = true
-	s.pumpTimer.StartAt(at)
 }
 
 // pump transmits new I-frames while the protocol and pacing allow. New
@@ -215,53 +139,36 @@ func (s *Sender) schedulePump(d sim.Duration) {
 // retransmissions bypass pacing (§4: retransmitted I-frames mix freely with
 // transmissions).
 func (s *Sender) pump() {
-	s.pumpArmed = false
-	if s.failed || s.recovering {
+	// Suspended means suspended: Ready must not run during Enforced
+	// Recovery, or it would keep re-arming the pump against the budget.
+	if s.Closed() || s.recovering {
 		return
 	}
 	now := s.sched.Now()
-	// The pacing debt is bounded by one resolving period (see retransmit);
-	// a wireFreeAt further out than that was written by state corruption,
-	// not by budget accounting, and honoring it would halt new I-frames
-	// for arbitrarily long on an otherwise healthy link.
-	if limit := now.Add(s.cfg.ResolvingPeriod()); s.wireFreeAt > limit {
-		s.wireFreeAt = limit
-	}
-	if now < s.wireFreeAt {
-		s.schedulePump(s.wireFreeAt.Sub(now))
+	if !s.Ready(now) || s.Backlog() == 0 {
 		return
 	}
-	if s.queue.Len() == 0 {
-		return
-	}
-	dg := s.queue.PopFront()
-	e := s.newEntry()
-	e.dg, e.seq, e.lastTx, e.holdStart = dg, s.nextSeq, now, now
-	s.nextSeq++
-	s.ordered = append(s.ordered, e)
-	e.txCount = 1
+	e := s.Admit(now)
 	f := s.sendI(e)
 	s.m.FirstTx.Inc()
 	s.im.firstTx.Inc()
-	if s.probe != nil && s.probe.FirstTransmission != nil {
-		s.probe.FirstTransmission(now, e.seq, e.dg.ID)
+	if s.Probe != nil && s.Probe.FirstTransmission != nil {
+		s.Probe.FirstTransmission(now, e.Seq, e.Dg.ID)
 	}
 	s.noteSpan()
-	s.noteOccupancy()
 
 	// Pace the next new frame: one frame time at the scaled rate.
-	tx := s.wire.TxTime(f)
-	gap := sim.Duration(float64(tx) / s.rateFraction)
-	s.wireFreeAt = now.Add(gap)
-	if s.queue.Len() > 0 {
-		s.schedulePump(gap)
+	gap := sim.Duration(float64(s.wire.TxTime(f)) / s.rateFraction)
+	s.FreeAt = now.Add(gap)
+	if s.Backlog() > 0 {
+		s.Kick(gap)
 	}
 }
 
 // HandleFrame processes an arriving control frame. Information frames never
 // arrive at a sender; the endpoint wiring routes frames by direction.
 func (s *Sender) HandleFrame(now sim.Time, f *frame.Frame) {
-	if s.failed {
+	if s.Closed() {
 		return
 	}
 	if f.Corrupted {
@@ -290,7 +197,7 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 	// pump, and nextSeq could never catch up to re-legitimize the
 	// watermark.
 	effAck := f.Ack
-	if f.Ack > s.nextSeq {
+	if f.Ack > s.NextSeq() {
 		effAck = 0
 		s.im.implausibleCp.Inc()
 	}
@@ -300,8 +207,8 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 	s.cpTimer.Start(s.cfg.CheckpointTimerTimeout())
 	s.im.cpHeard.Inc()
 	s.im.naksHeard.Add(uint64(len(f.NAKs)))
-	if s.probe != nil && s.probe.CheckpointHeard != nil {
-		s.probe.CheckpointHeard(now, f.Serial, f.Enforced)
+	if s.Probe != nil && s.Probe.CheckpointHeard != nil {
+		s.Probe.CheckpointHeard(now, f.Serial, f.Enforced)
 	}
 
 	// Coverage tracking: each error is reported in C_depth consecutive
@@ -324,9 +231,9 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 	// fall outside the window and are dropped here, exactly as they
 	// missed the old map.
 	var nakBase, nakSpan uint32
-	if len(f.NAKs) > 0 && len(s.ordered) > 0 {
-		nakBase = s.ordered[0].seq
-		nakSpan = s.nextSeq - nakBase
+	if len(f.NAKs) > 0 && s.Unacked() > 0 {
+		nakBase = s.InFlight()[0].Seq
+		nakSpan = s.NextSeq() - nakBase
 		words := int(nakSpan+63) / 64
 		if cap(s.nakBits) < words {
 			s.nakBits = make([]uint64, words)
@@ -365,8 +272,8 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 			s.failTimer.Stop()
 			s.recovering = false
 			s.retriesLeft = s.cfg.RequestRetries
-			if s.probe != nil && s.probe.RecoveryEnded != nil {
-				s.probe.RecoveryEnded(now, true)
+			if s.Probe != nil && s.Probe.RecoveryEnded != nil {
+				s.Probe.RecoveryEnded(now, true)
 			}
 		} else if now.Sub(s.reqSentAt) >= s.cfg.ExpectedResponse() {
 			// A plain checkpoint during recovery, arriving after the
@@ -386,15 +293,13 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 		}
 	}
 
-	// Walk the ordered buffer once, deciding each entry's fate. Kept
-	// entries compact in place (w is the write index) and the
-	// retransmission list reuses its backing array, so the walk itself
-	// allocates nothing.
+	// Walk the buffer once, deciding each entry's fate: kept, released, or
+	// dropped onto the retransmission list, which reuses its backing array,
+	// so the walk itself allocates nothing.
 	resolving := s.cfg.ResolvingPeriod()
 	retransmit := s.retxBuf[:0]
-	w := 0
-	for _, e := range s.ordered {
-		d := e.seq - nakBase
+	s.Sweep(func(e *txq.Entry) bool {
+		d := e.Seq - nakBase
 		isNaked := nakSpan > 0 && d < nakSpan && s.nakBits[d>>6]&(1<<(d&63)) != 0
 		switch {
 		case isNaked:
@@ -402,104 +307,69 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 			// a new number. (Stale NAKs name retired seqs and miss.)
 			retransmit = append(retransmit, retxDecision{e, arq.RetxNAK})
 			s.im.retxNAK.Inc()
-		case e.seq < effAck && covered:
+		case e.Seq < effAck && covered:
 			// Covered positive acknowledgement: release buffer space.
-			s.release(now, e)
-		case e.seq < effAck && !covered:
+			s.Release(now, e)
+		case e.Seq < effAck && !covered:
 			// Watermark says delivered but the report chain is broken;
 			// retransmit rather than risk loss (duplicates are resolved
 			// downstream). Frames still in flight are left alone.
-			if now.Sub(e.lastTx) >= s.cfg.RoundTrip {
-				retransmit = append(retransmit, retxDecision{e, arq.RetxCoverage})
-				s.im.retxCoverage.Inc()
-			} else {
-				s.ordered[w] = e
-				w++
+			if now.Sub(e.LastTx) < s.cfg.RoundTrip {
+				return true
 			}
-		case f.Enforced && now.Sub(e.lastTx) >= s.cfg.RoundTrip:
+			retransmit = append(retransmit, retxDecision{e, arq.RetxCoverage})
+			s.im.retxCoverage.Inc()
+		case f.Enforced && now.Sub(e.LastTx) >= s.cfg.RoundTrip:
 			// Enforced recovery: the receiver has never seen this frame
 			// although it has had a full round trip to arrive — resend.
 			retransmit = append(retransmit, retxDecision{e, arq.RetxEnforced})
 			s.im.retxEnforced.Inc()
-		case now.Sub(e.lastTx) >= resolving:
+		case now.Sub(e.LastTx) >= resolving:
 			// Resolving-period timeout (§3.3): an unreported frame this
 			// old can only be a corrupted trailing frame with no
 			// successor to reveal the gap.
 			retransmit = append(retransmit, retxDecision{e, arq.RetxResolving})
 			s.im.retxResolving.Inc()
 		default:
-			s.ordered[w] = e
-			w++
+			return true
 		}
-	}
-	for i := w; i < len(s.ordered); i++ {
-		s.ordered[i] = nil
-	}
-	s.ordered = s.ordered[:w]
+		return false
+	})
 	s.retxBuf = retransmit
 	for _, d := range retransmit {
 		s.retransmit(now, d.e, d.cause)
 	}
-	if len(s.ordered) > 0 {
-		s.im.liveSpan.Observe(float64(s.nextSeq - s.ordered[0].seq))
+	if s.Unacked() > 0 {
+		s.im.liveSpan.Observe(float64(s.NextSeq() - s.InFlight()[0].Seq))
 	}
 	s.noteSpan()
-	s.noteOccupancy()
-	s.schedulePump(0)
+	s.Kick(0)
 }
 
 // retxDecision pairs a buffer entry with the reason the checkpoint walk
 // chose to retransmit it.
 type retxDecision struct {
-	e     *entry
+	e     *txq.Entry
 	cause arq.RetxCause
 }
 
-// retransmit re-sends e under a fresh sequence number and re-appends it to
-// the ordered buffer (new seq = highest, so order is preserved).
-func (s *Sender) retransmit(now sim.Time, e *entry, cause arq.RetxCause) {
-	old := e.seq
-	e.seq = s.nextSeq
-	s.nextSeq++
-	e.lastTx = now
-	e.txCount++
-	s.ordered = append(s.ordered, e)
+// retransmit re-sends e under a fresh sequence number, back on the buffer.
+func (s *Sender) retransmit(now sim.Time, e *txq.Entry, cause arq.RetxCause) {
+	old := e.Seq
+	s.Renumber(now, e)
 	f := s.sendI(e)
 	s.m.Retransmissions.Inc()
 	s.im.retx.Inc()
-	if s.probe != nil && s.probe.Retransmitted != nil {
-		s.probe.Retransmitted(now, old, e.seq, e.dg.ID, cause)
+	if s.Probe != nil && s.Probe.Retransmitted != nil {
+		s.Probe.Retransmitted(now, old, e.Seq, e.Dg.ID, cause)
 	}
 	// Retransmissions jump the pacing queue (§4: they mix freely with
 	// transmissions) but still consume send-rate budget; without this,
 	// under overload, unpaced retransmissions inflate the wire backlog
 	// past the resolving period and false resolving timeouts feed a
-	// retransmission storm.
-	s.wireFreeAt = sim.MaxTime(now, s.wireFreeAt).Add(s.wire.TxTime(f))
-	// But the budget debt must stay bounded: during a one-directional
-	// outage (I-frames vanishing while checkpoints keep flowing) every
-	// outstanding frame is retransmitted once per resolving period into
-	// the dead beam, and unbounded accumulation here left wireFreeAt
-	// minutes ahead of the clock — a re-established link stayed halted
-	// for new I-frames long after traffic could flow again. One resolving
-	// period of debt preserves the anti-storm back-pressure (retransmission
-	// volume per checkpoint refills it faster than it drains under real
-	// overload) while capping the post-restoration stall.
-	if limit := now.Add(s.cfg.ResolvingPeriod()); s.wireFreeAt > limit {
-		s.wireFreeAt = limit
-	}
-}
-
-// release frees the buffer slot and records the holding time. The entry
-// returns to the freelist; the caller must drop its reference.
-func (s *Sender) release(now sim.Time, e *entry) {
-	s.m.HoldingTime.Add(float64(now.Sub(e.holdStart)))
-	s.im.releases.Inc()
-	s.im.holdingNS.Observe(float64(now.Sub(e.holdStart)))
-	if s.probe != nil && s.probe.Released != nil {
-		s.probe.Released(now, e.seq, e.dg.ID)
-	}
-	s.freeEntry(e)
+	// retransmission storm. Charge bounds the debt at one resolving period
+	// (the queue's debt), for the reason written there.
+	s.Charge(now, s.wire.TxTime(f))
 }
 
 func (s *Sender) applyStopGo(stop bool) {
@@ -525,7 +395,7 @@ func (s *Sender) applyStopGo(stop bool) {
 // onCheckpointTimeout fires when C_depth·W_cp passed with no checkpoint:
 // the sender suspects link failure and begins Enforced Recovery (§3.2).
 func (s *Sender) onCheckpointTimeout() {
-	if s.failed || s.recovering {
+	if s.Closed() || s.recovering {
 		return
 	}
 	if !s.recoverableFailure() {
@@ -537,8 +407,8 @@ func (s *Sender) onCheckpointTimeout() {
 
 func (s *Sender) startEnforcedRecovery() {
 	s.recovering = true
-	if s.probe != nil && s.probe.RecoveryStarted != nil {
-		s.probe.RecoveryStarted(s.sched.Now())
+	if s.Probe != nil && s.Probe.RecoveryStarted != nil {
+		s.Probe.RecoveryStarted(s.sched.Now())
 	}
 	s.sendRequestNAK()
 }
@@ -546,8 +416,8 @@ func (s *Sender) startEnforcedRecovery() {
 func (s *Sender) sendRequestNAK() {
 	s.reqSerial++
 	s.reqSentAt = s.sched.Now()
-	if s.probe != nil && s.probe.RequestNAKSent != nil {
-		s.probe.RequestNAKSent(s.reqSentAt, s.reqSerial)
+	if s.Probe != nil && s.Probe.RequestNAKSent != nil {
+		s.Probe.RequestNAKSent(s.reqSentAt, s.reqSerial)
 	}
 	s.txf = frame.Frame{Kind: frame.KindRequestNAK, Serial: s.reqSerial}
 	s.wire.Send(&s.txf)
@@ -570,7 +440,7 @@ func (s *Sender) recoverableFailure() bool {
 }
 
 func (s *Sender) onFailureTimeout() {
-	if s.failed {
+	if s.Closed() {
 		return
 	}
 	// Same monotone-clock repair as the recovery branch of
@@ -597,16 +467,11 @@ func (s *Sender) onFailureTimeout() {
 }
 
 func (s *Sender) declareFailure(reason string) {
-	s.failed = true
-	s.recovering = false
-	s.cpTimer.Stop()
-	s.failTimer.Stop()
-	s.pumpTimer.Stop()
-	s.pumpArmed = false
+	s.Shutdown()
 	s.m.Failures.Inc()
 	s.im.failures.Inc()
-	if s.probe != nil && s.probe.FailureDeclared != nil {
-		s.probe.FailureDeclared(s.sched.Now(), reason)
+	if s.Probe != nil && s.Probe.FailureDeclared != nil {
+		s.Probe.FailureDeclared(s.sched.Now(), reason)
 	}
 	if s.onFailure != nil {
 		s.onFailure(s.sched.Now(), reason)
@@ -617,31 +482,8 @@ func (s *Sender) declareFailure(reason string) {
 // failure: orderly link teardown at the end of a pass (the session layer
 // reclaims UnreleasedDatagrams for the next pass).
 func (s *Sender) Shutdown() {
-	if s.failed {
-		return
-	}
-	s.failed = true
+	s.Close()
 	s.recovering = false
 	s.cpTimer.Stop()
 	s.failTimer.Stop()
-	s.pumpTimer.Stop()
-	s.pumpArmed = false
-}
-
-// UnreleasedDatagrams returns the datagrams still held (queued or unacked),
-// in order. After a declared failure the network layer re-routes them.
-func (s *Sender) UnreleasedDatagrams() []arq.Datagram {
-	out := make([]arq.Datagram, 0, s.Outstanding())
-	for _, e := range s.ordered {
-		out = append(out, e.dg)
-	}
-	for i := 0; i < s.queue.Len(); i++ {
-		out = append(out, s.queue.At(i))
-	}
-	return out
-}
-
-func (s *Sender) noteOccupancy() {
-	s.m.SendBufOcc.Update(int64(s.sched.Now()), float64(s.Outstanding()))
-	s.im.outstanding.Set(float64(s.Outstanding()))
 }

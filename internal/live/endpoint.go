@@ -239,6 +239,7 @@ func NewEndpoint(conn io.ReadWriteCloser, cfg EndpointConfig) *Endpoint {
 		hcfg.Metrics = cfg.Metrics
 		if cfg.SendSide {
 			ep.HSender = hdlc.NewSender(sched, wire, hcfg, ep.Metrics)
+			ep.HSender.SetOnFailure(cfg.OnFailure)
 		}
 		if cfg.RecvSide {
 			ep.HRecv = hdlc.NewReceiver(sched, wire, hcfg, ep.Metrics, cfg.Deliver)

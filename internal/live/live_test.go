@@ -2,7 +2,9 @@ package live
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -485,6 +487,42 @@ func TestLiveHDLCOverTCP(t *testing.T) {
 		if id != uint64(i) {
 			t.Fatalf("HDLC over TCP delivered out of order at %d: %v", i, order[:min(len(order), 12)])
 		}
+	}
+}
+
+// TestLiveHDLCReportsFailure pins EndpointConfig.OnFailure on the HDLC
+// branch: the peer reads and never answers, so T1 expires N2 times in a row
+// and the callback the field documents must fire (it was dropped: the HDLC
+// constructor takes no callback and NewEndpoint never installed one).
+func TestLiveHDLCReportsFailure(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go io.Copy(io.Discard, b)
+
+	hcfg := hdlc.Defaults(2 * sim.Millisecond)
+	hcfg.MaxTimeouts = 2
+	failed := make(chan string, 1)
+	tx := NewEndpoint(a, EndpointConfig{
+		HDLC:      &hcfg,
+		RateBps:   50e6,
+		Speed:     liveSpeed(),
+		SendSide:  true,
+		OnFailure: func(_ sim.Time, reason string) { failed <- reason },
+	})
+	defer tx.Close()
+	if !tx.Enqueue(arq.Datagram{ID: 1, Payload: []byte("unanswered")}) {
+		t.Fatal("enqueue refused")
+	}
+	select {
+	case reason := <-failed:
+		if !strings.Contains(reason, "N2 exhausted") {
+			t.Fatalf("failure reason %q, want the N2 exhaustion", reason)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("N2 exhausted on a live HDLC endpoint but OnFailure never fired")
+	}
+	if tx.Enqueue(arq.Datagram{ID: 2}) {
+		t.Fatal("failed endpoint accepted a datagram")
 	}
 }
 

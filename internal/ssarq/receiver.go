@@ -71,30 +71,36 @@ func (r *Receiver) Stop() {}
 
 // HandleFrame processes one arriving I-frame: ack always, deliver on
 // change. Damaged frames vanish silently — the sender's retransmission
-// timer is the only loss-repair mechanism.
+// timer is the only loss-repair mechanism. An uncorrupted I-frame belongs to
+// the handler (channel.Handler), so every exit below recycles it; the
+// payload outlives the header.
 func (r *Receiver) HandleFrame(now sim.Time, f *frame.Frame) {
 	if f.Corrupted || f.Kind != frame.KindI {
 		return
 	}
-	slot := Slot(f.Seq)
+	seq := f.Seq
+	slot := Slot(seq)
 	if slot >= len(r.last) {
 		r.instr.badSlots.Inc()
+		frame.Put(f)
 		return
 	}
-	if r.have[slot] && r.last[slot] == f.Seq {
+	if r.have[slot] && r.last[slot] == seq {
 		r.m.DupSuppressed.Inc()
 		r.instr.dups.Inc()
-		r.ack(f.Seq)
+		frame.Put(f)
+		r.ack(seq)
 		return
 	}
-	r.last[slot] = f.Seq
+	r.last[slot] = seq
 	r.have[slot] = true
 	dg := arq.Datagram{ID: f.DatagramID, Payload: f.Payload, EnqueuedAt: sim.Time(f.EnqueuedNS)}
+	frame.Put(f)
 	r.m.NoteDelivery(now, dg)
 	if r.deliver != nil {
-		r.deliver(now, dg, f.Seq)
+		r.deliver(now, dg, seq)
 	}
-	r.ack(f.Seq)
+	r.ack(seq)
 }
 
 func (r *Receiver) ack(seq uint32) {

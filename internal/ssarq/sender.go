@@ -6,6 +6,7 @@ import (
 	"repro/internal/arq"
 	"repro/internal/frame"
 	"repro/internal/metrics"
+	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -38,8 +39,7 @@ type Sender struct {
 	instr senderInstr
 
 	lanes   []lane
-	queue   []arq.Datagram
-	qhead   int
+	queue   ring.Ring[arq.Datagram]
 	nbusy   int
 	loadCtr uint64
 	tokCtr  uint64
@@ -126,7 +126,7 @@ func (s *Sender) Enqueue(dg arq.Datagram) bool {
 	if i := s.freeLane(); i >= 0 {
 		s.load(i, dg)
 	} else {
-		s.queue = append(s.queue, dg)
+		s.queue.PushBack(dg)
 	}
 	s.noteOcc()
 	return true
@@ -226,15 +226,8 @@ func (s *Sender) release(ln *lane, now sim.Time) {
 	ln.dg = arq.Datagram{}
 	ln.label = (ln.label + 1) % labelMod
 	s.nbusy--
-	if s.qhead < len(s.queue) {
-		dg := s.queue[s.qhead]
-		s.queue[s.qhead] = arq.Datagram{}
-		s.qhead++
-		if s.qhead == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.qhead = 0
-		}
-		s.load(slot, dg)
+	if s.queue.Len() > 0 {
+		s.load(slot, s.queue.PopFront())
 	} else {
 		s.instr.lanesBusy.Set(float64(s.nbusy))
 	}
@@ -246,7 +239,7 @@ func (s *Sender) noteOcc() {
 }
 
 // Outstanding returns busy lanes plus queued datagrams.
-func (s *Sender) Outstanding() int { return s.nbusy + len(s.queue) - s.qhead }
+func (s *Sender) Outstanding() int { return s.nbusy + s.queue.Len() }
 
 // Failed implements the engine contract: SS-ARQ never declares failure.
 // A failure declaration would itself be corruptible state — the protocol's
@@ -267,10 +260,12 @@ func (s *Sender) UnreleasedDatagrams() []arq.Datagram {
 		}
 	}
 	sort.Slice(held, func(i, j int) bool { return held[i].loadSeq < held[j].loadSeq })
-	out := make([]arq.Datagram, 0, len(held)+len(s.queue)-s.qhead)
+	out := make([]arq.Datagram, 0, s.Outstanding())
 	for _, ln := range held {
 		out = append(out, ln.dg)
 	}
-	out = append(out, s.queue[s.qhead:]...)
+	for i := 0; i < s.queue.Len(); i++ {
+		out = append(out, s.queue.At(i))
+	}
 	return out
 }

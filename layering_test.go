@@ -15,6 +15,36 @@ import (
 	"repro/internal/shard"
 )
 
+// enginePackages are the protocol implementations behind the internal/arq
+// seam.
+var enginePackages = map[string]bool{
+	"repro/internal/lamsdlc": true,
+	"repro/internal/hdlc":    true,
+	"repro/internal/ssarq":   true,
+}
+
+// nonTestImports calls visit with every import of every non-test Go file in
+// dir.
+func nonTestImports(t *testing.T, dir string, visit func(file, path string)) {
+	t.Helper()
+	notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, notTest, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Errorf("%s: no Go package found", dir)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				visit(name, path)
+			}
+		}
+	}
+}
+
 // TestHarnessLayering guards the two registry seams. The layers above the
 // protocols reach an engine only through internal/arq (by name, through its
 // Registration) and link the implementations in by blank-importing
@@ -23,30 +53,12 @@ import (
 // registry spec, so neither may grow a field holding a model instance
 // (channel.PipeConfig is the one place an instance is supplied).
 func TestHarnessLayering(t *testing.T) {
-	engines := map[string]bool{
-		"repro/internal/lamsdlc": true,
-		"repro/internal/hdlc":    true,
-		"repro/internal/ssarq":   true,
-	}
 	for _, layer := range []string{"bench", "node", "session", "shard", "faults", "trace", "workload", "resequence"} {
-		dir := filepath.Join("internal", layer)
-		notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
-		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, notTest, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkgs) == 0 {
-			t.Errorf("%s: no Go package found", dir)
-		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				for _, imp := range file.Imports {
-					if path, _ := strconv.Unquote(imp.Path.Value); engines[path] {
-						t.Errorf("%s imports %s: engines are reached through internal/arq", name, path)
-					}
-				}
+		nonTestImports(t, filepath.Join("internal", layer), func(file, path string) {
+			if enginePackages[path] {
+				t.Errorf("%s imports %s: engines are reached through internal/arq", file, path)
 			}
-		}
+		})
 	}
 
 	model := reflect.TypeOf((*channel.ErrorModel)(nil)).Elem()
@@ -57,4 +69,23 @@ func TestHarnessLayering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSendingBufferSeam guards the one sending buffer under the window
+// engines: internal/arq/txq owns the entry pool, the backlog ring, the pump
+// and the pacing budget, so neither sender may import what a second pool or
+// queue would be built from, and txq serves any engine by knowing none.
+func TestSendingBufferSeam(t *testing.T) {
+	for _, engine := range []string{"lamsdlc", "hdlc"} {
+		nonTestImports(t, filepath.Join("internal", engine), func(file, path string) {
+			if filepath.Base(file) == "sender.go" && (path == "sync" || path == "repro/internal/ring") {
+				t.Errorf("%s imports %s: the sending buffer is internal/arq/txq", file, path)
+			}
+		})
+	}
+	nonTestImports(t, filepath.Join("internal", "arq", "txq"), func(file, path string) {
+		if enginePackages[path] {
+			t.Errorf("%s imports %s: the buffer must not know which engine embeds it", file, path)
+		}
+	})
 }
