@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke livesmoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke livesmoke clismoke
 	go test -race ./...
 	cd benchmarks && go test .
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
@@ -77,6 +77,27 @@ livesmoke:
 	go test ./internal/live -run xxx -fuzz FuzzDeframer -fuzztime 10s
 	go test ./internal/live -run xxx -fuzz FuzzStuffRoundTrip -fuzztime 10s
 	go test ./internal/live -run xxx -bench 'BenchmarkAppendStuffed1K|BenchmarkDeframerFeed1K|BenchmarkLoopback' -benchtime 100x -benchmem
+
+# CLI smoke (ISSUE 16, ROADMAP 6(d)): the two scenario CLIs end to end.
+# lamsim runs once per registered engine — the list is the registry's own, read
+# off the unknown-protocol error — with the §3.2 checker attached (exit 1 on a
+# violation or a lost datagram). Then the -pf/-pc sugar must print exactly what
+# the specs it expands to print, on both CLIs: bench.BindScenarioFlags is the
+# one place that expansion is decided.
+.PHONY: clismoke
+clismoke:
+	@set -e; \
+	engines=$$(go run ./cmd/lamsim -proto '?' 2>&1 | sed -n 's/.*(registered: \(.*\)).*/\1/p' | tr -d ','); \
+	[ -n "$$engines" ] || { echo "clismoke: could not list the registered engines"; exit 1; }; \
+	for p in $$engines; do \
+		go run ./cmd/lamsim -proto $$p -n 500 -pf 0.05 -pc 0.0125 -invariants > /dev/null || { echo "clismoke: lamsim -proto $$p -invariants failed"; exit 1; }; \
+	done; \
+	for cli in "lamsim -n 500" "lamsweep -param km -values 2000,8000 -n 300 -protos $$(echo $$engines | tr ' ' ,)"; do \
+		sugar=$$(go run ./cmd/$$cli -pf 0.05 -pc 0.0125); \
+		specs=$$(go run ./cmd/$$cli -imodel fixed:p=0.05 -cmodel fixed:p=0.0125); \
+		[ -n "$$sugar" ] && [ "$$sugar" = "$$specs" ] || { echo "clismoke: $$cli: -pf/-pc and the fixed: specs print different runs"; exit 1; }; \
+	done; \
+	echo "clismoke: $$engines ran with invariants held; -pf/-pc sugar equals its specs on lamsim and lamsweep"
 
 # Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside the
 # allocs/op budget pinned in BENCH_PR6.json (229483 before the per-run

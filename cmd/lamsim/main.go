@@ -24,7 +24,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/live"
 	"repro/internal/metrics"
-	"repro/internal/orbit"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -52,25 +51,11 @@ func chainTaps(taps ...channel.Tap) channel.Tap {
 
 func main() {
 	var (
-		proto   = flag.String("proto", "lams", "protocol: "+strings.Join(arq.Protocols(), " | "))
-		n       = flag.Int("n", 2000, "datagrams to transfer")
-		payload = flag.Int("payload", 1024, "payload bytes per datagram")
-		rate    = flag.Float64("rate", 300e6, "link rate, bits/s")
-		km      = flag.Float64("km", 4000, "link distance, km")
-		imodel  = flag.String("imodel", "", "I-frame error model spec: "+channel.SpecGrammar())
-		cmodel  = flag.String("cmodel", "", "control-frame error model spec (same grammar)")
-		record  = flag.String("record", "", "write the run's per-frame channel decisions to this trace file (replay with -imodel trace:file=...)")
-		ber     = flag.Float64("ber", 0, "channel BER (through the link FEC; shorthand for -imodel/-cmodel bsc specs)")
-		pf      = flag.Float64("pf", -1, "fixed I-frame error probability (overrides -ber; shorthand for fixed: specs)")
-		pc      = flag.Float64("pc", -1, "fixed control-frame error probability (overrides -ber)")
-		icp     = flag.Duration("icp", 10*time.Millisecond, "LAMS checkpoint interval W_cp")
-		cdepth  = flag.Int("cdepth", 3, "LAMS cumulation depth C_depth")
-		w       = flag.Int("w", 64, "HDLC window size")
-		alpha   = flag.Duration("alpha", 13*time.Millisecond, "HDLC timeout slack α")
-		tproc   = flag.Duration("tproc", 10*time.Microsecond, "per-frame processing time")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		horizon = flag.Duration("horizon", 10*time.Minute, "virtual-time safety stop")
-		traceN  = flag.Int("trace", 0, "dump the last N link events after the run")
+		scenario = bench.BindScenarioFlags(flag.CommandLine, 10*time.Minute)
+		proto    = flag.String("proto", "lams", "protocol: "+strings.Join(arq.Protocols(), " | "))
+		record   = flag.String("record", "", "write the run's per-frame channel decisions to this trace file (replay with -imodel trace:file=...)")
+		tproc    = flag.Duration("tproc", 10*time.Microsecond, "per-frame processing time")
+		traceN   = flag.Int("trace", 0, "dump the last N link events after the run")
 
 		traceOut    = flag.String("trace-out", "", "stream the full link-event trace to this file as JSONL")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address; the process stays up after the run until interrupted")
@@ -79,26 +64,19 @@ func main() {
 	)
 	flag.Parse()
 
-	c := bench.RunConfig{
-		N:            *n,
-		PayloadBytes: *payload,
-		RateBps:      *rate,
-		OneWay:       orbit.PropagationDelay(*km * 1e3),
-		Icp:          *icp,
-		Cdepth:       *cdepth,
-		W:            *w,
-		Alpha:        *alpha,
-		Tproc:        *tproc,
-		Seed:         *seed,
-		Horizon:      *horizon,
-	}
 	reg, err := arq.ParseProtocol(*proto)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamsim: %v\n", err)
 		os.Exit(2)
 	}
+	c, err := scenario.RunConfig()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lamsim: %v\n", err)
+		os.Exit(2)
+	}
 	c.Protocol = bench.Protocol(reg.Name)
-
+	c.Tproc = *tproc
+	c.CheckInvariants = *invariants
 	if *faultSpec != "" {
 		spec, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
@@ -107,23 +85,7 @@ func main() {
 		}
 		c.Faults = spec
 	}
-	if *invariants {
-		c.CheckInvariants = true
-	}
-
-	frameBits := (*payload + 21) * 8
-	// One spec pair drives both frame classes; the legacy -pf/-pc/-ber
-	// shorthands map onto the same registry grammar.
-	c.IModelSpec, c.CModelSpec = *imodel, *cmodel
-	if c.IModelSpec == "" && c.CModelSpec == "" {
-		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(*ber, *pf, *pc)
-	}
-	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
-		if _, err := channel.ModelFactory(spec); err != nil {
-			fmt.Fprintf(os.Stderr, "lamsim: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	frameBits := (c.PayloadBytes + 21) * 8
 	var recorded *channel.TraceSet
 	if *record != "" {
 		recorded = channel.NewTraceSet()
@@ -165,9 +127,9 @@ func main() {
 
 	fmt.Printf("protocol        %v\n", res.Protocol)
 	fmt.Printf("link            %s, %.0f km (R=%v), frame %dB (t_f=%v)\n",
-		sim.FormatRate(*rate), *km, 2*c.OneWay,
-		*payload+21, sim.Duration(float64(frameBits)/(*rate)*float64(sim.Second)))
-	fmt.Printf("delivered       %d/%d (lost=%d dup=%d)\n", res.Delivered, *n, res.Lost, res.Duplicates)
+		sim.FormatRate(c.RateBps), scenario.Km, 2*c.OneWay,
+		c.PayloadBytes+21, sim.Duration(float64(frameBits)/c.RateBps*float64(sim.Second)))
+	fmt.Printf("delivered       %d/%d (lost=%d dup=%d)\n", res.Delivered, c.N, res.Lost, res.Duplicates)
 	fmt.Printf("elapsed         %v\n", res.Elapsed)
 	fmt.Printf("efficiency      %.4f of channel capacity\n", res.Efficiency)
 	fmt.Printf("transmissions   %d first + %d retransmitted (s̄=%.3f)\n",

@@ -26,25 +26,13 @@ import (
 
 func main() {
 	var (
-		param   = flag.String("param", "ber", "swept parameter: ber | pf | km | n | icp | cdepth | w | alpha | payload")
-		values  = flag.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
-		protos  = flag.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
-		n       = flag.Int("n", 2000, "datagrams per run")
-		payload = flag.Int("payload", 1024, "payload bytes")
-		rate    = flag.Float64("rate", 300e6, "link rate, bits/s")
-		km      = flag.Float64("km", 4000, "link distance, km")
-		imodel  = flag.String("imodel", "", "I-frame error model spec when not swept: "+channel.SpecGrammar())
-		cmodel  = flag.String("cmodel", "", "control-frame error model spec (same grammar)")
-		ber     = flag.Float64("ber", 0, "base BER when not swept (shorthand for bsc specs)")
-		pf      = flag.Float64("pf", -1, "fixed P_F when not swept (overrides ber; shorthand for fixed: specs)")
-		pc      = flag.Float64("pc", -1, "fixed P_C (with -pf)")
-		icp     = flag.Duration("icp", 10*time.Millisecond, "checkpoint interval")
-		cdepth  = flag.Int("cdepth", 3, "cumulation depth")
-		w       = flag.Int("w", 64, "HDLC window")
-		alpha   = flag.Duration("alpha", 13*time.Millisecond, "HDLC timeout slack")
-		seed    = flag.Uint64("seed", 1, "seed")
-		horizon = flag.Duration("horizon", 2*time.Minute, "virtual-time cap per run")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
+		// The scenario flags give the base point; the swept parameter
+		// overrides its own flag at each value.
+		scenario = bench.BindScenarioFlags(flag.CommandLine, 2*time.Minute)
+		param    = flag.String("param", "ber", "swept parameter: ber | pf | km | n | icp | cdepth | w | alpha | payload")
+		values   = flag.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
+		protos   = flag.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"simulation worker goroutines (output is identical at any count)")
 		withMetrics = flag.Bool("metrics", false,
 			"append a metrics_json column with each run's full counter snapshot")
@@ -52,18 +40,9 @@ func main() {
 	flag.Parse()
 	bench.SetWorkers(*workers)
 
-	base := bench.RunConfig{
-		N:            *n,
-		PayloadBytes: *payload,
-		RateBps:      *rate,
-		OneWay:       orbit.PropagationDelay(*km * 1e3),
-		Icp:          *icp,
-		Cdepth:       *cdepth,
-		W:            *w,
-		Alpha:        *alpha,
-		Tproc:        10 * time.Microsecond,
-		Seed:         *seed,
-		Horizon:      *horizon,
+	base, err := scenario.RunConfig()
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	var protoList []bench.Protocol
@@ -89,12 +68,11 @@ func main() {
 			fatal("bad value %q: %v", vs, err)
 		}
 		c := base
-		applyModels(&c, *imodel, *cmodel, *ber, *pf, *pc)
 		switch *param {
 		case "ber":
-			applyModels(&c, "", "", v, -1, -1)
+			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(v, -1, -1)
 		case "pf":
-			applyModels(&c, "", "", 0, v, maxf(*pc, v/4))
+			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(0, v, max(scenario.PC, v/4))
 		case "km":
 			c.OneWay = orbit.PropagationDelay(v * 1e3)
 			c.Alpha = c.OneWay
@@ -159,30 +137,6 @@ func snapshotJSON(res bench.RunResult) string {
 // csvQuote wraps s in double quotes with RFC 4180 escaping.
 func csvQuote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// applyModels installs error model specs: explicit -imodel/-cmodel specs
-// win; otherwise the legacy -pf/-pc/-ber shorthands map through
-// channel.LegacySpecs (the single home of the per-frame-class FEC
-// defaults this CLI used to hardcode).
-func applyModels(c *bench.RunConfig, imodel, cmodel string, ber, pf, pc float64) {
-	if imodel != "" || cmodel != "" {
-		for _, spec := range []string{imodel, cmodel} {
-			if _, err := channel.ModelFactory(spec); err != nil {
-				fatal("%v", err)
-			}
-		}
-		c.IModelSpec, c.CModelSpec = imodel, cmodel
-		return
-	}
-	c.IModelSpec, c.CModelSpec = channel.LegacySpecs(ber, pf, pc)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(format string, args ...any) {

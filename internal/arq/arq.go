@@ -98,9 +98,8 @@ func (m *Metrics) NoteDelivery(now sim.Time, dg Datagram) {
 // PairMetrics) into the single view a report reads. Sender-side
 // fields come from sender, receiver-side fields from receiver, and
 // ControlSent — the one counter both sides bump — is summed. The result is a
-// read-only snapshot: its Histogram/Welford fields alias the source blocks'
-// internals, so call it only when both shards are quiesced and do not Add to
-// the returned value.
+// snapshot: call it only when both shards are quiesced, and count into the
+// source blocks, never into the returned value.
 func MergeSplit(sender, receiver *Metrics) Metrics {
 	m := *sender
 	m.ControlSent.Addn(receiver.ControlSent.Value())

@@ -12,8 +12,11 @@ import (
 
 // EngineConfig is the protocol-specific configuration a registered engine
 // consumes. Concrete types are lamsdlc.Config, hdlc.Config and ssarq.Config;
-// the interface carries only what protocol-agnostic layers need: validation
-// and the link-lifetime hint the session layer sets per pass.
+// the interface carries only what protocol-agnostic layers need: validation,
+// the link-lifetime hint the session layer sets per pass, and the factory
+// for the engine's two halves. The factory is a method of the configuration
+// rather than a registry lookup by its type because hdlc.Config serves two
+// registrations (srhdlc, gbn) and its own Mode decides which one it builds.
 type EngineConfig interface {
 	// Validate reports the first configuration error.
 	Validate() error
@@ -21,6 +24,16 @@ type EngineConfig interface {
 	// remaining link lifetime set. Engines without lifetime-aware behavior
 	// return the configuration unchanged.
 	WithLinkLifetime(d sim.Duration) EngineConfig
+	// WithMetrics returns a copy of the configuration whose halves publish
+	// their instruments into reg (nil: none).
+	WithMetrics(reg *metrics.Registry) EngineConfig
+	// NewSender builds the sending half (I-frames out on wire,
+	// acknowledgement traffic in through HandleFrame) on sched, counting
+	// into m. onFailure may be nil.
+	NewSender(sched *sim.Scheduler, wire Wire, m *Metrics, onFailure FailureFunc) SenderHalf
+	// NewReceiver builds the receiving half (acknowledgement traffic out on
+	// wire). deliver may be nil.
+	NewReceiver(sched *sim.Scheduler, wire Wire, m *Metrics, deliver DeliverFunc) ReceiverHalf
 }
 
 // Knobs is the protocol-neutral parameter set a harness turns (the

@@ -445,8 +445,8 @@ func Run(c RunConfig) RunResult {
 // frame sizes from the codec. Non-analytic channels (BSC, Gilbert-Elliott,
 // traces) yield NaN probabilities; render them as "-", never as 0.
 func (c RunConfig) Analytical() analysis.Params {
-	pf := modelProb(c.IModelSpec)
-	pc := modelProb(c.CModelSpec)
+	pf := channel.FrameErrorProb(c.IModelSpec)
+	pc := channel.FrameErrorProb(c.CModelSpec)
 	frameBytes := c.PayloadBytes + 21 // I-frame header + CRC
 	ctrlBytes := 20                   // empty checkpoint
 	return analysis.Params{
@@ -461,18 +461,6 @@ func (c RunConfig) Analytical() analysis.Params {
 		Tproc:  c.Tproc.Seconds(),
 		Alpha:  c.Alpha.Seconds(),
 	}
-}
-
-// modelProb extracts a spec's per-frame error probability through the
-// channel.AnalyticModel capability of a transient instance. A model without
-// it has no closed-form probability, and the honest answer is NaN — the old
-// FixedProb type switch silently returned 0, making every other channel
-// read as error-free in the analytic columns.
-func modelProb(spec string) float64 {
-	if am, ok := modelFactory(spec)().(channel.AnalyticModel); ok {
-		return am.MeanFrameErrorProb()
-	}
-	return math.NaN()
 }
 
 // fmtProb renders an analytic probability for tables: "-" for NaN (the

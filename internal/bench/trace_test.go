@@ -107,7 +107,7 @@ func TestTraceReplayEveryEngine(t *testing.T) {
 	}
 }
 
-// TestAnalyticalModelProb pins the modelProb fix: channels without a
+// TestAnalyticalModelProb pins Analytical on channel.FrameErrorProb: channels without a
 // closed-form per-frame probability must surface NaN (rendered "-"), not a
 // silent 0 that reads as an error-free channel.
 func TestAnalyticalModelProb(t *testing.T) {

@@ -22,6 +22,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -286,6 +287,18 @@ func ModelFactory(spec string) (func() ErrorModel, error) {
 		return nil, err
 	}
 	return m.New, nil
+}
+
+// FrameErrorProb returns the closed-form per-frame error probability of the
+// model spec names, through the AnalyticModel capability of a transient
+// instance. A model without it has no such number and the honest answer is
+// NaN — a silent 0 would make every other channel read as error-free in the
+// analytic columns. A malformed spec panics, as in NewPipe.
+func FrameErrorProb(spec string) float64 {
+	if am, ok := specModel(spec).(AnalyticModel); ok {
+		return am.MeanFrameErrorProb()
+	}
+	return math.NaN()
 }
 
 // LegacySpecs maps the historical CLI error knobs onto model specs: fixed

@@ -138,3 +138,22 @@ func (c Config) Validate() error {
 // concept — failure supervision is the fixed N2 count — so the lifetime is
 // discarded and the config returned unchanged.
 func (c Config) WithLinkLifetime(sim.Duration) arq.EngineConfig { return c }
+
+// WithMetrics implements arq.EngineConfig.
+func (c Config) WithMetrics(reg *metrics.Registry) arq.EngineConfig {
+	c.Metrics = reg
+	return c
+}
+
+// NewSender implements arq.EngineConfig, in the configuration's own Mode. It
+// is the one place the failure callback is installed.
+func (c Config) NewSender(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, onFailure arq.FailureFunc) arq.SenderHalf {
+	s := NewSender(sched, wire, c, m)
+	s.SetOnFailure(onFailure)
+	return s
+}
+
+// NewReceiver implements arq.EngineConfig.
+func (c Config) NewReceiver(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, deliver arq.DeliverFunc) arq.ReceiverHalf {
+	return NewReceiver(sched, wire, c, m, deliver)
+}

@@ -24,8 +24,7 @@ type Pair struct {
 // may be nil; onFailure fires on N2 (MaxTimeouts) exhaustion.
 func NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
 	ms, mr := arq.PairMetrics(sendSched, recvSched)
-	s := NewSender(sendSched, link.AtoB, cfg, ms)
-	s.SetOnFailure(onFailure)
+	s := cfg.NewSender(sendSched, link.AtoB, ms, onFailure).(*Sender)
 	r := NewReceiver(recvSched, link.BtoA, cfg, mr, deliver)
 	return &Pair{PairBase: arq.NewPairBase(link, s, r, ms, mr), Sender: s, Receiver: r}
 }

@@ -69,10 +69,10 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics) 
 // Stutters returns the number of idle-time stutter retransmissions sent.
 func (s *Sender) Stutters() uint64 { return s.stutters }
 
-// SetOnFailure installs the failure callback (API parity with the LAMS-DLC
-// sender, whose constructor takes it; kept as a setter here so the raw
-// constructor signature the live driver uses stays put). Install before
-// Start.
+// SetOnFailure installs the failure callback (the LAMS-DLC sender's
+// constructor takes it; a setter here so the raw constructor signature the
+// benchmark compiles against stays put). Config.NewSender is its one caller.
+// Install before Start.
 func (s *Sender) SetOnFailure(fn arq.FailureFunc) { s.onFailure = fn }
 
 // SetProbe installs the transition observer; nil detaches. HDLC fires the

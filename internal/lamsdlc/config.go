@@ -214,6 +214,22 @@ func (c Config) WithLinkLifetime(d sim.Duration) arq.EngineConfig {
 	return c
 }
 
+// WithMetrics implements arq.EngineConfig.
+func (c Config) WithMetrics(reg *metrics.Registry) arq.EngineConfig {
+	c.Metrics = reg
+	return c
+}
+
+// NewSender implements arq.EngineConfig.
+func (c Config) NewSender(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, onFailure arq.FailureFunc) arq.SenderHalf {
+	return NewSender(sched, wire, c, m, onFailure)
+}
+
+// NewReceiver implements arq.EngineConfig.
+func (c Config) NewReceiver(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, deliver arq.DeliverFunc) arq.ReceiverHalf {
+	return NewReceiver(sched, wire, c, m, deliver)
+}
+
 // RecoveryWindows implements arq.WindowsProvider: the timing bounds the
 // §3.2 invariant checker asserts against this configuration.
 func (c Config) RecoveryWindows() arq.RecoveryWindows {

@@ -43,7 +43,6 @@ type Sender struct {
 	cpTimer      *sim.Timer
 	failTimer    *sim.Timer
 	lastRxSerial uint32
-	haveRxSerial bool
 	recovering   bool
 	reqSerial    uint32
 	retriesLeft  int
@@ -215,12 +214,12 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 	// checkpoints. If the serial jumped by more than C_depth, at least one
 	// error report generation may have been lost entirely, so watermark
 	// releases below are unsafe this round (DESIGN.md §4.2).
+	// Receiver serials start at 1 and lastRxSerial at 0, so the jump to the
+	// first checkpoint heard is measured like any other: a session whose
+	// first C_depth+1 checkpoints are all lost is not covered either.
 	covered := true
-	if s.haveRxSerial && f.Serial > s.lastRxSerial {
+	if f.Serial > s.lastRxSerial {
 		covered = f.Serial-s.lastRxSerial <= uint32(s.cfg.CumulationDepth)
-	}
-	if !s.haveRxSerial || f.Serial > s.lastRxSerial {
-		s.haveRxSerial = true
 		s.lastRxSerial = f.Serial
 	}
 

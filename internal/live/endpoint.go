@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/arq"
 	"repro/internal/frame"
-	"repro/internal/hdlc"
-	"repro/internal/lamsdlc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -164,28 +162,22 @@ func (cw *connWire) Close() {
 	<-cw.done
 }
 
-// Endpoint binds protocol halves to one full-duplex connection: a data
-// sender (outbound I-frames, inbound acknowledgements) and/or a data
+// Endpoint binds the halves of one ARQ engine to one full-duplex connection:
+// a data sender (outbound I-frames, inbound acknowledgements) and/or a data
 // receiver (inbound I-frames, outbound acknowledgements). A unidirectional
 // data session sets exactly one of the two; a bidirectional node sets both.
-// The protocol is LAMS-DLC by default, or the HDLC baseline when
-// EndpointConfig.HDLC is set — the same sans-IO state machines the
-// simulator runs.
+// The halves are whatever EndpointConfig.Config builds — the same sans-IO
+// state machines the simulator runs, for any registered engine.
 type Endpoint struct {
 	Driver   *Driver
-	Sender   *lamsdlc.Sender
-	Receiver *lamsdlc.Receiver
-	HSender  *hdlc.Sender
-	HRecv    *hdlc.Receiver
+	Sender   arq.SenderHalf   // nil without SendSide
+	Receiver arq.ReceiverHalf // nil without RecvSide
 	Metrics  *arq.Metrics
 
 	wire   *connWire
 	conn   io.ReadWriteCloser
 	readWG sync.WaitGroup
 
-	// handlers lists the protocol halves present, in dispatch order
-	// (Receiver, Sender, HRecv, HSender), for frames no kind can route.
-	handlers []func(sim.Time, *frame.Frame)
 	// damaged stands for every undecodable frame: nothing about one is
 	// known but that it arrived, and handlers only read it.
 	damaged frame.Frame
@@ -193,11 +185,9 @@ type Endpoint struct {
 
 // EndpointConfig parameterizes NewEndpoint.
 type EndpointConfig struct {
-	// Config is the protocol configuration (shared by both ends).
-	Config lamsdlc.Config
-	// HDLC, when non-nil, runs the baseline protocol instead of LAMS-DLC
-	// (Config is then ignored).
-	HDLC *hdlc.Config
+	// Config is the engine configuration (shared by both ends): it selects
+	// the protocol and builds its halves.
+	Config arq.EngineConfig
 	// RateBps is the nominal link rate used for send pacing.
 	RateBps float64
 	// Speed scales virtual time against the wall clock (1 = real time).
@@ -225,54 +215,26 @@ func NewEndpoint(conn io.ReadWriteCloser, cfg EndpointConfig) *Endpoint {
 	}
 	sched := sim.NewScheduler()
 	sched.Instrument(cfg.Metrics)
-	cfg.Config.Metrics = cfg.Metrics
+	engine := cfg.Config.WithMetrics(cfg.Metrics)
 	drv := NewDriver(sched, cfg.Speed)
 	wire := newConnWire(conn, cfg.RateBps, cfg.OnError, cfg.Metrics)
 	ep := &Endpoint{
 		Driver: drv, Metrics: &arq.Metrics{}, wire: wire, conn: conn,
 		damaged: frame.Frame{Corrupted: true},
 	}
-
-	switch {
-	case cfg.HDLC != nil:
-		hcfg := *cfg.HDLC
-		hcfg.Metrics = cfg.Metrics
-		if cfg.SendSide {
-			ep.HSender = hdlc.NewSender(sched, wire, hcfg, ep.Metrics)
-			ep.HSender.SetOnFailure(cfg.OnFailure)
-		}
-		if cfg.RecvSide {
-			ep.HRecv = hdlc.NewReceiver(sched, wire, hcfg, ep.Metrics, cfg.Deliver)
-		}
-	default:
-		if cfg.SendSide {
-			ep.Sender = lamsdlc.NewSender(sched, wire, cfg.Config, ep.Metrics, cfg.OnFailure)
-		}
-		if cfg.RecvSide {
-			ep.Receiver = lamsdlc.NewReceiver(sched, wire, cfg.Config, ep.Metrics, cfg.Deliver)
-		}
+	if cfg.SendSide {
+		ep.Sender = engine.NewSender(sched, wire, ep.Metrics, cfg.OnFailure)
 	}
-	var starts []func()
-	if ep.Receiver != nil {
-		ep.handlers = append(ep.handlers, ep.Receiver.HandleFrame)
-		starts = append(starts, ep.Receiver.Start)
-	}
-	if ep.Sender != nil {
-		ep.handlers = append(ep.handlers, ep.Sender.HandleFrame)
-		starts = append(starts, ep.Sender.Start)
-	}
-	if ep.HRecv != nil {
-		ep.handlers = append(ep.handlers, ep.HRecv.HandleFrame)
-		starts = append(starts, ep.HRecv.Start)
-	}
-	if ep.HSender != nil {
-		ep.handlers = append(ep.handlers, ep.HSender.HandleFrame)
-		starts = append(starts, ep.HSender.Start)
+	if cfg.RecvSide {
+		ep.Receiver = engine.NewReceiver(sched, wire, ep.Metrics, cfg.Deliver)
 	}
 
 	drv.Post(func() {
-		for _, start := range starts {
-			start()
+		if ep.Receiver != nil {
+			ep.Receiver.Start()
+		}
+		if ep.Sender != nil {
+			ep.Sender.Start()
 		}
 	})
 	go drv.Run()
@@ -332,43 +294,40 @@ func (ep *Endpoint) readLoop(onError func(error)) {
 	}
 }
 
-// dispatch routes an inbound frame to the protocol half that consumes it,
-// under the simulator's ownership rule (channel.Handler): an information
-// frame becomes its handler's, anything else goes back to the frame pool
-// when the handler returns.
+// dispatch routes an inbound frame by direction, not by protocol: data
+// traffic (an information frame, or the Request-NAK a sender addresses to
+// its peer's receiver) goes to the receiving half, acknowledgement traffic
+// (every other kind) to the sending half, so any engine's pairing of kinds
+// routes without a table here. Ownership is the simulator's rule
+// (channel.Handler): an information frame becomes its handler's, anything
+// else goes back to the frame pool when the handler returns.
 func (ep *Endpoint) dispatch(f *frame.Frame) {
 	now := ep.Driver.sched.Now()
 	if f.Corrupted {
 		// Undecodable: receivers handle it (gap detection / discard);
-		// senders ignore corrupted control frames either way.
-		for _, h := range ep.handlers {
-			h(now, f)
+		// senders ignore corrupted control frames either way. It is the
+		// shared damaged frame, so it never goes to the pool.
+		if ep.Receiver != nil {
+			ep.Receiver.HandleFrame(now, f)
+		}
+		if ep.Sender != nil {
+			ep.Sender.HandleFrame(now, f)
 		}
 		return
 	}
 	// Read the kind first: an information frame's handler may recycle it.
-	control := f.Kind.Control()
-	switch f.Kind {
-	case frame.KindI, frame.KindRequestNAK:
+	info := !f.Kind.Control()
+	if info || f.Kind == frame.KindRequestNAK {
 		if ep.Receiver != nil {
 			ep.Receiver.HandleFrame(now, f)
+			if info {
+				return // the receiving half owns it now
+			}
 		}
-	case frame.KindCheckpoint:
-		if ep.Sender != nil {
-			ep.Sender.HandleFrame(now, f)
-		}
-	case frame.KindHDLCI:
-		if ep.HRecv != nil {
-			ep.HRecv.HandleFrame(now, f)
-		}
-	case frame.KindRR, frame.KindREJ, frame.KindSREJ:
-		if ep.HSender != nil {
-			ep.HSender.HandleFrame(now, f)
-		}
+	} else if ep.Sender != nil {
+		ep.Sender.HandleFrame(now, f)
 	}
-	if control {
-		frame.Put(f)
-	}
+	frame.Put(f)
 }
 
 // Enqueue submits a datagram on the send side from any goroutine; it
@@ -377,11 +336,8 @@ func (ep *Endpoint) dispatch(f *frame.Frame) {
 // endpoint's own callbacks.
 func (ep *Endpoint) Enqueue(dg arq.Datagram) bool {
 	ok := false
-	switch {
-	case ep.Sender != nil:
+	if ep.Sender != nil {
 		ep.Driver.Call(func() { ok = ep.Sender.Enqueue(dg) })
-	case ep.HSender != nil:
-		ep.Driver.Call(func() { ok = ep.HSender.Enqueue(dg) })
 	}
 	return ok
 }

@@ -211,12 +211,15 @@ func TestDriverBadArgsPanic(t *testing.T) {
 // liveSpeed returns the real-to-virtual time multiplier for the live
 // transfer tests. Under the race detector the multiplier drops so that
 // real-time scheduling hiccups stay small in virtual time relative to
-// the checkpoint failure timeout.
+// the checkpoint failure timeout. Without it the multiplier is 4, not more:
+// at 20 a 1 ms host stall was 20 ms of silence against liveCfg's 17 ms
+// failure timer, and on a loaded 2-core box the sender (rightly) declared
+// the link failed in 3–5 of 60 runs of TestLiveRecoversFromRealCorruption.
 func liveSpeed() float64 {
 	if raceEnabled {
 		return 2
 	}
-	return 20
+	return 4
 }
 
 func liveCfg() lamsdlc.Config {
@@ -447,14 +450,14 @@ func TestLiveHDLCOverTCP(t *testing.T) {
 	const n = 60
 
 	tx := NewEndpoint(dialConn, EndpointConfig{
-		HDLC:     &hcfg,
+		Config:   hcfg,
 		RateBps:  50e6,
 		Speed:    liveSpeed(),
 		SendSide: true,
 	})
 	defer tx.Close()
 	rx := NewEndpoint(srvConn, EndpointConfig{
-		HDLC:     &hcfg,
+		Config:   hcfg,
 		RateBps:  50e6,
 		Speed:    liveSpeed(),
 		RecvSide: true,
@@ -490,10 +493,10 @@ func TestLiveHDLCOverTCP(t *testing.T) {
 	}
 }
 
-// TestLiveHDLCReportsFailure pins EndpointConfig.OnFailure on the HDLC
-// branch: the peer reads and never answers, so T1 expires N2 times in a row
-// and the callback the field documents must fire (it was dropped: the HDLC
-// constructor takes no callback and NewEndpoint never installed one).
+// TestLiveHDLCReportsFailure pins EndpointConfig.OnFailure for the engine
+// whose raw constructor takes no callback: the peer reads and never answers,
+// so T1 expires N2 times in a row and the callback the field documents must
+// fire (a live HDLC endpoint once dropped it).
 func TestLiveHDLCReportsFailure(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
@@ -503,7 +506,7 @@ func TestLiveHDLCReportsFailure(t *testing.T) {
 	hcfg.MaxTimeouts = 2
 	failed := make(chan string, 1)
 	tx := NewEndpoint(a, EndpointConfig{
-		HDLC:      &hcfg,
+		Config:    hcfg,
 		RateBps:   50e6,
 		Speed:     liveSpeed(),
 		SendSide:  true,

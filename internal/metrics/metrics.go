@@ -162,18 +162,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds from start in steps of width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Registry maps metric names to instruments. Registration (the Counter /
 // Gauge / Histogram accessors) is get-or-create under a mutex; the returned
 // pointers are stable for the registry's lifetime, so callers hold them and

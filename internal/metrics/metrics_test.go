@@ -70,14 +70,11 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestExpAndLinearBuckets(t *testing.T) {
+func TestExpBuckets(t *testing.T) {
 	if got := ExpBuckets(1, 2, 4); !reflect.DeepEqual(got, []float64{1, 2, 4, 8}) {
 		t.Fatalf("exp buckets = %v", got)
 	}
-	if got := LinearBuckets(0, 5, 3); !reflect.DeepEqual(got, []float64{0, 5, 10}) {
-		t.Fatalf("linear buckets = %v", got)
-	}
-	if ExpBuckets(0, 2, 4) != nil || ExpBuckets(1, 1, 4) != nil || LinearBuckets(0, 1, 0) != nil {
+	if ExpBuckets(0, 2, 4) != nil || ExpBuckets(1, 1, 4) != nil || ExpBuckets(1, 2, 0) != nil {
 		t.Fatal("degenerate bucket requests must return nil")
 	}
 }

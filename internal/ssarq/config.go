@@ -137,6 +137,22 @@ func (c Config) Validate() error {
 // configuration is returned unchanged.
 func (c Config) WithLinkLifetime(sim.Duration) arq.EngineConfig { return c }
 
+// WithMetrics implements arq.EngineConfig.
+func (c Config) WithMetrics(reg *metrics.Registry) arq.EngineConfig {
+	c.Metrics = reg
+	return c
+}
+
+// NewSender implements arq.EngineConfig.
+func (c Config) NewSender(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, onFailure arq.FailureFunc) arq.SenderHalf {
+	return NewSender(sched, wire, c, m, onFailure)
+}
+
+// NewReceiver implements arq.EngineConfig.
+func (c Config) NewReceiver(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics, deliver arq.DeliverFunc) arq.ReceiverHalf {
+	return NewReceiver(sched, wire, c, m, deliver)
+}
+
 // ConvergenceBound implements arq.StabilizationBound: the longest interval
 // after the corruption era closes within which the engine returns to legal
 // executions, from any state. Floor derivation in the package comment and

@@ -77,44 +77,20 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// Merge folds other into w, as if every observation of other had been Added
-// to w. Useful when per-entity collectors are combined for a report.
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	mean := w.mean + d*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	w.mean, w.m2, w.n = mean, m2, n
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-}
-
 // String summarizes the accumulator for reports.
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g std=%.6g min=%.6g max=%.6g",
 		w.n, w.Mean(), w.Std(), w.Min(), w.Max())
 }
 
-// Histogram is a base-2 logarithmic-bucket histogram over non-negative
-// float64 values. Bucket i covers [2^(i-1), 2^i) with bucket 0 covering
-// [0, 1). It answers approximate quantiles, which is all the experiment
-// tables need (holding-time and delay distributions).
+// Histogram accumulates the count, exact mean and exact maximum of
+// non-negative float64 observations — everything a report reads of the
+// sender-buffer holding times. It keeps no buckets: nothing ever read a
+// quantile off them, and filling them cost a math.Log2 on every release.
+// The bucketed, registry-backed histogram is metrics.Histogram.
 type Histogram struct {
-	buckets []uint64
-	n       uint64
-	sum     float64
-	w       Welford
+	n        uint64
+	sum, max float64
 }
 
 // Add records one observation; negative values clamp to zero.
@@ -122,19 +98,11 @@ func (h *Histogram) Add(x float64) {
 	if x < 0 {
 		x = 0
 	}
-	i := 0
-	if x >= 1 {
-		i = int(math.Floor(math.Log2(x))) + 1
-	}
-	if i >= len(h.buckets) {
-		nb := make([]uint64, i+1)
-		copy(nb, h.buckets)
-		h.buckets = nb
-	}
-	h.buckets[i]++
 	h.n++
 	h.sum += x
-	h.w.Add(x)
+	if x > h.max {
+		h.max = x
+	}
 }
 
 // N returns the number of observations.
@@ -148,41 +116,8 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Std returns the exact standard deviation of the observations.
-func (h *Histogram) Std() float64 { return h.w.Std() }
-
 // Max returns the exact maximum observation.
-func (h *Histogram) Max() float64 { return h.w.Max() }
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using the
-// bucket upper edges; accurate to within a factor of 2, which suffices for
-// order-of-magnitude delay tables.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.n)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= rank {
-			if i == 0 {
-				return 1
-			}
-			return math.Pow(2, float64(i))
-		}
-	}
-	return h.w.Max()
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // Counter is a named monotonically increasing count.
 type Counter struct {

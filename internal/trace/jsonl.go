@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/frame"
@@ -18,7 +17,6 @@ type jsonEvent struct {
 	Kind  string     `json:"kind"`
 	Where string     `json:"where"`
 	Frame *FrameInfo `json:"frame,omitempty"`
-	Note  string     `json:"note,omitempty"`
 }
 
 func toJSONEvent(e Event) jsonEvent {
@@ -27,7 +25,6 @@ func toJSONEvent(e Event) jsonEvent {
 		Kind:  e.Kind.String(),
 		Where: e.Where,
 		Frame: e.Info,
-		Note:  e.Note,
 	}
 }
 
@@ -90,28 +87,5 @@ func (j *JSONL) ChannelTap(where string) func(now sim.Time, event string, f *fra
 	if j == nil {
 		return nil
 	}
-	return func(now sim.Time, event string, f *frame.Frame) {
-		e := Event{At: now, Kind: kindFromChannelEvent(event), Where: where}
-		if f != nil {
-			e.Info = infoOf(f)
-		}
-		j.Add(e)
-	}
-}
-
-// Note exports a protocol-level event.
-func (j *JSONL) Note(now sim.Time, where, format string, args ...any) {
-	j.Add(Event{At: now, Kind: KindProto, Where: where, Note: fmt.Sprintf(format, args...)})
-}
-
-// WriteJSONL exports the recorder's retained events (oldest first) in the
-// same schema the streaming exporter writes.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(toJSONEvent(e)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return channelTap(where, false, j.Add)
 }

@@ -78,13 +78,14 @@ func TestJSONLStreamsEvents(t *testing.T) {
 	tap := j.ChannelTap("A->B")
 	f := frame.NewI(3, 77, []byte("abcd"))
 	tap(sim.Time(1500), "tx", f)
-	j.Note(sim.Time(2000), "sender", "recovery #%d", 2)
+	tap(sim.Time(2000), "drop", frame.NewRequestNAK(4))
+	tap(sim.Time(2500), "rx", nil)
 
 	if j.Err() != nil {
 		t.Fatalf("unexpected error: %v", j.Err())
 	}
-	if j.Count() != 2 {
-		t.Fatalf("count = %d, want 2", j.Count())
+	if j.Count() != 3 {
+		t.Fatalf("count = %d, want 3", j.Count())
 	}
 	sc := bufio.NewScanner(&buf)
 	var lines []map[string]any
@@ -95,8 +96,8 @@ func TestJSONLStreamsEvents(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("wrote %d lines, want 3", len(lines))
 	}
 	if lines[0]["kind"] != "TX" || lines[0]["at_ns"] != float64(1500) {
 		t.Fatalf("first line = %v", lines[0])
@@ -105,11 +106,14 @@ func TestJSONLStreamsEvents(t *testing.T) {
 	if !ok || fr["seq"] != float64(3) || fr["datagram_id"] != float64(77) {
 		t.Fatalf("frame field = %v", lines[0]["frame"])
 	}
-	if lines[1]["kind"] != "PROTO" || lines[1]["note"] != "recovery #2" {
+	if lines[1]["kind"] != "DROP" || lines[1]["where"] != "A->B" {
 		t.Fatalf("second line = %v", lines[1])
 	}
-	if _, has := lines[1]["frame"]; has {
-		t.Fatal("protocol note carries a frame field")
+	if fr := lines[1]["frame"].(map[string]any); fr["kind"] != "REQNAK" || fr["serial"] != float64(4) {
+		t.Fatalf("second line's frame = %v", fr)
+	}
+	if _, has := lines[2]["frame"]; has {
+		t.Fatal("an event without a frame carries a frame field")
 	}
 }
 
@@ -151,7 +155,6 @@ func TestJSONLStickyError(t *testing.T) {
 func TestJSONLNilSafety(t *testing.T) {
 	var j *JSONL
 	j.Add(Event{Kind: KindTx})
-	j.Note(0, "x", "y")
 	if j.Count() != 0 || j.Err() != nil {
 		t.Fatal("nil JSONL not inert")
 	}
@@ -161,26 +164,5 @@ func TestJSONLNilSafety(t *testing.T) {
 	var r *Recorder
 	if r.ChannelTap("x") != nil {
 		t.Fatal("nil Recorder tap should be nil")
-	}
-}
-
-func TestRecorderWriteJSONL(t *testing.T) {
-	r := NewRecorder(8)
-	tap := r.ChannelTap("B->A")
-	tap(sim.Time(10), "drop", frame.NewRequestNAK(4))
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("%q: %v", buf.String(), err)
-	}
-	if m["kind"] != "DROP" || m["where"] != "B->A" {
-		t.Fatalf("line = %v", m)
-	}
-	fr := m["frame"].(map[string]any)
-	if fr["kind"] != "REQNAK" || fr["serial"] != float64(4) {
-		t.Fatalf("frame = %v", fr)
 	}
 }

@@ -3,8 +3,8 @@
 // deterministic ordering (virtual time, then insertion), cheap enough to
 // leave compiled into the hot path.
 //
-// The channel layer exposes a Tap hook per pipe; Recorder implements it and
-// can also be fed protocol-level events (recoveries, releases, failures).
+// The channel layer exposes a Tap hook per pipe; Recorder and the streaming
+// JSONL exporter both implement it (ChannelTap).
 package trace
 
 import (
@@ -24,10 +24,9 @@ const (
 	KindRx                  // frame delivered to the far end
 	KindDrop                // frame lost (link down / no handler)
 	KindCorrupt             // frame marked corrupted by the channel
-	KindProto               // protocol-level note (recovery, release, ...)
 )
 
-var kindNames = [...]string{"TX", "RX", "DROP", "CORRUPT", "PROTO"}
+var kindNames = [...]string{"TX", "RX", "DROP", "CORRUPT"}
 
 // String returns the event-kind mnemonic.
 func (k Kind) String() string {
@@ -88,21 +87,36 @@ func kindFromChannelEvent(event string) Kind {
 	case "corrupt":
 		return KindCorrupt
 	}
-	return KindProto
+	return Kind(len(kindNames)) // not a channel event: renders as Kind(4)
+}
+
+// channelTap is the one adapter from the channel layer's tap signature to an
+// event sink, for one pipe direction. text adds the rendered frame line a
+// Dump prints; the JSONL schema carries only the structured summary and
+// skips that formatting.
+func channelTap(where string, text bool, add func(Event)) func(now sim.Time, event string, f *frame.Frame) {
+	return func(now sim.Time, event string, f *frame.Frame) {
+		e := Event{At: now, Kind: kindFromChannelEvent(event), Where: where}
+		if f != nil {
+			e.Info = infoOf(f)
+			if text {
+				e.Frame = f.String()
+			}
+		}
+		add(e)
+	}
 }
 
 // Event is one recorded occurrence.
 type Event struct {
 	At   sim.Time
 	Kind Kind
-	// Where identifies the pipe or entity ("A->B", "sender", ...).
+	// Where identifies the pipe direction ("A->B").
 	Where string
 	// Frame summarizes the frame involved, if any.
 	Frame string
-	// Info holds the structured frame summary (nil for protocol notes).
+	// Info holds the structured frame summary.
 	Info *FrameInfo
-	// Note carries protocol-level detail.
-	Note string
 }
 
 // String renders one line.
@@ -110,9 +124,6 @@ func (e Event) String() string {
 	parts := []string{fmt.Sprintf("%-12v %-7s %-6s", e.At, e.Kind, e.Where)}
 	if e.Frame != "" {
 		parts = append(parts, e.Frame)
-	}
-	if e.Note != "" {
-		parts = append(parts, e.Note)
 	}
 	return strings.Join(parts, " ")
 }
@@ -176,36 +187,11 @@ func (r *Recorder) Dump() string {
 	return b.String()
 }
 
-// PipeTap returns a tap function for a channel pipe direction label that
-// records TX/RX/corruption events into the recorder.
-func (r *Recorder) PipeTap(where string) func(now sim.Time, kind Kind, f *frame.Frame) {
-	return func(now sim.Time, kind Kind, f *frame.Frame) {
-		e := Event{At: now, Kind: kind, Where: where}
-		if f != nil {
-			e.Frame = f.String()
-			e.Info = infoOf(f)
-		}
-		r.Add(e)
-	}
-}
-
-// Note records a protocol-level event.
-func (r *Recorder) Note(now sim.Time, where, format string, args ...any) {
-	r.Add(Event{At: now, Kind: KindProto, Where: where, Note: fmt.Sprintf(format, args...)})
-}
-
 // ChannelTap adapts the recorder to the channel layer's tap signature for
 // one pipe direction.
 func (r *Recorder) ChannelTap(where string) func(now sim.Time, event string, f *frame.Frame) {
 	if r == nil {
 		return nil
 	}
-	return func(now sim.Time, event string, f *frame.Frame) {
-		e := Event{At: now, Kind: kindFromChannelEvent(event), Where: where}
-		if f != nil {
-			e.Frame = f.String()
-			e.Info = infoOf(f)
-		}
-		r.Add(e)
-	}
+	return channelTap(where, true, r.Add)
 }

@@ -12,7 +12,7 @@ import (
 func TestRingKeepsMostRecent(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Add(Event{At: sim.Time(i), Note: string(rune('a' + i))})
+		r.Add(Event{At: sim.Time(i)})
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -62,7 +62,7 @@ func TestFilter(t *testing.T) {
 }
 
 func TestEventAndKindStrings(t *testing.T) {
-	e := Event{At: sim.Time(sim.Millisecond), Kind: KindRx, Where: "A->B", Frame: "I seq=1", Note: "x"}
+	e := Event{At: sim.Time(sim.Millisecond), Kind: KindRx, Where: "A->B", Frame: "I seq=1"}
 	s := e.String()
 	for _, want := range []string{"RX", "A->B", "I seq=1"} {
 		if !strings.Contains(s, want) {
@@ -74,12 +74,17 @@ func TestEventAndKindStrings(t *testing.T) {
 	}
 }
 
-func TestNoteAndDump(t *testing.T) {
+func TestDump(t *testing.T) {
 	r := NewRecorder(4)
-	r.Note(sim.Time(5), "sender", "enforced recovery #%d", 1)
+	tap := r.ChannelTap("B->A")
+	tap(sim.Time(5), "tx", frame.NewRequestNAK(9))
+	tap(sim.Time(6), "rx", nil)
 	d := r.Dump()
-	if !strings.Contains(d, "enforced recovery #1") || !strings.Contains(d, "PROTO") {
+	if strings.Count(d, "\n") != 2 || !strings.Contains(d, "REQNAK") || !strings.Contains(d, "B->A") {
 		t.Fatalf("dump = %q", d)
+	}
+	if evs := r.Events(); evs[1].Frame != "" || evs[1].Info != nil {
+		t.Fatalf("an event without a frame summarizes one: %+v", evs[1])
 	}
 }
 
@@ -127,16 +132,5 @@ func TestChannelTapDropOnDeadLink(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no drop event:\n%s", r.Dump())
-	}
-}
-
-func TestPipeTapDirect(t *testing.T) {
-	r := NewRecorder(4)
-	tap := r.PipeTap("B->A")
-	tap(sim.Time(1), KindTx, frame.NewRequestNAK(9))
-	tap(sim.Time(2), KindRx, nil)
-	evs := r.Events()
-	if len(evs) != 2 || !strings.Contains(evs[0].Frame, "REQNAK") || evs[1].Frame != "" {
-		t.Fatalf("events = %v", evs)
 	}
 }

@@ -23,12 +23,12 @@
 package lams
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/arq"
 	"repro/internal/channel"
-	"repro/internal/fec"
 	"repro/internal/hdlc"
 	"repro/internal/lamsdlc"
 	"repro/internal/orbit"
@@ -103,13 +103,15 @@ type LinkParams struct {
 	// BER is the post-interleaving channel bit error rate. Zero means a
 	// perfect channel.
 	BER float64
-	// Burst, when non-nil, adds a deterministic burst process on top.
+	// Burst, when non-nil, adds a deterministic burst process on top: its
+	// Period, BurstLen and Offset are read, the base BER and FEC split stay
+	// this struct's.
 	Burst *channel.BurstTrain
 	// IModelSpec and CModelSpec, when non-empty, select the per-frame-class
 	// error models from the channel registry (grammar: kind[:k=v,...], see
-	// channel.SpecGrammar). They take precedence over BER/Burst; a
-	// malformed spec panics in NewLink, so validate user input with
-	// channel.ParseModel first.
+	// channel.SpecGrammar). They take precedence over BER/Burst, which are
+	// shorthands for bsc/burst specs; a malformed spec panics in NewLink, so
+	// validate user input with channel.ParseModel first.
 	IModelSpec string
 	CModelSpec string
 }
@@ -125,43 +127,32 @@ func (p LinkParams) delayFn() channel.DelayFn {
 // OneWay returns the (initial) one-way propagation delay.
 func (p LinkParams) OneWay() time.Duration { return p.delayFn()(0) }
 
-// models builds the per-frame-class error models. Registry specs win;
-// the BER/Burst shorthands cover the paper's standard FEC split
-// (Hamming(7,4) on I-frames, repetition-3 on control frames).
-func (p LinkParams) models() (iModel, cModel channel.ErrorModel) {
-	if p.IModelSpec != "" || p.CModelSpec != "" {
-		return specOrPerfect(p.IModelSpec), specOrPerfect(p.CModelSpec)
+// specs names the per-frame-class error models in the channel registry's
+// grammar, the one form NewLink and AnalysisFor read. Explicit specs win;
+// otherwise the BER/Burst shorthands expand to the paper's standard FEC
+// split (Hamming(7,4) on I-frames, repetition-3 on control frames). %g and
+// time.Duration's String round-trip exactly, so the expansion describes the
+// same channel the fields do.
+func (p LinkParams) specs() (imodel, cmodel string) {
+	switch {
+	case p.IModelSpec != "" || p.CModelSpec != "":
+		return p.IModelSpec, p.CModelSpec
+	case p.Burst != nil:
+		b := fmt.Sprintf("burst:period=%v,len=%v,offset=%v,ber=%g,fec=",
+			p.Burst.Period, p.Burst.BurstLen, p.Burst.Offset, p.BER)
+		return b + "hamming74", b + "rep3"
 	}
-	if p.Burst != nil {
-		bi, bc := *p.Burst, *p.Burst
-		bi.BaseBER, bi.Scheme = p.BER, fec.Hamming74
-		bc.BaseBER, bc.Scheme = p.BER, fec.Repetition3
-		return &bi, &bc
-	}
-	if p.BER <= 0 {
-		return channel.Perfect{}, channel.Perfect{}
-	}
-	return &channel.BSC{BER: p.BER, Scheme: fec.Hamming74},
-		&channel.BSC{BER: p.BER, Scheme: fec.Repetition3}
-}
-
-// specOrPerfect instantiates a registry spec, treating the empty string as
-// a perfect channel so a caller can set just one direction's model.
-func specOrPerfect(spec string) channel.ErrorModel {
-	if spec == "" {
-		return channel.Perfect{}
-	}
-	return channel.MustParseModel(spec).New()
+	return channel.LegacySpecs(p.BER, -1, -1)
 }
 
 // NewLink materializes the link in this simulation.
 func (s *Simulation) NewLink(p LinkParams) *Link {
-	im, cm := p.models()
+	imodel, cmodel := p.specs()
 	return channel.NewLink(s.sched, channel.PipeConfig{
-		RateBps: p.RateBps,
-		Delay:   p.delayFn(),
-		IModel:  im,
-		CModel:  cm,
+		RateBps:    p.RateBps,
+		Delay:      p.delayFn(),
+		IModelSpec: imodel,
+		CModelSpec: cmodel,
 	}, s.rng.Split())
 }
 
@@ -201,9 +192,11 @@ func (s *Simulation) NewHDLCPair(link *Link, cfg HDLCConfig, deliver DeliverFunc
 
 // AnalysisFor maps a link and protocol configuration onto the paper's
 // closed-form parameters for the given I-frame payload size and HDLC
-// comparison window.
+// comparison window. P_F and P_C come from BER through the link FEC, or,
+// when the link names its models by spec, from the models themselves — NaN
+// for one with no closed form (channel.AnalyticModel).
 func AnalysisFor(p LinkParams, cfg Config, payloadBytes, window int, alpha time.Duration) AnalysisParams {
-	return analysis.FromScenario(analysis.Scenario{
+	a := analysis.FromScenario(analysis.Scenario{
 		RateBps:      p.RateBps,
 		BER:          p.BER,
 		FrameBytes:   payloadBytes + 21,
@@ -215,4 +208,8 @@ func AnalysisFor(p LinkParams, cfg Config, payloadBytes, window int, alpha time.
 		Tproc:        cfg.ProcTime,
 		Alpha:        alpha,
 	})
+	if p.IModelSpec != "" || p.CModelSpec != "" {
+		a.PF, a.PC = channel.FrameErrorProb(p.IModelSpec), channel.FrameErrorProb(p.CModelSpec)
+	}
+	return a
 }

@@ -1,10 +1,12 @@
 package lams
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/fec"
 	"repro/internal/orbit"
 	"repro/internal/sim"
 )
@@ -68,22 +70,58 @@ func TestLinkParamsVariants(t *testing.T) {
 	if lp2.OneWay() <= 0 {
 		t.Fatal("orbit delay")
 	}
-	// Perfect channel models.
-	im, cm := LinkParams{}.models()
-	if _, ok := im.(channel.Perfect); !ok {
-		t.Fatal("zero BER should be perfect")
+}
+
+// TestLinkParamsOneSpecPath pins the facade's single way of naming a
+// channel: the BER/Burst shorthands expand to registry specs that rebuild
+// exactly the models the fields describe, and explicit specs pass through.
+func TestLinkParamsOneSpecPath(t *testing.T) {
+	if i, c := (LinkParams{}).specs(); i != "" || c != "" {
+		t.Fatalf("zero BER should be the perfect channel, got %q / %q", i, c)
 	}
-	if _, ok := cm.(channel.Perfect); !ok {
-		t.Fatal("zero BER control should be perfect")
+	if i, c := (LinkParams{BER: 1e-6}).specs(); i != "bsc:ber=1e-06,fec=hamming74" || c != "bsc:ber=1e-06,fec=rep3" {
+		t.Fatalf("BER shorthand expanded to %q / %q", i, c)
 	}
-	// Burst overlay.
-	bt := &channel.BurstTrain{Period: sim.Second, BurstLen: sim.Millisecond}
-	im, cm = LinkParams{BER: 1e-6, Burst: bt}.models()
-	if _, ok := im.(*channel.BurstTrain); !ok {
-		t.Fatal("burst I model")
+	// The burst overlay, with values no short decimal spells: the round trip
+	// through the grammar must be exact.
+	bt := &channel.BurstTrain{Period: 20*sim.Second + 1, BurstLen: 25*sim.Millisecond + 7, Offset: 5 * sim.Second,
+		BaseBER: 0.5, Scheme: fec.Uncoded} // both overridden by the link's BER and FEC split
+	ber := 1.0 / 3e6
+	ispec, cspec := LinkParams{BER: ber, Burst: bt}.specs()
+	for spec, scheme := range map[string]fec.Scheme{ispec: fec.Hamming74, cspec: fec.Repetition3} {
+		got, ok := channel.MustParseModel(spec).New().(*channel.BurstTrain)
+		if !ok {
+			t.Fatalf("%q is not a burst train", spec)
+		}
+		if got.Period != bt.Period || got.BurstLen != bt.BurstLen || got.Offset != bt.Offset ||
+			got.BaseBER != ber || got.Scheme != scheme {
+			t.Fatalf("%q rebuilt %+v", spec, got)
+		}
 	}
-	if _, ok := cm.(*channel.BurstTrain); !ok {
-		t.Fatal("burst C model")
+	if i, c := (LinkParams{BER: 1e-6, Burst: bt, IModelSpec: "fixed:p=0.05"}).specs(); i != "fixed:p=0.05" || c != "" {
+		t.Fatalf("explicit specs must win, got %q / %q", i, c)
+	}
+}
+
+// TestAnalysisForReadsSpecs pins the bug the single path fixes: a link
+// described by spec used to get the closed forms of a perfect channel,
+// because AnalysisFor derived P_F/P_C from BER alone.
+func TestAnalysisForReadsSpecs(t *testing.T) {
+	lp := LinkParams{RateBps: 300e6, DistanceKm: 4000, IModelSpec: "fixed:p=0.05", CModelSpec: "fixed:p=0.0125"}
+	p := AnalysisFor(lp, DefaultsFor(lp), 1024, 64, 13*time.Millisecond)
+	if p.PF != 0.05 || p.PC != 0.0125 {
+		t.Fatalf("P_F/P_C = %v/%v, want the specs' 0.05/0.0125", p.PF, p.PC)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lp.CModelSpec = "" // one direction left perfect
+	if p := AnalysisFor(lp, DefaultsFor(lp), 1024, 64, 13*time.Millisecond); p.PF != 0.05 || p.PC != 0 {
+		t.Fatalf("P_F/P_C = %v/%v, want 0.05/0", p.PF, p.PC)
+	}
+	lp.IModelSpec = "ge:gber=1e-7,bber=2e-3,mgood=40ms,mbad=4ms"
+	if p := AnalysisFor(lp, DefaultsFor(lp), 1024, 64, 13*time.Millisecond); !math.IsNaN(p.PF) {
+		t.Fatalf("Gilbert-Elliott P_F = %v, want NaN (no closed form)", p.PF)
 	}
 }
 

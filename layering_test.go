@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/channel"
+	"repro/internal/live"
 	"repro/internal/shard"
 )
 
@@ -51,9 +52,12 @@ func nonTestImports(t *testing.T, dir string, visit func(file, path string)) {
 // internal/engines, so none of their non-test files may import an engine
 // package; and the harness configurations name a channel model only by
 // registry spec, so neither may grow a field holding a model instance
-// (channel.PipeConfig is the one place an instance is supplied).
+// (channel.PipeConfig is the one place an instance is supplied). The live
+// driver is one of those layers: its endpoint holds the two arq half
+// interfaces and is configured with an arq.EngineConfig, so no field of
+// either struct may have a type an engine package declares.
 func TestHarnessLayering(t *testing.T) {
-	for _, layer := range []string{"bench", "node", "session", "shard", "faults", "trace", "workload", "resequence"} {
+	for _, layer := range []string{"bench", "node", "session", "shard", "faults", "trace", "workload", "resequence", "live"} {
 		nonTestImports(t, filepath.Join("internal", layer), func(file, path string) {
 			if enginePackages[path] {
 				t.Errorf("%s imports %s: engines are reached through internal/arq", file, path)
@@ -66,6 +70,19 @@ func TestHarnessLayering(t *testing.T) {
 		for i := 0; i < cfg.NumField(); i++ {
 			if f := cfg.Field(i); f.Type == model {
 				t.Errorf("%s.%s is a channel.ErrorModel: name channel models by spec", cfg, f.Name)
+			}
+		}
+	}
+
+	for _, st := range []reflect.Type{reflect.TypeOf(live.Endpoint{}), reflect.TypeOf(live.EndpointConfig{})} {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			ft := f.Type
+			for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if enginePackages[ft.PkgPath()] {
+				t.Errorf("%s.%s has engine type %s: live reaches engines through arq.EngineConfig", st, f.Name, f.Type)
 			}
 		}
 	}
