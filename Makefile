@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke livesmoke clismoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke memsmoke constsmoke tracesmoke livesmoke clismoke
 	go test -race ./...
 	cd benchmarks && go test .
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
@@ -35,15 +35,20 @@ stabmatrix:
 # engine's own barrier, mailbox and horizon tests. The engine's only unsafe
 # surface is the inter-shard mailboxes and the round barrier, so the race
 # run here is the load-bearing check, not ceremony. Then the run-phase
-# allocation budget of the 1,024-satellite scenario (ROADMAP 1(c)):
-# 0.30 allocs/event before the hop-to-hop path stopped copying packets,
-# 0.15 since; the gate leaves headroom for pool warm-up, not for a copy per
-# hop. It is a ratio counted in one run, so it is machine-independent.
-CONST_ALLOCS_PER_EVENT_BUDGET := 0.20
+# allocation budget of the 1,024-satellite scenario (ROADMAP 1(c)), counted
+# on the second and third constellation of the process (-benchtime 2x after
+# the harness's own first iteration), i.e. on the run memory the one before
+# donated: 0.30 allocs/event before the hop-to-hop path stopped copying
+# packets, 0.13-0.14 while sync.Pools refilled at the collector's whim, 0.041
+# since the run memory (ISSUE 22; a cold first run still reads 0.125). The gate
+# leaves headroom for growth in what a run cannot hand on (the frames and
+# entries still in flight when it stops), not for losing the hand-over. It is
+# a ratio counted in one process, so it is machine-independent.
+CONST_ALLOCS_PER_EVENT_BUDGET := 0.10
 .PHONY: constsmoke
 constsmoke:
 	go test ./internal/shard -race -count=1 -run 'TestConstellationSmoke|TestConstellationShardInvariance|TestConstellationEveryKEveryP|TestEngine'
-	@out=$$(go test ./internal/shard -run xxx -bench 'BenchmarkConstellation1024/shards=1$$' -benchtime 1x -benchmem); \
+	@out=$$(go test ./internal/shard -run xxx -bench 'BenchmarkConstellation1024/shards=1$$' -benchtime 2x -benchmem); \
 	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
 	allocs=$$(echo "$$out" | awk '$$1 ~ /^BenchmarkConstellation1024/ { for (i = 1; i <= NF; i++) if ($$i == "allocs/event") print $$(i-1) }'); \
 	if [ -z "$$allocs" ]; then echo "constsmoke: no allocs/event in bench output"; exit 1; fi; \
@@ -99,12 +104,14 @@ clismoke:
 	done; \
 	echo "clismoke: $$engines ran with invariants held; -pf/-pc sugar equals its specs on lamsim and lamsweep"
 
-# Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside the
-# allocs/op budget pinned in BENCH_PR6.json (229483 before the per-run
-# arena/pool work, ≤ 5737 after — the ≥40x bar with headroom over the
-# ~2.3k measured). Runs the real benchmark body, so a pooling regression
-# fails CI instead of the next perf investigation.
-E4_ALLOC_BUDGET := 5737
+# Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside its
+# allocs/op budget — 229,483 before the per-run arena/pool work, ~2,600 with
+# sync.Pools, 2,350-2,380 on the run memory at two workers and 2,490 at
+# eight (ISSUE 22: what is left is building each run's world, plus the run
+# memories of different sizes the workers swap). The budget is the eight-
+# worker figure plus a tenth. Runs the real benchmark body, so a recycling
+# regression fails CI instead of the next perf investigation.
+E4_ALLOC_BUDGET := 2800
 .PHONY: allocsmoke
 allocsmoke:
 	@out=$$(go test . -run xxx -bench BenchmarkE4ThroughputVsTraffic -benchtime 100x -benchmem); \
@@ -115,6 +122,20 @@ allocsmoke:
 		echo "allocsmoke: E4 allocs/op $$allocs exceeds budget $(E4_ALLOC_BUDGET)"; exit 1; \
 	fi; \
 	echo "allocsmoke: E4 allocs/op $$allocs within budget $(E4_ALLOC_BUDGET)"
+
+# Run-memory smoke (ISSUE 22): the benchmark's link_bulk configuration three
+# times in a fresh process. The process's resident high-water mark must stay
+# under 32 MiB (10.5 measured; 116 when every run materialised N x 1 KiB of
+# payload) and runs 2 and 3 must allocate the same number of objects — the
+# allocation count is a property of the run, not of the collector's timing.
+# Then the -race pins of the memory's single-owner rule: schedulers adopting
+# and donating concurrently, frames changing lists at the shard mailbox.
+.PHONY: memsmoke
+memsmoke:
+	go test ./internal/bench -count=1 -v -run '^TestMemSmoke$$'
+	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/shard -race -count=10 \
+		-run 'TestFreeList|TestLocal|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestBacklog|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes'
+	go test ./internal/bench -race -count=1 -run 'TestRunAllocsIndependentOfGC|TestRecycledCounterIsRunLocal'
 
 # Static analysis: vet plus staticcheck, version-pinned through go run so
 # no tool install step exists. Offline environments (module proxy

@@ -247,9 +247,10 @@ type StateCorruptor interface {
 // rng and from the engine's own live state (which is what makes the forgery
 // adversarial rather than noise). toReceiver selects the direction: true
 // forges data-channel traffic toward the receiver, false forges
-// acknowledgement-channel traffic toward the sender. The returned frame
-// comes from frame.Get and belongs to the caller (the injector Sends it —
-// the pipe copies — then Puts it); nil skips the tick for that direction.
+// acknowledgement-channel traffic toward the sender. The returned frame is a
+// plain allocation the caller owns (the injector Sends it — the pipe copies —
+// and lets it go; it belongs to no free list, so it is never Put); nil skips
+// the tick for that direction.
 type GhostForger interface {
 	ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame
 }

@@ -10,20 +10,30 @@
 package txq
 
 import (
-	"sync"
-
 	"repro/internal/arq"
 	"repro/internal/metrics"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
-// pool recycles entries across queue lifetimes: within one run
-// Release→Admit cycles reuse the same objects, and across a sweep of
-// hermetic runs (bench.RunMany) each worker's entry population is allocated
-// once instead of once per run. Entries are always zeroed before Put, so Get
-// never observes stale state or pinned payload memory.
-var pool = sync.Pool{New: func() any { return new(Entry) }}
+// The queue's storage comes from its scheduler's run memory: within one run
+// Release→Admit cycles reuse the same objects, and across a sweep of hermetic
+// runs (bench.RunMany) each worker's population is allocated once instead of
+// once per run. Everything is zeroed before Put, so Get never observes stale
+// state or pinned payload memory.
+var (
+	entries = sim.NewFreeList[Entry]()
+	chunks  = sim.NewFreeList[chunk]()
+	windows = sim.NewFreeList[window]()
+)
+
+// window is the in-flight list's first backing array. Most queues of a
+// constellation never hold more than a few entries at once, so growing each
+// list from nil cost more allocations than the run's traffic; a list that
+// outgrows its window falls back to append's own growth, and one that empties
+// while still on its window hands it back.
+type window [windowSlots]*Entry
+
+const windowSlots = 8
 
 // Entry is one datagram on the in-flight list.
 type Entry struct {
@@ -54,8 +64,8 @@ type Queue struct {
 	pump     *sim.Timer
 	closed   bool
 
-	backlog  ring.Ring[arq.Datagram] // accepted, not yet first-transmitted
-	inflight []*Entry                // unreleased, ascending Seq
+	backlog  backlog  // accepted, not yet first-transmitted
+	inflight []*Entry // unreleased, ascending Seq
 	next     uint32
 
 	// The engine's registry instruments (nil without a registry), named in
@@ -87,13 +97,13 @@ func New(sched *sim.Scheduler, m *arq.Metrics, capacity int, debt sim.Duration, 
 // Outstanding returns the sending-buffer occupancy — in-flight entries plus
 // backlog — whose transparent bound §4 derives for LAMS-DLC and whose
 // unbounded growth it proves for HDLC.
-func (q *Queue) Outstanding() int { return len(q.inflight) + q.backlog.Len() }
+func (q *Queue) Outstanding() int { return len(q.inflight) + q.backlog.n }
 
 // Unacked returns the number of transmitted-but-unreleased entries.
 func (q *Queue) Unacked() int { return len(q.inflight) }
 
 // Backlog returns the number of accepted, not yet transmitted datagrams.
-func (q *Queue) Backlog() int { return q.backlog.Len() }
+func (q *Queue) Backlog() int { return q.backlog.n }
 
 // InFlight is the in-flight list, ascending Seq, oldest first. Read-only:
 // the list changes only through Admit, Renumber and Sweep.
@@ -114,7 +124,7 @@ func (q *Queue) Enqueue(dg arq.Datagram) bool {
 		return false
 	}
 	dg.EnqueuedAt = q.sched.Now()
-	q.backlog.PushBack(dg)
+	q.backlog.pushBack(q.sched, dg)
 	q.m.Submitted.Inc()
 	q.note()
 	q.Kick(0)
@@ -165,8 +175,8 @@ func (q *Queue) bound(now sim.Time) {
 // Admit moves the backlog's front datagram onto the in-flight list under the
 // next sequence number, first transmitted now. The backlog must not be empty.
 func (q *Queue) Admit(now sim.Time) *Entry {
-	e := pool.Get().(*Entry)
-	e.Dg, e.Seq, e.FirstTx, e.LastTx = q.backlog.PopFront(), q.next, now, now
+	e := entries.Get(q.sched)
+	e.Dg, e.Seq, e.FirstTx, e.LastTx = q.backlog.popFront(q.sched), q.next, now, now
 	q.push(e)
 	return e
 }
@@ -180,6 +190,9 @@ func (q *Queue) Renumber(now sim.Time, e *Entry) {
 
 func (q *Queue) push(e *Entry) {
 	q.next++
+	if q.inflight == nil {
+		q.inflight = windows.Get(q.sched)[:0]
+	}
 	q.inflight = append(q.inflight, e)
 	q.note()
 }
@@ -199,6 +212,10 @@ func (q *Queue) Sweep(keep func(*Entry) bool) {
 	}
 	clear(q.inflight[w:]) // no stale *Entry pinned past the new length
 	q.inflight = q.inflight[:w]
+	if w == 0 && cap(q.inflight) == windowSlots {
+		windows.Put(q.sched, (*window)(q.inflight[:windowSlots]))
+		q.inflight = nil
+	}
 	q.note()
 }
 
@@ -213,7 +230,7 @@ func (q *Queue) Release(now sim.Time, e *Entry) {
 		q.Probe.Released(now, e.Seq, e.Dg.ID)
 	}
 	*e = Entry{}
-	pool.Put(e)
+	entries.Put(q.sched, e)
 }
 
 // Close stops the pump and makes Enqueue refuse; what the queue holds stays
@@ -231,10 +248,7 @@ func (q *Queue) UnreleasedDatagrams() []arq.Datagram {
 	for _, e := range q.inflight {
 		out = append(out, e.Dg)
 	}
-	for i := 0; i < q.backlog.Len(); i++ {
-		out = append(out, q.backlog.At(i))
-	}
-	return out
+	return q.backlog.appendTo(out)
 }
 
 func (q *Queue) note() {

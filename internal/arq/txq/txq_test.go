@@ -289,43 +289,45 @@ func TestReleaseAccounting(t *testing.T) {
 // TestCycleNoAllocs pins the steady-state buffer cycle — enqueue, admit,
 // sweep with one renumbering and the rest released — at zero allocations.
 func TestCycleNoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; the zero-alloc pin cannot hold")
-	}
-	sched := sim.NewScheduler()
-	var m arq.Metrics
-	var q Queue
-	q = New(sched, &m, 0, debt, func() {
-		for now := sched.Now(); q.Ready(now) && q.Backlog() > 0; {
-			q.Admit(now)
-		}
-	}, nil, nil, nil)
-	round := func() {
-		for i := 0; i < 4; i++ {
-			q.Enqueue(arq.Datagram{ID: uint64(i)})
-		}
-		sched.RunFor(sim.Microsecond)
-		now := sched.Now()
-		var again *Entry
-		q.Sweep(func(e *Entry) bool {
-			if again == nil {
-				again = e
-			} else {
-				q.Release(now, e)
+	// 4 per round stays inside one backlog chunk and the in-flight list's
+	// first window, handing both back every round; the larger batch spans
+	// three chunks and outgrows the window.
+	for _, batch := range []int{4, 2*chunkSlots + 3} {
+		sched := sim.NewScheduler()
+		var m arq.Metrics
+		var q Queue
+		q = New(sched, &m, 0, debt, func() {
+			for now := sched.Now(); q.Ready(now) && q.Backlog() > 0; {
+				q.Admit(now)
 			}
-			return false
-		})
-		q.Renumber(now, again)
-		q.Charge(now, sim.Nanosecond)
-		q.Sweep(func(e *Entry) bool { q.Release(now, e); return false })
-	}
-	for i := 0; i < 50; i++ {
-		round()
-	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("buffer cycle allocates %.2f/op, want 0", avg)
-	}
-	if q.Outstanding() != 0 || m.HoldingTime.N() != 4*151 {
-		t.Fatal("the pin measured nothing")
+		}, nil, nil, nil)
+		round := func() {
+			for i := 0; i < batch; i++ {
+				q.Enqueue(arq.Datagram{ID: uint64(i)})
+			}
+			sched.RunFor(sim.Microsecond)
+			now := sched.Now()
+			var again *Entry
+			q.Sweep(func(e *Entry) bool {
+				if again == nil {
+					again = e
+				} else {
+					q.Release(now, e)
+				}
+				return false
+			})
+			q.Renumber(now, again)
+			q.Charge(now, sim.Nanosecond)
+			q.Sweep(func(e *Entry) bool { q.Release(now, e); return false })
+		}
+		for i := 0; i < 50; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(100, round); avg != 0 {
+			t.Fatalf("buffer cycle of %d allocates %.2f/op, want 0", batch, avg)
+		}
+		if q.Outstanding() != 0 || m.HoldingTime.N() != uint64(batch)*151 {
+			t.Fatal("the pin measured nothing")
+		}
 	}
 }

@@ -463,6 +463,7 @@ func E8FailureDetection() *Result {
 		// (response + C_depth·W_cp).
 		w := cfg.(arq.WindowsProvider).RecoveryWindows()
 		bound := w.CheckpointTimer + base.Icp + w.FailureTimeout
+		sched.Recycle() // as Run does: the run memory it adopted goes back
 		return e8point{bound: bound, detect: detect, within: failedAt != 0 && detect <= bound}
 	})
 	prev := sim.Duration(0)
@@ -995,6 +996,7 @@ func E18MultiHopRelay() *Result {
 		}
 		pt.forwarded = nodes[1].Stats.Forwarded.Value()
 		pt.elapsed = sim.Duration(last)
+		sched.Recycle() // as Run does: the run memory it adopted goes back
 		return pt
 	})
 	okAll := true

@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/arq"
@@ -257,18 +256,17 @@ func (c RunConfig) pipes() (ab, ba channel.PipeConfig) {
 	return pipe("ab"), pipe("ba")
 }
 
-// runScratch is the per-run mutable state a worker recycles across runs:
-// the delivery-count map and the payload arena. RunMany at W workers keeps
-// at most W scratches warm instead of allocating ~N map entries plus
-// N×PayloadBytes per run. Reuse is safe because nothing in RunResult
-// references either — the map is read out into counts and every payload
-// consumer (checker, metrics, taps) retains IDs and sizes, not bytes.
+// runScratch is the harness's own part of the run memory: the delivery
+// counts, one per genuine datagram ID, and the arena whose Reset checks the
+// run's payloads. It rides the scheduler like every other recycled object, so
+// RunMany at W workers keeps at most W warm. Reuse is safe because nothing in
+// RunResult references it — the counts are read out into Duplicates.
 type runScratch struct {
-	got   map[uint64]int
-	arena workload.Arena
+	counts []uint32
+	arena  workload.Arena
 }
 
-var scratchPool = sync.Pool{New: func() any { return &runScratch{got: make(map[uint64]int)} }}
+var scratch = sim.NewLocal[runScratch]()
 
 // Run executes the configured scenario to completion (all N datagrams
 // delivered) or to the horizon, and returns the measurements.
@@ -299,17 +297,24 @@ func Run(c RunConfig) RunResult {
 		inj.AttachLink(link)
 	}
 
-	sc := scratchPool.Get().(*runScratch)
-	got := sc.got
+	sc := scratch.Of(sched)
+	if cap(sc.counts) < c.N {
+		sc.counts = make([]uint32, c.N)
+	}
+	got := sc.counts[:c.N]
+	clear(got)
 	var lastDelivery sim.Time
 	genuine := 0
 	deliver := func(now sim.Time, dg arq.Datagram, _ uint32) {
+		// Only the workload's own datagrams (sequential IDs below N) are
+		// counted: a ghost-forgery schedule delivers fabricated high-bit
+		// IDs, and counting those toward completion would stop the run
+		// before the genuine tail arrives.
+		if dg.ID >= uint64(len(got)) {
+			return
+		}
 		got[dg.ID]++
-		// Only the workload's own datagrams (sequential IDs below N) count
-		// toward completion: a ghost-forgery schedule delivers fabricated
-		// high-bit IDs, and counting those would stop the run before the
-		// genuine tail arrives.
-		if dg.ID < uint64(c.N) && got[dg.ID] == 1 {
+		if got[dg.ID] == 1 {
 			genuine++
 			lastDelivery = now
 			// Stop early once everything has arrived at least once.
@@ -408,8 +413,8 @@ func Run(c RunConfig) RunResult {
 		MaxLiveSpan:     maxSpan(),
 		FinalRate:       finalRate(),
 	}
-	for id, n := range got {
-		if id < uint64(c.N) && n > 1 {
+	for _, n := range got {
+		if n > 1 {
 			res.Duplicates += uint64(n - 1)
 		}
 	}
@@ -426,15 +431,10 @@ func Run(c RunConfig) RunResult {
 		finish(&res)
 	}
 	res.Snapshot = c.Metrics.Snapshot()
-	// The result is fully extracted; recycle the scratch. Everything built
-	// from the arena (payloads, frames in the dead scheduler) is
-	// unreachable once this frame returns, and the next run re-zeroes
-	// each allocation.
-	clear(sc.got)
+	// The result is fully extracted and nothing of the run is referenced
+	// from it: check the payloads, then donate the run memory — events,
+	// frames, sending-buffer storage, this scratch — to the next run.
 	sc.arena.Reset()
-	scratchPool.Put(sc)
-	// The scheduler is done: donate its retired-event freelist to the
-	// process-wide pool so the next run's scheduler starts warm.
 	sched.Recycle()
 	return res
 }

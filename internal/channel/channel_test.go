@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/fec"
 	"repro/internal/frame"
@@ -465,5 +466,56 @@ func TestPipeFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendHomesTheInFlightCopy pins where a sent frame comes from and goes
+// back to: the free list of the pipe's scheduler, set after the struct copy —
+// so forwarding a frame that is itself homed elsewhere (a relay re-sending
+// the frame it was handed) cannot send the copy to the wrong list — and
+// reused by the next Send instead of the collector-timed package pool.
+func TestSendHomesTheInFlightCopy(t *testing.T) {
+	a, b := sim.NewScheduler(), sim.NewScheduler()
+	cfg := PipeConfig{RateBps: 1e6, Delay: ConstantDelay(sim.Millisecond)}
+	pa, pb := NewPipe(a, cfg, sim.NewRNG(1)), NewPipe(b, cfg, sim.NewRNG(2))
+	var first, relayed *frame.Frame
+	pa.SetHandler(func(_ sim.Time, f *frame.Frame) {
+		first = f
+		pb.Send(f) // f is homed on a's list; the copy must not be
+		frame.Put(f)
+	})
+	pb.SetHandler(func(_ sim.Time, f *frame.Frame) {
+		relayed = f
+		frame.Put(f)
+	})
+	pa.Send(iframe(1, 10))
+	a.Run()
+	b.Run()
+	if first == nil || relayed == nil || first == relayed {
+		t.Fatal("the frame was not relayed through both pipes")
+	}
+	if got := Frames(a).Get(false); got != first {
+		t.Fatal("the first hop's frame did not return to its scheduler's list")
+	}
+	if got := Frames(b).Get(false); got != relayed {
+		t.Fatal("the relayed copy did not return to the relaying scheduler's list")
+	}
+	Frames(a).Adopt(first)
+	frame.Put(first)
+	allocs := testing.AllocsPerRun(100, func() {
+		pa.Send(relayed) // relayed is ours now (popped above): any frame will do
+		a.Run()
+		b.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm send-relay-deliver cycle allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestPipeSizeClass pins the layout: a constellation builds 8,192 pipes, and
+// the free-list pointer must not push each into the next size class.
+func TestPipeSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Pipe{}); size > 320 {
+		t.Fatalf("Pipe is %d bytes, want at most 320", size)
 	}
 }

@@ -111,6 +111,7 @@ type PipeStats struct {
 // never overtakes its predecessor, matching a physical serial medium.
 type Pipe struct {
 	sched   *sim.Scheduler
+	frames  *frame.List // sched's free list: where Send takes in-flight copies from
 	cfg     PipeConfig
 	rng     *sim.RNG
 	handler Handler
@@ -118,6 +119,13 @@ type Pipe struct {
 	busyUntil   sim.Time // when the wire frees up
 	lastArrival sim.Time // FIFO watermark
 	down        bool
+	// rxDown is the receive side's own down flag, used instead of down by
+	// DeliverInbound when the pipe is remote (post != nil): the two ends of
+	// a remote pipe live on different shards, so each side owns its flag
+	// and a handover toggles both through events on the respective shard.
+	// (Two bytes of one word: the shards write different bytes, and the
+	// struct stays in its size class with the frames pointer added.)
+	rxDown bool
 
 	// Non-FIFO window (faults kind "reorder"): while reorderJitter > 0
 	// every frame's arrival gains a counter-hashed extra delay in
@@ -128,12 +136,6 @@ type Pipe struct {
 	reorderJitter sim.Duration
 	reorderSeq    uint64
 	reordered     *metrics.Counter
-	// rxDown is the receive side's own down flag, used instead of down by
-	// DeliverInbound when the pipe is remote (post != nil): the two ends of
-	// a remote pipe live on different shards, so each side owns its flag
-	// and a handover toggles both through events on the respective shard.
-	rxDown bool
-
 	// post, when non-nil, marks the pipe remote: its transmit side and its
 	// receive side (handler) run on different schedulers. Send hands the
 	// in-flight frame and its arrival time to post — the shard engine's
@@ -158,6 +160,16 @@ type Pipe struct {
 	Stats PipeStats
 }
 
+// frameLists gives every scheduler's run memory one frame free list, shared
+// by all the pipes transmitting on that scheduler.
+var frameLists = sim.NewLocal[frame.List]()
+
+// Frames returns the free list that in-flight frames on sched are taken from
+// and Put back to. A frame changes lists only by crossing to another
+// scheduler's goroutine: the shard engine's mailbox drain Adopts it into the
+// receiving shard's list before that shard can Put it.
+func Frames(sched *sim.Scheduler) *frame.List { return frameLists.Of(sched) }
+
 // wireQueueBuckets is computed once: a constellation builds thousands of
 // pipes, most against a nil registry that would discard a fresh slice.
 var wireQueueBuckets = metrics.ExpBuckets(1e3, 4, 16)
@@ -180,7 +192,7 @@ func NewPipe(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Pipe {
 	if cfg.CModel == nil {
 		cfg.CModel = specModel(cfg.CModelSpec)
 	}
-	p := &Pipe{sched: sched, cfg: cfg, rng: rng}
+	p := &Pipe{sched: sched, frames: Frames(sched), cfg: cfg, rng: rng}
 	p.deliverFn = p.deliver
 	p.mSent = cfg.Metrics.Counter("channel_frames_sent_total")
 	p.mDelivered = cfg.Metrics.Counter("channel_frames_delivered_total")
@@ -250,14 +262,15 @@ func (p *Pipe) QueueingDelay() sim.Duration {
 // payload. Skipping the payload copy is what keeps a multi-gigabyte sweep
 // from spending its time in memmove: at 1 KiB payloads the clone used to
 // dominate the per-frame cost. The NAK list, by contrast, IS copied — into
-// capacity the frame pool retains — so a checkpoint-emitting receiver may
+// capacity the free list retains — so a checkpoint-emitting receiver may
 // reuse its NAK scratch buffer across sends.
 func (p *Pipe) Send(f *frame.Frame) {
 	now := p.sched.Now()
-	g := frame.Get()
+	g := p.frames.Get(len(f.NAKs) > 0)
 	naks := g.NAKs
 	*g = *f
 	g.NAKs = append(naks[:0], f.NAKs...)
+	p.frames.Adopt(g) // after the copy, which brought f's home along
 	p.Stats.FramesSent.Inc()
 	p.Stats.BitsSent.Addn(uint64(g.Bits()))
 	p.mSent.Inc()

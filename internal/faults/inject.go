@@ -250,7 +250,7 @@ func (inj *Injector) scrambleTick(sc arq.StateCorruptor, ev Event, until sim.Tim
 // ghostTick injects one forged frame per armed direction and re-arms until
 // the episode closes. Ghosts go through Pipe.Send like storm frames — they
 // occupy real wire time and suffer the direction's error process — and the
-// pipe copies, so the forger's frame is recycled immediately.
+// pipe copies, so the forged frame itself is garbage the moment Send returns.
 func (inj *Injector) ghostTick(gf arq.GhostForger, ev Event, until sim.Time) {
 	if inj.sched.Now() >= until {
 		return
@@ -258,7 +258,6 @@ func (inj *Injector) ghostTick(gf arq.GhostForger, ev Event, until sim.Time) {
 	if ev.Dir == AtoB || ev.Dir == Both {
 		if g := gf.ForgeGhost(inj.rng, true); g != nil {
 			inj.link.AtoB.Send(g)
-			frame.Put(g)
 			inj.mGhosts.Inc()
 			inj.mInjected.Inc()
 		}
@@ -266,7 +265,6 @@ func (inj *Injector) ghostTick(gf arq.GhostForger, ev Event, until sim.Time) {
 	if ev.Dir == BtoA || ev.Dir == Both {
 		if g := gf.ForgeGhost(inj.rng, false); g != nil {
 			inj.link.BtoA.Send(g)
-			frame.Put(g)
 			inj.mGhosts.Inc()
 			inj.mInjected.Inc()
 		}

@@ -112,6 +112,14 @@ type Frame struct {
 	// Final is the HDLC P/F bit.
 	Final bool
 
+	// Corrupted marks a frame damaged in transit. It is simulation
+	// metadata: the channel sets it instead of flipping payload bits, and
+	// receivers treat a corrupted frame exactly as a failed FCS check
+	// (the frame's content must not be inspected). Encode refuses to
+	// serialize corrupted frames. It sits with the other flags so that the
+	// struct, home included, stays in the 96-byte size class.
+	Corrupted bool
+
 	// DatagramID identifies the user datagram an I-frame carries, so the
 	// destination can resequence and de-duplicate after renumbered
 	// retransmissions. The DLC never exposes it to its peer logic.
@@ -121,18 +129,15 @@ type Frame struct {
 	// payloads to MaxPayload bytes.
 	Payload []byte
 
-	// Corrupted marks a frame damaged in transit. It is simulation
-	// metadata: the channel sets it instead of flipping payload bits, and
-	// receivers treat a corrupted frame exactly as a failed FCS check
-	// (the frame's content must not be inspected). Encode refuses to
-	// serialize corrupted frames.
-	Corrupted bool
-
 	// EnqueuedNS carries the datagram's network-layer enqueue instant
 	// (virtual nanoseconds) so the receiving endpoint can measure
 	// end-to-end delay. Simulation metadata: not serialized, zero over
 	// real transports.
 	EnqueuedNS int64
+
+	// home is the free list Put returns the frame to (see List); nil for a
+	// frame no simulated run owns.
+	home *List
 }
 
 // MaxPayload is the largest I-frame payload the codec accepts. 64 KiB covers
@@ -428,6 +433,7 @@ func (f *Frame) DecodeFrom(buf []byte) (int, error) {
 // copy without racing the one in flight.
 func (f *Frame) Clone() *Frame {
 	g := *f
+	g.home = nil // the copy is the caller's own allocation, not the list's
 	if f.Payload != nil {
 		g.Payload = append([]byte(nil), f.Payload...)
 	}

@@ -73,7 +73,7 @@ var ghostPayload = make([]byte, 32)
 // until N2 declares failure: bounded, not self-stabilizing).
 func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 	s, r := p.Sender, p.Receiver
-	f := frame.Get()
+	f := new(frame.Frame)
 	if toReceiver {
 		f.Kind = frame.KindHDLCI
 		f.Seq = r.recvBase + uint32(rng.Intn(2*r.cfg.WindowSize))

@@ -23,9 +23,6 @@ func (nullWire) TxTime(*frame.Frame) sim.Duration { return 0 }
 // cycle — enqueue, pump, checkpoint with a NAK (bitset classification,
 // renumbered retransmission, releases) — at zero allocations.
 func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; the zero-alloc pin cannot hold")
-	}
 	sched := sim.NewScheduler()
 	m := &arq.Metrics{}
 	s := NewSender(sched, nullWire{}, baseCfg(), m, nil)
@@ -34,8 +31,7 @@ func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 	payload := make([]byte, 64)
 	id := uint64(0)
 	serial := uint32(0)
-	cp := frame.Get()
-	defer frame.Put(cp)
+	cp := new(frame.Frame)
 
 	round := func() {
 		for i := 0; i < 4; i++ {
@@ -53,7 +49,7 @@ func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 		s.HandleFrame(sched.Now(), cp)
 	}
 
-	for i := 0; i < 50; i++ { // warm pools, rings, and scratch capacities
+	for i := 0; i < 50; i++ { // warm free lists, rings, and scratch capacities
 		round()
 	}
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
@@ -68,9 +64,6 @@ func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 // arrival with a gap, t_proc processing and delivery, checkpoint emission
 // with a cumulative NAK list — at zero allocations.
 func TestReceiverResolveNoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; the zero-alloc pin cannot hold")
-	}
 	sched := sim.NewScheduler()
 	cfg := baseCfg()
 	m := &arq.Metrics{}
@@ -78,8 +71,10 @@ func TestReceiverResolveNoAllocs(t *testing.T) {
 	r.Start()
 
 	seq := uint32(0)
+	var frames frame.List // the run's free list, as Pipe.Send uses it
 	sendI := func(s uint32) {
-		f := frame.Get()
+		f := frames.Get(false)
+		frames.Adopt(f)
 		f.Kind, f.Seq, f.DatagramID = frame.KindI, s, uint64(s)
 		f.EnqueuedNS = int64(sched.Now()) // keep the delay histogram's bucket fixed
 		r.HandleFrame(sched.Now(), f)     // receiver recycles f after t_proc

@@ -78,7 +78,7 @@ var ghostPayload = make([]byte, 32)
 // effAck guard must refuse to release on.
 func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 	s, r := p.Sender, p.Receiver
-	f := frame.Get()
+	f := new(frame.Frame)
 	if toReceiver {
 		f.Kind = frame.KindI
 		jump := uint32(rng.Intn(64))

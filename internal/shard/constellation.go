@@ -732,5 +732,11 @@ func (c *Constellation) Run() Report {
 	if capacity := cfg.RateBps * r.EndTime.Seconds() * float64(4*c.adjs); capacity > 0 {
 		r.Utilization = float64(r.BitsSent) / capacity
 	}
+	// Everything is read out and no frame is in flight (DropInflight): hand
+	// each shard's run memory — events, the standing timers still on its
+	// wheel, frames, sending-buffer entries — to the next constellation.
+	for i := 0; i < c.eng.Shards(); i++ {
+		c.eng.Shard(i).Scheduler().Recycle()
+	}
 	return r
 }

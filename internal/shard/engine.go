@@ -204,7 +204,11 @@ func (sh *Shard) round(round int64, end sim.Time) {
 	for n > 0 && due[n-1].at.After(end) {
 		n-- // only when the horizon cuts the final round short
 	}
+	frames := channel.Frames(sh.sched)
 	for _, m := range due[:n] {
+		// The frame came from the sending shard's free list; from here on
+		// this shard's goroutine is the one that Puts it.
+		frames.Adopt(m.f)
 		sh.sched.ScheduleArgDetached(m.at, m.lane.deliver, m.f)
 	}
 	sh.late = append(sh.late, due[n:]...)
@@ -503,8 +507,9 @@ func (st RunStats) Render() string {
 }
 
 // DropInflight releases every frame still crossing a mailbox back to the
-// frame pool. Call it once after Run: frames cut off by the horizon (or by
-// an early stop) are owned by nobody else.
+// free list of the shard that sent it. Call it once after Run, when no shard
+// is running any more: frames cut off by the horizon (or by an early stop)
+// are owned by nobody else.
 func (e *Engine) DropInflight() {
 	for _, sh := range e.shards {
 		sh.in.mu.Lock()

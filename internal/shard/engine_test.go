@@ -356,3 +356,53 @@ func TestRunStatsPublish(t *testing.T) {
 		t.Fatalf("Render:\n%s", out)
 	}
 }
+
+// TestEngineRehomesFramesAtDrain pins the cross-shard half of the frame's way
+// home: a frame taken from the sending shard's free list is Put on the
+// receiving shard's goroutine, so the drain must have moved it to that
+// shard's list first — under -race this is the test that catches a frame
+// going back to a list another goroutine owns.
+func TestEngineRehomesFramesAtDrain(t *testing.T) {
+	const window = 2 * sim.Millisecond
+	eng := New(2, window)
+	s0, s1 := eng.Shard(0), eng.Shard(1)
+	p := channel.NewPipe(s0.Scheduler(), channel.PipeConfig{RateBps: 1e6, Delay: channel.ConstantDelay(window)}, sim.NewRNG(1))
+	eng.Wire(s0, s1, p, 0)
+	var arrived []*frame.Frame
+	p.SetHandler(func(_ sim.Time, f *frame.Frame) {
+		arrived = append(arrived, f)
+		frame.Put(f)
+	})
+	const sends = 50
+	for i := 0; i < sends; i++ {
+		s0.Scheduler().ScheduleDetached(sim.Time(0).Add(sim.Duration(i)*sim.Millisecond), func() {
+			p.Send(frame.NewI(uint32(i), 0, nil))
+		})
+		// Keep shard 1's own list busy meanwhile, as its local traffic would.
+		s1.Scheduler().ScheduleDetached(sim.Time(0).Add(sim.Duration(i)*sim.Millisecond), func() {
+			l := channel.Frames(s1.Scheduler())
+			f := l.Get(false)
+			l.Adopt(f)
+			frame.Put(f)
+		})
+	}
+	eng.Run(100*sim.Millisecond, nil)
+	eng.DropInflight()
+	if len(arrived) != sends {
+		t.Fatalf("%d frames arrived, want %d", len(arrived), sends)
+	}
+	// Everything that crossed now rests on shard 1's list, nothing on shard
+	// 0's: pop both and look.
+	at1 := map[*frame.Frame]bool{}
+	for i := 0; i < sends+1; i++ { // +1: the frame shard 1's own churn allocated
+		at1[channel.Frames(s1.Scheduler()).Get(false)] = true
+	}
+	for _, f := range arrived {
+		if !at1[f] {
+			t.Fatal("a delivered frame is not on the receiving shard's list")
+		}
+		if channel.Frames(s0.Scheduler()).Get(false) == f {
+			t.Fatal("a delivered frame went back to the sending shard's list")
+		}
+	}
+}

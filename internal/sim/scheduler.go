@@ -3,19 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/metrics"
 )
-
-// eventPool recycles Event objects across scheduler lifetimes. A scheduler's
-// own freelist covers the steady state within one run; the pool covers the
-// cold start, so a sweep constructing many hermetic schedulers (bench.RunMany)
-// allocates the event working set once per worker instead of once per run.
-// Events enter the pool only through Recycle, zeroed except the generation
-// counter — that must survive reuse (even under a different scheduler) so a
-// stale Handle from a previous life can never match a recycled slot.
-var eventPool = sync.Pool{New: func() any { return new(Event) }}
 
 // The executive is a hierarchical timer wheel over absolute nanosecond
 // timestamps, replacing the earlier binary heap. Layout:
@@ -79,9 +69,13 @@ type Event struct {
 	// retired to a freelist. A Handle captures the generation at schedule
 	// time; a mismatch later means the slot was recycled for an unrelated
 	// event, so the Handle's own event must have fired. The counter
-	// survives Recycle and the process-wide pool, so it never repeats a
-	// value an outstanding Handle could still hold.
+	// survives Recycle and the run memory's rest in the depot, so it never
+	// repeats a value an outstanding Handle could still hold.
 	gen uint64
+	// born numbers the events of one run memory in the order they were
+	// allocated, which for objects allocated one by one is address order.
+	// Recycle relinks the donated events by it (see runMem.events).
+	born uint32
 }
 
 // At returns the instant the event is (or was) scheduled to fire.
@@ -197,6 +191,13 @@ type Scheduler struct {
 	// fired, their generation bumped so an outstanding Handle can never
 	// alias the reused slot (see retire).
 	free *Event
+
+	// mem is the run memory (runmem.go): the events earlier schedulers
+	// donated, drawn on when free is empty, and the Locals of every package
+	// built on this scheduler. Nil until first needed; recycled marks a
+	// scheduler whose Recycle gave it away.
+	mem      *runMem
+	recycled bool
 
 	// Observability instruments (nil when uninstrumented; all nil-safe).
 	// The per-event counters are batched: the hot path bumps the plain
@@ -323,13 +324,17 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 		s.free = e.next
 		e.fired, e.cancel, e.overflow = false, false, false
 		s.nRecy++
+	} else if m := s.memory(); m.events != nil {
+		// The run memory supplies events donated by finished schedulers (see
+		// Recycle), so a sweep of hermetic runs pays the event working set
+		// once, not per run. The generation carries over: it is the one
+		// field that must outlive every previous owner.
+		e = m.events
+		m.events = e.next
+		*e = Event{owner: s, gen: e.gen, born: e.born}
 	} else {
-		// The process-wide pool supplies events recycled from finished
-		// schedulers (see Recycle), so a sweep of hermetic runs pays the
-		// event working set once, not per run. The generation carries over:
-		// it is the one field that must outlive every previous owner.
-		e = eventPool.Get().(*Event)
-		*e = Event{owner: s, gen: e.gen}
+		e = &Event{owner: s, born: m.born}
+		m.born++
 	}
 	e.at, e.fn, e.detached = at, fn, detached
 	e.fnArg, e.arg = fnArg, arg
@@ -725,23 +730,79 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // RunFor advances the simulation by d. Shorthand for RunUntil(Now+d).
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
-// Recycle donates the scheduler's retired-event freelist to the process-wide
-// event pool and clears it. Call when the scheduler is finished (a hermetic
-// run has ended) so the next scheduler starts with a warm pool instead of
-// allocating its event population one object at a time. Only the freelist is
-// donated — events still pending in the wheel may have live handles and are
-// left to the garbage collector. The scheduler remains usable afterwards.
+// Recycle ends the scheduler's life and donates its run memory — the event
+// freelist, every event still queued that no caller can reach, and the Locals
+// of the packages built on it — to the depot, where the next scheduler finds
+// it warm instead of allocating its working set one object at a time. Call it
+// when a hermetic run has ended and its results are read out.
+//
+// Queued events are discarded, not fired. Detached events and the pending
+// expiries of Timers and Tickers are reaped exactly as retire would (callback
+// dropped, generation bumped); a handled event may still have a Handle
+// outstanding, whose Cancelled/Fired answers depend on the slot staying its
+// own, so those are unlinked and left to the collector.
+//
+// Nothing built on the scheduler may be used afterwards: scheduling panics,
+// and every object obtained through a Local or FreeList now belongs to the
+// next run. Timers and Tickers are inert rather than dangerous — they check
+// the scheduler's recycled mark, so Stop, Active and Deadline read them as
+// stopped — and the clock and the executed count stay readable.
 func (s *Scheduler) Recycle() {
-	for e := s.free; e != nil; {
-		next := e.next
-		// Zero everything except the generation: a stale Handle from this
-		// scheduler's lifetime must still mismatch after the event serves a
-		// future scheduler.
-		*e = Event{gen: e.gen}
-		eventPool.Put(e)
-		e = next
+	m := s.memory()
+	if n := int(m.born); cap(m.order) < n {
+		m.order = make([]*Event, n, n+n/4)
+	} else {
+		m.order = m.order[:n]
+	}
+	rest := func(e *Event) {
+		// Zero everything except the generation and the birth number: a
+		// stale Handle from this scheduler's life must still mismatch after
+		// the event serves a future scheduler, and a resting event must not
+		// pin this scheduler through owner.
+		*e = Event{gen: e.gen, born: e.born}
+		m.order[e.born] = e
+	}
+	reap := func(b *bucket) {
+		for e := b.head; e != nil; {
+			next := e.next
+			if e.detached {
+				e.gen++
+				rest(e)
+			} else {
+				e.next = nil
+			}
+			e = next
+		}
+		*b = bucket{}
+	}
+	for sum := s.l0sum; sum != 0; sum &= sum - 1 {
+		w := bits.TrailingZeros64(sum)
+		for occ := s.l0occ[w]; occ != 0; occ &= occ - 1 {
+			reap(&s.l0[w<<6|bits.TrailingZeros64(occ)])
+		}
+		s.l0occ[w] = 0
+	}
+	s.l0sum = 0
+	for l := range s.occ {
+		for occ := s.occ[l]; occ != 0; occ &= occ - 1 {
+			reap(&s.lv[l][bits.TrailingZeros64(occ)])
+		}
+		s.occ[l] = 0
+	}
+	reap(&s.over)
+	s.overLive, s.overDead = 0, 0
+	s.live, s.peek = 0, nil
+	for _, chain := range []*Event{s.free, m.events} { // m.events: what this life never drew
+		for e := chain; e != nil; {
+			next := e.next
+			rest(e)
+			e = next
+		}
 	}
 	s.free = nil
+	m.relink()
+	s.mem, s.recycled = nil, true
+	m.donate()
 }
 
 // Stop halts Run/RunUntil after the current callback returns. Pending events

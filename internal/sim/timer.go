@@ -11,7 +11,12 @@ package sim
 type Timer struct {
 	sched *Scheduler
 	fn    func()
-	ev    *Event
+	// ev is the armed expiry, nil when stopped. The timer clears it on expiry
+	// and on Stop, so it can dangle only after Scheduler.Recycle reaped the
+	// event from under it — which is why every use checks the scheduler's
+	// recycled mark first: the timer then reads as stopped instead of
+	// reaching into a slot that now serves another run.
+	ev *Event
 	// expireFn is t.expire captured once at construction: evaluating a
 	// method value allocates, so arming a timer per frame must not.
 	expireFn func()
@@ -41,32 +46,33 @@ func (t *Timer) Start(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.ev = t.sched.schedule(t.sched.now.Add(d), t.expireFn, nil, nil, true)
+	t.arm(t.sched.now.Add(d))
 }
 
 // StartAt arms the timer to fire at the given instant, replacing any earlier
 // deadline.
 func (t *Timer) StartAt(at Time) {
 	t.Stop()
+	t.arm(at)
+}
+
+func (t *Timer) arm(at Time) {
 	t.ev = t.sched.schedule(at, t.expireFn, nil, nil, true)
 }
 
 // Stop disarms the timer. Stopping a stopped timer is a no-op. It reports
 // whether a pending expiry was cancelled.
 func (t *Timer) Stop() bool {
-	if t.ev == nil {
-		return false
+	armed := t.Active()
+	if armed {
+		t.sched.Cancel(t.ev)
 	}
-	pending := !t.ev.Fired() && !t.ev.Cancelled()
-	t.sched.Cancel(t.ev)
 	t.ev = nil
-	return pending
+	return armed
 }
 
 // Active reports whether the timer is armed and has not yet fired.
-func (t *Timer) Active() bool {
-	return t.ev != nil && !t.ev.Fired() && !t.ev.Cancelled()
-}
+func (t *Timer) Active() bool { return t.ev != nil && !t.sched.recycled }
 
 // Deadline returns the instant the timer will fire, or Never if stopped.
 func (t *Timer) Deadline() Time {
@@ -88,7 +94,7 @@ type Ticker struct {
 	sched   *Scheduler
 	period  Duration
 	fn      func()
-	ev      *Event
+	ev      *Event // the armed tick: see Timer.ev
 	running bool
 	// tickFn is t.tick captured once at construction so rearming every
 	// period does not allocate a fresh closure.
@@ -118,10 +124,10 @@ func (t *Ticker) Start() {
 // Stop halts the ticker. The ticker can be restarted.
 func (t *Ticker) Stop() {
 	t.running = false
-	if t.ev != nil {
+	if t.ev != nil && !t.sched.recycled {
 		t.sched.Cancel(t.ev)
-		t.ev = nil
 	}
+	t.ev = nil
 }
 
 // Active reports whether the ticker is running.

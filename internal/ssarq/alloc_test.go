@@ -15,23 +15,22 @@ type nullWire struct{}
 func (nullWire) Send(*frame.Frame)                {}
 func (nullWire) TxTime(*frame.Frame) sim.Duration { return 0 }
 
-// TestReceiveCycleNoAllocs pins the receive cycle — a pooled I-frame
+// TestReceiveCycleNoAllocs pins the receive cycle — a recycled I-frame
 // arrives, is delivered or suppressed as a duplicate or refused for its
 // slot, and is acknowledged — at zero allocations: the receiver owns every
 // uncorrupted I-frame it is handed (channel.Handler) and must recycle it on
-// all three exits, or each arrival leaks a pooled frame to the collector.
+// all three exits, or each arrival leaks a frame of the run's free list to the collector.
 func TestReceiveCycleNoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; the zero-alloc pin cannot hold")
-	}
 	sched := sim.NewScheduler()
 	cfg := baseCfg()
 	m := &arq.Metrics{}
 	delivered := 0
 	r := NewReceiver(sched, nullWire{}, cfg, m, func(sim.Time, arq.Datagram, uint32) { delivered++ })
 
+	var frames frame.List // the run's free list, as Pipe.Send uses it
 	arrive := func(seq uint32) {
-		f := frame.Get()
+		f := frames.Get(false)
+		frames.Adopt(f)
 		f.Kind, f.Seq, f.DatagramID = frame.KindI, seq, uint64(seq)
 		f.EnqueuedNS = int64(sched.Now()) // keep the delay histogram's bucket fixed
 		r.HandleFrame(sched.Now(), f)

@@ -109,7 +109,7 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 		seq = Pack(uint32(rng.Intn(labelMod)), rng.Intn(len(s.lanes)), uint32(rng.Uint64())&tokenMask)
 		dgID = 1<<63 | rng.Uint64()>>1 // high bit keeps forged IDs clear of real ones
 	}
-	f := frame.Get()
+	f := new(frame.Frame)
 	if toReceiver {
 		f.Kind = frame.KindI
 		f.Seq = seq

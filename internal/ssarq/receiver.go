@@ -25,6 +25,8 @@ type Receiver struct {
 
 	last []uint32 // last delivered packed value, per slot
 	have []bool   // whether last[slot] is meaningful
+
+	ackf frame.Frame // scratch for outbound acknowledgements: the wire copies
 }
 
 type receiverInstr struct {
@@ -104,11 +106,8 @@ func (r *Receiver) HandleFrame(now sim.Time, f *frame.Frame) {
 }
 
 func (r *Receiver) ack(seq uint32) {
-	f := frame.Get()
-	f.Kind = frame.KindRR
-	f.Ack = seq
-	r.wire.Send(f)
-	frame.Put(f)
+	r.ackf = frame.Frame{Kind: frame.KindRR, Ack: seq}
+	r.wire.Send(&r.ackf)
 	r.m.ControlSent.Inc()
 	r.instr.acks.Inc()
 }

@@ -45,6 +45,8 @@ type Sender struct {
 	tokCtr  uint64
 	started bool
 	stopped bool
+
+	txf frame.Frame // scratch for outbound I-frames: the wire copies
 }
 
 type senderInstr struct {
@@ -185,14 +187,14 @@ func (s *Sender) retransmit(ln *lane, now sim.Time) {
 }
 
 func (s *Sender) send(ln *lane) {
-	f := frame.Get()
-	f.Kind = frame.KindI
-	f.Seq = ln.seq
-	f.DatagramID = ln.dg.ID
-	f.Payload = ln.dg.Payload
-	f.EnqueuedNS = int64(ln.dg.EnqueuedAt)
-	s.wire.Send(f)
-	frame.Put(f)
+	s.txf = frame.Frame{
+		Kind:       frame.KindI,
+		Seq:        ln.seq,
+		DatagramID: ln.dg.ID,
+		Payload:    ln.dg.Payload,
+		EnqueuedNS: int64(ln.dg.EnqueuedAt),
+	}
+	s.wire.Send(&s.txf)
 }
 
 // HandleFrame processes an acknowledgement. Only an exact echo of a busy

@@ -1,77 +1,101 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arq"
 	"repro/internal/sim"
 )
 
-func TestArenaAllocZeroedAndDisjoint(t *testing.T) {
+// mustPanic runs fn and returns what it panicked with.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return
+}
+
+// TestArenaAllocZeroedExactCap pins the zero-page contract: every payload is
+// all-zero, exactly as long as asked, with no capacity to append into — and
+// two payloads are views of the same bytes, which is the point.
+func TestArenaAllocZeroedExactCap(t *testing.T) {
 	var a Arena
 	p1 := a.Alloc(100)
-	p2 := a.Alloc(100)
-	if len(p1) != 100 || len(p2) != 100 {
-		t.Fatalf("lengths %d, %d, want 100", len(p1), len(p2))
+	p2 := a.Alloc(1000)
+	if len(p1) != 100 || len(p2) != 1000 {
+		t.Fatalf("lengths %d, %d, want 100, 1000", len(p1), len(p2))
 	}
-	if cap(p1) != 100 {
-		t.Fatalf("cap %d, want exactly 100 (no append bleed)", cap(p1))
-	}
-	for i := range p1 {
-		p1[i] = 0xAA
+	if cap(p1) != 100 || cap(p2) != 1000 {
+		t.Fatalf("caps %d, %d, want exactly 100, 1000 (an append must not reach the page)", cap(p1), cap(p2))
 	}
 	for i, b := range p2 {
 		if b != 0 {
-			t.Fatalf("p2[%d] = %#x, want 0 (disjoint, zeroed)", i, b)
+			t.Fatalf("p2[%d] = %#x, want 0", i, b)
 		}
 	}
-}
-
-func TestArenaResetReusesAndRezeroes(t *testing.T) {
-	var a Arena
-	p := a.Alloc(64)
-	for i := range p {
-		p[i] = 0xFF
+	if &p1[0] != &p2[0] {
+		t.Fatal("two payloads are not views of one page")
+	}
+	if q := append(p1, 1); &q[0] == &p1[0] {
+		t.Fatal("append wrote into the page")
+	}
+	if len(a.Alloc(0)) != 0 {
+		t.Fatal("empty payload is not empty")
 	}
 	a.Reset()
-	q := a.Alloc(64)
-	if &p[0] != &q[0] {
-		t.Fatal("Reset did not reuse the chunk")
-	}
-	for i, b := range q {
-		if b != 0 {
-			t.Fatalf("q[%d] = %#x, want 0 after Reset", i, b)
+	VerifyZeroPage()
+}
+
+// TestArenaResetDetectsWrites pins the enforcement: a consumer that writes to
+// a payload makes the run's Reset (and VerifyZeroPage) panic with the rule.
+func TestArenaResetDetectsWrites(t *testing.T) {
+	var a Arena
+	p := a.Alloc(64)
+	a.Reset() // untouched: fine
+	p = a.Alloc(64)
+	p[17] = 0xFF
+	defer func() { p[17] = 0 }() // the page is the whole process's
+	for name, check := range map[string]func(){"Reset": a.Reset, "VerifyZeroPage": VerifyZeroPage} {
+		msg := mustPanic(t, check)
+		if !strings.Contains(msg, "byte 17") || !strings.Contains(msg, "immutable") {
+			t.Fatalf("%s panicked with %q, want the byte and the payload rule", name, msg)
 		}
 	}
 }
 
-func TestArenaOversizedAndChunkRollover(t *testing.T) {
+// TestArenaOversized pins the request beyond the shared page: the arena grows
+// a page of its own, still all-zero and exact, reuses it, and checks it.
+func TestArenaOversized(t *testing.T) {
 	var a Arena
-	big := a.Alloc(arenaChunkSize + 1)
-	if len(big) != arenaChunkSize+1 {
-		t.Fatalf("oversized alloc len %d", len(big))
+	n := len(zeroPage) + 1
+	big := a.Alloc(n)
+	if len(big) != n || cap(big) != n {
+		t.Fatalf("oversized alloc len %d cap %d, want %d", len(big), cap(big), n)
 	}
-	// Fill chunks past a boundary; every payload stays intact.
-	const n = 1024
-	ps := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		p := a.Alloc(1000)
-		p[0] = byte(i)
-		ps = append(ps, p)
+	if again := a.Alloc(n); &again[0] != &big[0] {
+		t.Fatal("second oversized request did not reuse the arena's page")
 	}
-	for i, p := range ps {
-		if p[0] != byte(i) {
-			t.Fatalf("payload %d scribbled: %#x", i, p[0])
-		}
+	if small := a.Alloc(8); &small[0] != &zeroPage[0] {
+		t.Fatal("a request that fits did not come from the shared page")
 	}
+	big[n-1] = 1
+	if msg := mustPanic(t, a.Reset); !strings.Contains(msg, "immutable") {
+		t.Fatalf("Reset panicked with %q", msg)
+	}
+	big[n-1] = 0
+	a.Reset()
 }
 
 func TestArenaSteadyStateNoAllocs(t *testing.T) {
 	var a Arena
-	for i := 0; i < 100; i++ {
-		a.Alloc(1000)
-	}
-	a.Reset()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 100; i++ {
 			a.Alloc(1000)
@@ -79,8 +103,27 @@ func TestArenaSteadyStateNoAllocs(t *testing.T) {
 		a.Reset()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state arena allocated %.1f/run, want 0", allocs)
+		t.Fatalf("arena allocated %.1f/run, want 0", allocs)
 	}
+}
+
+// TestGeneratorWithoutArenaNoAllocs pins the default: a generator nobody gave
+// an arena hands out the same zero page, not make([]byte, size) per datagram.
+func TestGeneratorWithoutArenaNoAllocs(t *testing.T) {
+	sched := sim.NewScheduler()
+	var last []byte
+	g := NewConstantRate(sched, func(dg arq.Datagram) bool { last = dg.Payload; return true }, sim.Millisecond, 1000, -1)
+	sched.RunUntil(sim.Time(0).Add(100 * sim.Millisecond)) // warm the scheduler freelist
+	allocs := testing.AllocsPerRun(10, func() {
+		sched.RunUntil(sched.Now().Add(100 * sim.Millisecond))
+	})
+	if allocs != 0 {
+		t.Fatalf("arena-less workload tick allocated %.1f/run, want 0", allocs)
+	}
+	if len(last) != 1000 || cap(last) != 1000 || &last[0] != &zeroPage[0] {
+		t.Fatalf("payload len %d cap %d, want a 1000-byte view of the zero page", len(last), cap(last))
+	}
+	g.Stop()
 }
 
 // TestGeneratorTickNoAllocs pins the zero-alloc workload tick: with an
@@ -92,7 +135,7 @@ func TestGeneratorTickNoAllocs(t *testing.T) {
 	sink := func(dg arq.Datagram) bool { return true }
 	g := NewConstantRate(sched, sink, sim.Millisecond, 1000, -1)
 	g.UseArena(&arena)
-	// Warm the scheduler freelist and the arena's first chunk.
+	// Warm the scheduler freelist.
 	sched.RunUntil(sim.Time(0).Add(100 * sim.Millisecond))
 	arena.Reset()
 	allocs := testing.AllocsPerRun(10, func() {
@@ -130,10 +173,13 @@ func TestGeneratorRefusalReusesPayload(t *testing.T) {
 	if len(taken) != 2 {
 		t.Fatalf("delivered %d datagrams, want 2", len(taken))
 	}
-	// All refusals retried the one pending payload: the arena handed out
-	// exactly as many payloads as datagrams accepted.
-	used := arena.cur*arenaChunkSize + arena.off
-	if want := 2 * 100; used != want {
-		t.Fatalf("arena consumed %d bytes, want %d (refusals must reuse)", used, want)
+	// A refused offer costs nothing to retry: the retry carries the same ID
+	// and the same bytes, and the arena never handed out more than one
+	// payload's worth.
+	if taken[0].ID != 0 || taken[1].ID != 1 {
+		t.Fatalf("IDs %d, %d after refusals, want 0, 1", taken[0].ID, taken[1].ID)
+	}
+	if &taken[0].Payload[0] != &taken[1].Payload[0] || arena.high != 100 {
+		t.Fatalf("refusals did not reuse the payload (arena high-water %d, want 100)", arena.high)
 	}
 }

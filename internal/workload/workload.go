@@ -27,12 +27,10 @@ type Generator struct {
 	remaining int // total datagrams still to offer; -1 = unlimited
 	stopped   bool
 
-	// arena, when set, supplies payload memory (see UseArena).
+	// arena supplies the payloads (see UseArena); own is the one a generator
+	// starts with.
 	arena *Arena
-	// pending holds the payload of a refused offer for the retry, so a
-	// saturating source probing a full sender does not burn an allocation
-	// per refusal.
-	pending []byte
+	own   Arena
 
 	// Offered and Refused count sink attempts.
 	Offered, Refused uint64
@@ -40,9 +38,9 @@ type Generator struct {
 	next func() // arms the next arrival
 }
 
-// UseArena directs payload allocation through a, under a's ownership
-// contract (payloads live until a.Reset). Call it before the generator's
-// first arrival fires; passing nil reverts to per-datagram make.
+// UseArena makes a the source of the generator's payloads, so that a's owner
+// — a harness running many generators in turn — is the one whose Reset checks
+// them. Nil reverts to the generator's own arena.
 func (g *Generator) UseArena(a *Arena) { g.arena = a }
 
 // Stop halts the generator.
@@ -55,24 +53,18 @@ func (g *Generator) NextID() uint64 { return g.nextID }
 func (g *Generator) Done() bool { return g.remaining == 0 }
 
 func (g *Generator) offer() bool {
-	payload := g.pending
-	if payload == nil {
-		if g.arena != nil {
-			payload = g.arena.Alloc(g.size)
-		} else {
-			payload = make([]byte, g.size)
-		}
+	a := g.arena
+	if a == nil {
+		a = &g.own
 	}
-	dg := arq.Datagram{ID: g.nextID, Payload: payload}
+	dg := arq.Datagram{ID: g.nextID, Payload: a.Alloc(g.size)}
 	g.Offered++
 	if !g.sink(dg) {
-		// A refusing sink does not retain the datagram; reuse the payload
-		// at the next attempt.
-		g.pending = payload
+		// A refusing sink does not retain the datagram; the next attempt
+		// offers the same ID again.
 		g.Refused++
 		return false
 	}
-	g.pending = nil
 	g.nextID++
 	if g.remaining > 0 {
 		g.remaining--
