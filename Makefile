@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke memsmoke constsmoke tracesmoke livesmoke clismoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke memsmoke constsmoke tracesmoke livesmoke clismoke tablesmoke
 	go test -race ./...
 	cd benchmarks && go test .
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
@@ -103,6 +103,24 @@ clismoke:
 		[ -n "$$sugar" ] && [ "$$sugar" = "$$specs" ] || { echo "clismoke: $$cli: -pf/-pc and the fixed: specs print different runs"; exit 1; }; \
 	done; \
 	echo "clismoke: $$engines ran with invariants held; -pf/-pc sugar equals its specs on lamsim and lamsweep"
+
+# Tables smoke (ISSUE 23): lamstables overlaps its 21 experiments on one run
+# budget, so which runs share the machine at any instant depends on -workers
+# and on scheduling; the bytes it prints must not. The full run at -workers 1,
+# 2 and 8 must hash the same, and `-run E14` must print exactly the E14 block
+# of the full run (an experiment alone and an experiment overlapped are the
+# same table).
+.PHONY: tablesmoke
+tablesmoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o "$$tmp/lamstables" ./cmd/lamstables; \
+	for w in 1 2 8; do "$$tmp/lamstables" -workers $$w > "$$tmp/w$$w.txt"; done; \
+	sums=$$(cd "$$tmp" && sha256sum w1.txt w2.txt w8.txt | cut -d' ' -f1 | sort -u); \
+	[ "$$(echo "$$sums" | wc -l)" -eq 1 ] || { echo "tablesmoke: lamstables prints different bytes at -workers 1, 2 and 8"; exit 1; }; \
+	"$$tmp/lamstables" -run E14 | sed '$$d' > "$$tmp/e14.txt"; \
+	awk '/^=== / { on = /^=== E14:/ } on' "$$tmp/w1.txt" > "$$tmp/e14full.txt"; \
+	[ -s "$$tmp/e14.txt" ] && cmp -s "$$tmp/e14.txt" "$$tmp/e14full.txt" || { echo "tablesmoke: -run E14 differs from the E14 block of the full run"; exit 1; }; \
+	echo "tablesmoke: lamstables sha256 $$sums at -workers 1, 2, 8; -run E14 equals its block of the full run"
 
 # Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside its
 # allocs/op budget — 229,483 before the per-run arena/pool work, ~2,600 with

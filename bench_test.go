@@ -82,6 +82,20 @@ func BenchmarkE17CheckpointInterval(b *testing.B) {
 	benchExperiment(b, bench.E17CheckpointIntervalAblation)
 }
 
+// BenchmarkAllExperiments regenerates the whole evaluation, bench.All()
+// (E1–E21 overlapped on the one run budget): the suite's wall time and
+// allocations, what `lamstables` costs and what lamsbench's `tables` times.
+func BenchmarkAllExperiments(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, res := range bench.All() {
+			if !res.Passed() {
+				b.Fatalf("%s has a failing shape check", res.ID)
+			}
+		}
+	}
+}
+
 // BenchmarkLAMSTransfer2000 measures raw simulator throughput moving 2,000
 // datagrams across the canonical link: the end-to-end hot path.
 func BenchmarkLAMSTransfer2000(b *testing.B) {

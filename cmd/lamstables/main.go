@@ -1,12 +1,17 @@
 // Command lamstables regenerates the paper's evaluation: every experiment
-// of the index in DESIGN.md §5 (tables and figures E1–E12), each printed as
+// of the index in DESIGN.md §5 (tables and figures E1–E21), each printed as
 // the rows/series the paper reports plus the pass/fail shape checks.
 //
 // Usage:
 //
-//	lamstables            # run everything
-//	lamstables -run E4    # one experiment
-//	lamstables -list      # list experiment IDs and titles
+//	lamstables             # run everything, experiments overlapped
+//	lamstables -run E4     # one experiment
+//	lamstables -list       # list experiment IDs and titles
+//	lamstables -workers 4  # at most 4 simulation runs in flight, in total
+//
+// The experiments of a full run start together and their simulation runs
+// share one budget of -workers slots (DESIGN.md §6); the output is the same
+// bytes at any -workers value, and each block equals what -run prints.
 package main
 
 import (
@@ -27,7 +32,7 @@ func main() {
 	withMetrics := flag.Bool("metrics", false,
 		"print the metrics snapshots experiments attach (protocol internals as JSON)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"simulation worker goroutines per experiment (results are identical at any count)")
+		"simulation runs in flight, over all experiments (results are identical at any count)")
 	flag.Parse()
 
 	bench.SetWorkers(*workers)

@@ -12,30 +12,66 @@ import (
 // This file is the parallel experiment engine. Every Run is hermetic — it
 // owns its scheduler, RNG, link, and metrics, and its RunResult is a pure
 // function of the RunConfig (including Seed) — so a batch of points is
-// embarrassingly parallel. The engine fans points across a worker pool and
-// writes each result into the slot matching its input index, which makes
-// the output bit-identical regardless of worker count or completion order.
+// embarrassingly parallel. The engine has two levels over one bound: a batch
+// (mapIndexed) fans its items across goroutines and writes each result into
+// the slot matching its input index, which makes the output bit-identical
+// regardless of worker count or completion order; and every item, of every
+// batch in the process, executes holding one slot of a single run budget of
+// Workers() slots. Batches running side by side — the experiments of All()
+// — therefore drain through one queue, and a straggler in one is overlapped
+// by the others' items instead of idling a core.
 
-// workerCount is the configured pool size; 0 means GOMAXPROCS.
+// workerCount is the configured budget; 0 means GOMAXPROCS.
 var workerCount atomic.Int64
 
-// SetWorkers fixes the number of worker goroutines used by RunMany,
-// SweepParallel, and the experiment tables. n <= 0 restores the default
-// (GOMAXPROCS). Safe to call concurrently; batches already in flight keep
-// the pool size they started with.
+// The process-wide run budget: running counts the pool items executing
+// right now and never exceeds Workers(). The limit is read at each acquire,
+// so SetWorkers takes effect on the next item, not the next batch.
+var (
+	budgetMu   sync.Mutex
+	budgetFree = sync.NewCond(&budgetMu) // a slot was released or the limit rose
+	running    int
+)
+
+// SetWorkers fixes the number of simulation runs in flight, process-wide:
+// every item of every RunMany, SweepParallel and experiment batch holds one
+// of these slots while it executes. n <= 0 restores the default
+// (GOMAXPROCS). Safe to call concurrently: items already executing finish,
+// items waiting for a slot are admitted as soon as the new limit allows.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
+	budgetMu.Lock() // a waiter between its check and its Wait must not miss this
 	workerCount.Store(int64(n))
+	budgetMu.Unlock()
+	budgetFree.Broadcast()
 }
 
-// Workers returns the pool size the next batch will use.
+// Workers returns the size of the run budget.
 func Workers() int {
 	if n := workerCount.Load(); n > 0 {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// runItem executes fn holding one slot of the run budget. The slot is
+// released on a panic too, so a failed batch leaves the budget balanced.
+func runItem(fn func()) {
+	budgetMu.Lock()
+	for running >= Workers() {
+		budgetFree.Wait()
+	}
+	running++
+	budgetMu.Unlock()
+	defer func() {
+		budgetMu.Lock()
+		running--
+		budgetMu.Unlock()
+		budgetFree.Signal()
+	}()
+	fn()
 }
 
 // DeriveSeed maps a base seed and a point index to a statistically
@@ -70,11 +106,36 @@ func SweepParallel(base RunConfig, n int, mutate func(i int, c *RunConfig)) []Ru
 	})
 }
 
-// mapIndexed evaluates fn(0..n-1) on a pool of Workers() goroutines and
-// collects the values by index. Work is handed out through an atomic
-// counter, so stragglers never idle the pool. A panic in any worker is
-// re-raised on the caller's goroutine after the pool drains.
+// insideItem reports whether the calling goroutine is executing a pool item,
+// by looking for runItem on its own stack (goroutines carry no identity to
+// ask instead). Once per batch, so the walk is not on any hot path.
+func insideItem() bool {
+	var pcs [64]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	for {
+		f, more := frames.Next()
+		if f.Function == "repro/internal/bench.runItem" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// mapIndexed evaluates fn(0..n-1) and collects the values by index. The
+// batch fans out over min(Workers(), n) goroutines, a width fixed when it
+// starts; items are handed out through an atomic counter, so stragglers
+// never idle the batch, and each fn(i) executes holding one slot of the
+// process-wide run budget, so any number of concurrent batches together run
+// at most Workers() items at a time. The caller must hold no slot itself:
+// an item that started a batch would wait on the slot it occupies (forever,
+// at a budget of one), so a nested call panics instead. A panic in any item
+// is re-raised on the caller's goroutine after the batch drains.
 func mapIndexed[T any](n int, fn func(i int) T) []T {
+	if insideItem() {
+		panic("bench: mapIndexed called from inside a pool item; batches do not nest")
+	}
 	out := make([]T, n)
 	if n == 0 {
 		return out
@@ -85,7 +146,7 @@ func mapIndexed[T any](n int, fn func(i int) T) []T {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			out[i] = fn(i)
+			runItem(func() { out[i] = fn(i) })
 		}
 		return out
 	}
@@ -108,7 +169,7 @@ func mapIndexed[T any](n int, fn func(i int) T) []T {
 				if i >= n {
 					return
 				}
-				out[i] = fn(i)
+				runItem(func() { out[i] = fn(i) })
 			}
 		}()
 	}

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -206,4 +210,219 @@ func TestRunManySharesNothing(t *testing.T) {
 			t.Fatalf("identical configs diverged under concurrency:\n%+v\n%+v", res[0], res[1])
 		}
 	})
+}
+
+// renderAll concatenates the rendered tables of a result set.
+func renderAll(results []*Result) string {
+	var sb strings.Builder
+	for _, r := range results {
+		sb.WriteString(r.Render())
+	}
+	return sb.String()
+}
+
+// peakRunning runs fn and returns the most slots of the run budget a sampler
+// saw held while it ran.
+func peakRunning(fn func()) int {
+	stop, sampled := make(chan struct{}), make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+			budgetMu.Lock()
+			peak = max(peak, running)
+			budgetMu.Unlock()
+		}
+	}()
+	fn()
+	close(stop)
+	return <-sampled
+}
+
+// TestAllDeterministicAcrossWorkers pins what the overlap must not change:
+// All() renders the same bytes at every budget, and the same bytes as the
+// experiments run alone, one after another. The one-worker leg is also the
+// deadlock pin — 21 experiments started at once on a budget of one must
+// finish (the test timeout is the guard) with never two runs in flight.
+func TestAllDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite skipped in -short mode")
+	}
+	var alone strings.Builder
+	withWorkers(t, 2, func() {
+		for _, id := range IDs() {
+			res := ByID(id)()
+			if res.ID != id {
+				t.Errorf("ByID(%q) produced result %q", id, res.ID)
+			}
+			alone.WriteString(res.Render())
+		}
+	})
+	for _, workers := range []int{1, 2, 8} {
+		withWorkers(t, workers, func() {
+			var got string
+			peak := peakRunning(func() { got = renderAll(All()) })
+			if got != alone.String() {
+				t.Errorf("All() at %d workers differs from the experiments rendered one by one", workers)
+			}
+			if peak < 1 || peak > workers {
+				t.Errorf("sampled a peak of %d runs in flight at SetWorkers(%d)", peak, workers)
+			}
+		})
+	}
+}
+
+// inFlight counts pool items from inside fn: enter returns the number
+// executing (the caller included), max is the highest it ever returned.
+type inFlight struct{ now, max atomic.Int64 }
+
+func (f *inFlight) enter() int64 {
+	n := f.now.Add(1)
+	for m := f.max.Load(); n > m && !f.max.CompareAndSwap(m, n); m = f.max.Load() {
+	}
+	return n
+}
+
+func (f *inFlight) leave() { f.now.Add(-1) }
+
+// TestRunBudget is the bound itself: concurrent batches together never
+// execute more than Workers() items, and do fill the budget. The first three
+// items admitted wait for each other, so reaching 3 does not depend on timing.
+func TestRunBudget(t *testing.T) {
+	const limit = 3
+	var (
+		f    inFlight
+		full = make(chan struct{})
+		once sync.Once
+		wg   sync.WaitGroup
+	)
+	withWorkers(t, limit, func() {
+		for b := 0; b < 4; b++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mapIndexed(16, func(i int) int {
+					defer f.leave()
+					if f.enter() == limit {
+						once.Do(func() { close(full) })
+					}
+					select {
+					case <-full:
+					case <-time.After(10 * time.Second):
+						t.Error("the budget never filled: fewer than 3 items were admitted together")
+					}
+					return i
+				})
+			}()
+		}
+		wg.Wait()
+	})
+	if got := f.max.Load(); got != limit {
+		t.Fatalf("saw at most %d items executing, want exactly %d", got, limit)
+	}
+	if running != 0 {
+		t.Fatalf("budget unbalanced after the batches: %d slots still held", running)
+	}
+}
+
+// TestSetWorkersAdmitsWaiters raises the budget while a batch waits for a
+// slot another batch's item is sitting on: the waiter must be admitted by
+// the raise, not by the release.
+func TestSetWorkersAdmitsWaiters(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	var (
+		holding = make(chan struct{})
+		release = make(chan struct{})
+		ran     = make(chan struct{})
+		wg      sync.WaitGroup
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		mapIndexed(1, func(int) int { close(holding); <-release; return 0 })
+	}()
+	<-holding
+	go func() {
+		defer wg.Done()
+		mapIndexed(1, func(int) int { close(ran); return 0 })
+	}()
+	// Give the second batch time to block on the budget. The test passes
+	// either way; the pause only makes it exercise the wake-up.
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-ran:
+		t.Fatal("a second item executed at SetWorkers(1) while the first held the slot")
+	default:
+	}
+	SetWorkers(2)
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Error("raising the budget did not admit the waiting item")
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestAllPanicNamesExperiment: a panic inside an experiment's run surfaces
+// from the suite on the caller's goroutine, names the experiment, and leaves
+// the budget balanced — a leaked slot would hang the one-worker suite after.
+func TestAllPanicNamesExperiment(t *testing.T) {
+	items := func(id string, bad int) experiment {
+		return experiment{id, func() *Result {
+			mapIndexed(8, func(i int) int {
+				if i == bad {
+					panic("boom")
+				}
+				return i
+			})
+			return &Result{ID: id}
+		}}
+	}
+	table := []experiment{items("EX1", -1), items("EX2", 5), items("EX3", -1)}
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers, func() {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "EX2") || !strings.Contains(msg, "boom") {
+						t.Fatalf("panic %q does not name the experiment and the cause", msg)
+					}
+				}()
+				runAll(table)
+				t.Fatal("the experiment's panic did not propagate")
+			}()
+			if running != 0 {
+				t.Fatalf("budget unbalanced after the panic: %d slots still held", running)
+			}
+		})
+	}
+	withWorkers(t, 1, func() {
+		if got := runAll(table[:1]); len(got) != 1 || got[0].ID != "EX1" {
+			t.Fatalf("suite after a panic returned %+v", got)
+		}
+	})
+}
+
+// TestMapIndexedRejectsNesting: an item that starts a batch would wait on
+// the slot it holds; the engine panics instead of deadlocking.
+func TestMapIndexedRejectsNesting(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers, func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "do not nest") {
+					t.Fatalf("nested batch at %d workers: got %q, want the nesting panic", workers, msg)
+				}
+			}()
+			mapIndexed(4, func(i int) int {
+				return mapIndexed(2, func(j int) int { return j })[0]
+			})
+		})
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/arq"
@@ -1116,10 +1118,17 @@ func E21TraceReplay() *Result {
 	base.IModelSpec = "ge:gber=1e-7,bber=2e-3,mgood=40ms,mbad=4ms,fec=hamming74"
 	base.CModelSpec = "ge:gber=1e-8,bber=5e-4,mgood=40ms,mbad=4ms,fec=rep3"
 
-	okReplay := true
-	okAnalytic := true
-	for _, name := range arq.Protocols() {
-		reg, err := arq.ParseProtocol(name)
+	// One pool item per engine: the record→replay pair of one engine is a
+	// chain (the replay needs the recording), the engines are independent.
+	type e21point struct {
+		live  RunResult
+		iRecs int
+		same  bool
+		pf    float64
+	}
+	names := arq.Protocols()
+	points := mapIndexed(len(names), func(pi int) e21point {
+		reg, err := arq.ParseProtocol(names[pi])
 		if err != nil {
 			panic(err)
 		}
@@ -1146,19 +1155,27 @@ func E21TraceReplay() *Result {
 		replayCfg.ReplayChannels = loaded
 		replay := Run(replayCfg)
 
-		same := bytes.Equal(live.Snapshot.JSON(), replay.Snapshot.JSON()) &&
-			live.Delivered == replay.Delivered && live.Elapsed == replay.Elapsed
-		if !same {
+		return e21point{
+			live:  live,
+			iRecs: len(loaded.Get("ab/i").Recs),
+			same: bytes.Equal(live.Snapshot.JSON(), replay.Snapshot.JSON()) &&
+				live.Delivered == replay.Delivered && live.Elapsed == replay.Elapsed,
+			pf: cfg.Analytical().PF,
+		}
+	})
+
+	okReplay := true
+	okAnalytic := true
+	for _, pt := range points {
+		if !pt.same {
 			okReplay = false
 		}
-		pf := cfg.Analytical().PF
-		if !math.IsNaN(pf) {
+		if !math.IsNaN(pt.pf) {
 			okAnalytic = false
 		}
-		iRecs := len(loaded.Get("ab/i").Recs)
-		r.Table.AddRow(live.Protocol.String(), fmtProb(pf),
-			fmt.Sprint(live.Delivered), fmt.Sprint(live.Retransmissions),
-			fmtDur(live.Elapsed), fmt.Sprint(iRecs), fmt.Sprint(same))
+		r.Table.AddRow(pt.live.Protocol.String(), fmtProb(pt.pf),
+			fmt.Sprint(pt.live.Delivered), fmt.Sprint(pt.live.Retransmissions),
+			fmtDur(pt.live.Elapsed), fmt.Sprint(pt.iRecs), fmt.Sprint(pt.same))
 	}
 	r.check("replayed run is byte-identical to its recorded live run", okReplay,
 		"full metrics snapshot equality across %d engines, trace round-tripped through the file format",
@@ -1170,57 +1187,89 @@ func E21TraceReplay() *Result {
 	return r
 }
 
-// All runs every experiment in order.
-func All() []*Result {
-	return []*Result{
-		E1MeanPeriods(),
-		E2LowTrafficDelay(),
-		E3HoldingAndBuffer(),
-		E4ThroughputVsTraffic(),
-		E5ThroughputVsBER(),
-		E6ThroughputVsDistance(),
-		E7BurstResilience(),
-		E8FailureDetection(),
-		E9FlowControl(),
-		E10NumberingSize(),
-		E11Validation(),
-		E12VariantAblation(),
-		E13StutterAblation(),
-		E14HybridFECTradeoff(),
-		E15InSequenceCost(),
-		E16DelayThroughput(),
-		E17CheckpointIntervalAblation(),
-		E18MultiHopRelay(),
-		E19ConstellationScale(),
-		E20CorruptionConvergence(),
-		E21TraceReplay(),
+// experiment is one row of the evaluation's table.
+type experiment struct {
+	ID  string
+	Run func() *Result
+}
+
+// experiments is the one ordered table of the evaluation: All runs it,
+// ByID and IDs look it up.
+var experiments = []experiment{
+	{"E1", E1MeanPeriods},
+	{"E2", E2LowTrafficDelay},
+	{"E3", E3HoldingAndBuffer},
+	{"E4", E4ThroughputVsTraffic},
+	{"E5", E5ThroughputVsBER},
+	{"E6", E6ThroughputVsDistance},
+	{"E7", E7BurstResilience},
+	{"E8", E8FailureDetection},
+	{"E9", E9FlowControl},
+	{"E10", E10NumberingSize},
+	{"E11", E11Validation},
+	{"E12", E12VariantAblation},
+	{"E13", E13StutterAblation},
+	{"E14", E14HybridFECTradeoff},
+	{"E15", E15InSequenceCost},
+	{"E16", E16DelayThroughput},
+	{"E17", E17CheckpointIntervalAblation},
+	{"E18", E18MultiHopRelay},
+	{"E19", E19ConstellationScale},
+	{"E20", E20CorruptionConvergence},
+	{"E21", E21TraceReplay},
+}
+
+// All runs every experiment and returns the results in table order. The
+// experiments start together, each on its own goroutine holding no slot of
+// the run budget (a body only builds configs and renders tables); the
+// simulated runs they start are the pool items of engine.go, so the points
+// of all of them drain through Workers() slots and one experiment's
+// straggler is overlapped by the others' work. Every table is a pure
+// function of its configs, so the output does not depend on the overlap.
+// A panic in an experiment is re-raised here, naming it, once all have
+// returned.
+func All() []*Result { return runAll(experiments) }
+
+func runAll(table []experiment) []*Result {
+	out := make([]*Result, len(table))
+	var (
+		wg       sync.WaitGroup
+		panicked atomic.Value
+	)
+	for i, e := range table {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, fmt.Sprintf("bench: experiment %s: %v", e.ID, r))
+				}
+			}()
+			out[i] = e.Run()
+		}()
 	}
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
+	return out
+}
+
+// IDs returns the experiment IDs in the order All runs them.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // ByID returns the experiment runner with the given ID, or nil.
 func ByID(id string) func() *Result {
-	m := map[string]func() *Result{
-		"E1":  E1MeanPeriods,
-		"E2":  E2LowTrafficDelay,
-		"E3":  E3HoldingAndBuffer,
-		"E4":  E4ThroughputVsTraffic,
-		"E5":  E5ThroughputVsBER,
-		"E6":  E6ThroughputVsDistance,
-		"E7":  E7BurstResilience,
-		"E8":  E8FailureDetection,
-		"E9":  E9FlowControl,
-		"E10": E10NumberingSize,
-		"E11": E11Validation,
-		"E12": E12VariantAblation,
-		"E13": E13StutterAblation,
-		"E14": E14HybridFECTradeoff,
-		"E15": E15InSequenceCost,
-		"E16": E16DelayThroughput,
-		"E17": E17CheckpointIntervalAblation,
-		"E18": E18MultiHopRelay,
-		"E19": E19ConstellationScale,
-		"E20": E20CorruptionConvergence,
-		"E21": E21TraceReplay,
+	for _, e := range experiments {
+		if e.ID == id {
+			return e.Run
+		}
 	}
-	return m[id]
+	return nil
 }

@@ -29,6 +29,8 @@ type runMem struct {
 	events *Event
 	born   uint32
 	order  []*Event
+	// wheel is the scheduler's bucket storage, all-empty between lives.
+	wheel *wheel
 	// slots holds one value per Local, indexed by Local.slot, nil until the
 	// first Of.
 	slots []any
@@ -63,8 +65,9 @@ func (s *Scheduler) memory() *runMem {
 	}
 	depot.Unlock()
 	if s.mem == nil {
-		s.mem = &runMem{}
+		s.mem = &runMem{wheel: new(wheel)}
 	}
+	s.w = s.mem.wheel
 	return s.mem
 }
 

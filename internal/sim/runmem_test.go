@@ -145,7 +145,8 @@ func TestRunMemoryOneOwnerAtATime(t *testing.T) {
 // TestRecycleReapsTheWheel pins what Recycle gives back and what it must not:
 // every detached and timer-owned event still queued joins the donated chain,
 // handled ones stay their Handle's, and the adopter's reuse of the chain does
-// not count as recycling.
+// not count as recycling. The wheel's bucket arrays travel too, and are handed
+// over unzeroed: Recycle must leave every bucket and occupancy word empty.
 func TestRecycleReapsTheWheel(t *testing.T) {
 	emptyDepot()
 	s := NewScheduler()
@@ -186,6 +187,10 @@ func TestRecycleReapsTheWheel(t *testing.T) {
 
 	depot.Lock()
 	n := 0
+	donated := depot.mems[len(depot.mems)-1].wheel
+	if *donated != (wheel{}) {
+		t.Error("Recycle left a bucket or an occupancy bit behind in the donated wheel")
+	}
 	for e := depot.mems[len(depot.mems)-1].events; e != nil; e = e.next {
 		if e.fn != nil || e.fnArg != nil || e.arg != nil || e.owner != nil {
 			t.Error("a donated event pins its callback or its scheduler")
@@ -207,6 +212,9 @@ func TestRecycleReapsTheWheel(t *testing.T) {
 	}
 	if next.mem.events != nil {
 		t.Fatal("the adopter did not draw its events from the donated chain")
+	}
+	if next.w != donated {
+		t.Fatal("the adopter did not take over the donated wheel")
 	}
 	next.Run()
 	timer.Stop() // a stale timer must not cancel the slot's new occupant

@@ -151,6 +151,19 @@ func (b *bucket) push(e *Event) {
 	b.tail = e
 }
 
+// wheel is the bucket storage of one scheduler: 73 KB that Recycle leaves
+// all-empty (every bucket nil, every occupancy word zero), so the next
+// scheduler on the same run memory takes it over without zeroing it.
+type wheel struct {
+	// Level 0: one slot per nanosecond, two-level occupancy bitmap.
+	l0    [wheelL0Slots]bucket
+	l0occ [wheelL0Slots / 64]uint64
+
+	// Upper levels: 64 slots each, one occupancy word per level.
+	lv  [wheelUpper][wheelSlots]bucket
+	occ [wheelUpper]uint64
+}
+
 // Scheduler is the discrete-event executive: a clock plus a hierarchical
 // timer wheel of pending events. Events scheduled for the same instant fire
 // in FIFO order. The zero Scheduler is ready to use.
@@ -169,14 +182,11 @@ type Scheduler struct {
 	// invalidated on fire and on Cancel, so it can never dangle.
 	peek *Event
 
-	// Level 0: one slot per nanosecond, two-level occupancy bitmap.
-	l0    [wheelL0Slots]bucket
-	l0occ [wheelL0Slots / 64]uint64
+	// w holds the wheel's bucket arrays, which ride the run memory: nil
+	// until the scheduler adopts one (memory), nil again after Recycle.
+	// l0sum summarises w.l0occ and is zero whenever w is nil.
+	w     *wheel
 	l0sum uint64
-
-	// Upper levels: 64 slots each, one occupancy word per level.
-	lv  [wheelUpper][wheelSlots]bucket
-	occ [wheelUpper]uint64
 
 	// Overflow ladder for events beyond the wheel span. overMin is the
 	// minimum live timestamp (valid while overLive > 0); cancellations
@@ -215,6 +225,14 @@ type Scheduler struct {
 	nCanc      uint64
 	nRecy      uint64
 	qPeak      int
+
+	// Pad to 256 bytes, a size class whose objects start on 256-byte
+	// boundaries. While the 73 KB wheel was inline every Scheduler was a
+	// page-aligned large object; at its bare 200 bytes two of them — the
+	// two shards of a constellation, the two endpoints of a live link,
+	// each driven by its own goroutine — are handed out 208 bytes apart and
+	// share a cache line: one's event tallies and the other's clock.
+	_ [56]byte
 }
 
 // NewScheduler returns a Scheduler with the clock at the epoch.
@@ -343,8 +361,9 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 	// the bucket push itself.
 	if x := uint64(at) ^ uint64(s.now); x < wheelL0Slots {
 		sl := int(uint64(at)) & (wheelL0Slots - 1)
-		s.l0[sl].push(e)
-		s.l0occ[(sl>>6)&63] |= 1 << uint(sl&63)
+		wh := s.w
+		wh.l0[sl].push(e)
+		wh.l0occ[(sl>>6)&63] |= 1 << uint(sl&63)
 		s.l0sum |= 1 << uint((sl>>6)&63)
 	} else {
 		s.insert(e)
@@ -368,12 +387,13 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 // above the wheel span. Callers cascading a bucket first advance now to
 // the bucket's span start so re-inserted events land strictly lower.
 func (s *Scheduler) insert(e *Event) {
+	wh := s.w
 	x := uint64(e.at) ^ uint64(s.now)
 	switch {
 	case x>>wheelL0Bits == 0:
 		sl := int(uint64(e.at) & (wheelL0Slots - 1))
-		s.l0[sl].push(e)
-		s.l0occ[sl>>6] |= 1 << uint(sl&63)
+		wh.l0[sl].push(e)
+		wh.l0occ[sl>>6] |= 1 << uint(sl&63)
 		s.l0sum |= 1 << uint(sl>>6)
 	case x>>wheelSpanBits != 0:
 		e.overflow = true
@@ -385,15 +405,15 @@ func (s *Scheduler) insert(e *Event) {
 	default:
 		l := (bits.Len64(x) - wheelL0Bits - 1) / wheelLvlBits
 		sl := int(uint64(e.at)>>uint(wheelL0Bits+l*wheelLvlBits)) & (wheelSlots - 1)
-		s.lv[l][sl].push(e)
-		s.occ[l] |= 1 << uint(sl)
+		wh.lv[l][sl].push(e)
+		wh.occ[l] |= 1 << uint(sl)
 	}
 }
 
-func (s *Scheduler) clearL0(sl int) {
+func (s *Scheduler) clearL0(wh *wheel, sl int) {
 	w := (sl >> 6) & 63
-	s.l0occ[w] &^= 1 << uint(sl&63)
-	if s.l0occ[w] == 0 {
+	wh.l0occ[w] &^= 1 << uint(sl&63)
+	if wh.l0occ[w] == 0 {
 		s.l0sum &^= 1 << uint(w)
 	}
 }
@@ -531,13 +551,14 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 			return false
 		}
 		sl := int(uint64(e.at)) & (wheelL0Slots - 1)
-		bkt := &s.l0[sl]
+		wh := s.w
+		bkt := &wh.l0[sl]
 		if bkt.head == e {
 			s.peek = nil
 			bkt.head = e.next
 			if bkt.head == nil {
 				bkt.tail = nil
-				s.clearL0(sl)
+				s.clearL0(wh, sl)
 			}
 			s.now = e.at
 			e.fired = true
@@ -557,14 +578,18 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 		// behind a dead prefix): fall back to the scan.
 		s.peek = nil
 	}
+	wh := s.w
+	if wh == nil {
+		return false // nothing was ever scheduled
+	}
 	for {
 		// Fast path: L0 holds the events of the 4096 ns window around
 		// now; its earliest occupied slot is the global minimum.
 		if s.l0sum != 0 {
 			w := bits.TrailingZeros64(s.l0sum) & 63
-			bb := bits.TrailingZeros64(s.l0occ[w]) & 63
+			bb := bits.TrailingZeros64(wh.l0occ[w]) & 63
 			sl := w<<6 | bb
-			bkt := &s.l0[sl]
+			bkt := &wh.l0[sl]
 			e := bkt.head
 			for e != nil && e.cancel {
 				bkt.head = e.next
@@ -573,7 +598,7 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 			}
 			if e == nil {
 				bkt.tail = nil
-				s.clearL0(sl)
+				s.clearL0(wh, sl)
 				continue
 			}
 			if e.at > deadline {
@@ -582,7 +607,7 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 			bkt.head = e.next
 			if bkt.head == nil {
 				bkt.tail = nil
-				s.clearL0(sl)
+				s.clearL0(wh, sl)
 			}
 			s.now = e.at
 			e.fired = true
@@ -606,18 +631,18 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 		// lowest occupied level's lowest occupied slot holds the global
 		// minimum (all levels share their upper timestamp bits with now).
 		lvl := -1
-		for i := range s.occ {
-			if s.occ[i] != 0 {
+		for i := range wh.occ {
+			if wh.occ[i] != 0 {
 				lvl = i
 				break
 			}
 		}
 		if lvl >= 0 {
-			sl := bits.TrailingZeros64(s.occ[lvl])
-			bkt := &s.lv[lvl][sl]
+			sl := bits.TrailingZeros64(wh.occ[lvl])
+			bkt := &wh.lv[lvl][sl]
 			minAt, ok := s.scanReap(bkt)
 			if !ok {
-				s.occ[lvl] &^= 1 << uint(sl)
+				wh.occ[lvl] &^= 1 << uint(sl)
 				continue
 			}
 			if minAt > deadline {
@@ -630,7 +655,7 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 			start := minAt &^ (Time(1)<<shift - 1)
 			head := bkt.head
 			bkt.head, bkt.tail = nil, nil
-			s.occ[lvl] &^= 1 << uint(sl)
+			wh.occ[lvl] &^= 1 << uint(sl)
 			if start > s.now {
 				s.now = start
 			}
@@ -683,19 +708,20 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) advanceClock(to Time) {
 	old := s.now
 	s.now = to
-	if uint64(old)>>wheelL0Bits == uint64(to)>>wheelL0Bits {
-		return // same L0 window: every placement is still valid
+	wh := s.w
+	if wh == nil || uint64(old)>>wheelL0Bits == uint64(to)>>wheelL0Bits {
+		return // nothing placed yet, or same L0 window: every placement is still valid
 	}
 	for l := 0; l < wheelUpper; l++ {
 		shift := uint(wheelL0Bits + l*wheelLvlBits)
 		sl := int(uint64(to)>>shift) & (wheelSlots - 1)
-		if s.occ[l]&(1<<uint(sl)) == 0 {
+		if wh.occ[l]&(1<<uint(sl)) == 0 {
 			continue
 		}
-		bkt := &s.lv[l][sl]
+		bkt := &wh.lv[l][sl]
 		head := bkt.head
 		bkt.head, bkt.tail = nil, nil
-		s.occ[l] &^= 1 << uint(sl)
+		wh.occ[l] &^= 1 << uint(sl)
 		for e := head; e != nil; {
 			next := e.next
 			if e.cancel {
@@ -749,6 +775,7 @@ func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // stopped — and the clock and the executed count stay readable.
 func (s *Scheduler) Recycle() {
 	m := s.memory()
+	wh := m.wheel
 	if n := int(m.born); cap(m.order) < n {
 		m.order = make([]*Event, n, n+n/4)
 	} else {
@@ -777,17 +804,17 @@ func (s *Scheduler) Recycle() {
 	}
 	for sum := s.l0sum; sum != 0; sum &= sum - 1 {
 		w := bits.TrailingZeros64(sum)
-		for occ := s.l0occ[w]; occ != 0; occ &= occ - 1 {
-			reap(&s.l0[w<<6|bits.TrailingZeros64(occ)])
+		for occ := wh.l0occ[w]; occ != 0; occ &= occ - 1 {
+			reap(&wh.l0[w<<6|bits.TrailingZeros64(occ)])
 		}
-		s.l0occ[w] = 0
+		wh.l0occ[w] = 0
 	}
 	s.l0sum = 0
-	for l := range s.occ {
-		for occ := s.occ[l]; occ != 0; occ &= occ - 1 {
-			reap(&s.lv[l][bits.TrailingZeros64(occ)])
+	for l := range wh.occ {
+		for occ := wh.occ[l]; occ != 0; occ &= occ - 1 {
+			reap(&wh.lv[l][bits.TrailingZeros64(occ)])
 		}
-		s.occ[l] = 0
+		wh.occ[l] = 0
 	}
 	reap(&s.over)
 	s.overLive, s.overDead = 0, 0
@@ -801,7 +828,7 @@ func (s *Scheduler) Recycle() {
 	}
 	s.free = nil
 	m.relink()
-	s.mem, s.recycled = nil, true
+	s.mem, s.w, s.recycled = nil, nil, true
 	m.donate()
 }
 
@@ -816,12 +843,16 @@ func (s *Scheduler) NextEventAt() Time {
 	if s.peek != nil {
 		return s.peek.at
 	}
+	wh := s.w
+	if wh == nil {
+		return s.overflowMin()
+	}
 	for {
 		if s.l0sum != 0 {
 			w := bits.TrailingZeros64(s.l0sum)
-			bb := bits.TrailingZeros64(s.l0occ[w])
+			bb := bits.TrailingZeros64(wh.l0occ[w])
 			sl := w<<6 | bb
-			bkt := &s.l0[sl]
+			bkt := &wh.l0[sl]
 			e := bkt.head
 			for e != nil && e.cancel {
 				bkt.head = e.next
@@ -830,14 +861,14 @@ func (s *Scheduler) NextEventAt() Time {
 			}
 			if e == nil {
 				bkt.tail = nil
-				s.clearL0(sl)
+				s.clearL0(wh, sl)
 				continue
 			}
 			return e.at
 		}
 		lvl := -1
-		for i := range s.occ {
-			if s.occ[i] != 0 {
+		for i := range wh.occ {
+			if wh.occ[i] != 0 {
 				lvl = i
 				break
 			}
@@ -845,10 +876,10 @@ func (s *Scheduler) NextEventAt() Time {
 		if lvl < 0 {
 			return s.overflowMin()
 		}
-		sl := bits.TrailingZeros64(s.occ[lvl])
-		minAt, ok := s.scanReap(&s.lv[lvl][sl])
+		sl := bits.TrailingZeros64(wh.occ[lvl])
+		minAt, ok := s.scanReap(&wh.lv[lvl][sl])
 		if !ok {
-			s.occ[lvl] &^= 1 << uint(sl)
+			wh.occ[lvl] &^= 1 << uint(sl)
 			continue
 		}
 		return minAt

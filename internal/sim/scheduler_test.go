@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -510,4 +511,13 @@ func BenchmarkTimerRestart(b *testing.B) {
 		b.Fatalf("fired %d, want %d", fired, b.N)
 	}
 	_ = expired
+}
+
+// TestSchedulerFillsItsSizeClass pins the padding that keeps two schedulers
+// driven by different goroutines off one cache line: whoever adds a field
+// shrinks the pad by as much.
+func TestSchedulerFillsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Scheduler{}); got != 256 {
+		t.Fatalf("Scheduler is %d bytes, want 256: adjust the trailing pad", got)
+	}
 }
