@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke memsmoke constsmoke tracesmoke livesmoke clismoke tablesmoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke memsmoke constsmoke tracesmoke livesmoke specsmoke clismoke tablesmoke
 	go test -race ./...
 	cd benchmarks && go test .
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
@@ -83,12 +83,37 @@ livesmoke:
 	go test ./internal/live -run xxx -fuzz FuzzStuffRoundTrip -fuzztime 10s
 	go test ./internal/live -run xxx -bench 'BenchmarkAppendStuffed1K|BenchmarkDeframerFeed1K|BenchmarkLoopback' -benchtime 100x -benchmem
 
+# Spec smoke (ISSUE 24, ROADMAP 3): everything that reads what a user typed or
+# a file holds. The kit's own tests and the four reject tables first (a spec
+# the parser merely shrugs at is a run measuring the wrong channel), the
+# allocation budget of the parsers bench.Run calls per run, then ten seconds of
+# each fuzz target: no input panics a parser, and what one accepts survives
+# the round trip through its own rendering. Last, the CLI end of it: a trace
+# file whose record count is a lie must cost lamsim an error and exit 2, not a
+# stack trace. A crasher a fuzz run finds lands in the package's
+# testdata/fuzz/ and is committed with its fix.
+.PHONY: specsmoke
+specsmoke:
+	go test ./internal/spec ./internal/fec -count=1
+	go test ./internal/arq ./internal/channel ./internal/faults ./internal/bench -count=1 \
+		-run 'TestParseProtocol|TestParseModel|TestParseSpec|TestReadTraceSet|TestImportTwoColumn|TestScenarioFlags|TestParseBudget|TestRunParseBudget'
+	go test ./internal/faults -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime 10s
+	go test ./internal/channel -run xxx -fuzz '^FuzzParseModel$$' -fuzztime 10s
+	go test ./internal/channel -run xxx -fuzz '^FuzzReadTraceSet$$' -fuzztime 10s
+	go test ./internal/channel -run xxx -fuzz '^FuzzImportTwoColumn$$' -fuzztime 10s
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	printf 'LAMSTRC1\001\000\000\377\377\377\377\377\377\177' > "$$tmp/liar.trc"; \
+	go run ./cmd/lamsim -n 10 -imodel "trace:file=$$tmp/liar.trc" > /dev/null 2> "$$tmp/err" || true; \
+	grep -q '^lamsim: channel: trace: ' "$$tmp/err" && grep -q '^exit status 2$$' "$$tmp/err" || { cat "$$tmp/err"; echo "specsmoke: lamsim did not exit 2 on the malformed trace file"; exit 1; }; \
+	echo "specsmoke: reject tables, parse budgets and four fuzz targets clean; $$(head -1 "$$tmp/err")"
+
 # CLI smoke (ISSUE 16, ROADMAP 6(d)): the two scenario CLIs end to end.
 # lamsim runs once per registered engine — the list is the registry's own, read
 # off the unknown-protocol error — with the §3.2 checker attached (exit 1 on a
 # violation or a lost datagram). Then the -pf/-pc sugar must print exactly what
 # the specs it expands to print, on both CLIs: bench.BindScenarioFlags is the
-# one place that expansion is decided.
+# one place that expansion is decided — and where -pf NaN, which compares
+# false with everything and used to run a perfect channel, must exit 2.
 .PHONY: clismoke
 clismoke:
 	@set -e; \
@@ -102,7 +127,11 @@ clismoke:
 		specs=$$(go run ./cmd/$$cli -imodel fixed:p=0.05 -cmodel fixed:p=0.0125); \
 		[ -n "$$sugar" ] && [ "$$sugar" = "$$specs" ] || { echo "clismoke: $$cli: -pf/-pc and the fixed: specs print different runs"; exit 1; }; \
 	done; \
-	echo "clismoke: $$engines ran with invariants held; -pf/-pc sugar equals its specs on lamsim and lamsweep"
+	for cli in lamsim lamsweep; do \
+		out=$$(go run ./cmd/$$cli -n 100 -pf NaN 2>&1 > /dev/null || true); \
+		echo "$$out" | grep -q -- '-pf NaN out of \[0,1\]' && echo "$$out" | grep -q '^exit status 2$$' || { echo "clismoke: $$cli -pf NaN did not exit 2 naming the flag: $$out"; exit 1; }; \
+	done; \
+	echo "clismoke: $$engines ran with invariants held; -pf/-pc sugar equals its specs on lamsim and lamsweep; -pf NaN is refused"
 
 # Tables smoke (ISSUE 23): lamstables overlaps its 21 experiments on one run
 # budget, so which runs share the machine at any instant depends on -workers

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -38,9 +39,7 @@ func main() {
 	bench.SetWorkers(*workers)
 
 	if *list {
-		for _, r := range describe() {
-			fmt.Printf("%-4s %s\n", r[0], r[1])
-		}
+		printList(os.Stdout)
 		return
 	}
 
@@ -88,28 +87,9 @@ func main() {
 	fmt.Printf("all %d experiments passed their shape checks\n", len(results))
 }
 
-func describe() [][2]string {
-	return [][2]string{
-		{"E1", "mean transmissions per I-frame (s̄), NAK-only vs pos-ack"},
-		{"E2", "low-traffic delivery time D_low(N)"},
-		{"E3", "holding time H_frame and transparent buffer size B_LAMS"},
-		{"E4", "throughput efficiency η vs channel traffic N"},
-		{"E5", "throughput efficiency η vs BER (FEC-derived P_F, P_C)"},
-		{"E6", "throughput efficiency η vs link distance"},
-		{"E7", "burst errors vs C_depth·W_cp"},
-		{"E8", "link-failure detection latency vs C_depth"},
-		{"E9", "Stop-Go flow control under receiver overload"},
-		{"E10", "bounded numbering size"},
-		{"E11", "simulation-vs-analysis validation grid"},
-		{"E12", "HDLC D_retrn variant ablation (paper typo)"},
-		{"E13", "stutter (SR+ST) idle-time ablation"},
-		{"E14", "hybrid ARQ/FEC code-rate trade-off"},
-		{"E15", "cost of the in-sequence constraint (GBN vs SR vs LAMS)"},
-		{"E16", "delay vs throughput trade-off under rising load"},
-		{"E17", "checkpoint interval W_cp ablation"},
-		{"E18", "multi-hop relay over every registered engine"},
-		{"E19", "constellation-scale sharded simulation (64→1,024 satellites)"},
-		{"E20", "state-corruption convergence sweep (scramble/ghost/reorder)"},
-		{"E21", "trace-driven channel record/replay over every registered engine"},
+// printList prints the experiment IDs and titles, in run order.
+func printList(w io.Writer) {
+	for _, r := range bench.Titles() {
+		fmt.Fprintf(w, "%-4s %s\n", r[0], r[1])
 	}
 }

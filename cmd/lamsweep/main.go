@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -22,17 +23,19 @@ import (
 	"repro/internal/bench"
 	"repro/internal/channel"
 	"repro/internal/orbit"
+	"repro/internal/spec"
 )
 
 func main() {
+	// The scenario flags give the base point; the swept parameter overrides
+	// its own flag at each value.
+	scenario := bench.BindScenarioFlags(flag.CommandLine, 2*time.Minute)
+	params := sweepParams(scenario)
 	var (
-		// The scenario flags give the base point; the swept parameter
-		// overrides its own flag at each value.
-		scenario = bench.BindScenarioFlags(flag.CommandLine, 2*time.Minute)
-		param    = flag.String("param", "ber", "swept parameter: ber | pf | km | n | icp | cdepth | w | alpha | payload")
-		values   = flag.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
-		protos   = flag.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
+		param   = flag.String("param", "ber", "swept parameter: "+strings.Join(params.Names(), " | "))
+		values  = flag.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
+		protos  = flag.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"simulation worker goroutines (output is identical at any count)")
 		withMetrics = flag.Bool("metrics", false,
 			"append a metrics_json column with each run's full counter snapshot")
@@ -41,6 +44,11 @@ func main() {
 	bench.SetWorkers(*workers)
 
 	base, err := scenario.RunConfig()
+	if err != nil {
+		fatal("%v", err)
+	}
+
+	set, err := params.Lookup(*param)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -64,32 +72,20 @@ func main() {
 	var points []point
 	for _, vs := range strings.Split(*values, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(vs), 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = strconv.ErrRange
+		}
 		if err != nil {
 			fatal("bad value %q: %v", vs, err)
 		}
 		c := base
-		switch *param {
-		case "ber":
-			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(v, -1, -1)
-		case "pf":
-			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(0, v, max(scenario.PC, v/4))
-		case "km":
-			c.OneWay = orbit.PropagationDelay(v * 1e3)
-			c.Alpha = c.OneWay
-		case "n":
-			c.N = int(v)
-		case "icp":
-			c.Icp = time.Duration(v * float64(time.Millisecond))
-		case "cdepth":
-			c.Cdepth = int(v)
-		case "w":
-			c.W = int(v)
-		case "alpha":
-			c.Alpha = time.Duration(v * float64(time.Millisecond))
-		case "payload":
-			c.PayloadBytes = int(v)
-		default:
-			fatal("unknown parameter %q", *param)
+		set(&c, v)
+		// A swept value can name a channel no model accepts (-param pf
+		// -values 2): an error here, not a panic inside the run.
+		for _, model := range []string{c.IModelSpec, c.CModelSpec} {
+			if _, err := channel.ModelFactory(model); err != nil {
+				fatal("value %q: %v", vs, err)
+			}
 		}
 		for _, proto := range protoList {
 			c.Protocol = proto
@@ -121,6 +117,31 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// sweepParams is the table of sweepable parameters: how one value of each
+// lands in the run configuration (durations are given in milliseconds). pf
+// reads the base point's -pc when a value is applied, after the flags parsed.
+func sweepParams(base *bench.ScenarioFlags) *spec.Table[func(*bench.RunConfig, float64)] {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	t := spec.NewTable[func(*bench.RunConfig, float64)]("parameter")
+	t.Add("ber", nil, func(c *bench.RunConfig, v float64) {
+		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(v, -1, -1)
+	})
+	t.Add("pf", nil, func(c *bench.RunConfig, v float64) {
+		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(0, v, max(base.PC, v/4))
+	})
+	t.Add("km", nil, func(c *bench.RunConfig, v float64) {
+		c.OneWay = orbit.PropagationDelay(v * 1e3)
+		c.Alpha = c.OneWay
+	})
+	t.Add("n", nil, func(c *bench.RunConfig, v float64) { c.N = int(v) })
+	t.Add("icp", nil, func(c *bench.RunConfig, v float64) { c.Icp = ms(v) })
+	t.Add("cdepth", nil, func(c *bench.RunConfig, v float64) { c.Cdepth = int(v) })
+	t.Add("w", nil, func(c *bench.RunConfig, v float64) { c.W = int(v) })
+	t.Add("alpha", nil, func(c *bench.RunConfig, v float64) { c.Alpha = ms(v) })
+	t.Add("payload", nil, func(c *bench.RunConfig, v float64) { c.PayloadBytes = int(v) })
+	return t
 }
 
 // snapshotJSON renders the run's counter set as a compact JSON object

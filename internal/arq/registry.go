@@ -2,12 +2,11 @@ package arq
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // EngineConfig is the protocol-specific configuration a registered engine
@@ -78,10 +77,7 @@ type Registration struct {
 	accepts func(cfg EngineConfig) error
 }
 
-var (
-	registry = make(map[string]Registration) // canonical + alias keys
-	names    []string                        // canonical names, sorted
-)
+var registry = spec.NewTable[Registration]("protocol")
 
 // Register adds an engine to the registry: r carries its names, and the
 // three typed functions fill r.Defaults, r.Configure and r.New — this is the
@@ -109,32 +105,19 @@ func Register[C EngineConfig, P Pair](r Registration,
 		}
 		return nil
 	}
-	for _, key := range append([]string{r.Name}, r.Aliases...) {
-		key = strings.ToLower(key)
-		if _, dup := registry[key]; dup {
-			panic(fmt.Sprintf("arq: duplicate engine registration %q", key))
-		}
-		registry[key] = r
-	}
-	names = append(names, r.Name)
-	sort.Strings(names)
+	registry.Add(r.Name, r.Aliases, r)
 }
 
 // Protocols returns the registered canonical engine names, sorted.
-func Protocols() []string {
-	out := make([]string, len(names))
-	copy(out, names)
-	return out
-}
+func Protocols() []string { return registry.Names() }
 
 // ParseProtocol resolves a protocol name (canonical or alias, case
 // insensitive) to its registration. Unknown names error, listing what is
 // registered — no silent default.
 func ParseProtocol(name string) (Registration, error) {
-	r, ok := registry[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Registration{}, fmt.Errorf("arq: unknown protocol %q (registered: %s)",
-			name, strings.Join(Protocols(), ", "))
+	r, err := registry.Lookup(name)
+	if err != nil {
+		return Registration{}, fmt.Errorf("arq: %w", err)
 	}
 	return r, nil
 }

@@ -41,14 +41,26 @@ func TestParseProtocolAliasesAndCase(t *testing.T) {
 }
 
 func TestParseProtocolUnknownListsRegistered(t *testing.T) {
-	_, err := arq.ParseProtocol("x25")
+	_, err := arq.ParseProtocol("?")
 	if err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+	// `make clismoke` reads the engine list off this exact text.
+	if want := `arq: unknown protocol "?" (registered: ` + strings.Join(arq.Protocols(), ", ") + ")"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 	for _, name := range arq.Protocols() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list registered engine %q", err, name)
 		}
+	}
+}
+
+// TestParseProtocolBudget: resolving a canonical name allocates nothing —
+// bench.Run does it once per run, inside the link_bulk allocation bound.
+func TestParseProtocolBudget(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { arq.ParseProtocol("lams") }); n != 0 {
+		t.Errorf(`ParseProtocol("lams") costs %v allocations, want 0`, n)
 	}
 }
 

@@ -255,7 +255,8 @@ func TestAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var alone strings.Builder
 	withWorkers(t, 2, func() {
-		for _, id := range IDs() {
+		for _, row := range Titles() {
+			id := row[0]
 			res := ByID(id)()
 			if res.ID != id {
 				t.Errorf("ByID(%q) produced result %q", id, res.ID)
@@ -375,7 +376,7 @@ func TestSetWorkersAdmitsWaiters(t *testing.T) {
 // the budget balanced — a leaked slot would hang the one-worker suite after.
 func TestAllPanicNamesExperiment(t *testing.T) {
 	items := func(id string, bad int) experiment {
-		return experiment{id, func() *Result {
+		return experiment{id, "", func() *Result {
 			mapIndexed(8, func(i int) int {
 				if i == bad {
 					panic("boom")

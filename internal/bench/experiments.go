@@ -1187,36 +1187,37 @@ func E21TraceReplay() *Result {
 	return r
 }
 
-// experiment is one row of the evaluation's table.
+// experiment is one row of the evaluation's table. Title is the one-line
+// description lamstables -list prints; a Result carries its own, longer one.
 type experiment struct {
-	ID  string
-	Run func() *Result
+	ID, Title string
+	Run       func() *Result
 }
 
 // experiments is the one ordered table of the evaluation: All runs it,
-// ByID and IDs look it up.
+// ByID and Titles look it up.
 var experiments = []experiment{
-	{"E1", E1MeanPeriods},
-	{"E2", E2LowTrafficDelay},
-	{"E3", E3HoldingAndBuffer},
-	{"E4", E4ThroughputVsTraffic},
-	{"E5", E5ThroughputVsBER},
-	{"E6", E6ThroughputVsDistance},
-	{"E7", E7BurstResilience},
-	{"E8", E8FailureDetection},
-	{"E9", E9FlowControl},
-	{"E10", E10NumberingSize},
-	{"E11", E11Validation},
-	{"E12", E12VariantAblation},
-	{"E13", E13StutterAblation},
-	{"E14", E14HybridFECTradeoff},
-	{"E15", E15InSequenceCost},
-	{"E16", E16DelayThroughput},
-	{"E17", E17CheckpointIntervalAblation},
-	{"E18", E18MultiHopRelay},
-	{"E19", E19ConstellationScale},
-	{"E20", E20CorruptionConvergence},
-	{"E21", E21TraceReplay},
+	{"E1", "mean transmissions per I-frame (s̄), NAK-only vs pos-ack", E1MeanPeriods},
+	{"E2", "low-traffic delivery time D_low(N)", E2LowTrafficDelay},
+	{"E3", "holding time H_frame and transparent buffer size B_LAMS", E3HoldingAndBuffer},
+	{"E4", "throughput efficiency η vs channel traffic N", E4ThroughputVsTraffic},
+	{"E5", "throughput efficiency η vs BER (FEC-derived P_F, P_C)", E5ThroughputVsBER},
+	{"E6", "throughput efficiency η vs link distance", E6ThroughputVsDistance},
+	{"E7", "burst errors vs C_depth·W_cp", E7BurstResilience},
+	{"E8", "link-failure detection latency vs C_depth", E8FailureDetection},
+	{"E9", "Stop-Go flow control under receiver overload", E9FlowControl},
+	{"E10", "bounded numbering size", E10NumberingSize},
+	{"E11", "simulation-vs-analysis validation grid", E11Validation},
+	{"E12", "HDLC D_retrn variant ablation (paper typo)", E12VariantAblation},
+	{"E13", "stutter (SR+ST) idle-time ablation", E13StutterAblation},
+	{"E14", "hybrid ARQ/FEC code-rate trade-off", E14HybridFECTradeoff},
+	{"E15", "cost of the in-sequence constraint (GBN vs SR vs LAMS)", E15InSequenceCost},
+	{"E16", "delay vs throughput trade-off under rising load", E16DelayThroughput},
+	{"E17", "checkpoint interval W_cp ablation", E17CheckpointIntervalAblation},
+	{"E18", "multi-hop relay over every registered engine", E18MultiHopRelay},
+	{"E19", "constellation-scale sharded simulation (64→1,024 satellites)", E19ConstellationScale},
+	{"E20", "state-corruption convergence sweep (scramble/ghost/reorder)", E20CorruptionConvergence},
+	{"E21", "trace-driven channel record/replay over every registered engine", E21TraceReplay},
 }
 
 // All runs every experiment and returns the results in table order. The
@@ -1255,13 +1256,13 @@ func runAll(table []experiment) []*Result {
 	return out
 }
 
-// IDs returns the experiment IDs in the order All runs them.
-func IDs() []string {
-	ids := make([]string, len(experiments))
+// Titles returns each experiment's {ID, title} in the order All runs them.
+func Titles() [][2]string {
+	rows := make([][2]string, len(experiments))
 	for i, e := range experiments {
-		ids[i] = e.ID
+		rows[i] = [2]string{e.ID, e.Title}
 	}
-	return ids
+	return rows
 }
 
 // ByID returns the experiment runner with the given ID, or nil.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"time"
 
 	"repro/internal/channel"
@@ -63,6 +64,17 @@ func (f *ScenarioFlags) RunConfig() (RunConfig, error) {
 		Tproc:        10 * sim.Microsecond,
 		Seed:         f.Seed,
 		Horizon:      f.Horizon,
+	}
+	// -1 is -pf/-pc left unset; any other value is a probability or an
+	// error naming the flag, whether or not an explicit spec overrides it.
+	// NaN fails every comparison, so the range is tested as what is accepted.
+	for _, fl := range []struct {
+		name     string
+		v, unset float64
+	}{{"-ber", f.BER, 0}, {"-pf", f.PF, -1}, {"-pc", f.PC, -1}} {
+		if !(fl.v >= 0 && fl.v <= 1) && fl.v != fl.unset {
+			return RunConfig{}, fmt.Errorf("%s %g out of [0,1]", fl.name, fl.v)
+		}
 	}
 	if c.IModelSpec == "" && c.CModelSpec == "" {
 		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(f.BER, f.PF, f.PC)

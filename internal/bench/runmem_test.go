@@ -66,6 +66,24 @@ func TestRunAllocsIndependentOfGC(t *testing.T) {
 	workload.VerifyZeroPage()
 }
 
+// TestRunParseBudget pins a warm run's allocation count where the benchmark's
+// link_bulk repetition feels it: Run resolves one engine name and parses two
+// channel specs per run, ≈ 190 allocations is the whole 100,000-datagram
+// repetition, and its bound is 10 % — a spec parser a dozen allocations
+// heavier would breach it. 185 is what the hand-written parsers cost.
+func TestRunParseBudget(t *testing.T) {
+	c := Base()
+	c.IModelSpec, c.CModelSpec = "fixed:p=0.05", "fixed:p=0.0125"
+	c.N = 2000
+	Run(c)
+	Run(c)
+	if n := testing.AllocsPerRun(20, func() { Run(c) }); n > 185 {
+		t.Errorf("a warm run costs %v allocations, budget 185", n)
+	} else {
+		t.Logf("a warm run costs %v allocations", n)
+	}
+}
+
 // TestRecycledCounterIsRunLocal pins the snapshot against the run memory's
 // history: sim_events_recycled_total counts reuse within this scheduler's
 // life only, so the same configuration reports the same snapshot whatever ran

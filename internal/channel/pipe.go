@@ -237,9 +237,6 @@ func (p *Pipe) TxTimeBits(bits int) sim.Duration {
 	return sim.Duration(float64(bits) / p.cfg.RateBps * float64(sim.Second))
 }
 
-// BusyUntil returns the instant the wire next frees up.
-func (p *Pipe) BusyUntil() sim.Time { return p.busyUntil }
-
 // QueueingDelay returns how long a frame sent now would wait for the wire.
 func (p *Pipe) QueueingDelay() sim.Duration {
 	now := p.sched.Now()

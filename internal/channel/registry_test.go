@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -70,6 +71,16 @@ func TestParseModelRejectsMalformedSpecs(t *testing.T) {
 		{"trace", "missing required parameter"},
 		{"trace:file=/nonexistent/no.trc", "no such file"},
 		{"trace:file=x,policy=sometimes", "bad policy"},
+		// Numbers that are not numbers (ISSUE 24): each of these parsed, and
+		// ran a channel nobody asked for.
+		{"fixed:p=NaN", `bad p "NaN"`},
+		{"fixed:p=+Inf", `bad p "+Inf"`},
+		{"bsc:ber=NaN", `bad ber "NaN"`},
+		{"ge:gber=2,bber=-1,mgood=1ms,mbad=1ms", "gber=2 out of [0,1]"},
+		{"ge:gber=0,bber=-1,mgood=1ms,mbad=1ms", "bber=-1 out of [0,1]"},
+		{"ge:gber=NaN,bber=0.5,mgood=1ms,mbad=1ms", `bad gber "NaN"`},
+		{"burst:period=10ms,len=1ms,ber=5", "ber=5 out of [0,1]"},
+		{"burst:period=10ms,len=1ms,ber=NaN", `bad ber "NaN"`},
 	}
 	for _, tc := range cases {
 		_, err := ParseModel(tc.spec)
@@ -134,6 +145,17 @@ func TestLegacySpecs(t *testing.T) {
 		{0, 0.2, -1, "fixed:p=0.2", "fixed:p=0"},           // pc unset -> clean control
 		{0, 0, -1, "fixed:p=0", "fixed:p=0"},
 	}
+	// A knob that is not a probability names a spec the parser rejects; it
+	// used to compare false with everything and read as the perfect channel.
+	nan := math.NaN()
+	for _, k := range [][3]float64{{nan, -1, -1}, {-1e-5, -1, -1}, {0, nan, -1}, {0, 0.1, nan}} {
+		i, c := LegacySpecs(k[0], k[1], k[2])
+		_, errI := ParseModel(i)
+		_, errC := ParseModel(c)
+		if errI == nil && errC == nil {
+			t.Errorf("LegacySpecs(%g, %g, %g) = (%q, %q), both accepted", k[0], k[1], k[2], i, c)
+		}
+	}
 	for _, tc := range cases {
 		i, c := LegacySpecs(tc.ber, tc.pf, tc.pc)
 		if i != tc.wantI || c != tc.wantC {
@@ -196,6 +218,23 @@ func TestTraceSpecSelectsStream(t *testing.T) {
 	}
 	if !m.New().Corrupt(nil, 0, 5, 40) {
 		t.Fatal("single-stream default replay lost the decision")
+	}
+}
+
+// TestParseBudget pins what parsing a spec costs: bench.Run parses two per
+// run, and the link_bulk benchmark's whole repetition makes ≈ 190
+// allocations, so a parser that grew by a dozen would breach its bound.
+// FixedProb is boxed once per parsed spec, not once per instance.
+func TestParseBudget(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ModelFactory("fixed:p=0.05") }); n > 9 {
+		t.Errorf(`ModelFactory("fixed:p=0.05") costs %v allocations, budget 9`, n)
+	}
+	factory, err := ModelFactory("fixed:p=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { factory() }); n != 0 {
+		t.Errorf("a fixed: instance costs %v allocations, want 0", n)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -324,7 +325,18 @@ func (s *TraceSet) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadTraceSet parses a serialized set.
+// Limits on what ReadTraceSet takes from a file's length fields: nothing is
+// allocated from an untrusted count. Stream names are a few bytes ("ab/i"),
+// and a record count only pre-sizes up to tracePrealloc records — the rest
+// grows as records actually arrive, so memory stays proportional to the input.
+const (
+	maxTraceName  = 256
+	tracePrealloc = 1024
+)
+
+// ReadTraceSet parses a serialized set. Input from outside the program: a
+// length it cannot back with bytes, or a time or size that overflows, is an
+// error, never a panic.
 func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
@@ -338,9 +350,25 @@ func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("channel: trace stream count: %v", err)
 	}
+	// field reads one record field, which must fit what is left of the int64
+	// it lands in; the first failure of a record is kept in ferr.
+	var ferr error
+	field := func(limit int64) int64 {
+		v, err := binary.ReadUvarint(br)
+		if err == nil && v > uint64(limit) {
+			err = fmt.Errorf("value %d overflows", v)
+		}
+		if ferr == nil {
+			ferr = err
+		}
+		return int64(v)
+	}
 	set := NewTraceSet()
 	for si := uint64(0); si < nstreams; si++ {
 		nameLen, err := binary.ReadUvarint(br)
+		if err == nil && nameLen > maxTraceName {
+			err = fmt.Errorf("%d bytes long (limit %d)", nameLen, maxTraceName)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("channel: trace stream name: %v", err)
 		}
@@ -361,33 +389,21 @@ func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 		}
 		tr := set.Stream(string(name))
 		tr.Mode = TraceMode(mode)
-		tr.Recs = make([]TraceRec, 0, nrecs)
+		tr.Recs = make([]TraceRec, 0, min(nrecs, tracePrealloc))
 		var prev sim.Time
 		for ri := uint64(0); ri < nrecs; ri++ {
-			delta, err := binary.ReadUvarint(br)
-			if err == nil {
-				var dur, bits uint64
-				dur, err = binary.ReadUvarint(br)
-				if err == nil {
-					bits, err = binary.ReadUvarint(br)
-					if err == nil {
-						var flags byte
-						flags, err = br.ReadByte()
-						if err == nil {
-							start := prev.Add(sim.Duration(delta))
-							tr.Recs = append(tr.Recs, TraceRec{
-								Start:   start,
-								End:     start.Add(sim.Duration(dur)),
-								Bits:    int(bits),
-								Corrupt: flags&1 != 0,
-							})
-							prev = start
-							continue
-						}
-					}
-				}
+			start := prev + sim.Time(field(math.MaxInt64-int64(prev)))
+			end := start + sim.Time(field(math.MaxInt64-int64(start)))
+			bits := int(field(math.MaxInt))
+			flags, err := br.ReadByte()
+			if ferr != nil {
+				err = ferr
 			}
-			return nil, fmt.Errorf("channel: trace stream %q record %d: %v", name, ri, err)
+			if err != nil {
+				return nil, fmt.Errorf("channel: trace stream %q record %d: %v", name, ri, err)
+			}
+			tr.Recs = append(tr.Recs, TraceRec{Start: start, End: end, Bits: bits, Corrupt: flags&1 != 0})
+			prev = start
 		}
 	}
 	return set, nil
@@ -431,11 +447,14 @@ func ImportTwoColumn(r io.Reader, name string) (*Trace, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("channel: trace line %d: want \"<seconds> <0|1>\", got %q", lineNo, line)
 		}
+		// NaN fails every comparison, so the range is tested as what is
+		// accepted; 2^63 ns is the first instant a sim.Time cannot hold.
 		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || secs < 0 {
+		ns := secs * float64(sim.Second)
+		if err != nil || !(ns >= 0 && ns < 1<<63) {
 			return nil, fmt.Errorf("channel: trace line %d: bad time %q", lineNo, fields[0])
 		}
-		at := sim.Time(secs * float64(sim.Second))
+		at := sim.Time(ns)
 		var flag bool
 		switch fields[1] {
 		case "0":

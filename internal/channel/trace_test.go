@@ -160,6 +160,37 @@ func TestReadTraceSetRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadTraceSetUntrustedLengths: a length field is input, not a size to
+// allocate. Each 18-byte file below used to panic in makeslice — the first on
+// the stream-name length, the second on the record count.
+func TestReadTraceSetUntrustedLengths(t *testing.T) {
+	for _, in := range []string{
+		"LAMSTRC1\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f",
+		"LAMSTRC1\x01\x00\x00\xff\xff\xff\xff\xff\xff\x7f",
+	} {
+		if len(in) != 18 {
+			t.Fatalf("input %q is %d bytes, want 18", in, len(in))
+		}
+		if _, err := ReadTraceSet(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadTraceSet(%q): want error", in)
+		}
+	}
+	// A record whose delta, duration or bit count overflows what it is
+	// stored in is refused, not wrapped into a negative time.
+	huge := "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" // 2^64-1
+	for _, rec := range []string{
+		huge + "\x01\x01\x00",
+		"\x01" + huge + "\x01\x00",
+		"\x01\x01" + huge + "\x00",
+		"\x01\x01\x01\x00" + "\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x00", // second delta: 1 + (2^63-1)
+	} {
+		in := "LAMSTRC1\x01\x01x\x00\x02" + rec
+		if _, err := ReadTraceSet(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("ReadTraceSet(%q) = %v, want an overflow error", in, err)
+		}
+	}
+}
+
 func TestImportTwoColumn(t *testing.T) {
 	in := `# measured link trace
 0.0 0
@@ -212,6 +243,12 @@ func TestImportTwoColumn(t *testing.T) {
 		"1.0 0\n1.0 1",     // time not strictly increasing
 		"0.0 0 extra\n1 0", // wrong column count
 		"-1.0 0\n1.0 0",    // negative time
+		// Seconds that are no instant (ISSUE 24): NaN used to open a span at
+		// −2562047 h; +Inf and 1e10 s (past int64 nanoseconds) were refused only
+		// by what an out-of-range float-to-int conversion happens to yield.
+		"NaN 0\n1 1\n2 0\n",
+		"0 0\n+Inf 1",
+		"0 0\n1e10 1",
 	} {
 		if _, err := ImportTwoColumn(strings.NewReader(bad), "bad"); err == nil {
 			t.Errorf("ImportTwoColumn(%q): want error", bad)

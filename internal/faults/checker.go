@@ -168,11 +168,6 @@ func (c *Checker) SetCorruption(start, end sim.Time, bound sim.Duration) {
 // schedule usually means the adversary never actually bit.
 func (c *Checker) Excused() []Violation { return c.excused }
 
-// LastBreach returns the instant of the latest timed breach, excused or
-// real (zero when none): LastBreach − corruption end is the engine's
-// measured convergence time.
-func (c *Checker) LastBreach() sim.Time { return c.lastBreach }
-
 // ConvergenceTime returns the measured stabilization time: how long after
 // the corruption era closed the last breach (excused or real) landed. Zero
 // when the engine never breached after the era closed.

@@ -83,12 +83,70 @@ func TestParseSpecRejects(t *testing.T) {
 		"reorder@1s:jitter=0s",                 // non-positive reorder jitter
 		"scramble@1s:jitter=1ms",               // parameter on wrong kind
 		"reorder@1s:period=1ms",                // parameter on wrong kind
+		// Numbers that are not numbers and the empty direction (ISSUE 24):
+		// each of these parsed.
+		"skew@1s:factor=NaN",  // would re-time the checkpoint ticker to 1ns
+		"skew@1s:factor=+Inf", // non-finite factor
+		"skew@1s:factor=-Inf", // non-finite factor
+		"storm@1s:dir=",       // the empty direction used to mean both
+		"outage@1s:dir=ab",    // dir on a kind without a direction selector
+		"storm@1s:serial=-1",  // serial is a uint32
 	}
 	for _, text := range bad {
 		if _, err := faults.ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", text)
 		}
 	}
+}
+
+// TestParseSpecSpellings: kind keywords are case insensitive like the other
+// three name tables, an unknown one lists the nine that exist, and a storm
+// told dir=both renders it — left out, the round trip read the default, ba.
+func TestParseSpecSpellings(t *testing.T) {
+	spec, err := faults.ParseSpec(" Storm@1s:dir=both ; HANDOVER@2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spec.String(), "storm@1s+100ms:dir=both,period=1ms,naks=0; handover@2s+30ms"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	again, err := faults.ParseSpec(spec.String())
+	if err != nil || !reflect.DeepEqual(spec, again) {
+		t.Fatalf("round trip of %q: %v, %v", spec, again, err)
+	}
+	_, err = faults.ParseSpec("nonsense@1s")
+	want := `faults: unknown kind "nonsense" (registered: burst, ghost, half, handover, outage, reorder, scramble, skew, storm)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown-kind error = %v, want %s", err, want)
+	}
+}
+
+// FuzzParseSpec: no schedule panics the parser, and an accepted one renders
+// to a schedule that parses back to the same value (ROADMAP item 3; `make
+// specsmoke` runs it for ten seconds). Seeds are the accept and reject tables
+// above.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"half@2s+500ms:dir=ab; outage@1s+100ms; storm@4s+200ms:period=2ms,naks=4,serial=7,enforced=true; " +
+			"burst@5s+1s:len=2ms,gap=8ms,dir=ba; skew@6s:factor=2.5; handover@8s",
+		stabAllSpec, comboSpec, "ghost@1s+1s; ghost@2s+1s", "reorder@1s+2s:dir=ab; reorder@2s+2s:dir=ba",
+		"Storm@1s:dir=both", "burst@0:gap=0s,len=1ns", "skew@1s:factor=0x1p-2", "", " ; ;",
+		"nonsense@1s", "outage", "outage@-1s", "outage@1s+0s", "half@1s:dir=both", "storm@1s:naks=-1",
+		"skew@1s:factor=NaN", "storm@1s:dir=", "storm@1s:period", "storm@1s:period=2ms,period=3ms",
+		"outage@1s+2s; outage@2s+500ms", "outage@banana", "outage@9223372036s+9223372036s", "x@1s:%d=%s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := faults.ParseSpec(text)
+		if err != nil {
+			return
+		}
+		again, err := faults.ParseSpec(spec.String())
+		if err != nil || !reflect.DeepEqual(spec, again) {
+			t.Fatalf("ParseSpec(%q) accepted, but its String() %q parses back as %v, %v", text, spec, again, err)
+		}
+	})
 }
 
 // TestParseSpecCorruptionGrammar pins the state-corruption kinds' defaults

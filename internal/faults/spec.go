@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Kind enumerates the fault classes.
@@ -77,30 +78,6 @@ const (
 	Reorder
 )
 
-var kindNames = map[Kind]string{
-	Outage:     "outage",
-	HalfDuplex: "half",
-	Storm:      "storm",
-	Burst:      "burst",
-	Skew:       "skew",
-	Handover:   "handover",
-	Scramble:   "scramble",
-	Ghost:      "ghost",
-	Reorder:    "reorder",
-}
-
-var kindsByName = map[string]Kind{
-	"outage":   Outage,
-	"half":     HalfDuplex,
-	"storm":    Storm,
-	"burst":    Burst,
-	"skew":     Skew,
-	"handover": Handover,
-	"scramble": Scramble,
-	"ghost":    Ghost,
-	"reorder":  Reorder,
-}
-
 // Corruption reports whether the kind belongs to the state-corruption
 // family (scramble, ghost, reorder) the §3.2 checker's convergence rule
 // keys off.
@@ -110,8 +87,8 @@ func (k Kind) Corruption() bool {
 
 // String names the kind as the grammar spells it.
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -127,27 +104,15 @@ const (
 	BtoA
 )
 
+// dirNames spells the directions in the grammar, indexed by Dir.
+var dirNames = []string{Both: "both", AtoB: "ab", BtoA: "ba"}
+
 // String names the direction as the grammar spells it.
 func (d Dir) String() string {
-	switch d {
-	case AtoB:
-		return "ab"
-	case BtoA:
-		return "ba"
+	if int(d) < len(dirNames) {
+		return dirNames[d]
 	}
 	return "both"
-}
-
-func parseDir(s string) (Dir, error) {
-	switch s {
-	case "ab":
-		return AtoB, nil
-	case "ba":
-		return BtoA, nil
-	case "both", "":
-		return Both, nil
-	}
-	return Both, fmt.Errorf("faults: unknown direction %q (want ab, ba, or both)", s)
 }
 
 // Event is one scripted fault episode.
@@ -178,40 +143,122 @@ type Event struct {
 // End returns the instant the episode closes.
 func (e Event) End() sim.Duration { return e.Start + e.Dur }
 
+// param is one key of a kind's parameter list: how it is read into an Event
+// and how Event.String spells it back.
+type param struct {
+	key  string
+	read func(p *spec.Params, e *Event)
+	show func(e *Event) string // "" leaves the key out (it is at its default)
+}
+
+// duration is a param stored in a Duration field, at least min.
+func duration(key string, def, min sim.Duration, field func(*Event) *sim.Duration) param {
+	return param{key,
+		func(p *spec.Params, e *Event) {
+			d := p.Duration(key, def)
+			if d < min {
+				p.Failf("%s=%v below %v", key, d, min)
+			}
+			*field(e) = d
+		},
+		func(e *Event) string { return field(e).String() }}
+}
+
+// dirs says which dir= values a kind takes.
+type dirs uint8
+
+const (
+	noDir  dirs = iota // the kind has no direction selector
+	oneWay             // ab or ba
+	anyDir             // ab, ba or both
+)
+
+// kinds is the fault grammar: one row per Kind with its name, the duration
+// and direction an event gets when the schedule gives none, whether dir=
+// applies, and the parameters the kind reads. A key not in the row is an
+// unknown parameter for that kind.
+var kinds = [...]struct {
+	name   string
+	dur    sim.Duration
+	dir    Dir
+	dirs   dirs
+	params []param
+}{
+	Outage:     {name: "outage", dur: 100 * sim.Millisecond},
+	HalfDuplex: {name: "half", dur: 100 * sim.Millisecond, dir: BtoA, dirs: oneWay},
+	Storm: {name: "storm", dur: 100 * sim.Millisecond, dir: BtoA, dirs: anyDir, params: []param{
+		period(sim.Millisecond),
+		{"naks",
+			func(p *spec.Params, e *Event) { e.NAKs = p.Int("naks", 0) },
+			func(e *Event) string { return strconv.Itoa(e.NAKs) }},
+		{"serial",
+			func(p *spec.Params, e *Event) { e.Serial = p.Uint32("serial", 0) },
+			func(e *Event) string { return omit(e.Serial == 0, strconv.FormatUint(uint64(e.Serial), 10)) }},
+		{"enforced",
+			func(p *spec.Params, e *Event) { e.Enforced = p.Bool("enforced", false) },
+			func(e *Event) string { return omit(!e.Enforced, "true") }},
+	}},
+	Burst: {name: "burst", dur: 100 * sim.Millisecond, dirs: anyDir, params: []param{
+		duration("len", sim.Millisecond, 1, func(e *Event) *sim.Duration { return &e.BurstLen }),
+		duration("gap", 9*sim.Millisecond, 0, func(e *Event) *sim.Duration { return &e.BurstGap }),
+	}},
+	Skew: {name: "skew", dur: sim.Second, params: []param{
+		{"factor",
+			func(p *spec.Params, e *Event) {
+				if e.Factor = p.Float("factor", 1.5); e.Factor <= 0 {
+					p.Failf("factor must be positive")
+				}
+			},
+			func(e *Event) string { return strconv.FormatFloat(e.Factor, 'g', -1, 64) }},
+	}},
+	Handover: {name: "handover", dur: 30 * sim.Millisecond},
+	Scramble: {name: "scramble", dur: 100 * sim.Millisecond, params: []param{period(10 * sim.Millisecond)}},
+	Ghost:    {name: "ghost", dur: 100 * sim.Millisecond, dirs: anyDir, params: []param{period(sim.Millisecond)}},
+	Reorder: {name: "reorder", dur: 100 * sim.Millisecond, dirs: anyDir, params: []param{
+		duration("jitter", sim.Millisecond, 1, func(e *Event) *sim.Duration { return &e.Jitter }),
+	}},
+}
+
+func period(def sim.Duration) param {
+	return duration("period", def, 1, func(e *Event) *sim.Duration { return &e.Period })
+}
+
+func omit(atDefault bool, s string) string {
+	if atDefault {
+		return ""
+	}
+	return s
+}
+
+// kindsByName resolves the grammar's kind keyword, derived from kinds.
+var kindsByName = func() *spec.Table[Kind] {
+	t := spec.NewTable[Kind]("kind")
+	for k, row := range kinds {
+		t.Add(row.name, nil, Kind(k))
+	}
+	return t
+}()
+
 // String renders the event in the grammar (round-trips through ParseSpec).
 func (e Event) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s+%s", e.Kind, fmtSpecDur(e.Start), fmtSpecDur(e.Dur))
-	var params []string
-	add := func(k, v string) { params = append(params, k+"="+v) }
-	switch e.Kind {
-	case HalfDuplex, Storm, Burst, Ghost, Reorder:
-		if e.Dir != Both || e.Kind == HalfDuplex {
-			add("dir", e.Dir.String())
-		}
+	fmt.Fprintf(&b, "%s@%s+%s", e.Kind, e.Start, e.Dur)
+	if int(e.Kind) >= len(kinds) {
+		return b.String()
 	}
-	switch e.Kind {
-	case Storm:
-		add("period", fmtSpecDur(e.Period))
-		add("naks", strconv.Itoa(e.NAKs))
-		if e.Serial != 0 {
-			add("serial", strconv.FormatUint(uint64(e.Serial), 10))
-		}
-		if e.Enforced {
-			add("enforced", "true")
-		}
-	case Burst:
-		add("len", fmtSpecDur(e.BurstLen))
-		add("gap", fmtSpecDur(e.BurstGap))
-	case Skew:
-		add("factor", strconv.FormatFloat(e.Factor, 'g', -1, 64))
-	case Scramble, Ghost:
-		add("period", fmtSpecDur(e.Period))
-	case Reorder:
-		add("jitter", fmtSpecDur(e.Jitter))
+	row, sep := &kinds[e.Kind], ":"
+	add := func(k, v string) {
+		b.WriteString(sep + k + "=" + v)
+		sep = ","
 	}
-	if len(params) > 0 {
-		b.WriteString(":" + strings.Join(params, ","))
+	// A direction is spelt out unless "both" is also what leaving it out means.
+	if row.dirs != noDir && (e.Dir != Both || row.dir != Both) {
+		add("dir", e.Dir.String())
+	}
+	for _, pr := range row.params {
+		if v := pr.show(&e); v != "" {
+			add(pr.key, v)
+		}
 	}
 	return b.String()
 }
@@ -278,13 +325,15 @@ func (s *Spec) NeedsRNG() bool {
 // runs it on everything it parses; NewInjector runs it again so
 // programmatically built Specs meet the same bar. Two classes of error:
 // every kind here scripts a window, so a non-positive duration is always a
-// mistake (parseEvent rejects an explicit "+0s", but a hand-built Event can
-// carry one); and two same-kind episodes whose windows and directions
+// mistake; and two same-kind episodes whose windows and directions
 // intersect are rejected outright — the half-duplex ref count and the skew
 // restore are the subtle casualties, and no schedule legitimately needs the
 // same fault twice at once.
 func (s *Spec) Validate() error {
 	for _, e := range s.Events {
+		if int(e.Kind) >= len(kinds) {
+			return fmt.Errorf("faults: event %s: unknown kind", e)
+		}
 		if e.Start < 0 {
 			return fmt.Errorf("faults: event %s: negative start", e)
 		}
@@ -312,11 +361,7 @@ func (s *Spec) Validate() error {
 // dirsIntersect reports whether two events of one kind contend for the same
 // link direction. Kinds without a direction selector always contend.
 func dirsIntersect(a, b Event) bool {
-	switch a.Kind {
-	case HalfDuplex, Storm, Burst, Ghost, Reorder:
-		return a.Dir == Both || b.Dir == Both || a.Dir == b.Dir
-	}
-	return true
+	return kinds[a.Kind].dirs == noDir || a.Dir == Both || b.Dir == Both || a.Dir == b.Dir
 }
 
 // ParseSpec parses the fault-schedule grammar:
@@ -327,14 +372,13 @@ func dirsIntersect(a, b Event) bool {
 //	kind    = "outage" | "half" | "storm" | "burst" | "skew" | "handover" |
 //	          "scramble" | "ghost" | "reorder"
 //
-// Durations use Go syntax ("500ms", "2s"). Defaults: half dir=ba; storm
-// dir=ba period=1ms naks=0 serial=0; burst dir=both len=1ms gap=9ms; skew
-// factor=1.5 dur=1s; handover dur=30ms; scramble period=10ms; ghost
-// dir=both period=1ms; reorder dir=both jitter=1ms; other durations 100ms.
-// Repeated parameter keys and overlapping same-kind episodes are hard
-// errors (Spec.Validate).
+// Durations use Go syntax ("500ms", "2s"); kind keywords are case
+// insensitive. The kinds table holds each kind's parameters and defaults
+// (DESIGN.md §9.1 prints it). A key the kind does not read, a repeated key, a
+// malformed or out-of-range value (internal/spec) and overlapping same-kind
+// episodes (Spec.Validate) are hard errors.
 func ParseSpec(text string) (*Spec, error) {
-	spec := &Spec{}
+	s := &Spec{}
 	for _, part := range strings.Split(text, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -344,209 +388,56 @@ func ParseSpec(text string) (*Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.Events = append(spec.Events, ev)
+		s.Events = append(s.Events, ev)
 	}
-	sort.SliceStable(spec.Events, func(i, j int) bool {
-		return spec.Events[i].Start < spec.Events[j].Start
+	sort.SliceStable(s.Events, func(i, j int) bool {
+		return s.Events[i].Start < s.Events[j].Start
 	})
-	if err := spec.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return spec, nil
+	return s, nil
 }
 
 func parseEvent(text string) (Event, error) {
-	var ev Event
-	head, params, hasParams := strings.Cut(text, ":")
-	kindStr, when, ok := strings.Cut(head, "@")
+	head, params, _ := strings.Cut(text, ":")
+	name, when, ok := strings.Cut(head, "@")
 	if !ok {
-		return ev, fmt.Errorf("faults: event %q lacks '@start'", text)
+		return Event{}, fmt.Errorf("faults: event %q lacks '@start'", text)
 	}
-	kind, ok := kindsByName[strings.TrimSpace(kindStr)]
-	if !ok {
-		return ev, fmt.Errorf("faults: unknown kind %q", kindStr)
-	}
-	ev.Kind = kind
-	startStr, durStr, hasDur := strings.Cut(when, "+")
-	start, err := parseSpecDur(startStr)
+	kind, err := kindsByName.Lookup(name)
 	if err != nil {
-		return ev, fmt.Errorf("faults: event %q: bad start: %v", text, err)
+		return Event{}, fmt.Errorf("faults: %w", err)
 	}
-	if start < 0 {
-		return ev, fmt.Errorf("faults: event %q: negative start", text)
+	row := &kinds[kind]
+	// Every event carries every parameter's default whatever its kind (the
+	// String round trip compares whole Events); a row's own params overwrite
+	// theirs below.
+	ev := Event{Kind: kind, Dur: row.dur, Dir: row.dir, Period: sim.Millisecond,
+		BurstLen: sim.Millisecond, BurstGap: 9 * sim.Millisecond, Factor: 1.5, Jitter: sim.Millisecond}
+	p := spec.Parse("event "+strconv.Quote(text), params)
+	startStr, durStr, hasDur := strings.Cut(when, "+")
+	if ev.Start, err = time.ParseDuration(strings.TrimSpace(startStr)); err != nil {
+		p.Failf("bad start: %v", err)
 	}
-	ev.Start = start
-
-	// Kind defaults, overridable below.
-	ev.Dur = 100 * sim.Millisecond
-	switch kind {
-	case HalfDuplex, Storm:
-		ev.Dir = BtoA
-	case Burst, Ghost, Reorder:
-		ev.Dir = Both
-	}
-	ev.Period = sim.Millisecond
-	ev.BurstLen = sim.Millisecond
-	ev.BurstGap = 9 * sim.Millisecond
-	ev.Factor = 1.5
-	ev.Jitter = sim.Millisecond
-	if kind == Skew {
-		ev.Dur = sim.Second
-	}
-	if kind == Handover {
-		ev.Dur = 30 * sim.Millisecond
-	}
-	if kind == Scramble {
-		ev.Period = 10 * sim.Millisecond
-	}
-
 	if hasDur {
-		d, err := parseSpecDur(durStr)
-		if err != nil {
-			return ev, fmt.Errorf("faults: event %q: bad duration: %v", text, err)
-		}
-		if d <= 0 {
-			return ev, fmt.Errorf("faults: event %q: non-positive duration", text)
-		}
-		ev.Dur = d
-	}
-	if !hasParams {
-		return ev, nil
-	}
-	seen := make(map[string]bool)
-	for _, p := range strings.Split(params, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(p, "=")
-		if !ok {
-			return ev, fmt.Errorf("faults: event %q: parameter %q lacks '='", text, p)
-		}
-		key = strings.TrimSpace(key)
-		// A repeated key is a hard error, not last-wins: a schedule that
-		// says period twice is a schedule the author mis-edited.
-		if seen[key] {
-			return ev, fmt.Errorf("faults: event %q: duplicate parameter %q", text, key)
-		}
-		seen[key] = true
-		if err := ev.setParam(key, strings.TrimSpace(val)); err != nil {
-			return ev, fmt.Errorf("faults: event %q: %v", text, err)
+		if ev.Dur, err = time.ParseDuration(strings.TrimSpace(durStr)); err != nil {
+			p.Failf("bad duration: %v", err)
 		}
 	}
-	if ev.Kind == Skew && ev.Factor <= 0 {
-		return ev, fmt.Errorf("faults: event %q: factor must be positive", text)
+	// dirNames is indexed by Dir, so the chosen option's index is the Dir —
+	// counted from AtoB for the kinds "both" does not apply to.
+	switch row.dirs {
+	case oneWay:
+		ev.Dir = AtoB + Dir(p.Choice("dir", int(row.dir-AtoB), dirNames[AtoB:]...))
+	case anyDir:
+		ev.Dir = Dir(p.Choice("dir", int(row.dir), dirNames...))
+	}
+	for _, pr := range row.params {
+		pr.read(p, &ev)
+	}
+	if err := p.Done(); err != nil {
+		return Event{}, fmt.Errorf("faults: %w", err)
 	}
 	return ev, nil
 }
-
-func (e *Event) setParam(key, val string) error {
-	switch key {
-	case "dir":
-		switch e.Kind {
-		case HalfDuplex, Storm, Burst, Ghost, Reorder:
-		default:
-			return fmt.Errorf("dir does not apply to %s", e.Kind)
-		}
-		d, err := parseDir(val)
-		if err != nil {
-			return err
-		}
-		if e.Kind == HalfDuplex && d == Both {
-			return fmt.Errorf("half-duplex outage needs dir=ab or dir=ba (use outage for both)")
-		}
-		e.Dir = d
-		return nil
-	case "period":
-		if e.Kind != Storm && e.Kind != Scramble && e.Kind != Ghost {
-			return fmt.Errorf("period does not apply to %s", e.Kind)
-		}
-		d, err := parseSpecDur(val)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("bad period %q", val)
-		}
-		e.Period = d
-		return nil
-	case "jitter":
-		if e.Kind != Reorder {
-			return fmt.Errorf("jitter does not apply to %s", e.Kind)
-		}
-		d, err := parseSpecDur(val)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("bad jitter %q", val)
-		}
-		e.Jitter = d
-		return nil
-	case "naks":
-		if e.Kind != Storm {
-			return fmt.Errorf("naks does not apply to %s", e.Kind)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad naks %q", val)
-		}
-		e.NAKs = n
-		return nil
-	case "serial":
-		if e.Kind != Storm {
-			return fmt.Errorf("serial does not apply to %s", e.Kind)
-		}
-		n, err := strconv.ParseUint(val, 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad serial %q", val)
-		}
-		e.Serial = uint32(n)
-		return nil
-	case "enforced":
-		if e.Kind != Storm {
-			return fmt.Errorf("enforced does not apply to %s", e.Kind)
-		}
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("bad enforced %q", val)
-		}
-		e.Enforced = b
-		return nil
-	case "len":
-		if e.Kind != Burst {
-			return fmt.Errorf("len does not apply to %s", e.Kind)
-		}
-		d, err := parseSpecDur(val)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("bad len %q", val)
-		}
-		e.BurstLen = d
-		return nil
-	case "gap":
-		if e.Kind != Burst {
-			return fmt.Errorf("gap does not apply to %s", e.Kind)
-		}
-		d, err := parseSpecDur(val)
-		if err != nil || d < 0 {
-			return fmt.Errorf("bad gap %q", val)
-		}
-		e.BurstGap = d
-		return nil
-	case "factor":
-		if e.Kind != Skew {
-			return fmt.Errorf("factor does not apply to %s", e.Kind)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("bad factor %q", val)
-		}
-		e.Factor = f
-		return nil
-	}
-	return fmt.Errorf("unknown parameter %q", key)
-}
-
-func parseSpecDur(s string) (sim.Duration, error) {
-	d, err := time.ParseDuration(strings.TrimSpace(s))
-	if err != nil {
-		return 0, err
-	}
-	return sim.Duration(d), nil
-}
-
-func fmtSpecDur(d sim.Duration) string { return time.Duration(d).String() }

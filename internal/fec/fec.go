@@ -24,7 +24,8 @@ package fec
 import (
 	"fmt"
 	"math"
-	"strings"
+
+	"repro/internal/spec"
 )
 
 // Scheme describes an error-correcting code by its combinatorial parameters,
@@ -108,32 +109,29 @@ var Hamming74 = Scheme{Name: "hamming(7,4)", N: 7, K: 4, T: 1}
 // single error per 3-bit group.
 var Repetition3 = Scheme{Name: "repetition-3", N: 3, K: 1, T: 1}
 
-// schemesByName resolves the flag/spec spelling of each scheme. Canonical
-// names are the short ones the channel-model spec grammar uses
-// ("fec=hamming74"); the Scheme.Name display strings are accepted as
-// aliases so a spec can round-trip a rendered model description.
-var schemesByName = map[string]Scheme{
-	"none":         Uncoded,
-	"uncoded":      Uncoded,
-	"hamming74":    Hamming74,
-	"hamming(7,4)": Hamming74,
-	"rep3":         Repetition3,
-	"repetition-3": Repetition3,
-	"repetition3":  Repetition3,
+// schemes resolves the flag/spec spelling of each scheme. Canonical names are
+// the short ones the channel-model spec grammar uses ("fec=hamming74"); the
+// Scheme.Name display strings are accepted as aliases so a spec can
+// round-trip a rendered model description.
+var schemes = spec.NewTable[Scheme]("scheme")
+
+func init() {
+	schemes.Add("none", []string{Uncoded.Name}, Uncoded)
+	schemes.Add("hamming74", []string{Hamming74.Name}, Hamming74)
+	schemes.Add("rep3", []string{Repetition3.Name, "repetition3"}, Repetition3)
 }
 
 // Names returns the canonical scheme names, sorted — the list an unknown
 // name error shows.
-func Names() []string { return []string{"hamming74", "none", "rep3"} }
+func Names() []string { return schemes.Names() }
 
 // Named resolves a scheme by name (canonical or alias, case insensitive).
 // Unknown names error, listing what exists — no silent default: the
 // hardcoded per-CLI fallbacks this replaces were exactly the bug.
 func Named(name string) (Scheme, error) {
-	s, ok := schemesByName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Scheme{}, fmt.Errorf("fec: unknown scheme %q (known: %s)",
-			name, strings.Join(Names(), ", "))
+	s, err := schemes.Lookup(name)
+	if err != nil {
+		return Scheme{}, fmt.Errorf("fec: %w", err)
 	}
 	return s, nil
 }

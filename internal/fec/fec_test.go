@@ -302,3 +302,30 @@ func BenchmarkFrameErrorProb(b *testing.B) {
 		Hamming74.FrameErrorProb(1e-6, 8192)
 	}
 }
+
+// TestNamed: every spelling resolves (canonical, display-name alias, any
+// case), Names() is the table's own canonical list, and an unknown name
+// errors listing it.
+func TestNamed(t *testing.T) {
+	for name, want := range map[string]Scheme{
+		"none": Uncoded, "uncoded": Uncoded, "hamming74": Hamming74, "Hamming(7,4)": Hamming74,
+		"rep3": Repetition3, "repetition-3": Repetition3, "repetition3": Repetition3, " REP3 ": Repetition3,
+	} {
+		if got, err := Named(name); err != nil || got != want {
+			t.Errorf("Named(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	names := Names()
+	if len(names) != 3 {
+		t.Fatalf("Names() = %v, want the three canonical names", names)
+	}
+	for _, name := range names {
+		if _, err := Named(name); err != nil {
+			t.Errorf("Names() lists %q, which Named rejects: %v", name, err)
+		}
+	}
+	_, err := Named("turbo")
+	if want := `fec: unknown scheme "turbo" (registered: hamming74, none, rep3)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown-scheme error = %v, want %s", err, want)
+	}
+}

@@ -61,9 +61,6 @@ func (r *Receiver) Stop() {}
 // Sender.SetProbe).
 func (r *Receiver) SetProbe(*arq.Probe) {}
 
-// RecvBase exposes N(R) for tests.
-func (r *Receiver) RecvBase() uint32 { return r.recvBase }
-
 // Held returns the receive-buffer occupancy (out-of-order frames).
 func (r *Receiver) Held() int { return len(r.held) }
 
