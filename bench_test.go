@@ -29,6 +29,22 @@ func benchExperiment(b *testing.B, fn func() *bench.Result) {
 	}
 }
 
+// TestE4AllocBudget holds the E4 sweep (twelve runs, up to 8,000 datagrams
+// each) to an allocation budget. AllocsPerRun evaluates it once before
+// counting and counts at GOMAXPROCS 1, so the runs hand one run memory along
+// and what is left is building each run's world: 2,149–2,190 objects (229,483
+// before per-run recycling, 16,467 with bench.Run's Recycle call removed). The
+// budget is the benchmark-gate figure at eight workers (2,490), where eight
+// run memories warm up, plus a tenth.
+func TestE4AllocBudget(t *testing.T) {
+	const budget = 2800
+	allocs := testing.AllocsPerRun(1, func() { bench.E4ThroughputVsTraffic() })
+	if allocs > budget {
+		t.Fatalf("E4 allocates %.0f objects per sweep, budget %d", allocs, budget)
+	}
+	t.Logf("E4 allocates %.0f objects per sweep (budget %d)", allocs, budget)
+}
+
 // BenchmarkE1MeanPeriods regenerates the s̄ table (E1).
 func BenchmarkE1MeanPeriods(b *testing.B) { benchExperiment(b, bench.E1MeanPeriods) }
 

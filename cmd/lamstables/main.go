@@ -27,28 +27,41 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "", "run a single experiment by ID (E1..E21)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	figures := flag.Bool("figures", false, "render each experiment's series as terminal charts")
-	withMetrics := flag.Bool("metrics", false,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is lamstables with its arguments and output streams; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lamstables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runID := fs.String("run", "", "run a single experiment by ID (E1..E21)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	figures := fs.Bool("figures", false, "render each experiment's series as terminal charts")
+	withMetrics := fs.Bool("metrics", false,
 		"print the metrics snapshots experiments attach (protocol internals as JSON)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"simulation runs in flight, over all experiments (results are identical at any count)")
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	bench.SetWorkers(*workers)
 
 	if *list {
-		printList(os.Stdout)
-		return
+		for _, r := range bench.Titles() {
+			fmt.Fprintf(stdout, "%-4s %s\n", r[0], r[1])
+		}
+		return 0
 	}
 
 	var results []*bench.Result
 	if *runID != "" {
 		fn := bench.ByID(*runID)
 		if fn == nil {
-			fmt.Fprintf(os.Stderr, "lamstables: unknown experiment %q (try -list)\n", *runID)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "lamstables: unknown experiment %q (try -list)\n", *runID)
+			return 2
 		}
 		results = append(results, fn())
 	} else {
@@ -57,10 +70,10 @@ func main() {
 
 	failed := 0
 	for _, r := range results {
-		fmt.Println(r.Render())
+		fmt.Fprintln(stdout, r.Render())
 		if *figures && len(r.Series) > 0 {
 			logX := r.ID == "E5" || r.ID == "E14" // BER sweeps span decades
-			fmt.Println(stats.Chart{
+			fmt.Fprintln(stdout, stats.Chart{
 				Title:  fmt.Sprintf("figure %s: %s", r.ID, r.Title),
 				Series: r.Series,
 				LogX:   logX,
@@ -73,7 +86,7 @@ func main() {
 			}
 			sort.Strings(labels)
 			for _, label := range labels {
-				fmt.Printf("metrics %s %s\n", label, r.Snapshots[label].JSON())
+				fmt.Fprintf(stdout, "metrics %s %s\n", label, r.Snapshots[label].JSON())
 			}
 		}
 		if !r.Passed() {
@@ -81,15 +94,9 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "lamstables: %d experiment(s) with failing shape checks\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "lamstables: %d experiment(s) with failing shape checks\n", failed)
+		return 1
 	}
-	fmt.Printf("all %d experiments passed their shape checks\n", len(results))
-}
-
-// printList prints the experiment IDs and titles, in run order.
-func printList(w io.Writer) {
-	for _, r := range bench.Titles() {
-		fmt.Fprintf(w, "%-4s %s\n", r[0], r[1])
-	}
+	fmt.Fprintf(stdout, "all %d experiments passed their shape checks\n", len(results))
+	return 0
 }

@@ -30,9 +30,27 @@ E19  constellation-scale sharded simulation (64→1,024 satellites)
 E20  state-corruption convergence sweep (scramble/ghost/reorder)
 E21  trace-driven channel record/replay over every registered engine
 `
-	var got strings.Builder
-	printList(&got)
-	if got.String() != golden {
-		t.Errorf("-list prints\n%s\nwant\n%s", got.String(), golden)
+	var got, errOut strings.Builder
+	if code := run([]string{"-list"}, &got, &errOut); code != 0 || got.String() != golden {
+		t.Errorf("-list: exit %d\n%s%s\nwant\n%s", code, got.String(), errOut.String(), golden)
+	}
+}
+
+// TestRunOne: -run prints one experiment's block and the verdict line (E12 is
+// analysis only, so this costs no simulation); an unknown ID exits 2 with a
+// hint. That the blocks are the same bytes at any -workers, alone or
+// overlapped, is internal/bench's TestAllDeterministicAcrossWorkers.
+func TestRunOne(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-run", "E12"}, &out, &errOut); code != 0 ||
+		!strings.HasPrefix(out.String(), "=== E12: ") ||
+		!strings.HasSuffix(out.String(), "\nall 1 experiments passed their shape checks\n") {
+		t.Fatalf("-run E12: exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-run", "E99"}, &out, &errOut); code != 2 || out.Len() != 0 ||
+		errOut.String() != "lamstables: unknown experiment \"E99\" (try -list)\n" {
+		t.Fatalf("-run E99: exit %d, stdout %q, stderr %q", code, out.String(), errOut.String())
 	}
 }

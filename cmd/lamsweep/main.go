@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -27,37 +28,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is lamsweep with its arguments and output streams; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lamsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	// The scenario flags give the base point; the swept parameter overrides
 	// its own flag at each value.
-	scenario := bench.BindScenarioFlags(flag.CommandLine, 2*time.Minute)
+	scenario := bench.BindScenarioFlags(fs, 2*time.Minute)
 	params := sweepParams(scenario)
 	var (
-		param   = flag.String("param", "ber", "swept parameter: "+strings.Join(params.Names(), " | "))
-		values  = flag.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
-		protos  = flag.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
+		param   = fs.String("param", "ber", "swept parameter: "+strings.Join(params.Names(), " | "))
+		values  = fs.String("values", "1e-6,1e-5,1e-4", "comma-separated sweep values")
+		protos  = fs.String("protos", "lams,srhdlc", "comma-separated protocols: "+strings.Join(arq.Protocols(), ", "))
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"simulation worker goroutines (output is identical at any count)")
-		withMetrics = flag.Bool("metrics", false,
+		withMetrics = fs.Bool("metrics", false,
 			"append a metrics_json column with each run's full counter snapshot")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, v ...any) int {
+		fmt.Fprintf(stderr, "lamsweep: "+format+"\n", v...)
+		return 2
+	}
 	bench.SetWorkers(*workers)
 
 	base, err := scenario.RunConfig()
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 
 	set, err := params.Lookup(*param)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 
 	var protoList []bench.Protocol
 	for _, p := range strings.Split(*protos, ",") {
 		reg, err := arq.ParseProtocol(p)
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 		protoList = append(protoList, bench.Protocol(reg.Name))
 	}
@@ -76,19 +92,17 @@ func main() {
 			err = strconv.ErrRange
 		}
 		if err != nil {
-			fatal("bad value %q: %v", vs, err)
+			return fail("bad value %q: %v", vs, err)
 		}
 		c := base
 		set(&c, v)
-		// A swept value can name a channel no model accepts (-param pf
-		// -values 2): an error here, not a panic inside the run.
-		for _, model := range []string{c.IModelSpec, c.CModelSpec} {
-			if _, err := channel.ModelFactory(model); err != nil {
-				fatal("value %q: %v", vs, err)
-			}
-		}
 		for _, proto := range protoList {
 			c.Protocol = proto
+			// A swept value can make a run nothing accepts (-param pf -values
+			// 2, -param w -values 0): an error here, not a worker's panic.
+			if err := c.Validate(); err != nil {
+				return fail("value %q: %v", vs, err)
+			}
 			points = append(points, point{vs: vs, cfg: c})
 		}
 	}
@@ -103,20 +117,21 @@ func main() {
 	if *withMetrics {
 		header += ",metrics_json"
 	}
-	fmt.Println(header)
+	fmt.Fprintln(stdout, header)
 	for i, pt := range points {
 		res := results[i]
-		fmt.Printf("%s,%s,%s,%d,%d,%d,%.6f,%.5f,%.4f,%d,%.6f,%.6f,%.1f,%d,%d",
+		fmt.Fprintf(stdout, "%s,%s,%s,%d,%d,%d,%.6f,%.5f,%.4f,%d,%.6f,%.6f,%.1f,%d,%d",
 			*param, pt.vs, pt.cfg.Protocol,
 			res.Delivered, res.Lost, res.Duplicates,
 			res.Elapsed.Seconds(), res.Efficiency, res.TransPerFrame,
 			res.Retransmissions, res.MeanHolding.Seconds(), res.MeanDelay.Seconds(),
 			res.SendBufMean, res.Recoveries, res.Failures)
 		if *withMetrics {
-			fmt.Printf(",%s", csvQuote(snapshotJSON(res)))
+			fmt.Fprintf(stdout, ",%s", csvQuote(snapshotJSON(res)))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 // sweepParams is the table of sweepable parameters: how one value of each
@@ -158,9 +173,4 @@ func snapshotJSON(res bench.RunResult) string {
 // csvQuote wraps s in double quotes with RFC 4180 escaping.
 func csvQuote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lamsweep: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
 // This file is the parallel experiment engine. Every Run is hermetic — it
@@ -34,7 +32,7 @@ var (
 )
 
 // SetWorkers fixes the number of simulation runs in flight, process-wide:
-// every item of every RunMany, SweepParallel and experiment batch holds one
+// every item of every RunMany and experiment batch holds one
 // of these slots while it executes. n <= 0 restores the default
 // (GOMAXPROCS). Safe to call concurrently: items already executing finish,
 // items waiting for a slot are admitted as soon as the new limit allows.
@@ -74,35 +72,12 @@ func runItem(fn func()) {
 	fn()
 }
 
-// DeriveSeed maps a base seed and a point index to a statistically
-// independent stream seed. It is sim.DeriveSeed re-exported at the layer
-// sweeps are written against; the shard engine derives its per-link streams
-// from the same function, so a sweep seed and a constellation seed expand
-// identically.
-func DeriveSeed(base uint64, i int) uint64 {
-	return sim.DeriveSeed(base, i)
-}
-
 // RunMany executes every config and returns results in input order. Seeds
 // are taken from the configs verbatim, so a RunMany batch reproduces the
 // corresponding serial Run loop bit for bit at any worker count.
 func RunMany(cfgs []RunConfig) []RunResult {
 	return mapIndexed(len(cfgs), func(i int) RunResult {
 		return Run(cfgs[i])
-	})
-}
-
-// SweepParallel runs n replicate points derived from base: point i gets
-// Seed DeriveSeed(base.Seed, i), then mutate (if non-nil) may further
-// specialize the config. Results come back in point order.
-func SweepParallel(base RunConfig, n int, mutate func(i int, c *RunConfig)) []RunResult {
-	return mapIndexed(n, func(i int) RunResult {
-		c := base
-		c.Seed = DeriveSeed(base.Seed, i)
-		if mutate != nil {
-			mutate(i, &c)
-		}
-		return Run(c)
 	})
 }
 

@@ -35,26 +35,6 @@ func TestSetWorkers(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedDistinctAndStable(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 10000; i++ {
-		s := DeriveSeed(1, i)
-		if s == 0 {
-			t.Fatalf("DeriveSeed(1, %d) = 0", i)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("DeriveSeed collision: i=%d and i=%d", prev, i)
-		}
-		seen[s] = i
-	}
-	if DeriveSeed(1, 7) != DeriveSeed(1, 7) {
-		t.Fatal("DeriveSeed is not a pure function")
-	}
-	if DeriveSeed(1, 7) == DeriveSeed(2, 7) {
-		t.Fatal("DeriveSeed ignores the base seed")
-	}
-}
-
 // batchConfigs is a small mixed batch covering both protocols and a few
 // distinct shapes, cheap enough to run twice under -race.
 func batchConfigs() []RunConfig {
@@ -133,34 +113,6 @@ func TestMultiHopDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("E18 table is missing the %s row:\n%s", proto, one)
 		}
 	}
-}
-
-func TestSweepParallelDerivesSeeds(t *testing.T) {
-	// An error process makes the runs seed-sensitive; on a perfect channel
-	// every replicate is identical by design.
-	base := withErrors(Base(), 0.1, 0.025)
-	base.N = 100
-	withWorkers(t, 4, func() {
-		results := SweepParallel(base, 6, func(i int, c *RunConfig) {
-			// Runs on worker goroutines; testing.T is safe for concurrent use.
-			if c.Seed != DeriveSeed(base.Seed, i) {
-				t.Errorf("point %d: seed %d, want DeriveSeed(%d, %d)", i, c.Seed, base.Seed, i)
-			}
-		})
-		if len(results) != 6 {
-			t.Fatalf("got %d results, want 6", len(results))
-		}
-		// Replicates with independent seeds should not all be identical.
-		same := true
-		for _, res := range results[1:] {
-			if !reflect.DeepEqual(res, results[0]) {
-				same = false
-			}
-		}
-		if same {
-			t.Fatal("all replicate points identical; seed derivation is not taking effect")
-		}
-	})
 }
 
 func TestMapIndexedPanicPropagates(t *testing.T) {
@@ -244,6 +196,25 @@ func peakRunning(fn func()) int {
 	return <-sampled
 }
 
+// alone holds every experiment run by itself, one after another at two
+// workers. The suite is the long tail of this package's tests, so it is
+// evaluated once per test binary and shared by the two tests that read it.
+var alone struct {
+	once    sync.Once
+	results []*Result
+}
+
+func experimentsAlone(t *testing.T) []*Result {
+	alone.once.Do(func() {
+		withWorkers(t, 2, func() {
+			for _, row := range Titles() {
+				alone.results = append(alone.results, ByID(row[0])())
+			}
+		})
+	})
+	return alone.results
+}
+
 // TestAllDeterministicAcrossWorkers pins what the overlap must not change:
 // All() renders the same bytes at every budget, and the same bytes as the
 // experiments run alone, one after another. The one-worker leg is also the
@@ -253,22 +224,18 @@ func TestAllDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	var alone strings.Builder
-	withWorkers(t, 2, func() {
-		for _, row := range Titles() {
-			id := row[0]
-			res := ByID(id)()
-			if res.ID != id {
-				t.Errorf("ByID(%q) produced result %q", id, res.ID)
-			}
-			alone.WriteString(res.Render())
+	results := experimentsAlone(t)
+	for i, row := range Titles() {
+		if results[i].ID != row[0] {
+			t.Errorf("ByID(%q) produced result %q", row[0], results[i].ID)
 		}
-	})
+	}
+	want := renderAll(results)
 	for _, workers := range []int{1, 2, 8} {
 		withWorkers(t, workers, func() {
 			var got string
 			peak := peakRunning(func() { got = renderAll(All()) })
-			if got != alone.String() {
+			if got != want {
 				t.Errorf("All() at %d workers differs from the experiments rendered one by one", workers)
 			}
 			if peak < 1 || peak > workers {

@@ -79,8 +79,7 @@ type RunConfig struct {
 	// spec once and every pipe of the link instantiates a FRESH model from
 	// it, so stateful models (Gilbert-Elliott, replay cursors) work per
 	// direction and no instance is ever shared between two runs of a
-	// RunMany batch. A malformed spec panics in Run (validate with
-	// channel.ParseModel at the flag layer).
+	// RunMany batch. A malformed spec panics in Run (Validate reports it).
 	IModelSpec, CModelSpec string
 
 	// RecordChannels, when non-nil, wraps every channel model in a
@@ -133,7 +132,7 @@ type RunConfig struct {
 	// Metrics, when non-nil, is the registry the run's scheduler, channel,
 	// and protocol instruments report into (a live /metrics endpoint shares
 	// one registry across the run). When nil, Run creates a fresh per-run
-	// registry — runs stay hermetic, so RunMany/SweepParallel results are
+	// registry — runs stay hermetic, so RunMany results are
 	// bit-identical at any worker count — and RunResult.Snapshot carries
 	// its final state either way.
 	Metrics *metrics.Registry
@@ -212,6 +211,38 @@ func (c RunConfig) engine() (arq.Registration, arq.EngineConfig) {
 		panic("bench: " + err.Error())
 	}
 	return reg, reg.Configure(c.knobs())
+}
+
+// Validate reports the first reason Run would panic on c or measure a link
+// that cannot exist, down to the knobs the engine's configuration rejects.
+// The CLIs call it on user input; Run does not, to parse each spec once.
+func (c RunConfig) Validate() error {
+	switch {
+	case c.N < 0:
+		return fmt.Errorf("bench: negative datagram count %d", c.N)
+	case c.PayloadBytes < 0:
+		return fmt.Errorf("bench: negative payload size %d", c.PayloadBytes)
+	case !(c.RateBps > 0):
+		return fmt.Errorf("bench: link rate %g bits/s, want > 0", c.RateBps)
+	case c.OneWay < 0:
+		return fmt.Errorf("bench: negative one-way delay %v", c.OneWay)
+	case c.Icp <= 0:
+		return fmt.Errorf("bench: checkpoint interval %v, want > 0", c.Icp)
+	case c.OfferInterval < 0:
+		return fmt.Errorf("bench: negative offer interval %v", c.OfferInterval)
+	case c.Horizon < 0:
+		return fmt.Errorf("bench: negative horizon %v", c.Horizon)
+	}
+	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
+		if _, err := channel.ModelFactory(spec); err != nil {
+			return err
+		}
+	}
+	reg, err := c.Protocol.registration()
+	if err != nil {
+		return err
+	}
+	return reg.Configure(c.knobs()).Validate()
 }
 
 // modelFactory parses spec once and returns the per-pipe instance factory

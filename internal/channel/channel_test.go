@@ -66,9 +66,6 @@ func TestPipeSerializesBackToBack(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Send(iframe(uint32(i), 979))
 	}
-	if p.QueueingDelay() != 3*sim.Millisecond {
-		t.Fatalf("queueing delay = %v, want 3ms", p.QueueingDelay())
-	}
 	sched.Run()
 	if len(*got) != 3 {
 		t.Fatalf("delivered %d", len(*got))

@@ -237,15 +237,6 @@ func (p *Pipe) TxTimeBits(bits int) sim.Duration {
 	return sim.Duration(float64(bits) / p.cfg.RateBps * float64(sim.Second))
 }
 
-// QueueingDelay returns how long a frame sent now would wait for the wire.
-func (p *Pipe) QueueingDelay() sim.Duration {
-	now := p.sched.Now()
-	if p.busyUntil <= now {
-		return 0
-	}
-	return p.busyUntil.Sub(now)
-}
-
 // Send transmits a copy of f. The frame starts serializing when the wire is
 // free, occupies it for TxTime, suffers the error process, propagates, and
 // is delivered to the handler. Send never blocks; back-to-back sends queue

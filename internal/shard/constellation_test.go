@@ -93,6 +93,48 @@ func TestConstellationEveryProto(t *testing.T) {
 	}
 }
 
+// TestConstellationAllocBudget holds the run phase of the 1,024-satellite
+// one-shard scenario (BenchmarkConstellation1024/shards=1's) to 0.10
+// allocations per event, counted on the second and third constellation of the
+// process, i.e. on the run memory the one before donated. It was 0.30 before
+// the hop-to-hop path stopped copying packets, 0.13–0.14 while sync.Pools
+// refilled at the collector's whim and 0.041 since the run memory (a cold
+// first run reads 0.125). The budget leaves headroom for what a run cannot
+// hand on — frames and entries still in flight when it stops — not for losing
+// the hand-over. A ratio counted in one process, it is machine-independent.
+func TestConstellationAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,024-satellite scenario skipped in -short mode")
+	}
+	const budget = 0.10
+	cfg := DefaultConfig(WalkerGrid(1024))
+	cfg.Seed = 7
+	cfg.DatagramsPerFlow = 20
+	var allocs, events uint64
+	for i := 0; i < 3; i++ {
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep := c.Run()
+		runtime.ReadMemStats(&m1)
+		if rep.Delivered != rep.Offered {
+			t.Fatalf("run %d delivered %d of %d offered", i+1, rep.Delivered, rep.Offered)
+		}
+		if i > 0 {
+			allocs += m1.Mallocs - m0.Mallocs
+			events += rep.Events
+		}
+	}
+	perEvent := float64(allocs) / float64(events)
+	if perEvent > budget {
+		t.Fatalf("warm constellation runs allocate %.4f objects per event, budget %.2f", perEvent, budget)
+	}
+	t.Logf("warm constellation runs allocate %.4f objects per event (budget %.2f)", perEvent, budget)
+}
+
 // TestWalkerGridValidate pins the preset shapes used by E19.
 func TestWalkerGridValidate(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {

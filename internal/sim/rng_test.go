@@ -184,21 +184,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := NewRNG(9)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost in shuffle", i)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := NewRNG(10)
 	a := r.Split()
@@ -350,4 +335,24 @@ func TestTimerNilArgsPanic(t *testing.T) {
 	mustPanic("NewTicker bad period", func() { NewTicker(s, 0, func() {}) })
 	mustPanic("NewTicker nil fn", func() { NewTicker(s, Second, nil) })
 	mustPanic("Schedule nil fn", func() { s.Schedule(1, nil) })
+}
+
+func TestDeriveSeedDistinctAndStable(t *testing.T) {
+	seen := map[uint64]int{}
+	for i := 0; i < 10000; i++ {
+		s := DeriveSeed(1, i)
+		if s == 0 {
+			t.Fatalf("DeriveSeed(1, %d) = 0", i)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("DeriveSeed collision: i=%d and i=%d", prev, i)
+		}
+		seen[s] = i
+	}
+	if DeriveSeed(1, 7) != DeriveSeed(1, 7) {
+		t.Fatal("DeriveSeed is not a pure function")
+	}
+	if DeriveSeed(1, 7) == DeriveSeed(2, 7) {
+		t.Fatal("DeriveSeed ignores the base seed")
+	}
 }

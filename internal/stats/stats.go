@@ -11,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -192,15 +191,6 @@ type Series struct {
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
-// Ys returns the y values in order.
-func (s *Series) Ys() []float64 {
-	ys := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		ys[i] = p.Y
-	}
-	return ys
-}
-
 // Monotone reports whether the series is non-decreasing (dir > 0) or
 // non-increasing (dir < 0) in y, within a relative tolerance tol. The
 // experiment harness uses it to assert shape claims like "η rises with N".
@@ -330,28 +320,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsByColumn sorts the table rows by the numeric value of column i
-// (non-numeric cells sort last, lexically).
-func (t *Table) SortRowsByColumn(i int) {
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		va, ea := parseFloat(t.Rows[a][i])
-		vb, eb := parseFloat(t.Rows[b][i])
-		switch {
-		case ea == nil && eb == nil:
-			return va < vb
-		case ea == nil:
-			return true
-		case eb == nil:
-			return false
-		}
-		return t.Rows[a][i] < t.Rows[b][i]
-	})
-}
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	_, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-	return v, err
 }

@@ -136,9 +136,6 @@ func TestSeriesMonotone(t *testing.T) {
 	if !noisy.Monotone(1, 0.01) {
 		t.Fatal("1% tolerance should absorb the dip")
 	}
-	if got := len(up.Ys()); got != 5 {
-		t.Fatalf("Ys length %d", got)
-	}
 }
 
 func TestCrossover(t *testing.T) {
@@ -188,17 +185,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, separator, two rows
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-}
-
-func TestTableSort(t *testing.T) {
-	tb := NewTable("", "x", "y")
-	tb.AddRow("10", "a")
-	tb.AddRow("2", "b")
-	tb.AddRow("abc", "c")
-	tb.SortRowsByColumn(0)
-	if tb.Rows[0][0] != "2" || tb.Rows[1][0] != "10" || tb.Rows[2][0] != "abc" {
-		t.Fatalf("sorted rows: %v", tb.Rows)
 	}
 }
 
