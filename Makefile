@@ -21,7 +21,7 @@ ci:
 	$(MAKE) cover
 	go test -race ./...
 	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/shard -race -count=10 \
-		-run 'TestFreeList|TestLocal|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestBacklog|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes'
+		-run 'TestFreeList|TestLocal|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestQueue|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes'
 	$(MAKE) fuzz
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	$(MAKE) lint

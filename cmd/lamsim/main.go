@@ -79,7 +79,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		scenario = bench.BindScenarioFlags(fs, 10*time.Minute)
 		proto    = fs.String("proto", "lams", "protocol: "+strings.Join(arq.Protocols(), " | "))
 		record   = fs.String("record", "", "write the run's per-frame channel decisions to this trace file (replay with -imodel trace:file=...)")
-		tproc    = fs.Duration("tproc", 10*time.Microsecond, "per-frame processing time")
+		tproc    = fs.Duration("tproc", 10*time.Microsecond, "per-frame processing time (LAMS-DLC only)")
 		traceN   = fs.Int("trace", 0, "dump the last N link events after the run")
 
 		traceOut    = fs.String("trace-out", "", "stream the full link-event trace to this file as JSONL")

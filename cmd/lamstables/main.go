@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	withMetrics := fs.Bool("metrics", false,
 		"print the metrics snapshots experiments attach (protocol internals as JSON)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"simulation runs in flight, over all experiments (results are identical at any count)")
+		"simulation runs in flight over all experiments, and E19's shards (results are identical at any count)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {

@@ -155,7 +155,8 @@ func (m *Metrics) Summary() string {
 type Timing struct {
 	// RoundTrip is R, the mean round-trip propagation time.
 	RoundTrip sim.Duration
-	// ProcTime is t_proc, the (maximum) per-frame processing time.
+	// ProcTime is t_proc, the (maximum) per-frame processing time. Only the
+	// LAMS-DLC receiver has a processing stage; the other engines ignore it.
 	ProcTime sim.Duration
 }
 

@@ -48,7 +48,7 @@ type Knobs struct {
 	Alpha     sim.Duration // timeout slack: t_out = R + α
 	Stutter   bool         // idle-time stutter retransmission
 	N2        int          // timeout retry budget before failure (0 = supervision off)
-	Tproc     sim.Duration // per-frame processing time
+	Tproc     sim.Duration // per-frame processing time (LAMS-DLC only)
 	RecvCap   int          // receive buffer cap (0 = unbounded)
 	SendCap   int          // sending buffer cap (0 = unbounded)
 	Metrics   *metrics.Registry

@@ -128,7 +128,7 @@ var configureTable = map[string]map[string][]string{
 	},
 	"srhdlc": hdlcKnobs,
 	"gbn":    hdlcKnobs,
-	// SS-ARQ runs on Defaults(RoundTrip): Tproc, SendCap and Metrics have
+	// SS-ARQ runs on Defaults(RoundTrip): SendCap and Metrics have
 	// counterparts the mapping deliberately leaves alone (DESIGN.md §16).
 	"ssarq": {
 		"RoundTrip": {"ConvergenceSlack", "RetxInterval", "Timing.RoundTrip"},
@@ -141,7 +141,6 @@ var hdlcKnobs = map[string][]string{
 	"Alpha":     {"Timeout"},
 	"Stutter":   {"Stutter"},
 	"N2":        {"MaxTimeouts"},
-	"Tproc":     {"Timing.ProcTime"},
 	"Metrics":   {"Metrics"},
 }
 

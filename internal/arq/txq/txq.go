@@ -22,7 +22,7 @@ import (
 // state or pinned payload memory.
 var (
 	entries = sim.NewFreeList[Entry]()
-	chunks  = sim.NewFreeList[chunk]()
+	chunks  = sim.NewFreeList[sim.QueueChunk[arq.Datagram]]()
 	windows = sim.NewFreeList[window]()
 )
 
@@ -64,8 +64,8 @@ type Queue struct {
 	pump     *sim.Timer
 	closed   bool
 
-	backlog  backlog  // accepted, not yet first-transmitted
-	inflight []*Entry // unreleased, ascending Seq
+	backlog  sim.Queue[arq.Datagram] // accepted, not yet first-transmitted
+	inflight []*Entry                // unreleased, ascending Seq
 	next     uint32
 
 	// The engine's registry instruments (nil without a registry), named in
@@ -88,6 +88,7 @@ func New(sched *sim.Scheduler, m *arq.Metrics, capacity int, debt sim.Duration, 
 		capacity:    capacity,
 		debt:        debt,
 		pump:        sim.NewTimer(sched, pump),
+		backlog:     sim.NewQueue(sched, chunks),
 		releases:    releases,
 		holdingNS:   holdingNS,
 		outstanding: outstanding,
@@ -97,13 +98,13 @@ func New(sched *sim.Scheduler, m *arq.Metrics, capacity int, debt sim.Duration, 
 // Outstanding returns the sending-buffer occupancy — in-flight entries plus
 // backlog — whose transparent bound §4 derives for LAMS-DLC and whose
 // unbounded growth it proves for HDLC.
-func (q *Queue) Outstanding() int { return len(q.inflight) + q.backlog.n }
+func (q *Queue) Outstanding() int { return len(q.inflight) + q.backlog.Len() }
 
 // Unacked returns the number of transmitted-but-unreleased entries.
 func (q *Queue) Unacked() int { return len(q.inflight) }
 
 // Backlog returns the number of accepted, not yet transmitted datagrams.
-func (q *Queue) Backlog() int { return q.backlog.n }
+func (q *Queue) Backlog() int { return q.backlog.Len() }
 
 // InFlight is the in-flight list, ascending Seq, oldest first. Read-only:
 // the list changes only through Admit, Renumber and Sweep.
@@ -124,7 +125,7 @@ func (q *Queue) Enqueue(dg arq.Datagram) bool {
 		return false
 	}
 	dg.EnqueuedAt = q.sched.Now()
-	q.backlog.pushBack(q.sched, dg)
+	q.backlog.PushBack(dg)
 	q.m.Submitted.Inc()
 	q.note()
 	q.Kick(0)
@@ -176,7 +177,7 @@ func (q *Queue) bound(now sim.Time) {
 // next sequence number, first transmitted now. The backlog must not be empty.
 func (q *Queue) Admit(now sim.Time) *Entry {
 	e := entries.Get(q.sched)
-	e.Dg, e.Seq, e.FirstTx, e.LastTx = q.backlog.popFront(q.sched), q.next, now, now
+	e.Dg, e.Seq, e.FirstTx, e.LastTx = q.backlog.PopFront(), q.next, now, now
 	q.push(e)
 	return e
 }
@@ -248,7 +249,7 @@ func (q *Queue) UnreleasedDatagrams() []arq.Datagram {
 	for _, e := range q.inflight {
 		out = append(out, e.Dg)
 	}
-	return q.backlog.appendTo(out)
+	return q.backlog.AppendTo(out)
 }
 
 func (q *Queue) note() {

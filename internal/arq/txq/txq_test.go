@@ -1,6 +1,7 @@
 package txq
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 )
 
 const debt = 10 * sim.Millisecond
+
+// chunkSlots is the slot count of a sim.Queue chunk, the backlog's storage.
+const chunkSlots = 31
 
 // harness is a queue whose pump admits one datagram per firing, like an
 // engine's, and records when it ran. fill puts n datagrams, IDs from 100,
@@ -291,7 +295,7 @@ func TestReleaseAccounting(t *testing.T) {
 func TestCycleNoAllocs(t *testing.T) {
 	// 4 per round stays inside one backlog chunk and the in-flight list's
 	// first window, handing both back every round; the larger batch spans
-	// three chunks and outgrows the window.
+	// three backlog chunks and outgrows the window.
 	for _, batch := range []int{4, 2*chunkSlots + 3} {
 		sched := sim.NewScheduler()
 		var m arq.Metrics
@@ -329,5 +333,149 @@ func TestCycleNoAllocs(t *testing.T) {
 		if q.Outstanding() != 0 || m.HoldingTime.N() != uint64(batch)*151 {
 			t.Fatal("the pin measured nothing")
 		}
+	}
+}
+
+// TestBacklogFIFOAcrossChunks drives the backlog through Enqueue and Admit
+// across every chunk-boundary case: pushes and pops interleaved so head and
+// tail sit in different chunks, at a boundary, and in the same chunk; the
+// snapshot walk at each step.
+func TestBacklogFIFOAcrossChunks(t *testing.T) {
+	h := newHarness(nil, 0)
+	var want []uint64
+	next := uint64(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			h.Enqueue(arq.Datagram{ID: next, Payload: []byte{1}})
+			want = append(want, next)
+			next++
+		}
+	}
+	pop := func(n int) {
+		now := h.sched.Now()
+		for i := 0; i < n; i++ {
+			if got := h.Admit(now).Dg.ID; got != want[0] {
+				t.Fatalf("admitted %d, want %d", got, want[0])
+			}
+			want = want[1:]
+		}
+		h.Sweep(func(e *Entry) bool { h.Release(now, e); return false })
+	}
+	check := func() {
+		t.Helper()
+		if h.Backlog() != len(want) {
+			t.Fatalf("backlog %d, want %d", h.Backlog(), len(want))
+		}
+		if got := ids(h.backlog.AppendTo(nil)); !slices.Equal(got, want) {
+			t.Fatalf("snapshot %v, want %v", got, want)
+		}
+	}
+	for _, step := range []struct{ push, pop int }{
+		{1, 0}, {0, 1}, // one datagram in, out: the common constellation case
+		{chunkSlots, 0}, {1, 0}, // exactly one chunk, then the first slot of a second
+		{0, chunkSlots}, // head crosses into the second chunk
+		{3*chunkSlots + 5, chunkSlots + 2},
+		{2, 2*chunkSlots + 6}, // drains to empty mid-chunk
+		{chunkSlots - 1, chunkSlots - 2}, {5, 6},
+	} {
+		push(step.push)
+		check()
+		pop(step.pop)
+		check()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("admitting from an empty backlog did not panic")
+		}
+	}()
+	h.Admit(h.sched.Now())
+}
+
+// TestBacklogChunksReturnZeroed pins the backlog's storage contract: every
+// chunk a drained backlog hands back to the run memory is zeroed — no popped
+// slot pins its payload — so a backlog of any depth costs a warm run nothing.
+func TestBacklogChunksReturnZeroed(t *testing.T) {
+	s := sim.NewScheduler()
+	var m arq.Metrics
+	q := New(s, &m, 0, debt, func() {}, nil, nil, nil)
+	b := &q.backlog
+	const n = 4*chunkSlots + 3
+	one := []byte{1}
+	fill := func() {
+		for i := 0; i < n; i++ {
+			b.PushBack(arq.Datagram{ID: uint64(i) + 1, Payload: one, EnqueuedAt: 5})
+		}
+	}
+	fill()
+	for b.Len() > 0 {
+		b.PopFront()
+	}
+	for i := 0; i < 5; i++ {
+		c := chunks.Get(s)
+		if !reflect.DeepEqual(*c, sim.QueueChunk[arq.Datagram]{}) {
+			t.Fatalf("chunk %d came back from the run memory not zeroed", i)
+		}
+		defer chunks.Put(s, c)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		fill()
+		for b.Len() > 0 {
+			b.PopFront()
+		}
+	}); avg != 0 {
+		t.Fatalf("a warm fill-and-drain of %d datagrams allocates %.1f/op, want 0", n, avg)
+	}
+}
+
+func ids(dgs []arq.Datagram) []uint64 {
+	out := make([]uint64, len(dgs))
+	for i, dg := range dgs {
+		out[i] = dg.ID
+	}
+	return out
+}
+
+// TestInFlightWindowFromRunMemory pins the in-flight list's first capacity:
+// it comes from the scheduler's run memory, goes back when the list empties
+// while still on it, and is never shared by two lists at once.
+func TestInFlightWindowFromRunMemory(t *testing.T) {
+	sched := sim.NewScheduler()
+	var m arq.Metrics
+	newQueue := func() *Queue {
+		q := New(sched, &m, 0, debt, func() {}, nil, nil, nil)
+		return &q
+	}
+	admit := func(q *Queue, n int) {
+		for i := 0; i < n; i++ {
+			q.Enqueue(arq.Datagram{ID: uint64(i)})
+			q.Admit(sched.Now())
+		}
+	}
+	drain := func(q *Queue) {
+		q.Sweep(func(e *Entry) bool { q.Release(sched.Now(), e); return false })
+	}
+	a, b, c := newQueue(), newQueue(), newQueue()
+	admit(a, 2)
+	if cap(a.InFlight()) != windowSlots {
+		t.Fatalf("first capacity %d, want the %d-entry window", cap(a.InFlight()), windowSlots)
+	}
+	first := &a.InFlight()[0]
+	admit(b, 1)
+	if &b.InFlight()[0] == first {
+		t.Fatal("two live in-flight lists share one window")
+	}
+	drain(a)
+	if a.InFlight() != nil {
+		t.Fatal("an emptied list kept its window")
+	}
+	admit(c, 1)
+	if &c.InFlight()[0] != first {
+		t.Fatal("the next list on the scheduler did not get the window back")
+	}
+	// A list that outgrew its window keeps what append gave it.
+	admit(a, windowSlots+1)
+	drain(a)
+	if a.InFlight() == nil || cap(a.InFlight()) <= windowSlots {
+		t.Fatal("a list that outgrew its window did not keep its own array")
 	}
 }

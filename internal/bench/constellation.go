@@ -2,39 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// constellationShards is the shard-count knob for the constellation
-// experiment family, mirroring the SetWorkers knob of the sweep engine:
-// results are bit-identical at every count, so the setting is pure
-// wall-clock policy. 0 means min(8, GOMAXPROCS).
-var constellationShards atomic.Int64
-
-// SetConstellationShards fixes the shard count used by E19 (and anything
-// else that calls ConstellationShards). n <= 0 restores the default.
-func SetConstellationShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	constellationShards.Store(int64(n))
-}
-
-// ConstellationShards returns the effective shard count.
-func ConstellationShards() int {
-	if n := constellationShards.Load(); n > 0 {
-		return int(n)
-	}
-	if p := runtime.GOMAXPROCS(0); p < 8 {
-		return p
-	}
-	return 8
-}
 
 // e19Sizes are the Walker grids the scale experiment sweeps; the paper's
 // multi-satellite setting (§2) motivates the constellation, the shard
@@ -46,8 +18,9 @@ var e19Sizes = []int{64, 256, 1024}
 // permutation flows — at 64, 256 and 1,024 satellites on the sharded
 // conservative engine. The table reports constellation-wide delivery time,
 // handover churn and crosslink utilization versus size. Every figure is
-// invariant across shard counts (see TestE19ShardCountInvariance); the
-// shard knob only buys wall-clock time on multi-core hosts.
+// invariant across shard counts (TestAllDeterministicAcrossWorkers renders
+// E19 at 1, 2 and 8); the run budget bounds the shards, min(Workers(), 8, n),
+// so -workers buys wall-clock time here as it does for every other batch.
 func E19ConstellationScale() *Result {
 	r := &Result{
 		ID:    "E19",
@@ -57,10 +30,7 @@ func E19ConstellationScale() *Result {
 	okAll, completed1024 := true, false
 	for _, n := range e19Sizes {
 		cfg := shard.DefaultConfig(shard.WalkerGrid(n))
-		cfg.Shards = ConstellationShards()
-		if cfg.Shards > n {
-			cfg.Shards = n
-		}
+		cfg.Shards = min(Workers(), 8, n)
 		cfg.Seed = 7
 		cfg.DatagramsPerFlow = 20
 		// One pool item per size, sizes in order: a K-shard run holds one

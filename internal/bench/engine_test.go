@@ -217,7 +217,9 @@ func experimentsAlone(t *testing.T) []*Result {
 
 // TestAllDeterministicAcrossWorkers pins what the overlap must not change:
 // All() renders the same bytes at every budget, and the same bytes as the
-// experiments run alone, one after another. The one-worker leg is also the
+// experiments run alone, one after another. E19 takes its shard count from
+// the budget, so the three legs also pin the constellation at 1, 2 and 8
+// shards against the alone run's bytes. The one-worker leg is also the
 // deadlock pin — 21 experiments started at once on a budget of one must
 // finish (the test timeout is the guard) with never two runs in flight.
 func TestAllDeterministicAcrossWorkers(t *testing.T) {

@@ -85,12 +85,10 @@ type Config struct {
 
 // Defaults returns an SR-HDLC configuration for the given round trip, with
 // α equal to half the round trip (a moderately mobile constellation).
+// Timing.ProcTime stays zero: the receiver has no processing stage to read it.
 func Defaults(roundTrip sim.Duration) Config {
 	return Config{
-		Timing: arq.Timing{
-			RoundTrip: roundTrip,
-			ProcTime:  10 * sim.Microsecond, // below t_f at 300 Mbps/1 KiB: the removal-rate assumption of §4 holds
-		},
+		Timing:      arq.Timing{RoundTrip: roundTrip},
 		Mode:        SelectiveRepeat,
 		WindowSize:  64,
 		ModulusBits: 7, // M=128, W=M/2

@@ -30,14 +30,14 @@ func register(mode Mode, r arq.Registration) {
 
 // configure maps the harness knobs onto an HDLC configuration: absolute
 // numbering (no modulus constraint on W) and t_out = R + α. Icp, Cdepth,
-// RecvCap and SendCap have no counterpart: there is no checkpoint process,
-// and the window is the only buffer bound.
+// Tproc, RecvCap and SendCap have no counterpart: there is no checkpoint
+// process, the receiver has no processing stage, and the window is the only
+// buffer bound.
 func configure(k arq.Knobs) Config {
 	cfg := Defaults(k.RoundTrip)
 	cfg.WindowSize = k.W
 	cfg.ModulusBits = 0
 	cfg.Timeout = k.RoundTrip + k.Alpha
-	cfg.ProcTime = k.Tproc
 	cfg.Stutter = k.Stutter
 	cfg.MaxTimeouts = k.N2
 	cfg.Metrics = k.Metrics

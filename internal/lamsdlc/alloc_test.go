@@ -49,7 +49,7 @@ func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 		s.HandleFrame(sched.Now(), cp)
 	}
 
-	for i := 0; i < 50; i++ { // warm free lists, rings, and scratch capacities
+	for i := 0; i < 50; i++ { // warm free lists, queues and scratch capacities
 		round()
 	}
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
@@ -125,5 +125,32 @@ func TestDedupSeenPrunedAfter100k(t *testing.T) {
 	}
 	if got := r.dedupAge.Len(); got != want {
 		t.Fatalf("dedup FIFO after %d datagrams = %d records, want %d", n, got, want)
+	}
+}
+
+// TestDrainedReceiveBufferHoldsNoChunk pins the receive buffer's storage: the
+// chunk the queued frames took from the run memory goes back when processing
+// drains the buffer, so an idle link keeps no FIFO storage.
+func TestDrainedReceiveBufferHoldsNoChunk(t *testing.T) {
+	sched := sim.NewScheduler()
+	c := procChunks.Get(sched)
+	procChunks.Put(sched, c) // c is the chunk the next PushBack takes
+	r := NewReceiver(sched, nullWire{}, baseCfg(), &arq.Metrics{}, nil)
+	var frames frame.List
+	for seq := uint32(0); seq < 3; seq++ {
+		f := frames.Get(false)
+		frames.Adopt(f)
+		f.Kind, f.Seq, f.DatagramID = frame.KindI, seq, uint64(seq)
+		r.HandleFrame(sched.Now(), f)
+	}
+	if r.QueueLen() != 3 {
+		t.Fatalf("receive buffer holds %d frames, want 3", r.QueueLen())
+	}
+	sched.Run() // t_proc for each; the receiver is not started, so no checkpoints
+	if r.QueueLen() != 0 {
+		t.Fatalf("receive buffer holds %d frames after processing, want 0", r.QueueLen())
+	}
+	if procChunks.Get(sched) != c {
+		t.Fatal("a drained receive buffer kept its chunk")
 	}
 }

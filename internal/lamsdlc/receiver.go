@@ -3,7 +3,6 @@ package lamsdlc
 import (
 	"repro/internal/arq"
 	"repro/internal/frame"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -37,7 +36,7 @@ type Receiver struct {
 	haveCpEmit bool
 
 	// Receive processing queue (the receiving buffer of §3.4).
-	procQueue ring.Ring[*frame.Frame]
+	procQueue sim.Queue[*frame.Frame]
 	procBusy  bool
 	procDone  func() // finishProc bound once; the t_proc completion event
 	stopGo    bool
@@ -48,7 +47,7 @@ type Receiver struct {
 	// population is bounded by the deliveries of one window rather than
 	// growing until an amortized sweep.
 	seen     map[uint64]sim.Time // datagram ID -> delivery instant
-	dedupAge ring.Ring[dedupRec]
+	dedupAge sim.Queue[dedupRec]
 
 	// Checkpoint-emission scratch, recycled across cycles (ISSUE 6): the
 	// NAK union's dedup set and output list keep their backing storage
@@ -70,6 +69,13 @@ type dedupRec struct {
 	at sim.Time
 }
 
+// The chunks of the receive buffer and the dedup FIFO, from the scheduler's
+// run memory.
+var (
+	procChunks  = sim.NewFreeList[sim.QueueChunk[*frame.Frame]]()
+	dedupChunks = sim.NewFreeList[sim.QueueChunk[dedupRec]]()
+)
+
 // NewReceiver constructs a receiver delivering upward via deliver (which
 // may be nil for pure measurement runs).
 func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, deliver arq.DeliverFunc) *Receiver {
@@ -83,10 +89,12 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 		m:         m,
 		im:        newReceiverInstr(cfg.Metrics),
 		intervals: make([][]uint32, cfg.CumulationDepth),
+		procQueue: sim.NewQueue(sched, procChunks),
 		deliver:   deliver,
 	}
 	if cfg.DedupWindow > 0 {
 		r.seen = make(map[uint64]sim.Time)
+		r.dedupAge = sim.NewQueue(sched, dedupChunks)
 	}
 	r.procDone = r.finishProc
 	r.ticker = sim.NewTicker(sched, cfg.CheckpointInterval, r.emitCheckpoint)

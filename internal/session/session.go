@@ -18,11 +18,11 @@ package session
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/resequence"
-	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -67,7 +67,7 @@ type Manager struct {
 	passes  []Pass
 	factory LinkFactory
 
-	queue  ring.Ring[arq.Datagram] // waiting for a pass
+	queue  []arq.Datagram // waiting for a pass, oldest first
 	nextID uint64
 	cur    arq.Pair
 	curIdx int
@@ -128,13 +128,13 @@ func (m *Manager) Send(payload []byte) uint64 {
 	if m.cur != nil && m.cur.Enqueue(dg) {
 		return id
 	}
-	m.queue.PushBack(dg)
+	m.queue = append(m.queue, dg)
 	return id
 }
 
 // Pending returns the datagrams waiting for a pass (excluding those inside
 // the active pair).
-func (m *Manager) Pending() int { return m.queue.Len() }
+func (m *Manager) Pending() int { return len(m.queue) }
 
 // Active reports whether a pass is currently carrying traffic.
 func (m *Manager) Active() bool { return m.cur != nil }
@@ -164,14 +164,9 @@ func (m *Manager) startPass(i int, p Pass) {
 	m.cur = pair
 	m.curIdx = i
 	m.Stats.Passes.Inc()
-	// Feed everything waiting; refusals cycle to the back, preserving
-	// their relative order.
-	for n := m.queue.Len(); n > 0; n-- {
-		dg := m.queue.PopFront()
-		if !pair.Enqueue(dg) {
-			m.queue.PushBack(dg)
-		}
-	}
+	// Feed everything waiting, oldest first; refusals stay queued in their
+	// relative order.
+	m.queue = slices.DeleteFunc(m.queue, pair.Enqueue)
 }
 
 func (m *Manager) endPass(i int) {
@@ -188,16 +183,14 @@ func (m *Manager) endPass(i int) {
 	carried := pair.Reclaim()
 	m.Stats.CarriedOver.Addn(uint64(len(carried)))
 	// Carried datagrams go to the front: they are the oldest.
-	for i := len(carried) - 1; i >= 0; i-- {
-		m.queue.PushFront(carried[i])
-	}
+	m.queue = slices.Insert(m.queue, 0, carried...)
 }
 
 // Summary renders headline counters.
 func (m *Manager) Summary() string {
 	return fmt.Sprintf("passes=%d delivered=%d carried=%d dup=%d failures=%d pending=%d",
 		m.Stats.Passes.Value(), m.Stats.Delivered.Value(), m.Stats.CarriedOver.Value(),
-		m.Stats.Duplicates.Value(), m.Stats.Failures.Value(), m.queue.Len())
+		m.Stats.Duplicates.Value(), m.Stats.Failures.Value(), len(m.queue))
 }
 
 // PassesFromWindows converts orbital visibility windows (durations since

@@ -11,10 +11,12 @@
 // The kernel is intentionally tiny:
 //
 //   - Time and Duration give virtual timestamps with nanosecond resolution.
-//   - Scheduler queues callbacks; events may be cancelled through the Event
-//     handle returned by Schedule.
+//   - Scheduler queues callbacks; events may be cancelled through the
+//     Handle returned by Schedule.
 //   - Timer is a restartable one-shot built on Scheduler, matching how DLC
 //     protocols describe their checkpoint/failure timers.
+//   - Queue is the FIFO of every simulated buffer, its storage drawn from
+//     the scheduler's run memory.
 //   - RNG is a seeded xoshiro256** generator so simulations never depend on
 //     global math/rand state.
 //

@@ -26,9 +26,9 @@ type runMem struct {
 	// order) cost the 1,024-satellite run 10–17 % in cache misses. born
 	// counts the memory's events; order is Recycle's table for sorting them
 	// by birth in one pass, all nil between uses.
-	events *Event
+	events *event
 	born   uint32
-	order  []*Event
+	order  []*event
 	// wheel is the scheduler's bucket storage, all-empty between lives.
 	wheel *wheel
 	// slots holds one value per Local, indexed by Local.slot, nil until the
@@ -145,8 +145,15 @@ func NewFreeList[T any]() FreeList[T] {
 }
 
 // Get pops the most recently Put object, or allocates a zero one.
-func (l FreeList[T]) Get(s *Scheduler) *T {
-	items := l.items.Of(s)
+func (l FreeList[T]) Get(s *Scheduler) *T { return pop(l.items.Of(s)) }
+
+// Put makes v available to Get on s and, after s.Recycle, on the scheduler
+// that adopts its memory.
+func (l FreeList[T]) Put(s *Scheduler, v *T) { push(l.items.Of(s), v) }
+
+// pop and push are Get and Put on a list already resolved to s's instance,
+// for a holder (Queue) that looks it up once instead of per object.
+func pop[T any](items *[]*T) *T {
 	n := len(*items)
 	if n == 0 {
 		return new(T)
@@ -157,9 +164,4 @@ func (l FreeList[T]) Get(s *Scheduler) *T {
 	return v
 }
 
-// Put makes v available to Get on s and, after s.Recycle, on the scheduler
-// that adopts its memory.
-func (l FreeList[T]) Put(s *Scheduler, v *T) {
-	items := l.items.Of(s)
-	*items = append(*items, v)
-}
+func push[T any](items *[]*T, v *T) { *items = append(*items, v) }

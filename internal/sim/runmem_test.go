@@ -156,7 +156,7 @@ func TestRecycleReapsTheWheel(t *testing.T) {
 	}
 	s.RunUntil(20)
 	s.ScheduleDetached(5*Time(Second), func() { fired++ }) // upper wheel level
-	s.ScheduleDetached(Time(1)<<60, func() { fired++ })    // overflow ladder
+	s.ScheduleDetached(Time(1)<<60, func() { fired++ })    // top wheel level
 	s.ScheduleAfterDetached(1, func() { fired++ })         // level 0
 	timer := NewTimer(s, func() { fired++ })
 	timer.Start(Millisecond)
@@ -268,7 +268,7 @@ func TestDonatedEventsKeepBirthOrder(t *testing.T) {
 	emptyDepot()
 	s := NewScheduler()
 	const n = 50
-	var born []*Event
+	var born []*event
 	for i := 0; i < n; i++ {
 		// Delays scattered over wheel levels, so firing and reaping order
 		// have nothing to do with allocation order.

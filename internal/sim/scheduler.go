@@ -14,12 +14,9 @@ import (
 //     window containing now. A two-level bitmap (l0sum summarising the 64
 //     words of l0occ) finds the earliest occupied slot in two
 //     TrailingZeros64 instructions.
-//   - Seven upper levels of 64 slots each cover 6 more bits of the
-//     timestamp apiece, so the wheel spans 2^(12+7*6) = 2^54 ns (~208
-//     simulated days) around now.
-//   - Events beyond the wheel span go to an unsorted overflow ladder (an
-//     intrusive list with an incrementally maintained minimum) and are
-//     pulled into the wheel when the clock enters their 2^54 ns block.
+//   - Nine upper levels of 64 slots each cover 6 more bits of the
+//     timestamp apiece, so the wheel resolves 12+9*6 = 66 bits: every
+//     instant a Time can hold has a place in it, however far ahead.
 //
 // Events at the same instant always hash to the same bucket at every
 // level, and buckets are append-ordered intrusive lists, so FIFO order
@@ -34,16 +31,18 @@ const (
 	wheelL0Slots = 1 << wheelL0Bits // one slot per nanosecond tick
 	wheelLvlBits = 6                // log2 of upper-level fan-out
 	wheelSlots   = 1 << wheelLvlBits
-	wheelUpper   = 7 // upper levels above L0
-	// wheelSpanBits is the number of timestamp bits the wheel resolves;
-	// events differing from now above this bit go to the overflow ladder.
-	wheelSpanBits = wheelL0Bits + wheelUpper*wheelLvlBits
+	wheelUpper   = 9 // upper levels above L0
 )
 
-// Event is the scheduler's internal record of a scheduled callback. Public
-// callers hold a Handle instead; the *Event form is confined to this package
-// (Timer/Ticker, the freelists) so the object can be recycled aggressively.
-type Event struct {
+// The wheel must resolve all 63 bits of a non-negative Time; this constant
+// fails to compile if a change to the layout leaves a bit uncovered.
+const _ = uint(wheelL0Bits + wheelUpper*wheelLvlBits - 63)
+
+// event is the scheduler's record of a scheduled callback. Callers outside
+// the package hold a Handle instead; the *event form is confined to this
+// package (Timer/Ticker, the freelists) so the object can be recycled
+// aggressively.
+type event struct {
 	at Time
 	fn func()
 	// fnArg/arg is the argument-taking callback variant: one long-lived
@@ -53,18 +52,15 @@ type Event struct {
 	// callback; fn is ignored.
 	fnArg  func(any)
 	arg    any
-	next   *Event     // intrusive link: bucket chain, or freelist chain
-	owner  *Scheduler // scheduler that enqueued the event (for Cancel bookkeeping)
+	next   *event     // intrusive link: bucket chain, or freelist chain
+	owner  *Scheduler // scheduler that enqueued the event (for cancel bookkeeping)
 	fired  bool
 	cancel bool
 	// detached marks an event whose handle never escaped to an
 	// arbitrary caller (ScheduleDetached, or the managed Timer/Ticker
 	// path which drops its handle synchronously on fire/stop): the
-	// scheduler may recycle the Event object once it leaves the wheel.
+	// scheduler may recycle the event object once it leaves the wheel.
 	detached bool
-	// overflow marks an event currently parked on the overflow ladder,
-	// so Cancel can keep the ladder's dead-event count accurate.
-	overflow bool
 	// gen is the slot's generation, bumped every time the event object is
 	// retired to a freelist. A Handle captures the generation at schedule
 	// time; a mismatch later means the slot was recycled for an unrelated
@@ -78,15 +74,6 @@ type Event struct {
 	born uint32
 }
 
-// At returns the instant the event is (or was) scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
 // Handle is a cancellable reference to a scheduled event, returned by
 // Schedule and ScheduleAfter. It is a plain value — copying it is free and
 // returning one does not allocate, which is what lets the handle path share
@@ -94,7 +81,7 @@ func (e *Event) Fired() bool { return e.fired }
 // even while handles are still outstanding). The zero Handle is inert: every
 // method is a no-op returning the zero answer.
 type Handle struct {
-	e   *Event
+	e   *event
 	gen uint64
 	at  Time
 }
@@ -117,7 +104,7 @@ func (h Handle) At() Time {
 // is a no-op, even if the underlying slot has since been recycled.
 func (h Handle) Cancel() {
 	if h.valid() {
-		h.e.owner.Cancel(h.e)
+		h.e.owner.cancel(h.e)
 	}
 }
 
@@ -138,10 +125,10 @@ func (h Handle) Active() bool { return h.valid() && !h.e.cancel && !h.e.fired }
 // bucket is an append-ordered intrusive event list. Append order is
 // insertion order, which is what makes same-instant FIFO structural.
 type bucket struct {
-	head, tail *Event
+	head, tail *event
 }
 
-func (b *bucket) push(e *Event) {
+func (b *bucket) push(e *event) {
 	e.next = nil
 	if b.tail == nil {
 		b.head = e
@@ -151,7 +138,7 @@ func (b *bucket) push(e *Event) {
 	b.tail = e
 }
 
-// wheel is the bucket storage of one scheduler: 73 KB that Recycle leaves
+// wheel is the bucket storage of one scheduler: 75 KB that Recycle leaves
 // all-empty (every bucket nil, every occupancy word zero), so the next
 // scheduler on the same run memory takes it over without zeroing it.
 type wheel struct {
@@ -173,14 +160,14 @@ type Scheduler struct {
 	// executed counts callbacks run; exposed for tests and for guarding
 	// against runaway simulations.
 	executed uint64
-	// live is the number of pending, uncancelled events (wheel + overflow).
+	// live is the number of pending, uncancelled events.
 	live int
 	// peek caches the earliest live event when the scheduler can prove it
 	// is the earliest (sole live event, or inserted strictly before a
 	// valid peek). It lets the schedule→fire cycle skip the bitmap walk;
 	// nil means "unknown" and the fire path falls back to the scan. It is
-	// invalidated on fire and on Cancel, so it can never dangle.
-	peek *Event
+	// invalidated on fire and on cancel, so it can never dangle.
+	peek *event
 
 	// w holds the wheel's bucket arrays, which ride the run memory: nil
 	// until the scheduler adopts one (memory), nil again after Recycle.
@@ -188,19 +175,11 @@ type Scheduler struct {
 	w     *wheel
 	l0sum uint64
 
-	// Overflow ladder for events beyond the wheel span. overMin is the
-	// minimum live timestamp (valid while overLive > 0); cancellations
-	// bump overDead and the next sweep compacts and recomputes.
-	over     bucket
-	overMin  Time
-	overLive int
-	overDead int
-
 	// free is the event recycle list (intrusive via next). Detached events
 	// return here when reaped; handle-returning events return here once
 	// fired, their generation bumped so an outstanding Handle can never
 	// alias the reused slot (see retire).
-	free *Event
+	free *event
 
 	// mem is the run memory (runmem.go): the events earlier schedulers
 	// donated, drawn on when free is empty, and the Locals of every package
@@ -227,12 +206,13 @@ type Scheduler struct {
 	qPeak      int
 
 	// Pad to 256 bytes, a size class whose objects start on 256-byte
-	// boundaries. While the 73 KB wheel was inline every Scheduler was a
-	// page-aligned large object; at its bare 200 bytes two of them — the
+	// boundaries. While the wheel was inline every Scheduler was a
+	// page-aligned large object; at its bare 160 bytes two of them — the
 	// two shards of a constellation, the two endpoints of a live link,
-	// each driven by its own goroutine — are handed out 208 bytes apart and
-	// share a cache line: one's event tallies and the other's clock.
-	_ [56]byte
+	// each driven by its own goroutine — would be handed out 160 bytes
+	// apart and share a cache line: one's event tallies and the other's
+	// clock.
+	_ [96]byte
 }
 
 // NewScheduler returns a Scheduler with the clock at the epoch.
@@ -293,7 +273,7 @@ func (s *Scheduler) Schedule(at Time, fn func()) Handle {
 }
 
 // ScheduleDetached queues fn like Schedule but returns no handle: the event
-// cannot be cancelled, and the scheduler recycles the Event object after it
+// cannot be cancelled, and the scheduler recycles the event object after it
 // fires. Hot paths that never cancel (frame deliveries, receive-processing
 // completions, workload arrivals) use it to keep the event churn of a long
 // sweep allocation-free.
@@ -328,7 +308,7 @@ func (s *Scheduler) ScheduleAfterDetached(d Duration, fn func()) {
 	s.ScheduleDetached(s.now.Add(d), fn)
 }
 
-func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detached bool) *Event {
+func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detached bool) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
@@ -340,7 +320,7 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 		// Recycled events already carry owner == s (the freelist is
 		// per-scheduler); only the lifecycle flags need resetting.
 		s.free = e.next
-		e.fired, e.cancel, e.overflow = false, false, false
+		e.fired, e.cancel = false, false
 		s.nRecy++
 	} else if m := s.memory(); m.events != nil {
 		// The run memory supplies events donated by finished schedulers (see
@@ -349,9 +329,9 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 		// field that must outlive every previous owner.
 		e = m.events
 		m.events = e.next
-		*e = Event{owner: s, gen: e.gen, born: e.born}
+		*e = event{owner: s, gen: e.gen, born: e.born}
 	} else {
-		e = &Event{owner: s, born: m.born}
+		e = &event{owner: s, born: m.born}
 		m.born++
 	}
 	e.at, e.fn, e.detached = at, fn, detached
@@ -383,31 +363,22 @@ func (s *Scheduler) schedule(at Time, fn func(), fnArg func(any), arg any, detac
 }
 
 // insert places e in the wheel level determined by the highest bit in
-// which e.at differs from now, or on the overflow ladder when that bit is
-// above the wheel span. Callers cascading a bucket first advance now to
-// the bucket's span start so re-inserted events land strictly lower.
-func (s *Scheduler) insert(e *Event) {
+// which e.at differs from now. Callers cascading a bucket first advance now
+// to the bucket's span start so re-inserted events land strictly lower.
+func (s *Scheduler) insert(e *event) {
 	wh := s.w
 	x := uint64(e.at) ^ uint64(s.now)
-	switch {
-	case x>>wheelL0Bits == 0:
+	if x>>wheelL0Bits == 0 {
 		sl := int(uint64(e.at) & (wheelL0Slots - 1))
 		wh.l0[sl].push(e)
 		wh.l0occ[sl>>6] |= 1 << uint(sl&63)
 		s.l0sum |= 1 << uint(sl>>6)
-	case x>>wheelSpanBits != 0:
-		e.overflow = true
-		s.over.push(e)
-		if s.overLive == 0 || e.at < s.overMin {
-			s.overMin = e.at
-		}
-		s.overLive++
-	default:
-		l := (bits.Len64(x) - wheelL0Bits - 1) / wheelLvlBits
-		sl := int(uint64(e.at)>>uint(wheelL0Bits+l*wheelLvlBits)) & (wheelSlots - 1)
-		wh.lv[l][sl].push(e)
-		wh.occ[l] |= 1 << uint(sl)
+		return
 	}
+	l := (bits.Len64(x) - wheelL0Bits - 1) / wheelLvlBits
+	sl := int(uint64(e.at)>>uint(wheelL0Bits+l*wheelLvlBits)) & (wheelSlots - 1)
+	wh.lv[l][sl].push(e)
+	wh.occ[l] |= 1 << uint(sl)
 }
 
 func (s *Scheduler) clearL0(wh *wheel, sl int) {
@@ -426,7 +397,7 @@ func (s *Scheduler) clearL0(wh *wheel, sl int) {
 // Handle, so reuse cannot alias one. Cancelled handled events are the one
 // class left to the garbage collector: their generation must keep matching
 // so the Handle keeps answering Cancelled()=true, Fired()=false.
-func (s *Scheduler) retire(e *Event) {
+func (s *Scheduler) retire(e *event) {
 	e.fn, e.fnArg, e.arg = nil, nil, nil
 	if e.detached || e.fired {
 		e.gen++
@@ -441,7 +412,7 @@ func (s *Scheduler) retire(e *Event) {
 // ones, and returns the minimum live timestamp (Never if the bucket
 // drained) plus whether any live event remains.
 func (s *Scheduler) scanReap(b *bucket) (Time, bool) {
-	var head, tail *Event
+	var head, tail *event
 	min := Never
 	for e := b.head; e != nil; {
 		next := e.next
@@ -465,60 +436,10 @@ func (s *Scheduler) scanReap(b *bucket) (Time, bool) {
 	return min, head != nil
 }
 
-// sweepOverflow compacts the overflow ladder: dead events are retired,
-// events whose 2^54 ns block the clock has entered are inserted into the
-// wheel (in original insertion order, preserving FIFO), and the minimum of
-// the remainder is recomputed. Called whenever the clock crosses a block
-// boundary — before any user code runs in the new block — and to refresh
-// overMin after cancellations.
-func (s *Scheduler) sweepOverflow() {
-	var head, tail *Event
-	min := Never
-	live := 0
-	blk := uint64(s.now) >> wheelSpanBits
-	for e := s.over.head; e != nil; {
-		next := e.next
-		switch {
-		case e.cancel:
-			s.retire(e)
-		case uint64(e.at)>>wheelSpanBits == blk:
-			e.overflow = false
-			s.insert(e)
-		default:
-			e.next = nil
-			if head == nil {
-				head = e
-			} else {
-				tail.next = e
-			}
-			tail = e
-			if e.at < min {
-				min = e.at
-			}
-			live++
-		}
-		e = next
-	}
-	s.over.head, s.over.tail = head, tail
-	s.overMin, s.overLive, s.overDead = min, live, 0
-}
-
-// overflowMin returns the earliest live overflow timestamp, compacting
-// first if cancellations may have invalidated the cached minimum.
-func (s *Scheduler) overflowMin() Time {
-	if s.overDead > 0 {
-		s.sweepOverflow()
-	}
-	if s.overLive == 0 {
-		return Never
-	}
-	return s.overMin
-}
-
-// Cancel removes e from the schedule if it has not fired: the event is
+// cancel removes e from the schedule if it has not fired: the event is
 // marked dead in O(1) and reaped when its bucket is next visited — no
 // restructuring. It is safe to call multiple times and on nil.
-func (s *Scheduler) Cancel(e *Event) {
+func (s *Scheduler) cancel(e *event) {
 	if e == nil || e.fired || e.cancel {
 		return
 	}
@@ -530,10 +451,6 @@ func (s *Scheduler) Cancel(e *Event) {
 		o.live--
 		if o.peek == e {
 			o.peek = nil
-		}
-		if e.overflow {
-			o.overLive--
-			o.overDead++
 		}
 	}
 }
@@ -574,8 +491,8 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 			}
 			return true
 		}
-		// Peek is valid but not an L0 head (upper level, overflow, or
-		// behind a dead prefix): fall back to the scan.
+		// Peek is valid but not an L0 head (upper level, or behind a
+		// dead prefix): fall back to the scan.
 		s.peek = nil
 	}
 	wh := s.w
@@ -637,61 +554,42 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 				break
 			}
 		}
-		if lvl >= 0 {
-			sl := bits.TrailingZeros64(wh.occ[lvl])
-			bkt := &wh.lv[lvl][sl]
-			minAt, ok := s.scanReap(bkt)
-			if !ok {
-				wh.occ[lvl] &^= 1 << uint(sl)
-				continue
-			}
-			if minAt > deadline {
-				return false
-			}
-			// Advance the clock to the bucket's span start — there is
-			// provably nothing pending in between — then re-insert its
-			// events, which now land strictly below lvl.
-			shift := uint(wheelL0Bits + lvl*wheelLvlBits)
-			start := minAt &^ (Time(1)<<shift - 1)
-			head := bkt.head
-			bkt.head, bkt.tail = nil, nil
+		if lvl < 0 {
+			return false // the wheel is empty
+		}
+		sl := bits.TrailingZeros64(wh.occ[lvl])
+		bkt := &wh.lv[lvl][sl]
+		minAt, ok := s.scanReap(bkt)
+		if !ok {
 			wh.occ[lvl] &^= 1 << uint(sl)
-			if start > s.now {
-				s.now = start
-			}
-			for e := head; e != nil; {
-				next := e.next
-				s.insert(e)
-				e = next
-			}
 			continue
 		}
-
-		// Wheel empty: pull the overflow ladder's block if it is due.
-		if s.overLive == 0 && s.overDead == 0 {
+		if minAt > deadline {
 			return false
 		}
-		m := s.overflowMin()
-		if m == Never || m > deadline {
-			return false
+		// Advance the clock to the bucket's span start — there is provably
+		// nothing pending in between — then re-insert its events, which now
+		// land strictly below lvl.
+		shift := uint(wheelL0Bits + lvl*wheelLvlBits)
+		start := minAt &^ (Time(1)<<shift - 1)
+		head := bkt.head
+		bkt.head, bkt.tail = nil, nil
+		wh.occ[lvl] &^= 1 << uint(sl)
+		if start > s.now {
+			s.now = start
 		}
-		if bs := m >> wheelSpanBits << wheelSpanBits; bs > s.now {
-			s.now = bs
+		for e := head; e != nil; {
+			next := e.next
+			s.insert(e)
+			e = next
 		}
-		s.sweepOverflow()
 	}
-}
-
-// Step executes the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (s *Scheduler) Step() bool {
-	return s.stepUntil(Never)
 }
 
 // Run executes events until the schedule drains or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
-	for !s.stopped && s.Step() {
+	for !s.stopped && s.stepUntil(Never) {
 	}
 	s.flushMetrics()
 }
@@ -742,13 +640,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 	for !s.stopped && s.stepUntil(deadline) {
 	}
 	if !s.stopped && s.now < deadline {
-		crossed := uint64(s.now)>>wheelSpanBits != uint64(deadline)>>wheelSpanBits
 		s.advanceClock(deadline)
-		if crossed && s.overLive+s.overDead > 0 {
-			// Entering a new block: adopt its overflow events before
-			// any user code can schedule alongside them.
-			s.sweepOverflow()
-		}
 	}
 	s.flushMetrics()
 }
@@ -777,16 +669,16 @@ func (s *Scheduler) Recycle() {
 	m := s.memory()
 	wh := m.wheel
 	if n := int(m.born); cap(m.order) < n {
-		m.order = make([]*Event, n, n+n/4)
+		m.order = make([]*event, n, n+n/4)
 	} else {
 		m.order = m.order[:n]
 	}
-	rest := func(e *Event) {
+	rest := func(e *event) {
 		// Zero everything except the generation and the birth number: a
 		// stale Handle from this scheduler's life must still mismatch after
 		// the event serves a future scheduler, and a resting event must not
 		// pin this scheduler through owner.
-		*e = Event{gen: e.gen, born: e.born}
+		*e = event{gen: e.gen, born: e.born}
 		m.order[e.born] = e
 	}
 	reap := func(b *bucket) {
@@ -816,10 +708,8 @@ func (s *Scheduler) Recycle() {
 		}
 		wh.occ[l] = 0
 	}
-	reap(&s.over)
-	s.overLive, s.overDead = 0, 0
 	s.live, s.peek = 0, nil
-	for _, chain := range []*Event{s.free, m.events} { // m.events: what this life never drew
+	for _, chain := range []*event{s.free, m.events} { // m.events: what this life never drew
 		for e := chain; e != nil; {
 			next := e.next
 			rest(e)
@@ -845,7 +735,7 @@ func (s *Scheduler) NextEventAt() Time {
 	}
 	wh := s.w
 	if wh == nil {
-		return s.overflowMin()
+		return Never
 	}
 	for {
 		if s.l0sum != 0 {
@@ -874,7 +764,7 @@ func (s *Scheduler) NextEventAt() Time {
 			}
 		}
 		if lvl < 0 {
-			return s.overflowMin()
+			return Never
 		}
 		sl := bits.TrailingZeros64(wh.occ[lvl])
 		minAt, ok := s.scanReap(&wh.lv[lvl][sl])

@@ -10,7 +10,7 @@ import (
 // min-ordered heap with FIFO tie-breaking — that heap IS the determinism
 // contract (DESIGN.md §8). This file drives both through random
 // interleavings of schedule / cancel / reschedule, including same-instant
-// bursts and far-future events that land on the overflow ladder, and
+// bursts and far-future events on the wheel's top levels, and
 // requires the full (id, firing-time) sequences to match exactly.
 
 type refEvent struct {
@@ -57,7 +57,9 @@ func spawnChild(id int) (childID int, delta Duration, ok bool) {
 }
 
 func TestSchedulerMatchesReferenceHeap(t *testing.T) {
-	const overflowJump = Time(1) << 55 // beyond the 2^54 ns wheel span
+	// Far-future instants land on the wheel's two top levels: 2^55 ns ahead of
+	// the clock, or near the top of sim.Time while the clock is still below it.
+	const farJump, nearTop = Time(1) << 55, Time(1) << 62
 
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,6 +79,13 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 		liveIDs := []int{}
 		nextID := 1
 		lastAt := Time(0)
+
+		far := func(jitter int) Time {
+			if refNow < nearTop && rng.Intn(2) == 0 {
+				return nearTop + Time(rng.Intn(jitter))
+			}
+			return refNow + farJump + Time(rng.Intn(jitter))
+		}
 
 		schedule := func(at Time) {
 			id := nextID
@@ -123,8 +132,8 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 				return refNow
 			case 2: // right now
 				return refNow
-			case 3: // far future: overflow ladder
-				return refNow + overflowJump + Time(rng.Intn(1000))
+			case 3: // far future: the top wheel levels
+				return far(1000)
 			case 4: // beyond L0 but inside the wheel levels
 				return refNow + Time(1<<20+rng.Intn(1<<22))
 			default: // near future, dense in L0
@@ -176,8 +185,8 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 			}
 			var deadline Time
 			if rng.Intn(8) == 0 {
-				// Jump past the wheel span to drain overflow events.
-				deadline = refNow + overflowJump + Time(rng.Intn(2000))
+				// Jump far ahead, cascading the top levels on the way.
+				deadline = far(2000)
 			} else {
 				deadline = refNow + Time(rng.Intn(6000))
 			}
@@ -188,7 +197,7 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 			}
 		}
 
-		// Drain everything still pending, overflow ladder included.
+		// Drain everything still pending, top levels included.
 		s.Run()
 		runRef(Never)
 

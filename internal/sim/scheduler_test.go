@@ -99,7 +99,7 @@ func TestCancel(t *testing.T) {
 	// Double-cancel and the zero Handle are no-ops.
 	e.Cancel()
 	Handle{}.Cancel()
-	s.Cancel(nil)
+	s.cancel(nil)
 }
 
 func TestCancelFromWithinEvent(t *testing.T) {
@@ -480,7 +480,7 @@ func BenchmarkSchedulerChurnDepth10k(b *testing.B) {
 	}
 	b.ReportAllocs()
 	s.ScheduleAfterDetached(Microsecond, tick)
-	for fired < b.N && s.Step() {
+	for fired < b.N && s.stepUntil(Never) {
 	}
 	if fired != b.N {
 		b.Fatalf("fired %d, want %d", fired, b.N)

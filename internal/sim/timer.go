@@ -16,7 +16,7 @@ type Timer struct {
 	// event from under it — which is why every use checks the scheduler's
 	// recycled mark first: the timer then reads as stopped instead of
 	// reaching into a slot that now serves another run.
-	ev *Event
+	ev *event
 	// expireFn is t.expire captured once at construction: evaluating a
 	// method value allocates, so arming a timer per frame must not.
 	expireFn func()
@@ -38,7 +38,7 @@ func NewTimer(sched *Scheduler, fn func()) *Timer {
 // Start arms the timer to fire d from now, replacing any earlier deadline.
 //
 // Timer events are scheduled on the managed (recyclable) path: the timer
-// drops its Event reference synchronously on expiry and on Stop, so the
+// drops its event reference synchronously on expiry and on Stop, so the
 // scheduler is free to recycle the object once it is reaped — an armed-and-
 // cancelled failure timer costs no allocation in steady state.
 func (t *Timer) Start(d Duration) {
@@ -65,7 +65,7 @@ func (t *Timer) arm(at Time) {
 func (t *Timer) Stop() bool {
 	armed := t.Active()
 	if armed {
-		t.sched.Cancel(t.ev)
+		t.sched.cancel(t.ev)
 	}
 	t.ev = nil
 	return armed
@@ -79,7 +79,7 @@ func (t *Timer) Deadline() Time {
 	if !t.Active() {
 		return Never
 	}
-	return t.ev.At()
+	return t.ev.at
 }
 
 func (t *Timer) expire() {
@@ -94,7 +94,7 @@ type Ticker struct {
 	sched   *Scheduler
 	period  Duration
 	fn      func()
-	ev      *Event // the armed tick: see Timer.ev
+	ev      *event // the armed tick: see Timer.ev
 	running bool
 	// tickFn is t.tick captured once at construction so rearming every
 	// period does not allocate a fresh closure.
@@ -125,7 +125,7 @@ func (t *Ticker) Start() {
 func (t *Ticker) Stop() {
 	t.running = false
 	if t.ev != nil && !t.sched.recycled {
-		t.sched.Cancel(t.ev)
+		t.sched.cancel(t.ev)
 	}
 	t.ev = nil
 }

@@ -53,3 +53,26 @@ func TestReceiveCycleNoAllocs(t *testing.T) {
 		t.Fatalf("delivered %d, duplicates %d; want 151 each", delivered, m.DupSuppressed.Value())
 	}
 }
+
+// TestDrainedSendQueueHoldsNoChunk pins the send queue's storage: the chunk a
+// waiting datagram took from the run memory goes back when a released lane
+// drains the queue, so an idle link keeps no FIFO storage.
+func TestDrainedSendQueueHoldsNoChunk(t *testing.T) {
+	sched := sim.NewScheduler()
+	c := queueChunks.Get(sched)
+	queueChunks.Put(sched, c) // c is the chunk the next PushBack takes
+	s := NewSender(sched, nullWire{}, baseCfg(), &arq.Metrics{}, nil)
+	for i := 0; i <= len(s.lanes); i++ { // every lane busy, one datagram waits
+		s.Enqueue(arq.Datagram{ID: uint64(i)})
+	}
+	if s.queue.Len() != 1 {
+		t.Fatalf("send queue holds %d datagrams, want 1", s.queue.Len())
+	}
+	s.HandleFrame(sched.Now(), &frame.Frame{Kind: frame.KindRR, Ack: s.lanes[0].seq})
+	if s.queue.Len() != 0 {
+		t.Fatalf("send queue holds %d datagrams after a release, want 0", s.queue.Len())
+	}
+	if queueChunks.Get(sched) != c {
+		t.Fatal("a drained send queue kept its chunk")
+	}
+}

@@ -101,10 +101,7 @@ func Defaults(roundTrip sim.Duration) Config {
 		retx = sim.Millisecond
 	}
 	return Config{
-		Timing: arq.Timing{
-			RoundTrip: roundTrip,
-			ProcTime:  10 * sim.Microsecond,
-		},
+		Timing:           arq.Timing{RoundTrip: roundTrip},
 		Slots:            16,
 		RetxInterval:     retx,
 		BufferLimit:      1024,

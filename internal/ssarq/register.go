@@ -14,10 +14,10 @@ func init() {
 }
 
 // configure maps the harness knobs onto an SS-ARQ configuration: the round
-// trip, and nothing else. Icp, Cdepth, W, Alpha, Stutter and N2 have no
-// counterpart (no checkpoints, no window, no failure declaration). Tproc,
-// SendCap and Metrics do (ProcTime, BufferLimit, Metrics) but are left at
-// their defaults on purpose: the harness has always run this engine on
+// trip, and nothing else. Icp, Cdepth, W, Alpha, Stutter, N2 and Tproc have no
+// counterpart (no checkpoints, no window, no failure declaration, no
+// processing stage). SendCap and Metrics do (BufferLimit, Metrics) but are
+// left at their defaults on purpose: the harness has always run this engine on
 // Defaults(roundTrip), that trajectory is pinned by the benchmark's
 // link_engines_burst digest, and DESIGN.md §16 records the gap.
 func configure(k arq.Knobs) Config { return Defaults(k.RoundTrip) }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arq"
 	"repro/internal/frame"
 	"repro/internal/metrics"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -39,7 +38,7 @@ type Sender struct {
 	instr senderInstr
 
 	lanes   []lane
-	queue   ring.Ring[arq.Datagram]
+	queue   sim.Queue[arq.Datagram]
 	nbusy   int
 	loadCtr uint64
 	tokCtr  uint64
@@ -48,6 +47,9 @@ type Sender struct {
 
 	txf frame.Frame // scratch for outbound I-frames: the wire copies
 }
+
+// queueChunks holds the send queue's chunks on the scheduler's run memory.
+var queueChunks = sim.NewFreeList[sim.QueueChunk[arq.Datagram]]()
 
 type senderInstr struct {
 	retx      *metrics.Counter // ssarq_retransmissions_total
@@ -76,6 +78,7 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, 
 		m:     m,
 		instr: newSenderInstr(cfg.Metrics),
 		lanes: make([]lane, cfg.Slots),
+		queue: sim.NewQueue(sched, queueChunks),
 	}
 }
 
@@ -266,8 +269,5 @@ func (s *Sender) UnreleasedDatagrams() []arq.Datagram {
 	for _, ln := range held {
 		out = append(out, ln.dg)
 	}
-	for i := 0; i < s.queue.Len(); i++ {
-		out = append(out, s.queue.At(i))
-	}
-	return out
+	return s.queue.AppendTo(out)
 }

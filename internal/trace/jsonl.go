@@ -40,8 +40,6 @@ type JSONL struct {
 	enc *json.Encoder
 	n   uint64
 	err error
-	// Filter, when non-nil, drops events for which it returns false.
-	Filter func(Event) bool
 }
 
 // NewJSONL returns an exporter writing to w. The caller owns w's lifetime
@@ -50,12 +48,9 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{enc: json.NewEncoder(w)}
 }
 
-// Add exports one event (subject to Filter).
+// Add exports one event.
 func (j *JSONL) Add(e Event) {
 	if j == nil || j.err != nil {
-		return
-	}
-	if j.Filter != nil && !j.Filter(e) {
 		return
 	}
 	if err := j.enc.Encode(toJSONEvent(e)); err != nil {

@@ -117,17 +117,6 @@ func TestJSONLStreamsEvents(t *testing.T) {
 	}
 }
 
-func TestJSONLFilter(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	j.Filter = func(e Event) bool { return e.Kind == KindDrop }
-	j.Add(Event{Kind: KindTx})
-	j.Add(Event{Kind: KindDrop})
-	if j.Count() != 1 {
-		t.Fatalf("count = %d, want 1 (filter not applied)", j.Count())
-	}
-}
-
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {

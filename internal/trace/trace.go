@@ -134,8 +134,6 @@ type Recorder struct {
 	ring  []Event
 	next  int
 	count uint64
-	// Filter, when non-nil, drops events for which it returns false.
-	Filter func(Event) bool
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity events.
@@ -146,12 +144,9 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{ring: make([]Event, 0, capacity)}
 }
 
-// Add records an event (subject to Filter).
+// Add records an event.
 func (r *Recorder) Add(e Event) {
 	if cap(r.ring) == 0 {
-		return
-	}
-	if r.Filter != nil && !r.Filter(e) {
 		return
 	}
 	r.count++

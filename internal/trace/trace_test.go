@@ -51,16 +51,6 @@ func TestZeroAndNegativeCapacity(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRecorder(10)
-	r.Filter = func(e Event) bool { return e.Kind == KindCorrupt }
-	r.Add(Event{Kind: KindTx})
-	r.Add(Event{Kind: KindCorrupt})
-	if len(r.Events()) != 1 || r.Events()[0].Kind != KindCorrupt {
-		t.Fatal("filter not applied")
-	}
-}
-
 func TestEventAndKindStrings(t *testing.T) {
 	e := Event{At: sim.Time(sim.Millisecond), Kind: KindRx, Where: "A->B", Frame: "I seq=1"}
 	s := e.String()

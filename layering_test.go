@@ -89,13 +89,13 @@ func TestHarnessLayering(t *testing.T) {
 }
 
 // TestSendingBufferSeam guards the one sending buffer under the window
-// engines: internal/arq/txq owns the entry pool, the backlog ring, the pump
-// and the pacing budget, so neither sender may import what a second pool or
-// queue would be built from, and txq serves any engine by knowing none.
+// engines: internal/arq/txq owns the entry pool, the backlog, the pump and
+// the pacing budget, so neither sender may import what a second pool would be
+// built from, and txq serves any engine by knowing none.
 func TestSendingBufferSeam(t *testing.T) {
 	for _, engine := range []string{"lamsdlc", "hdlc"} {
 		nonTestImports(t, filepath.Join("internal", engine), func(file, path string) {
-			if filepath.Base(file) == "sender.go" && (path == "sync" || path == "repro/internal/ring") {
+			if filepath.Base(file) == "sender.go" && path == "sync" {
 				t.Errorf("%s imports %s: the sending buffer is internal/arq/txq", file, path)
 			}
 		})
