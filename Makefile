@@ -13,11 +13,12 @@ test:
 # schedulers hand each other all share state across goroutines. The run-memory
 # tests that guard one-owner use run ten times more under -race. Every
 # benchmark body runs once, so a regression that bites only a benchmark path
-# fails CI instead of the next perf investigation; lamsbench's own tests run
-# in its module.
+# fails CI instead of the next perf investigation; every example runs once
+# and must exit 0; lamsbench's own tests run in its module.
 .PHONY: ci
 ci:
 	go build ./...
+	@set -e; for ex in examples/*/; do go run ./$$ex > /dev/null; done
 	$(MAKE) cover
 	go test -race ./...
 	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/shard -race -count=10 \

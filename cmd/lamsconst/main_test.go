@@ -17,6 +17,7 @@ func TestRejects(t *testing.T) {
 		{[]string{"-shards", "0"}, "shard: 0 shards for 64 satellites"},
 		{[]string{"-datagrams", "-1"}, "shard: flows, datagrams/flow and payload must be positive"},
 		{[]string{"-rate", "0"}, "shard: rate must be positive"},
+		{[]string{"-payload", "100000000000000"}, "shard: payload 100000000000000 bytes above the 65524"},
 		{[]string{"-proto", "bogus"}, `unknown protocol "bogus"`},
 	} {
 		var out, errOut strings.Builder

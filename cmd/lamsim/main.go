@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -324,6 +325,52 @@ func runPass(args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
+	fail := func(format string, v ...any) int {
+		fmt.Fprintf(stderr, "lamsim: pass: "+format+"\n", v...)
+		return 2
+	}
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	// Each test is written so that NaN fails it. Beyond maxAltKm, about the
+	// radius of the Earth's sphere of influence, a two-body orbit means
+	// nothing; maxHours is the longest horizon a time.Duration holds.
+	const maxAltKm, maxHours = 1e6, math.MaxInt64 / int64(time.Hour)
+	switch {
+	case !(*altKm > 0 && *altKm <= maxAltKm):
+		return fail("-alt %v out of (0,%g] km", *altKm, maxAltKm)
+	case !finite(*incDeg) || !finite(*raanSep) || !finite(*phase):
+		return fail("-inc %v, -raansep %v, -phase %v: angles must be finite", *incDeg, *raanSep, *phase)
+	case !(*hours > 0 && *hours <= float64(maxHours)):
+		return fail("-hours %v out of (0,%d]", *hours, maxHours)
+	case !(*rate > 0) || !finite(*rate):
+		return fail("-rate %v: the link rate must be positive", *rate)
+	case !(*ber >= 0 && *ber <= 1):
+		return fail("-ber %v out of [0,1]", *ber)
+	case *frameB < 1 || *frameB > frame.MaxPayload:
+		return fail("-frame %d out of [1,%d] bytes", *frameB, frame.MaxPayload)
+	case *icp <= 0:
+		return fail("-icp %v: the checkpoint interval must be positive", *icp)
+	case *cdepth < 1:
+		return fail("-cdepth %d: the cumulation depth must be >= 1", *cdepth)
+	}
+	// scenario is one pass's sizing input; with a zero one-way delay and
+	// slack it checks what the flags alone decide (P_F and P_C below 1).
+	scenario := func(oneWay, alpha time.Duration) analysis.Params {
+		return analysis.FromScenario(analysis.Scenario{
+			RateBps:      *rate,
+			BER:          *ber,
+			FrameBytes:   *frameB + 21,
+			ControlBytes: 20,
+			OneWay:       oneWay,
+			Icp:          *icp,
+			Cdepth:       *cdepth,
+			W:            64,
+			Tproc:        10 * time.Microsecond,
+			Alpha:        alpha,
+		})
+	}
+	if err := scenario(0, 0).Validate(); err != nil {
+		return fail("%v", err)
+	}
 
 	link := orbit.CrossPlanePair(*altKm*1e3, *incDeg, *raanSep, *phase)
 	horizon := time.Duration(*hours * float64(time.Hour))
@@ -350,18 +397,7 @@ func runPass(args []string, stdout, stderr io.Writer) int {
 			st.RoundTrip().Round(time.Microsecond))
 		fmt.Fprintf(stdout, "  HDLC timeout slack α ≥ %v\n", st.TimeoutAlpha().Round(time.Microsecond))
 
-		p := analysis.FromScenario(analysis.Scenario{
-			RateBps:      *rate,
-			BER:          *ber,
-			FrameBytes:   *frameB + 21,
-			ControlBytes: 20,
-			OneWay:       orbit.PropagationDelay(st.MidrangeM()),
-			Icp:          *icp,
-			Cdepth:       *cdepth,
-			W:            64,
-			Tproc:        10 * time.Microsecond,
-			Alpha:        st.TimeoutAlpha(),
-		})
+		p := scenario(orbit.PropagationDelay(st.MidrangeM()), st.TimeoutAlpha())
 		fmt.Fprintf(stdout, "  LAMS-DLC sizing: holding %v, transparent buffer %.0f frames (%.1f MB), numbering ≥ %.0f\n",
 			analysis.Dur(p.HFrameLAMS()).Round(time.Microsecond),
 			p.BLAMS(), p.BLAMS()*float64(*frameB)/1e6, p.NumberingSizeLAMS())

@@ -64,6 +64,7 @@ func TestRejects(t *testing.T) {
 		{[]string{"-cdepth", "0"}, "cumulation depth must be >= 1"},
 		{[]string{"-tproc", "-1us"}, "negative processing time"},
 		{[]string{"-payload", "-3"}, "negative payload size -3"},
+		{[]string{"-payload", "100000"}, "payload size 100000 above the 65536"},
 		{[]string{"-proto", "srhdlc", "-w", "0"}, "window size must be >= 1"},
 		{[]string{"-rate", "0"}, "link rate 0 bits/s"},
 		{[]string{"-horizon", "-1s"}, "negative horizon"},
@@ -74,6 +75,17 @@ func TestRejects(t *testing.T) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %q",
 				tc.args, code, out, errOut, tc.want)
 		}
+	}
+}
+
+// TestTraceCapacityBeyondTheRun: -trace N keeps the last N link events, and
+// an N far beyond what the run emits (once a panic reserving the whole ring
+// up front) prints every event the run had.
+func TestTraceCapacityBeyondTheRun(t *testing.T) {
+	_, small, _ := lamsim("", "-n", "10", "-trace", "1000")
+	code, huge, errOut := lamsim("", "-n", "10", "-trace", "100000000000000")
+	if code != 0 || huge != small || !strings.Contains(huge, "link events ---") {
+		t.Fatalf("-trace 1e14: exit %d\n%s%s\nwant the -trace 1000 output\n%s", code, huge, errOut, small)
 	}
 }
 
@@ -159,5 +171,34 @@ total visibility: 1h29m28s of 4h0m0s (37%); FEC: hamming(7,4) / repetition-3
 func TestPassGolden(t *testing.T) {
 	if code, out, errOut := lamsim("", "pass"); code != 0 || out != passDefault {
 		t.Fatalf("pass: exit %d\n%s%s\nwant\n%s", code, out, errOut, passDefault)
+	}
+}
+
+// TestPassRejects: every pass flag is checked before any output. Each row
+// once hung in the analysis (-frame, -rate) or printed a negative or
+// nonsense figure.
+func TestPassRejects(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-frame", "-100"}, "-frame -100 out of [1,65536] bytes"},
+		{[]string{"-rate", "-1"}, "-rate -1: the link rate must be positive"},
+		{[]string{"-rate", "NaN"}, "-rate NaN"},
+		{[]string{"-ber", "2"}, "-ber 2 out of [0,1]"},
+		{[]string{"-ber", "0.1"}, "PF 1 outside [0,1)"},
+		{[]string{"-hours", "1e9"}, "-hours 1e+09 out of"},
+		{[]string{"-hours", "NaN"}, "-hours NaN out of"},
+		{[]string{"-alt", "-7000"}, "-alt -7000 out of"},
+		{[]string{"-inc", "Inf"}, "angles must be finite"},
+		{[]string{"-icp", "0s"}, "-icp 0s"},
+		{[]string{"-cdepth", "-1"}, "-cdepth -1: the cumulation depth must be >= 1"},
+	} {
+		code, out, errOut := lamsim("", append([]string{"pass"}, tc.args...)...)
+		if code != 2 || out != "" || !strings.HasPrefix(errOut, "lamsim: pass: ") ||
+			strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("pass %v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %q",
+				tc.args, code, out, errOut, tc.want)
+		}
 	}
 }

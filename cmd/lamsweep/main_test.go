@@ -39,6 +39,7 @@ func TestRejects(t *testing.T) {
 		{[]string{"-param", "km", "-values", "-1"}, `value "-1": bench: negative one-way delay`},
 		{[]string{"-param", "icp", "-values", "0"}, `value "0": bench: checkpoint interval 0s`},
 		{[]string{"-param", "payload", "-values", "-1"}, `value "-1": bench: negative payload size -1`},
+		{[]string{"-param", "payload", "-values", "100000"}, `value "100000": bench: payload size 100000 above the 65536`},
 		{[]string{"-param", "w", "-values", "0"}, `value "0": hdlc: window size must be >= 1`},
 	} {
 		code, out, errOut := lamsweep(append([]string{"-n", "10"}, tc.args...)...)

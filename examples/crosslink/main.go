@@ -11,7 +11,6 @@ import (
 	"time"
 
 	lams "repro"
-	"repro/internal/channel"
 	"repro/internal/orbit"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -38,15 +37,14 @@ func main() {
 	shifted.A.PhaseRad += shifted.A.MeanMotion() * w.Start.Seconds()
 	shifted.B.PhaseRad += shifted.B.MeanMotion() * w.Start.Seconds()
 
+	// A 1e-6 BER with tracking-loss bursts every 20 s, under the paper's
+	// FEC split (Hamming(7,4) on I-frames, repetition-3 on control frames).
+	const burst = "burst:period=20s,len=25ms,offset=5s,ber=1e-6,fec="
 	link := lams.LinkParams{
-		RateBps: 300e6,
-		Orbit:   &shifted,
-		BER:     1e-6,
-		Burst: &channel.BurstTrain{ // tracking-loss bursts every 20 s
-			Period:   20 * time.Second,
-			BurstLen: 25 * time.Millisecond,
-			Offset:   5 * time.Second,
-		},
+		RateBps:    300e6,
+		Orbit:      &shifted,
+		IModelSpec: burst + "hamming74",
+		CModelSpec: burst + "rep3",
 	}
 
 	cfg := lams.DefaultsFor(link)

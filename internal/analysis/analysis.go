@@ -45,14 +45,15 @@ type Params struct {
 	Alpha float64
 }
 
-// Validate reports the first nonsensical parameter.
+// Validate reports the first nonsensical parameter. Every test is written
+// so that NaN fails it.
 func (p Params) Validate() error {
 	switch {
-	case p.PF < 0 || p.PF >= 1:
+	case !(p.PF >= 0 && p.PF < 1):
 		return fmt.Errorf("analysis: PF %v outside [0,1)", p.PF)
-	case p.PC < 0 || p.PC >= 1:
+	case !(p.PC >= 0 && p.PC < 1):
 		return fmt.Errorf("analysis: PC %v outside [0,1)", p.PC)
-	case p.R < 0 || p.Icp <= 0 || p.Tf <= 0 || p.Tc < 0 || p.Tproc < 0 || p.Alpha < 0:
+	case !(p.R >= 0 && p.Icp > 0 && p.Tf > 0 && p.Tc >= 0 && p.Tproc >= 0 && p.Alpha >= 0):
 		return fmt.Errorf("analysis: negative or zero timing parameter")
 	case p.Cdepth < 1:
 		return fmt.Errorf("analysis: Cdepth %d < 1", p.Cdepth)

@@ -38,6 +38,8 @@ func TestValidate(t *testing.T) {
 		func(p *Params) { p.Cdepth = 0 },
 		func(p *Params) { p.W = 0 },
 		func(p *Params) { p.Alpha = -1 },
+		func(p *Params) { p.PF = math.NaN() },
+		func(p *Params) { p.Tf = math.NaN() },
 	}
 	for i, mut := range bad {
 		p := baseParams()

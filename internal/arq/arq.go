@@ -68,28 +68,19 @@ type Metrics struct {
 	Failures        stats.Counter      // declared link failures
 
 	// Receiver side.
-	Delivered     stats.Counter // datagrams handed to the network layer
-	DeliveredBits stats.Counter
+	Delivered     stats.Counter      // datagrams handed to the network layer
 	RecvBufOcc    stats.TimeWeighted // receive-buffer occupancy (frames)
 	RecvDropped   stats.Counter      // overflow discards (flow control)
 	DupSuppressed stats.Counter      // DLC-level duplicate suppressions (DedupWindow)
 	NAKsSent      stats.Counter
 	Checkpoints   stats.Counter
 
-	// Delivery timing.
-	FirstDelivery sim.Time
-	LastDelivery  sim.Time
 	DeliveryDelay stats.Welford // enqueue-to-delivery delay (ns)
 }
 
 // NoteDelivery records one upward delivery at the receiver.
 func (m *Metrics) NoteDelivery(now sim.Time, dg Datagram) {
-	if m.Delivered.Value() == 0 {
-		m.FirstDelivery = now
-	}
-	m.LastDelivery = now
 	m.Delivered.Inc()
-	m.DeliveredBits.Addn(uint64(len(dg.Payload)) * 8)
 	m.DeliveryDelay.Add(float64(now.Sub(dg.EnqueuedAt)))
 }
 
@@ -104,35 +95,13 @@ func MergeSplit(sender, receiver *Metrics) Metrics {
 	m := *sender
 	m.ControlSent.Addn(receiver.ControlSent.Value())
 	m.Delivered = receiver.Delivered
-	m.DeliveredBits = receiver.DeliveredBits
 	m.RecvBufOcc = receiver.RecvBufOcc
 	m.RecvDropped = receiver.RecvDropped
 	m.DupSuppressed = receiver.DupSuppressed
 	m.NAKsSent = receiver.NAKsSent
 	m.Checkpoints = receiver.Checkpoints
-	m.FirstDelivery = receiver.FirstDelivery
-	m.LastDelivery = receiver.LastDelivery
 	m.DeliveryDelay = receiver.DeliveryDelay
 	return m
-}
-
-// Throughput returns delivered payload bits per second of virtual time over
-// [start, end]. Zero if the window is empty.
-func (m *Metrics) Throughput(start, end sim.Time) float64 {
-	if end <= start {
-		return 0
-	}
-	return float64(m.DeliveredBits.Value()) / end.Sub(start).Seconds()
-}
-
-// Efficiency returns throughput normalized by the wire rate: the fraction of
-// channel capacity delivering useful bits — the paper's throughput
-// efficiency η.
-func (m *Metrics) Efficiency(start, end sim.Time, rateBps float64) float64 {
-	if rateBps <= 0 {
-		return 0
-	}
-	return m.Throughput(start, end) / rateBps
 }
 
 // MeanHoldingTime returns the mean sender-buffer holding time as a duration.

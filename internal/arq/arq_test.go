@@ -9,44 +9,13 @@ import (
 
 func TestMetricsNoteDelivery(t *testing.T) {
 	var m Metrics
-	dg := Datagram{ID: 1, Payload: make([]byte, 125), EnqueuedAt: sim.Time(0)}
-	m.NoteDelivery(sim.Time(sim.Second), dg)
-	if m.Delivered.Value() != 1 {
-		t.Fatal("delivered count")
+	m.NoteDelivery(sim.Time(sim.Second), Datagram{ID: 1, Payload: make([]byte, 125)})
+	m.NoteDelivery(sim.Time(4*sim.Second), Datagram{ID: 2, EnqueuedAt: sim.Time(sim.Second)})
+	if m.Delivered.Value() != 2 {
+		t.Fatalf("delivered = %d, want 2", m.Delivered.Value())
 	}
-	if m.DeliveredBits.Value() != 1000 {
-		t.Fatalf("bits = %d", m.DeliveredBits.Value())
-	}
-	if m.FirstDelivery != sim.Time(sim.Second) || m.LastDelivery != m.FirstDelivery {
-		t.Fatal("delivery timestamps")
-	}
-	if m.DeliveryDelay.Mean() != float64(sim.Second) {
-		t.Fatalf("delay mean = %v", m.DeliveryDelay.Mean())
-	}
-	m.NoteDelivery(sim.Time(2*sim.Second), Datagram{ID: 2, EnqueuedAt: sim.Time(sim.Second)})
-	if m.FirstDelivery != sim.Time(sim.Second) {
-		t.Fatal("first delivery moved")
-	}
-	if m.LastDelivery != sim.Time(2*sim.Second) {
-		t.Fatal("last delivery not updated")
-	}
-}
-
-func TestMetricsThroughputAndEfficiency(t *testing.T) {
-	var m Metrics
-	m.NoteDelivery(sim.Time(sim.Second), Datagram{Payload: make([]byte, 12500)}) // 1e5 bits
-	tp := m.Throughput(0, sim.Time(sim.Second))
-	if tp != 1e5 {
-		t.Fatalf("throughput = %v", tp)
-	}
-	if eff := m.Efficiency(0, sim.Time(sim.Second), 1e6); eff != 0.1 {
-		t.Fatalf("efficiency = %v", eff)
-	}
-	if m.Throughput(sim.Time(sim.Second), sim.Time(sim.Second)) != 0 {
-		t.Fatal("empty window throughput should be 0")
-	}
-	if m.Efficiency(0, sim.Time(sim.Second), 0) != 0 {
-		t.Fatal("zero rate efficiency should be 0")
+	if got, want := m.DeliveryDelay.Mean(), float64(2*sim.Second); got != want {
+		t.Fatalf("delay mean = %v, want %v", got, want)
 	}
 }
 

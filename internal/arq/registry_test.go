@@ -131,7 +131,7 @@ var configureTable = map[string]map[string][]string{
 	// SS-ARQ runs on Defaults(RoundTrip): SendCap and Metrics have
 	// counterparts the mapping deliberately leaves alone (DESIGN.md §16).
 	"ssarq": {
-		"RoundTrip": {"ConvergenceSlack", "RetxInterval", "Timing.RoundTrip"},
+		"RoundTrip": {"Timing.RoundTrip"},
 	},
 }
 

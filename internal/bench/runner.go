@@ -18,6 +18,7 @@ import (
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -93,11 +94,9 @@ type RunConfig struct {
 	// replay clean). The set is read read-only and may be shared by any
 	// number of concurrent runs. Fault-injector burst gates still wrap the
 	// replayed models: faults compose on top of a replayed channel exactly
-	// as on a live one.
+	// as on a live one. A cursor that outlives its trace loops
+	// (channel.LoopReplay).
 	ReplayChannels *channel.TraceSet
-	// ReplayPolicy governs a replay cursor that outlives its trace
-	// (default channel.LoopReplay).
-	ReplayPolicy channel.ReplayPolicy
 	// IExpansion/CExpansion scale wire occupancy for the FEC code rate.
 	IExpansion, CExpansion float64
 	// TapAB and TapBA, when non-nil, observe the two link directions for
@@ -222,6 +221,8 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("bench: negative datagram count %d", c.N)
 	case c.PayloadBytes < 0:
 		return fmt.Errorf("bench: negative payload size %d", c.PayloadBytes)
+	case c.PayloadBytes > frame.MaxPayload:
+		return fmt.Errorf("bench: payload size %d above the %d bytes an I-frame carries", c.PayloadBytes, frame.MaxPayload)
 	case !(c.RateBps > 0):
 		return fmt.Errorf("bench: link rate %g bits/s, want > 0", c.RateBps)
 	case c.OneWay < 0:
@@ -275,8 +276,8 @@ func (c RunConfig) pipes() (ab, ba channel.PipeConfig) {
 		if c.ReplayChannels != nil {
 			// Get, not Stream: replay must not mutate a set shared across a
 			// concurrent batch; absent streams replay clean.
-			p.IModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/i"), c.ReplayPolicy)
-			p.CModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/c"), c.ReplayPolicy)
+			p.IModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/i"), channel.LoopReplay)
+			p.CModel = channel.NewReplay(c.ReplayChannels.Get(dir+"/c"), channel.LoopReplay)
 		}
 		if c.RecordChannels != nil {
 			p.IModel = channel.NewRecorder(p.IModel, c.RecordChannels.Stream(dir+"/i"))

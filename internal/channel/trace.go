@@ -160,23 +160,6 @@ func NewReplay(tr *Trace, policy ReplayPolicy) *Replay {
 	return &Replay{tr: tr, policy: policy}
 }
 
-// Seek positions the frame-mode cursor at record n (clamped to the trace).
-// The shard engine's split pipes use it to resume a direction's stream
-// mid-trace after a handover rebuild.
-func (r *Replay) Seek(n int) {
-	if r.tr == nil || n < 0 {
-		r.pos = 0
-		return
-	}
-	if n > len(r.tr.Recs) {
-		n = len(r.tr.Recs)
-	}
-	r.pos = n
-}
-
-// Pos returns the frame-mode cursor.
-func (r *Replay) Pos() int { return r.pos }
-
 // Corrupt replays the recorded fate: by call order for frame traces, by
 // wire-occupancy overlap for span traces. It draws nothing from rng.
 func (r *Replay) Corrupt(_ *sim.RNG, start, end sim.Time, _ int) bool {

@@ -71,21 +71,6 @@ func TestReplayPolicies(t *testing.T) {
 		t.Fatalf("truncate replay = %v, want %v", got, want)
 	}
 
-	// Seek resumes mid-trace (the shard engine's handover path) and clamps.
-	seeker := NewReplay(tr, TruncateReplay)
-	seeker.Seek(2)
-	if !seeker.Corrupt(nil, 0, 1, 8) {
-		t.Fatal("Seek(2) should land on the third record")
-	}
-	seeker.Seek(99)
-	if seeker.Pos() != len(tr.Recs) {
-		t.Fatalf("Seek past end: pos = %d, want %d", seeker.Pos(), len(tr.Recs))
-	}
-	seeker.Seek(-1)
-	if seeker.Pos() != 0 {
-		t.Fatalf("negative Seek: pos = %d, want 0", seeker.Pos())
-	}
-
 	// Nil and empty traces replay as perfect channels.
 	if NewReplay(nil, LoopReplay).Corrupt(nil, 0, 1, 8) {
 		t.Fatal("nil trace corrupted a frame")

@@ -11,14 +11,14 @@
 //   - Hamming(7,4) single-error-correcting block code for I-frames,
 //   - a triple-redundancy repetition code for control frames (assumption 4:
 //     "another more powerful FEC is used to transmit control frames"),
-//   - a block interleaver that converts burst errors into near-random
-//     errors, reproducing the role of the interleaving code of [10],
 //   - closed-form residual-error algebra used by the analysis and by the
 //     channel model to derive P_F and P_C from a raw channel BER.
 //
-// The bit-level codecs are real (encode, corrupt, decode, correct) and are
-// exercised by the live driver and tests; the simulation fast path uses the
-// closed forms.
+// The interleaving of [10] is assumed, not built: a BER here is the
+// post-interleaving rate, at which bursts reach the code as near-random
+// errors. The DLC needs only the residual P_F/P_C split, so no payload is
+// ever encoded; one bit-level Hamming(7,4) codec (hamming.go) stays as the
+// Monte-Carlo check on the closed forms.
 package fec
 
 import (

@@ -1,10 +1,8 @@
 package fec
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -116,148 +114,25 @@ func TestResidualBER(t *testing.T) {
 }
 
 func TestHammingRoundTripClean(t *testing.T) {
-	data := []byte("The LAMS-DLC ARQ Protocol, CSE-91-03")
-	code := HammingEncode(data)
-	if len(code) != 2*len(data) {
-		t.Fatalf("code length %d, want %d", len(code), 2*len(data))
-	}
-	got, corrections := HammingDecode(code)
-	if corrections != 0 {
-		t.Fatalf("clean decode reported %d corrections", corrections)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("round trip mismatch")
+	for d := byte(0); d < 16; d++ {
+		cw := hammingEncodeNibble(d)
+		if cw > 0x7F {
+			t.Fatalf("nibble %x: codeword %#x wider than 7 bits", d, cw)
+		}
+		if got, corrected := hammingDecodeWord(cw); got != d || corrected {
+			t.Fatalf("nibble %x: clean decode = %x (corrected %v)", d, got, corrected)
+		}
 	}
 }
 
 func TestHammingCorrectsSingleBitPerWord(t *testing.T) {
-	data := []byte{0x00, 0xFF, 0xA5, 0x3C, 0x7B}
-	code := HammingEncode(data)
-	for wi := range code {
+	for d := byte(0); d < 16; d++ {
 		for bit := 0; bit < 7; bit++ {
-			mutated := append([]byte(nil), code...)
-			mutated[wi] ^= 1 << bit
-			got, corrections := HammingDecode(mutated)
-			if !bytes.Equal(got, data) {
-				t.Fatalf("word %d bit %d: decode mismatch", wi, bit)
-			}
-			if corrections != 1 {
-				t.Fatalf("word %d bit %d: corrections = %d", wi, bit, corrections)
+			if got, corrected := hammingDecodeWord(hammingEncodeNibble(d) ^ 1<<bit); got != d || !corrected {
+				t.Fatalf("nibble %x, bit %d flipped: decode = %x (corrected %v)", d, bit, got, corrected)
 			}
 		}
 	}
-}
-
-func TestHammingRandomizedSingleErrors(t *testing.T) {
-	rng := sim.NewRNG(99)
-	f := func(data []byte) bool {
-		if len(data) == 0 {
-			return true
-		}
-		code := HammingEncode(data)
-		// Flip one bit in each codeword.
-		for i := range code {
-			code[i] ^= 1 << uint(rng.Intn(7))
-		}
-		got, _ := HammingDecode(code)
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRepetitionRoundTrip(t *testing.T) {
-	data := []byte{0, 1, 2, 250, 255}
-	code := RepetitionEncode(data)
-	if len(code) != 3*len(data) {
-		t.Fatalf("code length %d", len(code))
-	}
-	got, corrections := RepetitionDecode(code)
-	if corrections != 0 || !bytes.Equal(got, data) {
-		t.Fatal("clean repetition round trip failed")
-	}
-	// Corrupt one copy of each byte arbitrarily: majority vote fixes it.
-	for i := 0; i < len(data); i++ {
-		code[3*i+1] ^= 0xFF
-	}
-	got, corrections = RepetitionDecode(code)
-	if !bytes.Equal(got, data) {
-		t.Fatal("repetition failed to correct single-copy corruption")
-	}
-	if corrections != len(data) {
-		t.Fatalf("corrections = %d, want %d", corrections, len(data))
-	}
-}
-
-func TestInterleaverRoundTrip(t *testing.T) {
-	f := func(data []byte, rows, cols uint8) bool {
-		il := NewInterleaver(int(rows%16)+1, int(cols%16)+1)
-		return bytes.Equal(il.Deinterleave(il.Interleave(data)), data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterleaverDispersesBursts(t *testing.T) {
-	il := NewInterleaver(8, 16)
-	n := il.BlockSize()
-	data := make([]byte, n)
-	inter := il.Interleave(data)
-	// Corrupt a burst of 8 consecutive channel bytes.
-	for i := 16; i < 24; i++ {
-		inter[i] = 0xFF
-	}
-	back := il.Deinterleave(inter)
-	// The corrupted positions in the original order must be >= cols apart.
-	var hits []int
-	for i, b := range back {
-		if b == 0xFF {
-			hits = append(hits, i)
-		}
-	}
-	if len(hits) != 8 {
-		t.Fatalf("expected 8 corrupted bytes, got %d", len(hits))
-	}
-	for i := 1; i < len(hits); i++ {
-		if hits[i]-hits[i-1] < il.cols {
-			t.Fatalf("burst bytes only %d apart after deinterleave", hits[i]-hits[i-1])
-		}
-	}
-}
-
-func TestInterleaverPartialBlockPassThrough(t *testing.T) {
-	il := NewInterleaver(4, 4)
-	data := []byte{1, 2, 3, 4, 5} // shorter than one block
-	if !bytes.Equal(il.Interleave(data), data) {
-		t.Fatal("partial block should pass through")
-	}
-}
-
-func TestInterleaverDepthAndDisperse(t *testing.T) {
-	il := NewInterleaver(8, 16)
-	if il.Depth() != 8 {
-		t.Fatalf("Depth = %d", il.Depth())
-	}
-	if il.DisperseBurst(1) != il.BlockSize() {
-		t.Fatal("single byte burst should report block size")
-	}
-	if il.DisperseBurst(8) != 16 {
-		t.Fatalf("DisperseBurst(8) = %d, want 16", il.DisperseBurst(8))
-	}
-	if il.DisperseBurst(9) != 1 {
-		t.Fatal("over-depth burst should report adjacency")
-	}
-}
-
-func TestInterleaverBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero dims should panic")
-		}
-	}()
-	NewInterleaver(0, 4)
 }
 
 func TestEmpiricalHammingResidualMatchesAlgebra(t *testing.T) {
@@ -286,14 +161,6 @@ func TestEmpiricalHammingResidualMatchesAlgebra(t *testing.T) {
 	predicted := Hamming74.BlockErrorProb(p)
 	if empirical < predicted/2 || empirical > predicted*2 {
 		t.Fatalf("empirical word error %v vs predicted %v", empirical, predicted)
-	}
-}
-
-func BenchmarkHammingEncode1K(b *testing.B) {
-	data := make([]byte, 1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		HammingEncode(data)
 	}
 }
 

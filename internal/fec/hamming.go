@@ -1,10 +1,9 @@
 package fec
 
-// Bit-level Hamming(7,4) codec. Each 4-bit nibble of the input becomes a
-// 7-bit codeword; the decoder corrects any single bit error per codeword and
-// reports uncorrectable-looking blocks via the returned count of corrections
-// (double errors miscorrect, as real Hamming does — the Scheme algebra
-// accounts for that as residual errors).
+// Bit-level Hamming(7,4) codec, the empirical check on the Scheme algebra.
+// A 4-bit nibble becomes a 7-bit codeword; the decoder corrects any single
+// bit error per codeword (double errors miscorrect, as real Hamming does —
+// the Scheme algebra accounts for that as residual errors).
 //
 // Layout: codeword bits [p1 p2 d1 p3 d2 d3 d4] with parity positions 1,2,4
 // (1-indexed), the classic systematic-ish Hamming arrangement where the
@@ -40,142 +39,4 @@ func hammingDecodeWord(w byte) (data byte, corrected bool) {
 	d3 := bit(6)
 	d4 := bit(7)
 	return d1 | d2<<1 | d3<<2 | d4<<3, corrected
-}
-
-// HammingEncode expands data into Hamming(7,4) codewords, one output byte
-// per input nibble (the top bit of each output byte is unused padding; the
-// wire expansion factor modelled by Scheme.Overhead is 7/4 in bits, and this
-// byte-aligned layout trades density for simplicity in the live driver).
-func HammingEncode(data []byte) []byte {
-	out := make([]byte, 0, len(data)*2)
-	for _, b := range data {
-		out = append(out, hammingEncodeNibble(b&0x0F), hammingEncodeNibble(b>>4))
-	}
-	return out
-}
-
-// HammingDecode inverts HammingEncode, correcting up to one bit error per
-// codeword. It returns the decoded bytes and the number of codewords that
-// needed correction. Odd-length input drops the trailing half-byte.
-func HammingDecode(code []byte) (data []byte, corrections int) {
-	n := len(code) / 2
-	data = make([]byte, n)
-	for i := 0; i < n; i++ {
-		lo, c1 := hammingDecodeWord(code[2*i] & 0x7F)
-		hi, c2 := hammingDecodeWord(code[2*i+1] & 0x7F)
-		data[i] = lo | hi<<4
-		if c1 {
-			corrections++
-		}
-		if c2 {
-			corrections++
-		}
-	}
-	return data, corrections
-}
-
-// RepetitionEncode triples every byte; majority vote per bit decodes it.
-func RepetitionEncode(data []byte) []byte {
-	out := make([]byte, 0, len(data)*3)
-	for _, b := range data {
-		out = append(out, b, b, b)
-	}
-	return out
-}
-
-// RepetitionDecode inverts RepetitionEncode by bitwise majority vote. It
-// returns the decoded bytes and the number of bytes where any vote was not
-// unanimous. Input length is truncated to a multiple of 3.
-func RepetitionDecode(code []byte) (data []byte, corrections int) {
-	n := len(code) / 3
-	data = make([]byte, n)
-	for i := 0; i < n; i++ {
-		a, b, c := code[3*i], code[3*i+1], code[3*i+2]
-		maj := (a & b) | (a & c) | (b & c)
-		data[i] = maj
-		if a != b || b != c {
-			corrections++
-		}
-	}
-	return data, corrections
-}
-
-// Interleaver is a block interleaver of the kind Paul et al. [10] propose to
-// turn burst errors on a laser link into scattered, FEC-correctable random
-// errors: bytes are written into a rows×cols matrix row-wise and read out
-// column-wise. Deinterleaving restores the original order, so a burst of up
-// to `rows` consecutive channel bytes lands at least `cols` apart after
-// deinterleaving.
-type Interleaver struct {
-	rows, cols int
-}
-
-// NewInterleaver returns a block interleaver with the given matrix shape.
-// Both dimensions must be positive.
-func NewInterleaver(rows, cols int) *Interleaver {
-	if rows <= 0 || cols <= 0 {
-		panic("fec: interleaver dimensions must be positive")
-	}
-	return &Interleaver{rows: rows, cols: cols}
-}
-
-// BlockSize returns the interleaving block size in bytes.
-func (il *Interleaver) BlockSize() int { return il.rows * il.cols }
-
-// Depth returns the burst length (in bytes) the interleaver disperses: a
-// burst of up to Depth consecutive bytes is spread so no two land in the
-// same FEC block row.
-func (il *Interleaver) Depth() int { return il.rows }
-
-// Interleave permutes data block by block. The final partial block, if any,
-// is passed through unpermuted (real systems pad; passing through keeps the
-// transform length-preserving and invertible, which the property tests
-// verify).
-func (il *Interleaver) Interleave(data []byte) []byte {
-	return il.permute(data, false)
-}
-
-// Deinterleave inverts Interleave.
-func (il *Interleaver) Deinterleave(data []byte) []byte {
-	return il.permute(data, true)
-}
-
-func (il *Interleaver) permute(data []byte, inverse bool) []byte {
-	bs := il.BlockSize()
-	out := make([]byte, len(data))
-	i := 0
-	for ; i+bs <= len(data); i += bs {
-		block := data[i : i+bs]
-		dst := out[i : i+bs]
-		for r := 0; r < il.rows; r++ {
-			for c := 0; c < il.cols; c++ {
-				rowMajor := r*il.cols + c
-				colMajor := c*il.rows + r
-				if inverse {
-					dst[rowMajor] = block[colMajor]
-				} else {
-					dst[colMajor] = block[rowMajor]
-				}
-			}
-		}
-	}
-	copy(out[i:], data[i:])
-	return out
-}
-
-// DisperseBurst reports the minimum separation (in bytes) after
-// deinterleaving between any two bytes of a burst of length burstLen that
-// was contiguous on the channel, for bursts within one block. It quantifies
-// the interleaver's burst-randomization quality for the channel model.
-func (il *Interleaver) DisperseBurst(burstLen int) int {
-	if burstLen <= 1 {
-		return il.BlockSize()
-	}
-	if burstLen > il.rows {
-		// Burst wraps a column boundary: two burst bytes become adjacent.
-		return 1
-	}
-	// Consecutive channel bytes within one column are `cols` apart in the
-	// original order.
-	return il.cols
 }

@@ -62,26 +62,26 @@ func TestDeliveryDelayMeasured(t *testing.T) {
 }
 
 // TestRateFloorRespected drives Stop-Go continuously and checks the rate
-// never undershoots MinRateFraction.
+// never undershoots the §3.4 floor, 1/64.
 func TestRateFloorRespected(t *testing.T) {
 	sched := sim.NewScheduler()
 	var sent []*frame.Frame
 	cfg := baseCfg()
-	cfg.MinRateFraction = 0.1
 	m := &arq.Metrics{}
 	s := NewSender(sched, &recordWire{frames: &sent}, cfg, m, nil)
 	s.Start()
 	for i := uint32(1); i <= 30; i++ {
 		s.HandleFrame(sched.Now(), frame.NewCheckpoint(i, 0, nil, true, false))
-		if s.RateFraction() < cfg.MinRateFraction {
+		if s.RateFraction() < minRateFraction {
 			t.Fatalf("rate %v under floor after %d stop checkpoints", s.RateFraction(), i)
 		}
 	}
-	if s.RateFraction() != cfg.MinRateFraction {
-		t.Fatalf("rate %v, want pinned at floor %v", s.RateFraction(), cfg.MinRateFraction)
+	if s.RateFraction() != minRateFraction {
+		t.Fatalf("rate %v, want pinned at floor %v", s.RateFraction(), minRateFraction)
 	}
-	// Recovery is multiplicative and capped at 1.
-	for i := uint32(31); i <= 80; i++ {
+	// Recovery is multiplicative and capped at 1: 1.25^19 > 64, so 19
+	// checkpoints with the bit clear bring the floor back to 1.
+	for i := uint32(31); i < 31+19; i++ {
 		s.HandleFrame(sched.Now(), frame.NewCheckpoint(i, 0, nil, false, false))
 	}
 	if s.RateFraction() != 1 {
@@ -89,13 +89,12 @@ func TestRateFloorRespected(t *testing.T) {
 	}
 }
 
-// TestStopGoHysteresis exercises the receiver's high/low watermarks.
+// TestStopGoHysteresis exercises the receiver's high/low watermarks: with a
+// buffer cap of 8, Stop-Go sets at 6 queued frames and clears at 4.
 func TestStopGoHysteresis(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := baseCfg()
 	cfg.RecvBufferCap = 8
-	cfg.StopGoHigh = 0.75     // assert at 6
-	cfg.StopGoLow = 0.25      // clear at 2
 	cfg.ProcTime = sim.Second // park frames in the queue
 	var sent []*frame.Frame
 	m := &arq.Metrics{}
@@ -104,14 +103,19 @@ func TestStopGoHysteresis(t *testing.T) {
 	for seq := uint32(0); seq < 6; seq++ {
 		r.HandleFrame(sched.Now(), frame.NewI(seq, uint64(seq), nil))
 	}
-	// Queue length 5 + 1 in service... occupancy counts queued frames.
+	// The frame in service still counts: occupancy is 6/8.
 	if !r.StopGoAsserted() {
 		t.Fatalf("stop-go not asserted at queue %d/8", r.QueueLen())
 	}
-	// Drain: with a 1s proc time, run virtual time forward.
-	sched.RunFor(5 * sim.Second)
-	if r.StopGoAsserted() {
-		t.Fatalf("stop-go still asserted at queue %d", r.QueueLen())
+	// Processing frees one frame a second: the bit holds at 5 and clears at 4.
+	for _, want := range []struct {
+		queue  int
+		stopGo bool
+	}{{5, true}, {4, false}} {
+		sched.RunFor(sim.Second)
+		if r.QueueLen() != want.queue || r.StopGoAsserted() != want.stopGo {
+			t.Fatalf("queue %d/8: stop-go %v, want %v at %d", r.QueueLen(), r.StopGoAsserted(), want.stopGo, want.queue)
+		}
 	}
 }
 

@@ -67,18 +67,6 @@ type Config struct {
 	// frames, makes overflow impossible in steady state).
 	RecvBufferCap int
 
-	// StopGoHigh and StopGoLow are the receive-queue thresholds (as
-	// fractions of RecvBufferCap) that set and clear the Stop-Go bit.
-	StopGoHigh, StopGoLow float64
-
-	// RateDecrease scales the send rate on each checkpoint with Stop-Go
-	// set; RateIncrease scales it (capped at 1) on each checkpoint with
-	// Stop-Go clear.
-	RateDecrease, RateIncrease float64
-
-	// MinRateFraction floors the flow-control rate fraction.
-	MinRateFraction float64
-
 	// LinkLifetime, when positive, is the remaining lifetime of the link
 	// at Start. Enforced Recovery is only attempted while its expected
 	// response time fits in the remaining lifetime (a "recoverable"
@@ -102,18 +90,6 @@ type Config struct {
 	// within the window (bounded, unlike full in-sequence state).
 	DedupWindow sim.Duration
 
-	// MaxSeqJump bounds the forward distance between the receiver's next
-	// expected sequence number and an arriving I-frame's. The monotone
-	// numbering makes the legitimate jump small — at most the live window,
-	// itself bounded by the numbering size (§2.3) — so a frame claiming a
-	// far-future number can only be forged or corrupted-yet-CRC-valid, and
-	// accepting it would both flood the NAK lists with millions of
-	// phantom gaps and advance the watermark past every genuine frame in
-	// flight (permanently wedging the link, since all real traffic then
-	// classifies as duplicate). Frames beyond the bound are discarded and
-	// counted (lams_implausible_seq_total). Zero means DefaultMaxSeqJump.
-	MaxSeqJump uint32
-
 	// Metrics, when non-nil, is the registry the endpoints report their
 	// lams_* observability counters, gauges, and histograms into (see
 	// instruments.go for the full name list). Nil leaves the endpoints
@@ -121,19 +97,31 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultMaxSeqJump is the MaxSeqJump applied when the field is zero: far
-// wider than any legitimate live window the paper's operating points
-// produce (NumberingSize tops out in the hundreds), yet small enough that
-// a forged far-future sequence number cannot materialize phantom state.
-const DefaultMaxSeqJump = 1 << 12
+// The §3.4 Stop-Go rule. The receiver sets the Stop-Go bit when its
+// processing queue reaches stopGoHigh of RecvBufferCap and clears it at
+// stopGoLow. Each checkpoint with the bit set scales the sender's rate
+// fraction by rateDecrease, floored at minRateFraction; each with the bit
+// clear scales it by rateIncrease, capped at 1.
+const (
+	stopGoHigh      = 0.75
+	stopGoLow       = 0.5
+	rateDecrease    = 0.5
+	rateIncrease    = 1.25
+	minRateFraction = 1.0 / 64
+)
 
-// SeqJumpLimit returns the effective MaxSeqJump.
-func (c Config) SeqJumpLimit() uint32 {
-	if c.MaxSeqJump == 0 {
-		return DefaultMaxSeqJump
-	}
-	return c.MaxSeqJump
-}
+// MaxSeqJump bounds the forward distance between the receiver's next
+// expected sequence number and an arriving I-frame's. The monotone
+// numbering makes the legitimate jump small — at most the live window,
+// itself bounded by the numbering size (§2.3), which tops out in the
+// hundreds at the paper's operating points — so a frame claiming a
+// far-future number can only be forged or corrupted-yet-CRC-valid, and
+// accepting it would both flood the NAK lists with millions of phantom
+// gaps and advance the watermark past every genuine frame in flight
+// (permanently wedging the link, since all real traffic then classifies
+// as duplicate). Frames beyond the bound are discarded and counted
+// (lams_implausible_seq_total).
+const MaxSeqJump = 1 << 12
 
 // Defaults returns a configuration tuned for the paper's environment: a
 // 2,000–10,000 km laser link at a few hundred Mbps.
@@ -145,11 +133,6 @@ func Defaults(roundTrip sim.Duration) Config {
 		},
 		CheckpointInterval: 10 * sim.Millisecond,
 		CumulationDepth:    3,
-		StopGoHigh:         0.75,
-		StopGoLow:          0.5,
-		RateDecrease:       0.5,
-		RateIncrease:       1.25,
-		MinRateFraction:    1.0 / 64,
 	}
 }
 
@@ -166,24 +149,6 @@ func (c Config) Validate() error {
 	}
 	if c.SendBufferCap < 0 || c.RecvBufferCap < 0 {
 		return fmt.Errorf("lamsdlc: negative buffer capacity")
-	}
-	if c.RateDecrease <= 0 || c.RateDecrease >= 1 {
-		return fmt.Errorf("lamsdlc: RateDecrease must be in (0,1), got %v", c.RateDecrease)
-	}
-	if c.RateIncrease <= 1 {
-		return fmt.Errorf("lamsdlc: RateIncrease must be > 1, got %v", c.RateIncrease)
-	}
-	if c.MinRateFraction <= 0 || c.MinRateFraction > 1 {
-		return fmt.Errorf("lamsdlc: MinRateFraction must be in (0,1], got %v", c.MinRateFraction)
-	}
-	if c.StopGoHigh <= 0 || c.StopGoHigh > 1 {
-		return fmt.Errorf("lamsdlc: StopGoHigh must be in (0,1], got %v", c.StopGoHigh)
-	}
-	if c.StopGoLow <= 0 || c.StopGoLow > 1 {
-		return fmt.Errorf("lamsdlc: StopGoLow must be in (0,1], got %v", c.StopGoLow)
-	}
-	if c.StopGoHigh < c.StopGoLow {
-		return fmt.Errorf("lamsdlc: StopGoHigh below StopGoLow")
 	}
 	if c.RequestRetries < 0 {
 		return fmt.Errorf("lamsdlc: negative RequestRetries")

@@ -22,18 +22,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero cumulation depth", func(c *Config) { c.CumulationDepth = 0 }},
 		{"negative send buffer", func(c *Config) { c.SendBufferCap = -1 }},
 		{"negative recv buffer", func(c *Config) { c.RecvBufferCap = -1 }},
-		{"rate decrease 0", func(c *Config) { c.RateDecrease = 0 }},
-		{"rate decrease 1", func(c *Config) { c.RateDecrease = 1 }},
-		{"rate increase 1", func(c *Config) { c.RateIncrease = 1 }},
-		{"min fraction 0", func(c *Config) { c.MinRateFraction = 0 }},
-		{"min fraction >1", func(c *Config) { c.MinRateFraction = 2 }},
-		{"stopgo inverted", func(c *Config) { c.StopGoHigh, c.StopGoLow = 0.2, 0.8 }},
-		{"stopgo high 0", func(c *Config) { c.StopGoHigh = 0 }},
-		{"stopgo high negative", func(c *Config) { c.StopGoHigh = -0.5 }},
-		{"stopgo high >1", func(c *Config) { c.StopGoHigh = 1.5 }},
-		{"stopgo low 0", func(c *Config) { c.StopGoLow = 0 }},
-		{"stopgo low negative", func(c *Config) { c.StopGoLow = -0.1 }},
-		{"stopgo low >1", func(c *Config) { c.StopGoHigh, c.StopGoLow = 1, 1.01 }},
 		{"negative retries", func(c *Config) { c.RequestRetries = -1 }},
 		{"negative rtt", func(c *Config) { c.RoundTrip = -1 }},
 		// C_depth·W_cp products that saturate sim.Scale: the failure and

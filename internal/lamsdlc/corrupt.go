@@ -29,7 +29,7 @@ func (p *Pair) CorruptState(rng *sim.RNG) {
 
 	// Sender: flow-control fraction anywhere in its legal range (repaired
 	// multiplicatively by subsequent checkpoints).
-	s.rateFraction = s.cfg.MinRateFraction + rng.Float64()*(1-s.cfg.MinRateFraction)
+	s.rateFraction = minRateFraction + rng.Float64()*(1-minRateFraction)
 	s.im.rateFraction.Set(s.rateFraction)
 	// Supervision clocks jittered within one window scale, including into
 	// the future — the monotone-clock repairs in handleCheckpoint,
@@ -83,7 +83,7 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 		f.Kind = frame.KindI
 		jump := uint32(rng.Intn(64))
 		if rng.Intn(2) == 0 {
-			jump = r.cfg.SeqJumpLimit() + 1 + uint32(rng.Intn(1<<16))
+			jump = MaxSeqJump + 1 + uint32(rng.Intn(1<<16))
 		}
 		f.Seq = r.expected + jump
 		f.DatagramID = 1<<63 | rng.Uint64()>>1

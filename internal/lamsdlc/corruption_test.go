@@ -24,7 +24,7 @@ func TestImplausibleSeqJumpDiscarded(t *testing.T) {
 
 	ghost := frame.Get()
 	ghost.Kind = frame.KindI
-	ghost.Seq = before + sc.pair.Sender.cfg.SeqJumpLimit() + 1000
+	ghost.Seq = before + MaxSeqJump + 1000
 	ghost.DatagramID = 1 << 62
 	ghost.Payload = make([]byte, 64)
 	sc.link.AtoB.Send(ghost)

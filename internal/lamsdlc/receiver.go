@@ -164,7 +164,7 @@ func (r *Receiver) handleI(now sim.Time, f *frame.Frame) {
 		frame.Put(f)
 		return
 	}
-	if f.Seq-r.expected > r.cfg.SeqJumpLimit() {
+	if f.Seq-r.expected > MaxSeqJump {
 		// A forward jump wider than any legitimate live window can only
 		// be a forged or corrupted-yet-CRC-valid frame. Accepting it
 		// would append one phantom NAK per skipped number and advance the
@@ -261,7 +261,7 @@ func (r *Receiver) updateStopGo() {
 		return
 	}
 	occ := float64(r.procQueue.Len()) / float64(r.cfg.RecvBufferCap)
-	if occ >= r.cfg.StopGoHigh {
+	if occ >= stopGoHigh {
 		if !r.stopGo {
 			r.im.stopGoFlips.Inc()
 			if r.probe != nil && r.probe.StopGoChanged != nil {
@@ -269,7 +269,7 @@ func (r *Receiver) updateStopGo() {
 			}
 		}
 		r.stopGo = true
-	} else if occ <= r.cfg.StopGoLow {
+	} else if occ <= stopGoLow {
 		if r.stopGo {
 			r.im.stopGoFlips.Inc()
 			if r.probe != nil && r.probe.StopGoChanged != nil {

@@ -374,12 +374,12 @@ func (s *Sender) retransmit(now sim.Time, e *txq.Entry, cause arq.RetxCause) {
 func (s *Sender) applyStopGo(stop bool) {
 	old := s.rateFraction
 	if stop {
-		s.rateFraction *= s.cfg.RateDecrease
-		if s.rateFraction < s.cfg.MinRateFraction {
-			s.rateFraction = s.cfg.MinRateFraction
+		s.rateFraction *= rateDecrease
+		if s.rateFraction < minRateFraction {
+			s.rateFraction = minRateFraction
 		}
 	} else if s.rateFraction < 1 {
-		s.rateFraction *= s.cfg.RateIncrease
+		s.rateFraction *= rateIncrease
 		if s.rateFraction > 1 {
 			s.rateFraction = 1
 		}

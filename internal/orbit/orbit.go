@@ -27,6 +27,11 @@ const (
 	LightSpeed   = 2.99792458e8   // [m/s]
 )
 
+// GrazingAltitudeM is the minimum altitude a line of sight may pass above
+// the Earth's surface before atmosphere/terrain blocks it. Typical values
+// are 50–100 km for optical links.
+const GrazingAltitudeM = 80e3
+
 // Vec3 is a Cartesian vector in the Earth-centered inertial frame, metres.
 type Vec3 struct{ X, Y, Z float64 }
 
@@ -113,10 +118,6 @@ func (p Prepared) Position(t time.Duration) Vec3 {
 // Link is a prospective laser crosslink between two satellites.
 type Link struct {
 	A, B Orbit
-	// GrazingAltitudeM is the minimum altitude the line of sight may pass
-	// above the Earth's surface before atmosphere/terrain blocks it.
-	// Typical values are 50–100 km for optical links.
-	GrazingAltitudeM float64
 }
 
 // RangeM returns the inter-satellite distance at time t.
@@ -138,7 +139,7 @@ func (l PreparedLink) RangeM(t time.Duration) float64 {
 }
 
 // Visible reports whether the two satellites have line of sight at t: the
-// segment between them stays above EarthRadius+GrazingAltitude.
+// segment between them stays above EarthRadiusM+GrazingAltitudeM.
 func (l Link) Visible(t time.Duration) bool {
 	pa := l.A.Position(t)
 	pb := l.B.Position(t)
@@ -155,7 +156,7 @@ func (l Link) Visible(t time.Duration) bool {
 		s = 1
 	}
 	closest := Vec3{pa.X + s*d.X, pa.Y + s*d.Y, pa.Z + s*d.Z}
-	return closest.Norm() >= EarthRadiusM+l.GrazingAltitudeM
+	return closest.Norm() >= EarthRadiusM+GrazingAltitudeM
 }
 
 // PropagationDelay converts a range in metres to a one-way light-time.
@@ -297,7 +298,6 @@ func CrossPlanePair(altitudeM, inclinationDeg, raanSepDeg, phaseOffsetDeg float6
 			RAANRad:        raanSepDeg * rad,
 			PhaseRad:       phaseOffsetDeg * rad,
 		},
-		GrazingAltitudeM: 80e3,
 	}
 }
 
@@ -307,8 +307,7 @@ func CrossPlanePair(altitudeM, inclinationDeg, raanSepDeg, phaseOffsetDeg float6
 func InPlanePair(altitudeM, sepDeg float64) Link {
 	rad := math.Pi / 180
 	return Link{
-		A:                Orbit{AltitudeM: altitudeM},
-		B:                Orbit{AltitudeM: altitudeM, PhaseRad: sepDeg * rad},
-		GrazingAltitudeM: 80e3,
+		A: Orbit{AltitudeM: altitudeM},
+		B: Orbit{AltitudeM: altitudeM, PhaseRad: sepDeg * rad},
 	}
 }

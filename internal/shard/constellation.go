@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arq"
 	"repro/internal/channel"
+	"repro/internal/frame"
 	"repro/internal/node"
 	"repro/internal/orbit"
 	"repro/internal/sim"
@@ -77,9 +78,6 @@ type Config struct {
 	// geometrically usable again.
 	PolarDeg float64
 	Retarget sim.Duration
-	// GrazingAltitudeM is the line-of-sight grazing altitude for
-	// visibility.
-	GrazingAltitudeM float64
 }
 
 // WalkerGrid returns the canonical square Walker constellation used by the
@@ -123,7 +121,6 @@ func DefaultConfig(w orbit.Walker) Config {
 		Horizon:          30 * sim.Second,
 		PolarDeg:         60,
 		Retarget:         200 * sim.Millisecond,
-		GrazingAltitudeM: 80e3,
 	}
 }
 
@@ -148,6 +145,10 @@ func (c Config) validate() error {
 	}
 	if c.Flows < 1 || c.DatagramsPerFlow < 1 || c.PayloadBytes < 1 {
 		return fmt.Errorf("shard: flows, datagrams/flow and payload must be positive")
+	}
+	// A payload rides in a node.Packet, whose header shares the I-frame.
+	if limit := frame.MaxPayload - len(node.Packet{}.Encode()); c.PayloadBytes > limit {
+		return fmt.Errorf("shard: payload %d bytes above the %d an I-frame carries after the node header", c.PayloadBytes, limit)
 	}
 	if c.OfferInterval <= 0 || c.Horizon <= 0 {
 		return fmt.Errorf("shard: offer interval and horizon must be positive")
@@ -305,7 +306,7 @@ func buildAdjacencies(cfg Config, orbits []orbit.Orbit) []adjacency {
 			u, v = v, u
 		}
 		adjs = append(adjs, adjacency{u: u, v: v, cross: cross,
-			geom: orbit.Link{A: orbits[u], B: orbits[v], GrazingAltitudeM: cfg.GrazingAltitudeM}})
+			geom: orbit.Link{A: orbits[u], B: orbits[v]}})
 	}
 	if w.PerPlane >= 2 {
 		for p := 0; p < w.Planes; p++ {

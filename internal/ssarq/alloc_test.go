@@ -39,9 +39,9 @@ func TestReceiveCycleNoAllocs(t *testing.T) {
 	round := func() {
 		token++
 		seq := Pack(token%labelMod, 1, token)
-		arrive(seq)                       // delivered
-		arrive(seq)                       // duplicate
-		arrive(Pack(0, cfg.Slots, token)) // slot beyond the lane count
+		arrive(seq)                   // delivered
+		arrive(seq)                   // duplicate
+		arrive(Pack(0, Lanes, token)) // slot beyond the lane count
 	}
 	for i := 0; i < 50; i++ {
 		round()

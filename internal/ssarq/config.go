@@ -7,7 +7,7 @@
 //
 // The construction trades the windowed pipelines of LAMS-DLC and HDLC for
 // redundancy that needs no trusted initial agreement: the engine runs
-// Slots independent stop-and-wait lanes, each cycling a three-valued
+// Lanes independent stop-and-wait lanes, each cycling a three-valued
 // alternating label. A lane's frame carries a packed 32-bit sequence value
 // — label (2 bits), lane slot (8 bits), and a per-load pseudo-random token
 // (22 bits) — and the receiver acknowledges by echoing exactly that packed
@@ -28,7 +28,8 @@
 // (echo matches) or refreshes the receiver's slot state so the next
 // reload's fresh token is delivered. Two retransmission periods plus two
 // round trips therefore re-establish the legal-execution invariants on
-// every lane; ConvergenceBound adds ConvergenceSlack on top of that floor.
+// every lane; ConvergenceBound adds one more retransmission period on top
+// of that floor.
 // DESIGN.md §13 carries the full derivation.
 package ssarq
 
@@ -57,6 +58,11 @@ const (
 	tokenMask = 1<<tokenBits - 1
 )
 
+// Lanes is the number of independent stop-and-wait lanes. More lanes buy
+// pipelining — the engine keeps up to Lanes datagrams in flight — at the
+// price of a larger state surface to re-stabilize.
+const Lanes = 16
+
 // Pack composes the wire sequence value for (label, slot, token).
 func Pack(label uint32, slot int, token uint32) uint32 {
 	return label%labelMod | uint32(slot)<<labelBits | (token&tokenMask)<<(labelBits+slotBits)
@@ -69,44 +75,32 @@ func Slot(v uint32) int { return int(v>>labelBits) & (MaxSlots - 1) }
 type Config struct {
 	arq.Timing
 
-	// Slots is the number of independent stop-and-wait lanes (1..MaxSlots).
-	// More lanes buy pipelining — the engine keeps up to Slots datagrams
-	// in flight — at the price of a larger state surface to re-stabilize.
-	Slots int
-
-	// RetxInterval is the per-lane retransmission period: a busy lane
-	// re-sends its current frame whenever it has been silent this long.
-	// It is also the engine's only timer — there is no failure timeout.
-	RetxInterval sim.Duration
-
 	// BufferLimit caps Outstanding (busy lanes plus queued datagrams);
 	// Enqueue refuses above it. Zero means unlimited.
 	BufferLimit int
-
-	// ConvergenceSlack widens ConvergenceBound beyond its derived floor
-	// of 2·RetxInterval + 2·RoundTrip, absorbing processing delays and
-	// the retransmission scan granularity.
-	ConvergenceSlack sim.Duration
 
 	// Metrics optionally publishes ssarq_* instruments.
 	Metrics *metrics.Registry
 }
 
 // Defaults returns the paper-style operating point for a given round trip:
-// 16 lanes, retransmission at 1.5·R (the HDLC baseline's timeout), and a
-// generous 1024-datagram buffer.
+// the round trip and a generous 1024-datagram buffer.
 func Defaults(roundTrip sim.Duration) Config {
-	retx := roundTrip + roundTrip/2
-	if retx <= 0 {
-		retx = sim.Millisecond
-	}
 	return Config{
-		Timing:           arq.Timing{RoundTrip: roundTrip},
-		Slots:            16,
-		RetxInterval:     retx,
-		BufferLimit:      1024,
-		ConvergenceSlack: retx,
+		Timing:      arq.Timing{RoundTrip: roundTrip},
+		BufferLimit: 1024,
 	}
+}
+
+// RetxInterval is the per-lane retransmission period, 1.5·R (the HDLC
+// baseline's timeout), or 1 ms on a zero round trip: a busy lane re-sends
+// its current frame whenever it has been silent this long. It is also the
+// engine's only timer — there is no failure timeout.
+func (c Config) RetxInterval() sim.Duration {
+	if retx := c.RoundTrip + c.RoundTrip/2; retx > 0 {
+		return retx
+	}
+	return sim.Millisecond
 }
 
 // Validate reports the first configuration error.
@@ -114,17 +108,8 @@ func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
-	if c.Slots < 1 || c.Slots > MaxSlots {
-		return fmt.Errorf("ssarq: Slots %d out of range [1,%d]", c.Slots, MaxSlots)
-	}
-	if c.RetxInterval <= 0 {
-		return fmt.Errorf("ssarq: RetxInterval must be positive, got %v", c.RetxInterval)
-	}
 	if c.BufferLimit < 0 {
 		return fmt.Errorf("ssarq: BufferLimit must be non-negative, got %d", c.BufferLimit)
-	}
-	if c.ConvergenceSlack < 0 {
-		return fmt.Errorf("ssarq: ConvergenceSlack must be non-negative, got %v", c.ConvergenceSlack)
 	}
 	return nil
 }
@@ -152,8 +137,9 @@ func (c Config) NewReceiver(sched *sim.Scheduler, wire arq.Wire, m *arq.Metrics,
 
 // ConvergenceBound implements arq.StabilizationBound: the longest interval
 // after the corruption era closes within which the engine returns to legal
-// executions, from any state. Floor derivation in the package comment and
-// DESIGN.md §13.
+// executions, from any state: the derived floor 2·RetxInterval + 2·R
+// (package comment, DESIGN.md §13) plus one retransmission period of slack
+// for processing delays and the retransmission scan granularity.
 func (c Config) ConvergenceBound() sim.Duration {
-	return 2*c.RetxInterval + 2*c.RoundTrip + c.ConvergenceSlack
+	return 3*c.RetxInterval() + 2*c.RoundTrip
 }

@@ -55,8 +55,8 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 		m:       m,
 		deliver: deliver,
 		instr:   newReceiverInstr(cfg.Metrics),
-		last:    make([]uint32, cfg.Slots),
-		have:    make([]bool, cfg.Slots),
+		last:    make([]uint32, Lanes),
+		have:    make([]bool, Lanes),
 	}
 }
 

@@ -26,9 +26,10 @@ type lane struct {
 }
 
 // Sender is the A-side endpoint: it spreads submitted datagrams over the
-// configured lanes, retransmits every busy lane each RetxInterval, and
-// releases a lane only on an exact echo of its current packed sequence
-// value. It never declares link failure (see the package comment).
+// Lanes stop-and-wait lanes, retransmits every busy lane each
+// RetxInterval, and releases a lane only on an exact echo of its current
+// packed sequence value. It never declares link failure (see the package
+// comment).
 type Sender struct {
 	sched *sim.Scheduler
 	wire  arq.Wire
@@ -77,7 +78,7 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, 
 		cfg:   cfg,
 		m:     m,
 		instr: newSenderInstr(cfg.Metrics),
-		lanes: make([]lane, cfg.Slots),
+		lanes: make([]lane, Lanes),
 		queue: sim.NewQueue(sched, queueChunks),
 	}
 }
@@ -87,7 +88,7 @@ func (s *Sender) SetProbe(p *arq.Probe) { s.probe = p }
 
 // Start arms the retransmission scanner. The scan period is half the
 // retransmission interval so a lane is never more than RetxInterval/2
-// late, which the ConvergenceSlack default absorbs.
+// late, which ConvergenceBound's slack absorbs.
 func (s *Sender) Start() {
 	if s.started {
 		return
@@ -97,9 +98,9 @@ func (s *Sender) Start() {
 }
 
 func (s *Sender) scanPeriod() sim.Duration {
-	p := s.cfg.RetxInterval / 2
+	p := s.cfg.RetxInterval() / 2
 	if p <= 0 {
-		p = s.cfg.RetxInterval
+		p = s.cfg.RetxInterval()
 	}
 	return p
 }
@@ -108,10 +109,10 @@ func (s *Sender) tick() {
 	if s.stopped {
 		return
 	}
-	now := s.sched.Now()
+	now, retx := s.sched.Now(), s.cfg.RetxInterval()
 	for i := range s.lanes {
 		ln := &s.lanes[i]
-		if ln.busy && now.Sub(ln.lastTx) >= s.cfg.RetxInterval {
+		if ln.busy && now.Sub(ln.lastTx) >= retx {
 			s.retransmit(ln, now)
 		}
 	}

@@ -77,11 +77,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("defaults: %v", err)
 	}
 	bad := []func(*Config){
-		func(c *Config) { c.Slots = 0 },
-		func(c *Config) { c.Slots = MaxSlots + 1 },
-		func(c *Config) { c.RetxInterval = 0 },
 		func(c *Config) { c.BufferLimit = -1 },
-		func(c *Config) { c.ConvergenceSlack = -1 },
 		func(c *Config) { c.RoundTrip = -1 },
 	}
 	for i, mut := range bad {
@@ -170,14 +166,14 @@ func TestConvergenceFromScrambledState(t *testing.T) {
 		// the number of corruption events: each scramble of a receiver
 		// slot can cause at most one spurious re-delivery before the
 		// slot's value re-stabilizes, so total excess deliveries are
-		// capped by scrambles × slots hit per scramble (~Slots/3 each).
+		// capped by scrambles × slots hit per scramble (~Lanes/3 each).
 		excess := 0
 		for i := 1; i <= eraDatagrams; i++ {
 			if n := sc.got[uint64(i)]; n > 1 {
 				excess += n - 1
 			}
 		}
-		if cap := eraDatagrams * cfg.Slots / 3; excess > cap {
+		if cap := eraDatagrams * Lanes / 3; excess > cap {
 			t.Fatalf("seed %d: %d excess in-era deliveries, casualty bound is %d", seed, excess, cap)
 		}
 	}
@@ -231,16 +227,17 @@ func TestGhostFloodHarmlessAfterConvergence(t *testing.T) {
 }
 
 func TestReclaimOldestFirst(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Slots = 4
-	sc := newScenario(cfg, basePipe(), 5)
-	sc.enqueueAll(10, 64)
+	// Lanes+6 datagrams: every lane busy and six queued behind them, so
+	// Reclaim returns both halves in order.
+	const n = Lanes + 6
+	sc := newScenario(baseCfg(), basePipe(), 5)
+	sc.enqueueAll(n, 64)
 	// Stop before anything can be acknowledged (ack needs a full round trip).
 	sc.sched.RunUntil(sim.Time(int64(time5ms())))
 	sc.pair.Stop()
 	held := sc.pair.Reclaim()
-	if len(held) != 10 {
-		t.Fatalf("Reclaim returned %d datagrams, want 10", len(held))
+	if len(held) != n {
+		t.Fatalf("Reclaim returned %d datagrams, want %d", len(held), n)
 	}
 	for i, dg := range held {
 		if dg.ID != uint64(i+1) {
@@ -256,7 +253,6 @@ func time5ms() sim.Duration { return 5 * sim.Millisecond }
 
 func TestBufferLimitRefusal(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Slots = 2
 	cfg.BufferLimit = 4
 	sc := newScenario(cfg, basePipe(), 2)
 	for i := 0; i < 4; i++ {

@@ -1,5 +1,5 @@
 // Package stats provides the measurement primitives the experiment harness
-// uses to reproduce the paper's tables and figures: streaming moments
+// uses to reproduce the paper's tables and figures: a streaming mean
 // (Welford), duration/value histograms, time-weighted averages for queue
 // lengths, and labelled series for figure-style sweeps.
 //
@@ -14,32 +14,17 @@ import (
 	"strings"
 )
 
-// Welford accumulates streaming mean and variance without storing samples.
-// The zero value is an empty accumulator.
+// Welford accumulates a streaming mean without storing samples, by
+// Welford's recurrence. The zero value is an empty accumulator.
 type Welford struct {
 	n    uint64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -47,40 +32,6 @@ func (w *Welford) N() uint64 { return w.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two
-// observations.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation, or 0 with none.
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.min
-}
-
-// Max returns the largest observation, or 0 with none.
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.max
-}
-
-// String summarizes the accumulator for reports.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g std=%.6g min=%.6g max=%.6g",
-		w.n, w.Mean(), w.Std(), w.Min(), w.Max())
-}
 
 // Histogram accumulates the count, exact mean and exact maximum of
 // non-negative float64 observations — everything a report reads of the

@@ -8,7 +8,7 @@ import (
 
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 || w.Min() != 0 || w.Max() != 0 {
+	if w.N() != 0 || w.Mean() != 0 {
 		t.Fatal("zero value not empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -20,26 +20,13 @@ func TestWelfordBasics(t *testing.T) {
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", w.Mean())
 	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if math.Abs(w.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Var = %v, want %v", w.Var(), 32.0/7.0)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", w.Min(), w.Max())
-	}
-	if !strings.Contains(w.String(), "n=8") {
-		t.Fatalf("String = %q", w.String())
-	}
 }
 
 func TestWelfordSingleObservation(t *testing.T) {
 	var w Welford
 	w.Add(3.5)
-	if w.Var() != 0 || w.Std() != 0 {
-		t.Fatal("variance of one sample should be 0")
-	}
-	if w.Min() != 3.5 || w.Max() != 3.5 {
-		t.Fatal("min/max of one sample")
+	if w.N() != 1 || w.Mean() != 3.5 {
+		t.Fatalf("N = %d, Mean = %v after one 3.5", w.N(), w.Mean())
 	}
 }
 

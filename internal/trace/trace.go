@@ -128,34 +128,34 @@ func (e Event) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Recorder is a fixed-capacity ring buffer of events. The zero value is
-// disabled (capacity 0, every Add dropped); construct with NewRecorder.
+// Recorder is a fixed-capacity ring buffer of events. The ring grows as
+// events arrive, up to its capacity, so a capacity far beyond what a run
+// emits costs nothing. The zero value is disabled (capacity 0, every Add
+// dropped); construct with NewRecorder.
 type Recorder struct {
-	ring  []Event
-	next  int
-	count uint64
+	ring     []Event
+	capacity int
+	next     int
+	count    uint64
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity events.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Recorder{ring: make([]Event, 0, capacity)}
+	return &Recorder{capacity: max(capacity, 0)}
 }
 
 // Add records an event.
 func (r *Recorder) Add(e Event) {
-	if cap(r.ring) == 0 {
+	if r.capacity == 0 {
 		return
 	}
 	r.count++
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.capacity {
 		r.ring = append(r.ring, e)
 		return
 	}
 	r.ring[r.next] = e
-	r.next = (r.next + 1) % cap(r.ring)
+	r.next = (r.next + 1) % r.capacity
 }
 
 // Total returns the number of events offered and kept (before overwrite).
@@ -163,7 +163,7 @@ func (r *Recorder) Total() uint64 { return r.count }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.capacity {
 		return append([]Event(nil), r.ring...)
 	}
 	out := make([]Event, 0, len(r.ring))

@@ -23,7 +23,6 @@
 package lams
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/analysis"
@@ -103,14 +102,10 @@ type LinkParams struct {
 	// BER is the post-interleaving channel bit error rate. Zero means a
 	// perfect channel.
 	BER float64
-	// Burst, when non-nil, adds a deterministic burst process on top: its
-	// Period, BurstLen and Offset are read, the base BER and FEC split stay
-	// this struct's.
-	Burst *channel.BurstTrain
 	// IModelSpec and CModelSpec, when non-empty, select the per-frame-class
 	// error models from the channel registry (grammar: kind[:k=v,...], see
-	// channel.SpecGrammar). They take precedence over BER/Burst, which are
-	// shorthands for bsc/burst specs; a malformed spec panics in NewLink, so
+	// channel.SpecGrammar). They take precedence over BER, which is
+	// shorthand for bsc specs; a malformed spec panics in NewLink, so
 	// validate user input with channel.ParseModel first.
 	IModelSpec string
 	CModelSpec string
@@ -129,18 +124,11 @@ func (p LinkParams) OneWay() time.Duration { return p.delayFn()(0) }
 
 // specs names the per-frame-class error models in the channel registry's
 // grammar, the one form NewLink and AnalysisFor read. Explicit specs win;
-// otherwise the BER/Burst shorthands expand to the paper's standard FEC
-// split (Hamming(7,4) on I-frames, repetition-3 on control frames). %g and
-// time.Duration's String round-trip exactly, so the expansion describes the
-// same channel the fields do.
+// otherwise the BER shorthand expands to the paper's standard FEC split
+// (Hamming(7,4) on I-frames, repetition-3 on control frames).
 func (p LinkParams) specs() (imodel, cmodel string) {
-	switch {
-	case p.IModelSpec != "" || p.CModelSpec != "":
+	if p.IModelSpec != "" || p.CModelSpec != "" {
 		return p.IModelSpec, p.CModelSpec
-	case p.Burst != nil:
-		b := fmt.Sprintf("burst:period=%v,len=%v,offset=%v,ber=%g,fec=",
-			p.Burst.Period, p.Burst.BurstLen, p.Burst.Offset, p.BER)
-		return b + "hamming74", b + "rep3"
 	}
 	return channel.LegacySpecs(p.BER, -1, -1)
 }

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/channel"
-	"repro/internal/fec"
 	"repro/internal/orbit"
-	"repro/internal/sim"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -73,8 +70,8 @@ func TestLinkParamsVariants(t *testing.T) {
 }
 
 // TestLinkParamsOneSpecPath pins the facade's single way of naming a
-// channel: the BER/Burst shorthands expand to registry specs that rebuild
-// exactly the models the fields describe, and explicit specs pass through.
+// channel: the BER shorthand expands to registry specs, and explicit specs
+// pass through.
 func TestLinkParamsOneSpecPath(t *testing.T) {
 	if i, c := (LinkParams{}).specs(); i != "" || c != "" {
 		t.Fatalf("zero BER should be the perfect channel, got %q / %q", i, c)
@@ -82,23 +79,7 @@ func TestLinkParamsOneSpecPath(t *testing.T) {
 	if i, c := (LinkParams{BER: 1e-6}).specs(); i != "bsc:ber=1e-06,fec=hamming74" || c != "bsc:ber=1e-06,fec=rep3" {
 		t.Fatalf("BER shorthand expanded to %q / %q", i, c)
 	}
-	// The burst overlay, with values no short decimal spells: the round trip
-	// through the grammar must be exact.
-	bt := &channel.BurstTrain{Period: 20*sim.Second + 1, BurstLen: 25*sim.Millisecond + 7, Offset: 5 * sim.Second,
-		BaseBER: 0.5, Scheme: fec.Uncoded} // both overridden by the link's BER and FEC split
-	ber := 1.0 / 3e6
-	ispec, cspec := LinkParams{BER: ber, Burst: bt}.specs()
-	for spec, scheme := range map[string]fec.Scheme{ispec: fec.Hamming74, cspec: fec.Repetition3} {
-		got, ok := channel.MustParseModel(spec).New().(*channel.BurstTrain)
-		if !ok {
-			t.Fatalf("%q is not a burst train", spec)
-		}
-		if got.Period != bt.Period || got.BurstLen != bt.BurstLen || got.Offset != bt.Offset ||
-			got.BaseBER != ber || got.Scheme != scheme {
-			t.Fatalf("%q rebuilt %+v", spec, got)
-		}
-	}
-	if i, c := (LinkParams{BER: 1e-6, Burst: bt, IModelSpec: "fixed:p=0.05"}).specs(); i != "fixed:p=0.05" || c != "" {
+	if i, c := (LinkParams{BER: 1e-6, IModelSpec: "fixed:p=0.05"}).specs(); i != "fixed:p=0.05" || c != "" {
 		t.Fatalf("explicit specs must win, got %q / %q", i, c)
 	}
 }
