@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -59,7 +60,9 @@ func TestRejects(t *testing.T) {
 		{[]string{"-pf", "NaN"}, "-pf NaN out of [0,1]"},
 		{[]string{"-imodel", "trace:file=" + liar}, "channel: trace: "},
 		{[]string{"-n", "-5"}, "negative datagram count -5"},
-		{[]string{"-km", "-100"}, "negative one-way delay"},
+		{[]string{"-km", "-100"}, "-km -100 out of [0,"},
+		{[]string{"-km", "NaN"}, "-km NaN out of [0,"},
+		{[]string{"-km", "1e300"}, "-km 1e+300 out of [0,"},
 		{[]string{"-icp", "0s"}, "checkpoint interval 0s"},
 		{[]string{"-cdepth", "0"}, "cumulation depth must be >= 1"},
 		{[]string{"-tproc", "-1us"}, "negative processing time"},
@@ -67,6 +70,7 @@ func TestRejects(t *testing.T) {
 		{[]string{"-payload", "100000"}, "payload size 100000 above the 65536"},
 		{[]string{"-proto", "srhdlc", "-w", "0"}, "window size must be >= 1"},
 		{[]string{"-rate", "0"}, "link rate 0 bits/s"},
+		{[]string{"-rate", "1e-300"}, "link rate 1e-300 bits/s below"},
 		{[]string{"-horizon", "-1s"}, "negative horizon"},
 	} {
 		code, out, errOut := lamsim("", append([]string{"-n", "10"}, tc.args...)...)
@@ -74,6 +78,43 @@ func TestRejects(t *testing.T) {
 			strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.want) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %q",
 				tc.args, code, out, errOut, tc.want)
+		}
+	}
+}
+
+// hostile are the values TestHostileFlagValues gives each numeric flag, by
+// the type name the usage text prints.
+var hostile = map[string][]string{
+	"float":    {"NaN", "+Inf", "-Inf", "1e300", "-1e300", "1e-300", "0"},
+	"duration": {"-1ns", "0", "2562047h"},
+}
+
+// numericFlag matches a float or duration flag's line in the usage text.
+var numericFlag = regexp.MustCompile(`(?m)^  -(\S+) (float|duration)$`)
+
+// TestHostileFlagValues sweeps every float flag through NaN, ±Inf, ±1e300,
+// 1e-300 and 0, and every duration flag through −1ns, 0 and the longest
+// duration, reading the flags off the usage text so that a flag added later
+// is swept too. Each run must exit 0, 1 or 2, and none may panic.
+func TestHostileFlagValues(t *testing.T) {
+	_, _, usage := lamsim("", "-h")
+	flags := numericFlag.FindAllStringSubmatch(usage, -1)
+	if len(flags) == 0 {
+		t.Fatalf("no numeric flag in the usage text:\n%s", usage)
+	}
+	for _, fl := range flags {
+		for _, v := range hostile[fl[2]] {
+			args := []string{"-n", "5", "-" + fl[1] + "=" + v}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%v: panic: %v", args, p)
+					}
+				}()
+				if code, _, errOut := lamsim("", args...); code < 0 || code > 2 {
+					t.Errorf("%v: exit %d, stderr %q", args, code, errOut)
+				}
+			}()
 		}
 	}
 }

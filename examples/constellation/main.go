@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/lamsdlc"
 	"repro/internal/node"
@@ -30,7 +29,7 @@ func main() {
 		CModel:  channel.FixedProb{P: 0.01},
 	}
 
-	nodes, links := node.Ring(sched, 5, arq.MustEngine("lams", cfg), pipe, sim.NewRNG(31))
+	nodes, links := node.Ring(sched, 5, cfg, pipe, sim.NewRNG(31))
 	delivered := 0
 	misordered := 0
 	var lastSeq uint64

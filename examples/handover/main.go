@@ -34,7 +34,7 @@ func main() {
 	proto.CheckpointInterval = 10 * sim.Millisecond
 
 	cfg := session.Config{
-		Engine:   arq.MustEngine("lams", proto),
+		Engine:   proto,
 		Retarget: 50 * sim.Millisecond, // pointing acquisition per pass
 	}
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/lamsdlc"
 	"repro/internal/node"
@@ -31,7 +30,7 @@ func main() {
 		CModelSpec: "fixed:p=0.02",
 	}
 
-	nodes, _ := node.Line(sched, 4, arq.MustEngine("lams", cfg), pipe, rng)
+	nodes, _ := node.Line(sched, 4, cfg, pipe, rng)
 	src, dst := nodes[0], nodes[3]
 
 	var inOrder, outOfOrder int

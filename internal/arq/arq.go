@@ -86,7 +86,7 @@ func (m *Metrics) NoteDelivery(now sim.Time, dg Datagram) {
 
 // MergeSplit combines the two Metrics blocks of a split pair (sender entity
 // and receiver entity on different schedulers, each with its own block; see
-// PairMetrics) into the single view a report reads. Sender-side
+// NewPair) into the single view a report reads. Sender-side
 // fields come from sender, receiver-side fields from receiver, and
 // ControlSent — the one counter both sides bump — is summed. The result is a
 // snapshot: call it only when both shards are quiesced, and count into the

@@ -19,53 +19,6 @@ type Endpoint interface {
 	HandleFrame(now sim.Time, f *frame.Frame)
 }
 
-// Pair is the engine contract every layer above the protocols programs
-// against: a wired sender/receiver pair running one ARQ engine over one
-// full-duplex link. PairBase is its one implementation; each engine's Pair
-// embeds it next to its typed halves and adds the capability interfaces
-// below. The node, session, bench, and faults layers consume it, so any
-// registered engine runs in any topology or harness.
-//
-// Datagram ownership: a datagram handed to Enqueue belongs to the engine
-// until it is either delivered (the deliver callback fires at the far end)
-// or handed back by Reclaim. Stop is an orderly teardown — timers stop, no
-// failure is declared, and the undelivered datagrams stay reclaimable.
-// Reclaim returns every datagram the engine still holds (never positively
-// acknowledged), oldest first; after a declared failure or a Stop the
-// caller re-routes or carries them over. Reclaim does not mutate delivery
-// state, but a reclaimed datagram may still arrive at the receiver (its
-// last transmission may be in flight), so exactly-once is the resequencer's
-// job, not the engine's.
-type Pair interface {
-	// Start activates both ends.
-	Start()
-	// Stop is orderly teardown: the link is going away (end of pass), not
-	// failing. Timers stop, new work is refused, no failure callback fires.
-	Stop()
-	// Enqueue accepts a datagram from the network layer. False means the
-	// engine refused it (buffer at capacity, or the engine failed/stopped).
-	Enqueue(dg Datagram) bool
-	// Reclaim returns the datagrams the engine still holds (queued or
-	// unacknowledged), oldest first.
-	Reclaim() []Datagram
-	// Outstanding returns the sending-buffer occupancy: unacknowledged
-	// frames plus queued datagrams.
-	Outstanding() int
-	// Failed reports whether the engine declared the link failed (or was
-	// stopped).
-	Failed() bool
-	// Metrics exposes the pair's shared measurement block.
-	Metrics() *Metrics
-	// Link exposes the underlying simulated link (tests inject failures,
-	// the session layer fails it at pass end).
-	Link() *channel.Link
-	// SetProbe installs the transition observer on both ends; nil
-	// detaches. Install before Start. Engines fire the callbacks that
-	// exist in their state machine and skip the rest, which is how the
-	// invariant checker's applicable subset follows the protocol.
-	SetProbe(p *Probe)
-}
-
 // SenderHalf is what a pair needs of an engine's sending entity (the
 // I-frame source, transmitting on link.AtoB). UnreleasedDatagrams backs
 // Reclaim: the datagrams never positively acknowledged, oldest first.
@@ -91,13 +44,28 @@ type ReceiverHalf interface {
 	SetProbe(p *Probe)
 }
 
-// PairBase is the one implementation of the Pair contract: it forwards to
-// an engine's two halves and owns the pair's measurement blocks. An engine's
-// Pair embeds it; PairMetrics and NewPairBase make the constructor.
-type PairBase struct {
-	sender   SenderHalf
-	receiver ReceiverHalf
+// Pair is the engine contract every layer above the protocols programs
+// against: an engine's two halves wired across one full-duplex link. NewPair
+// builds every pair, through the configuration's own half factory, so any
+// registered engine runs in any topology or harness. The node, session,
+// bench, and faults layers consume it; a protocol-specific surface is a
+// capability interface asserted on Sender, Receiver or Config.
+//
+// Datagram ownership: a datagram handed to Enqueue belongs to the engine
+// until it is either delivered (the deliver callback fires at the far end)
+// or handed back by Reclaim. Stop is an orderly teardown — timers stop, no
+// failure is declared, and the undelivered datagrams stay reclaimable.
+// Reclaim returns every datagram the engine still holds (never positively
+// acknowledged), oldest first; after a declared failure or a Stop the
+// caller re-routes or carries them over. Reclaim does not mutate delivery
+// state, but a reclaimed datagram may still arrive at the receiver (its
+// last transmission may be in flight), so exactly-once is the resequencer's
+// job, not the engine's.
+type Pair struct {
+	Sender   SenderHalf
+	Receiver ReceiverHalf
 	link     *channel.Link
+	cfg      EngineConfig
 	metrics  *Metrics
 	// rmetrics is non-nil only for a split pair: the receiver entity runs
 	// on another scheduler and has its own block; Metrics merges the two on
@@ -106,64 +74,65 @@ type PairBase struct {
 	merged   Metrics
 }
 
-// PairMetrics returns the measurement blocks for a pair whose sender entity
-// runs on sendSched and whose receiver entity runs on recvSched. On one
-// scheduler the two share ONE block, and Pair.Metrics returns that pointer
-// for the pair's whole life (bench.Run holds it across the run). On two —
-// a crosslink session whose satellites live on different shards — each
-// entity gets its own, so the two goroutines never write the same counter.
-func PairMetrics(sendSched, recvSched *sim.Scheduler) (sender, receiver *Metrics) {
-	sender = &Metrics{}
-	if sendSched == recvSched {
-		return sender, sender
-	}
-	return sender, &Metrics{}
-}
-
-// NewPairBase connects the two halves across link — I-frames flow A→B into
-// receiver, acknowledgement traffic B→A into sender — and returns the pair
-// over them. ms and mr are the blocks the halves were built with
-// (PairMetrics). For a split pair the caller routes link.AtoB to the
-// receiver's shard and link.BtoA back (channel.Pipe.SetRemote).
-func NewPairBase(link *channel.Link, sender SenderHalf, receiver ReceiverHalf, ms, mr *Metrics) PairBase {
-	link.AtoB.SetHandler(receiver.HandleFrame)
-	link.BtoA.SetHandler(sender.HandleFrame)
-	p := PairBase{sender: sender, receiver: receiver, link: link, metrics: ms}
-	if mr != ms {
+// NewPair builds cfg's two halves and connects them across link — I-frames
+// flow A→B into the receiver, acknowledgement traffic B→A into the sender.
+// The sender entity runs on sendSched and the receiver entity, with deliver,
+// on recvSched: the same scheduler everywhere but for a crosslink session
+// whose satellites live on different shards, where the caller routes
+// link.AtoB to the receiver's shard and link.BtoA back
+// (channel.Pipe.SetRemote). On one scheduler the halves share ONE Metrics
+// block, which Metrics returns for the pair's whole life (bench.Run holds it
+// across the run); on two each entity gets its own, so the two goroutines
+// never write the same counter. deliver and onFailure may be nil.
+func NewPair(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg EngineConfig, deliver DeliverFunc, onFailure FailureFunc) *Pair {
+	ms := &Metrics{}
+	p := &Pair{link: link, cfg: cfg, metrics: ms}
+	mr := ms
+	if sendSched != recvSched {
+		mr = &Metrics{}
 		p.rmetrics = mr
 	}
+	p.Sender = cfg.NewSender(sendSched, link.AtoB, ms, onFailure)
+	p.Receiver = cfg.NewReceiver(recvSched, link.BtoA, mr, deliver)
+	link.AtoB.SetHandler(p.Receiver.HandleFrame)
+	link.BtoA.SetHandler(p.Sender.HandleFrame)
 	return p
 }
 
 // Start activates both ends, sender first.
-func (p *PairBase) Start() {
-	p.sender.Start()
-	p.receiver.Start()
+func (p *Pair) Start() {
+	p.Sender.Start()
+	p.Receiver.Start()
 }
 
-// Stop is orderly teardown: the receiver's periodic process halts, then the
-// sender refuses further work; undelivered datagrams stay reclaimable.
-func (p *PairBase) Stop() {
-	p.receiver.Stop()
-	p.sender.Shutdown()
+// Stop is orderly teardown: the link is going away (end of pass), not
+// failing. The receiver's periodic process halts, then the sender refuses
+// further work; no failure callback fires and undelivered datagrams stay
+// reclaimable.
+func (p *Pair) Stop() {
+	p.Receiver.Stop()
+	p.Sender.Shutdown()
 }
 
-// Enqueue accepts a datagram from the network layer.
-func (p *PairBase) Enqueue(dg Datagram) bool { return p.sender.Enqueue(dg) }
+// Enqueue accepts a datagram from the network layer. False means the
+// engine refused it (buffer at capacity, or the engine failed/stopped).
+func (p *Pair) Enqueue(dg Datagram) bool { return p.Sender.Enqueue(dg) }
 
-// Reclaim returns the datagrams the sender still holds, oldest first.
-func (p *PairBase) Reclaim() []Datagram { return p.sender.UnreleasedDatagrams() }
+// Reclaim returns the datagrams the sender still holds (queued or
+// unacknowledged), oldest first.
+func (p *Pair) Reclaim() []Datagram { return p.Sender.UnreleasedDatagrams() }
 
-// Outstanding returns the sending-buffer occupancy.
-func (p *PairBase) Outstanding() int { return p.sender.Outstanding() }
+// Outstanding returns the sending-buffer occupancy: unacknowledged frames
+// plus queued datagrams.
+func (p *Pair) Outstanding() int { return p.Sender.Outstanding() }
 
 // Failed reports whether the sender declared the link failed or was stopped.
-func (p *PairBase) Failed() bool { return p.sender.Failed() }
+func (p *Pair) Failed() bool { return p.Sender.Failed() }
 
 // Metrics exposes the pair's measurement block. For a split pair the two
 // per-entity blocks are merged on demand; call only while both shards are
 // quiesced (between rounds or after the run).
-func (p *PairBase) Metrics() *Metrics {
+func (p *Pair) Metrics() *Metrics {
 	if p.rmetrics == nil {
 		return p.metrics
 	}
@@ -171,19 +140,29 @@ func (p *PairBase) Metrics() *Metrics {
 	return &p.merged
 }
 
-// Link exposes the underlying simulated link.
-func (p *PairBase) Link() *channel.Link { return p.link }
+// Link exposes the underlying simulated link (tests inject failures, the
+// session layer fails it at pass end).
+func (p *Pair) Link() *channel.Link { return p.link }
 
-// SetProbe installs the transition observer on both ends.
-func (p *PairBase) SetProbe(pr *Probe) {
-	p.sender.SetProbe(pr)
-	p.receiver.SetProbe(pr)
+// Config returns the configuration the pair was built from: the engine, and
+// where the corruption adversary's surfaces live.
+func (p *Pair) Config() EngineConfig { return p.cfg }
+
+// SetProbe installs the transition observer on both ends; nil detaches.
+// Install before Start. Engines fire the callbacks that exist in their state
+// machine and skip the rest, which is how the invariant checker's applicable
+// subset follows the protocol.
+func (p *Pair) SetProbe(pr *Probe) {
+	p.Sender.SetProbe(pr)
+	p.Receiver.SetProbe(pr)
 }
 
-// Optional capability interfaces, discovered by type assertion on a Pair.
-// They keep the core contract small: a consumer that needs a
-// protocol-specific surface asserts for it and degrades gracefully when the
-// engine lacks it.
+// Optional capability interfaces, discovered by type assertion where they
+// live: SpanReporter and RateReporter on a pair's Sender, CheckpointRetimer
+// on its Receiver, WindowsProvider, StabilizationBound, StateCorruptor and
+// GhostForger on its Config. They keep the core contract small: a consumer
+// that needs a protocol-specific surface asserts for it and degrades
+// gracefully when the engine lacks it.
 
 // SpanReporter reports the widest span of simultaneously live sequence
 // numbers observed — meaningful for engines that renumber retransmissions
@@ -237,8 +216,9 @@ type WindowsProvider interface {
 // (sequence-number incarnations stay probe-consistent), so the §3.2 checker
 // keeps measuring the engine, not the adversary; DESIGN.md §13 states the
 // ownership contract. Callbacks run synchronously on the pair's scheduler.
+// p is a pair built from the implementing configuration.
 type StateCorruptor interface {
-	CorruptState(rng *sim.RNG)
+	CorruptState(p *Pair, rng *sim.RNG)
 }
 
 // GhostForger builds one well-formed forged frame for the corruption
@@ -252,7 +232,7 @@ type StateCorruptor interface {
 // and lets it go; it belongs to no free list, so it is never Put); nil skips
 // the tick for that direction.
 type GhostForger interface {
-	ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame
+	ForgeGhost(p *Pair, rng *sim.RNG, toReceiver bool) *frame.Frame
 }
 
 // StabilizationBound exposes an engine configuration's convergence bound:

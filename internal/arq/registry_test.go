@@ -1,7 +1,6 @@
 package arq_test
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -64,50 +63,19 @@ func TestParseProtocolBudget(t *testing.T) {
 	}
 }
 
-func TestEngineValidation(t *testing.T) {
-	if _, err := arq.NewEngine("lams", nil); err == nil {
-		t.Fatal("nil configuration accepted")
-	}
+// TestDefaultsValid: every registered engine's default configuration
+// validates, and every registration has a display name for tables.
+func TestDefaultsValid(t *testing.T) {
 	for _, name := range arq.Protocols() {
-		eng, err := arq.DefaultEngine(name, 13*sim.Millisecond)
+		reg, err := arq.ParseProtocol(name)
 		if err != nil {
-			t.Fatalf("DefaultEngine(%q): %v", name, err)
+			t.Fatalf("ParseProtocol(%q): %v", name, err)
 		}
-		if err := eng.Validate(); err != nil {
-			t.Fatalf("default %q engine invalid: %v", name, err)
+		if err := reg.Defaults(13 * sim.Millisecond).Validate(); err != nil {
+			t.Fatalf("default %q configuration invalid: %v", name, err)
 		}
-		if eng.Display() == "" {
+		if reg.Display == "" {
 			t.Fatalf("%q has no display name", name)
-		}
-	}
-	var zero arq.Engine
-	if zero.Validate() == nil {
-		t.Fatal("zero Engine validated")
-	}
-}
-
-// TestEngineRejectsForeignConfig: every registered engine against every
-// registered engine's Defaults. A configuration of another engine's type
-// used to pass NewEngine (which only called cfg.Validate) and panic inside
-// the first NewPair; it is now an error naming both types.
-func TestEngineRejectsForeignConfig(t *testing.T) {
-	const roundTrip = 13 * sim.Millisecond
-	for _, name := range arq.Protocols() {
-		reg, _ := arq.ParseProtocol(name)
-		own := fmt.Sprintf("%T", reg.Defaults(roundTrip))
-		for _, other := range arq.Protocols() {
-			oreg, _ := arq.ParseProtocol(other)
-			cfg := oreg.Defaults(roundTrip)
-			given := fmt.Sprintf("%T", cfg)
-			_, err := arq.NewEngine(name, cfg)
-			switch {
-			case given == own && err != nil:
-				t.Errorf("NewEngine(%q, %s defaults): %v", name, other, err)
-			case given != own && err == nil:
-				t.Errorf("NewEngine(%q, %s) accepted a foreign configuration", name, given)
-			case given != own && !(strings.Contains(err.Error(), given) && strings.Contains(err.Error(), own)):
-				t.Errorf("NewEngine(%q, %s): error %q does not name both types", name, given, err)
-			}
 		}
 	}
 }
@@ -205,7 +173,7 @@ func diffFields(prefix string, a, b reflect.Value) []string {
 // for its whole life (bench.Run reads the pointer it took before the run).
 func TestPairOwnershipContract(t *testing.T) {
 	const n = 300
-	newPair := func(name string, deliver arq.DeliverFunc) (*sim.Scheduler, arq.Pair) {
+	newPair := func(name string, deliver arq.DeliverFunc) (*sim.Scheduler, *arq.Pair) {
 		reg, err := arq.ParseProtocol(name)
 		if err != nil {
 			t.Fatal(err)
@@ -217,11 +185,11 @@ func TestPairOwnershipContract(t *testing.T) {
 			IModelSpec: "fixed:p=0.2",
 			CModelSpec: "fixed:p=0.05",
 		}, sim.NewRNG(9))
-		pair := reg.New(sched, sched, link, reg.Defaults(8*sim.Millisecond), deliver, nil)
+		pair := arq.NewPair(sched, sched, link, reg.Defaults(8*sim.Millisecond), deliver, nil)
 		pair.Start()
 		return sched, pair
 	}
-	enqueue := func(pair arq.Pair) {
+	enqueue := func(pair *arq.Pair) {
 		for id := uint64(0); id < n; id++ {
 			if !pair.Enqueue(arq.Datagram{ID: id, Payload: make([]byte, 256)}) {
 				t.Fatalf("enqueue %d refused by a fresh pair", id)

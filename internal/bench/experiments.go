@@ -445,12 +445,12 @@ func E8FailureDetection() *Result {
 	points := mapIndexed(len(cds), func(pi int) e8point {
 		base := Base()
 		base.Cdepth = cds[pi]
-		reg, cfg := base.engine()
+		cfg := base.engine()
 		sched := sim.NewScheduler()
 		ab, _ := base.pipes()
 		link := channel.NewLink(sched, ab, sim.NewRNG(7))
 		var failedAt sim.Time
-		pair := reg.New(sched, sched, link, cfg, nil, func(now sim.Time, _ string) { failedAt = now })
+		pair := arq.NewPair(sched, sched, link, cfg, nil, func(now sim.Time, _ string) { failedAt = now })
 		pair.Start()
 		for i := 0; i < 50; i++ {
 			pair.Enqueue(arq.Datagram{ID: uint64(i), Payload: make([]byte, 512)})
@@ -962,7 +962,7 @@ func E18MultiHopRelay() *Result {
 		}
 		sched := sim.NewScheduler()
 		roundTrip := 2 * 6670 * sim.Microsecond // ~2,000 km hops
-		eng := arq.MustEngine(reg.Name, reg.Defaults(roundTrip))
+		eng := reg.Defaults(roundTrip)
 		// Model specs, not instances: each hop's pipes instantiate their
 		// own models inside channel.NewPipe — the spec path the node layer
 		// (and anything else that fans one PipeConfig across many links)

@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/channel"
@@ -50,6 +51,11 @@ func BindScenarioFlags(fs *flag.FlagSet, horizon time.Duration) *ScenarioFlags {
 // place the sugar is decided — and either way both specs are validated here,
 // so Run never panics on what a user typed.
 func (f *ScenarioFlags) RunConfig() (RunConfig, error) {
+	// The distance's one-way delay must be a sim.Duration; NaN fails the
+	// test as written.
+	if maxKm := orbit.RangeForDelay(math.MaxInt64) / 1e3; !(f.Km >= 0 && f.Km < maxKm) {
+		return RunConfig{}, fmt.Errorf("-km %g out of [0,%.3g)", f.Km, maxKm)
+	}
 	c := RunConfig{
 		N:            f.N,
 		PayloadBytes: f.Payload,

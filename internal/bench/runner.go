@@ -202,14 +202,14 @@ func (c RunConfig) knobs() arq.Knobs {
 }
 
 // engine resolves the run's protocol and maps the run's knobs onto its
-// configuration. An unregistered protocol panics: a wiring error, like a
-// malformed spec.
-func (c RunConfig) engine() (arq.Registration, arq.EngineConfig) {
+// configuration, which is the engine. An unregistered protocol panics: a
+// wiring error, like a malformed spec.
+func (c RunConfig) engine() arq.EngineConfig {
 	reg, err := c.Protocol.registration()
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	return reg, reg.Configure(c.knobs())
+	return reg.Configure(c.knobs())
 }
 
 // Validate reports the first reason Run would panic on c or measure a link
@@ -225,6 +225,8 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("bench: payload size %d above the %d bytes an I-frame carries", c.PayloadBytes, frame.MaxPayload)
 	case !(c.RateBps > 0):
 		return fmt.Errorf("bench: link rate %g bits/s, want > 0", c.RateBps)
+	case c.RateBps < channel.MinRateBps:
+		return fmt.Errorf("bench: link rate %g bits/s below the %.3g at which a frame's serialization time overflows", c.RateBps, channel.MinRateBps)
 	case c.OneWay < 0:
 		return fmt.Errorf("bench: negative one-way delay %v", c.OneWay)
 	case c.Icp <= 0:
@@ -356,7 +358,7 @@ func Run(c RunConfig) RunResult {
 		}
 	}
 
-	reg, ecfg := c.engine()
+	ecfg := c.engine()
 
 	var chk *faults.Checker
 	var finish func(*RunResult)
@@ -384,7 +386,7 @@ func Run(c RunConfig) RunResult {
 		}
 	}
 
-	pair := reg.New(sched, sched, link, ecfg, deliver, nil)
+	pair := arq.NewPair(sched, sched, link, ecfg, deliver, nil)
 	if chk != nil {
 		pair.SetProbe(chk.Probe())
 		finish = func(res *RunResult) {
@@ -404,11 +406,11 @@ func Run(c RunConfig) RunResult {
 	}
 	backlog := pair.Outstanding
 	maxSpan := func() uint32 { return 0 }
-	if sr, ok := pair.(arq.SpanReporter); ok {
+	if sr, ok := pair.Sender.(arq.SpanReporter); ok {
 		maxSpan = sr.MaxLiveSpan
 	}
 	finalRate := func() float64 { return 1 }
-	if rr, ok := pair.(arq.RateReporter); ok {
+	if rr, ok := pair.Sender.(arq.RateReporter); ok {
 		finalRate = rr.RateFraction
 	}
 

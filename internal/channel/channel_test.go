@@ -140,7 +140,8 @@ func TestPipeFIFOWithShrinkingDelay(t *testing.T) {
 }
 
 func TestCorruptionMarksDetectably(t *testing.T) {
-	cfg := PipeConfig{IModel: FixedProb{1}, CModel: Perfect{}}
+	reg := metrics.New()
+	cfg := PipeConfig{IModel: FixedProb{1}, CModel: Perfect{}, Metrics: reg}
 	sched, p, got, _ := newTestPipe(t, cfg)
 	p.Send(iframe(1, 10))
 	p.Send(frame.NewCheckpoint(1, 1, nil, false, false))
@@ -154,10 +155,10 @@ func TestCorruptionMarksDetectably(t *testing.T) {
 	if (*got)[1].Corrupted {
 		t.Fatal("C-frame should be clean (CModel=perfect)")
 	}
-	if p.Stats.FramesCorrupted.Value() != 1 {
-		t.Fatalf("corrupted count = %d", p.Stats.FramesCorrupted.Value())
+	if n := reg.Snapshot().Counter("channel_frames_corrupted_total"); n != 1 {
+		t.Fatalf("corrupted count = %d", n)
 	}
-	if p.Stats.IFrames.Value() != 1 || p.Stats.CFrames.Value() != 1 {
+	if iFrames := p.Stats.FramesSent.Value() - p.Stats.CFrames.Value(); iFrames != 1 || p.Stats.CFrames.Value() != 1 {
 		t.Fatal("frame kind counters wrong")
 	}
 }

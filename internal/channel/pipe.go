@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/frame"
@@ -97,11 +98,9 @@ type PipeConfig struct {
 type PipeStats struct {
 	FramesSent      stats.Counter
 	FramesDelivered stats.Counter
-	FramesCorrupted stats.Counter
 	FramesLost      stats.Counter // dropped during link failure
 	FramesLostTx    stats.Counter // remote pipes only: dropped at send while down
 	BitsSent        stats.Counter
-	IFrames         stats.Counter
 	CFrames         stats.Counter
 }
 
@@ -229,6 +228,12 @@ func (p *Pipe) TxTime(f *frame.Frame) sim.Duration {
 	return sim.Duration(float64(p.TxTimeBits(f.Bits())) * exp)
 }
 
+// MinRateBps is the slowest link rate a Pipe models: at it, an I-frame of
+// frame.MaxPayload bytes plus 64 bytes of framing (more than any engine's
+// header and trailer) serializes in the longest time sim.Duration holds, and
+// below it TxTimeBits overflows.
+const MinRateBps = 8 * (frame.MaxPayload + 64) / (float64(math.MaxInt64) / float64(sim.Second))
+
 // TxTimeBits returns the serialization time for a frame of the given length.
 func (p *Pipe) TxTimeBits(bits int) sim.Duration {
 	if p.cfg.RateBps <= 0 {
@@ -289,20 +294,16 @@ func (p *Pipe) Send(f *frame.Frame) {
 	p.busyUntil = depart
 
 	p.mQueueNS.Observe(float64(start.Sub(now)))
-	var model ErrorModel
+	model := p.cfg.IModel
 	if g.Kind.Control() {
 		p.Stats.CFrames.Inc()
 		model = p.cfg.CModel
-	} else {
-		p.Stats.IFrames.Inc()
-		model = p.cfg.IModel
 	}
 	if p.cfg.Tap != nil {
 		p.cfg.Tap(now, "tx", g)
 	}
 	if model.Corrupt(p.rng, start, depart, g.Bits()) {
 		g.Corrupted = true
-		p.Stats.FramesCorrupted.Inc()
 		p.mCorrupted.Inc()
 		if p.cfg.Tap != nil {
 			p.cfg.Tap(now, "corrupt", g)

@@ -223,6 +223,8 @@ func matrixConfig(t *testing.T, spec string, seed uint64) bench.RunConfig {
 		OneWay:          10 * sim.Millisecond,
 		Icp:             10 * sim.Millisecond,
 		Cdepth:          3,
+		W:               64,                   // SR-HDLC rows; LAMS-DLC ignores it
+		Alpha:           10 * sim.Millisecond, // likewise
 		Tproc:           10 * sim.Microsecond,
 		Seed:            seed,
 		Horizon:         6 * sim.Second,
@@ -231,38 +233,66 @@ func matrixConfig(t *testing.T, spec string, seed uint64) bench.RunConfig {
 	}
 }
 
+// The fault counters a matrix row asserts on: an episode that silently did
+// nothing leaves its kind's counter at 0.
+const (
+	transitions = "lams_fault_link_transitions_total"
+	injected    = "lams_fault_frames_injected_total"
+	burstHits   = "lams_fault_burst_corrupted_total"
+	skews       = "lams_fault_skew_windows_total"
+)
+
 // TestFaultMatrix is the standing acceptance gate: the §3.2 invariant
 // checker must hold over every fault class at seeds 1–5. Schedules that end
 // inside the failure window legitimately declare link failure (the paper's
-// behavior); everything else must deliver every datagram.
+// behavior); everything else must deliver every datagram. Every row's kind
+// must also have acted: its counter moved (true), or, for a kind the engine
+// has no surface for, stayed at 0 (false) — SR-HDLC has no checkpoint
+// process to retime, so its skew windows are skipped.
 func TestFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name       string
+		proto      bench.Protocol // "" is LAMS-DLC
 		spec       string
 		expectFail bool // schedule outlives the failure window by design
+		counters   map[string]bool
 	}{
-		{"outage-recover", "outage@200ms+60ms", false},
-		{"outage-fail", "outage@200ms+400ms", true},
-		{"blackout-ba", "half@200ms+60ms:dir=ba", false},
-		{"blackout-ba-fail", "half@200ms+400ms:dir=ba", true},
-		{"iframe-ab", "half@200ms+300ms:dir=ab", false},
-		{"storm-checkpoint", "storm@150ms+200ms:period=2ms,naks=6,serial=1", false},
-		{"storm-reqnak", "storm@150ms+100ms:period=3ms,dir=ab", false},
-		{"burst", "burst@150ms+200ms:len=2ms,gap=5ms", false},
+		{"outage-recover", "", "outage@200ms+60ms", false, map[string]bool{transitions: true}},
+		{"outage-fail", "", "outage@200ms+400ms", true, map[string]bool{transitions: true}},
+		{"blackout-ba", "", "half@200ms+60ms:dir=ba", false, map[string]bool{transitions: true}},
+		{"blackout-ba-fail", "", "half@200ms+400ms:dir=ba", true, map[string]bool{transitions: true}},
+		{"iframe-ab", "", "half@200ms+300ms:dir=ab", false, map[string]bool{transitions: true}},
+		{"storm-checkpoint", "", "storm@150ms+200ms:period=2ms,naks=6,serial=1", false, map[string]bool{injected: true}},
+		{"storm-reqnak", "", "storm@150ms+100ms:period=3ms,dir=ab", false, map[string]bool{injected: true}},
+		{"burst", "", "burst@150ms+200ms:len=2ms,gap=5ms", false, map[string]bool{burstHits: true}},
 		// A 2ms+8ms burst cycle phase-locks with the 10ms checkpoint
 		// cadence: every checkpoint is corrupted for 200ms, a full silence
 		// window passes, and declaring failure is the correct §3.2 outcome.
-		{"burst-jam", "burst@150ms+200ms:len=2ms,gap=8ms", true},
-		{"skew", "skew@150ms+300ms:factor=6", false},
-		{"handover", "handover@250ms", false},
-		{"combo", comboSpec, false},
+		{"burst-jam", "", "burst@150ms+200ms:len=2ms,gap=8ms", true, map[string]bool{burstHits: true}},
+		{"skew", "", "skew@150ms+300ms:factor=6", false, map[string]bool{skews: true}},
+		{"skew-srhdlc", bench.SRHDLC, "skew@150ms+300ms:factor=6", false, map[string]bool{skews: false}},
+		{"handover", "", "handover@250ms", false, map[string]bool{transitions: true}},
+		{"combo", "", comboSpec, false, map[string]bool{transitions: true, injected: true, burstHits: true, skews: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
-				res := bench.Run(matrixConfig(t, tc.spec, seed))
+				c := matrixConfig(t, tc.spec, seed)
+				if tc.proto != "" {
+					c.Protocol = tc.proto
+				}
+				res := bench.Run(c)
 				for _, v := range res.Violations {
 					t.Errorf("seed %d: %s", seed, v)
+				}
+				for name, moves := range tc.counters {
+					if n := res.Snapshot.Counter(name); (n > 0) != moves {
+						want := "0"
+						if moves {
+							want = "> 0"
+						}
+						t.Errorf("seed %d: %s = %d, want %s", seed, name, n, want)
+					}
 				}
 				if tc.expectFail {
 					if res.Failures == 0 {
@@ -361,7 +391,7 @@ func TestEnforcedRecoveryResolicitAfterBlackout(t *testing.T) {
 	cfg.CheckpointInterval = 10 * sim.Millisecond
 	cfg.CumulationDepth = 8 // widen FailureTimeout so the stall is visible
 
-	pair := lamsdlc.NewPair(sched, sched, link, cfg, nil, nil)
+	pair := arq.NewPair(sched, sched, link, cfg, nil, nil)
 	var started, ended []sim.Time
 	var failures int
 	pair.Sender.SetProbe(&arq.Probe{
@@ -421,7 +451,7 @@ func TestNoStallAfterIFrameBeamOutage(t *testing.T) {
 	cfg.CumulationDepth = 3
 
 	delivered := make(map[uint64]bool)
-	pair := lamsdlc.NewPair(sched, sched, link, cfg,
+	pair := arq.NewPair(sched, sched, link, cfg,
 		func(_ sim.Time, dg arq.Datagram, _ uint32) { delivered[dg.ID] = true }, nil)
 	var firstTx []sim.Time
 	var failures int

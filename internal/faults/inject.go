@@ -28,11 +28,9 @@ type Injector struct {
 	spec  *Spec
 	rng   *sim.RNG // corruption adversaries only; nil for legacy schedules
 
-	link       *channel.Link
-	downAB     int // overlap-safe down-counters per direction
-	downBA     int
-	retimer    arq.CheckpointRetimer
-	basePeriod sim.Duration
+	link   *channel.Link
+	downAB int // overlap-safe down-counters per direction
+	downBA int
 
 	mEvents      *metrics.Counter // lams_fault_events_total
 	mInjected    *metrics.Counter // lams_fault_frames_injected_total
@@ -187,20 +185,19 @@ func (inj *Injector) setReorder(dir Dir, jitter sim.Duration) {
 
 // AttachEndpoint schedules the spec's endpoint-directed episodes against a
 // pair, each gated on the capability it needs: clock-skew windows scale the
-// checkpoint period through arq.CheckpointRetimer (restored to basePeriod,
-// W_cp, at close), scramble episodes drive arq.StateCorruptor, and ghost
-// episodes forge frames through arq.GhostForger. An engine lacking a
+// checkpoint period through the receiver's arq.CheckpointRetimer (restored
+// to basePeriod, W_cp, at close), scramble episodes drive the
+// configuration's arq.StateCorruptor, and ghost episodes forge frames
+// through its arq.GhostForger. An engine lacking a
 // capability skips those episodes — the HDLC baselines skip skew, an engine
 // without corruption support skips scramble/ghost — and all other fault
 // kinds apply to any engine. Overlapping same-kind windows are rejected by
 // Spec.Validate, so open/close transitions never contend.
-func (inj *Injector) AttachEndpoint(p arq.Pair, basePeriod sim.Duration) {
+func (inj *Injector) AttachEndpoint(p *arq.Pair, basePeriod sim.Duration) {
 	if inj.rng == nil && inj.spec.NeedsRNG() {
 		panic("faults: schedule has scramble/ghost events but Seed was never called")
 	}
-	if rt, ok := p.(arq.CheckpointRetimer); ok {
-		inj.retimer = rt
-		inj.basePeriod = basePeriod
+	if rt, ok := p.Receiver.(arq.CheckpointRetimer); ok {
 		for _, ev := range inj.spec.Events {
 			ev := ev
 			if ev.Kind != Skew {
@@ -214,22 +211,22 @@ func (inj *Injector) AttachEndpoint(p arq.Pair, basePeriod sim.Duration) {
 			inj.at(ev.End(), func() { rt.SetCheckpointPeriod(basePeriod) })
 		}
 	}
-	if sc, ok := p.(arq.StateCorruptor); ok {
+	if sc, ok := p.Config().(arq.StateCorruptor); ok {
 		for _, ev := range inj.spec.Events {
 			ev := ev
 			if ev.Kind != Scramble {
 				continue
 			}
-			inj.at(ev.Start, func() { inj.mEvents.Inc(); inj.scrambleTick(sc, ev, sim.Time(ev.End())) })
+			inj.at(ev.Start, func() { inj.mEvents.Inc(); inj.scrambleTick(sc, p, ev, sim.Time(ev.End())) })
 		}
 	}
-	if gf, ok := p.(arq.GhostForger); ok {
+	if gf, ok := p.Config().(arq.GhostForger); ok {
 		for _, ev := range inj.spec.Events {
 			ev := ev
 			if ev.Kind != Ghost {
 				continue
 			}
-			inj.at(ev.Start, func() { inj.mEvents.Inc(); inj.ghostTick(gf, ev, sim.Time(ev.End())) })
+			inj.at(ev.Start, func() { inj.mEvents.Inc(); inj.ghostTick(gf, p, ev, sim.Time(ev.End())) })
 		}
 	}
 }
@@ -238,38 +235,38 @@ func (inj *Injector) AttachEndpoint(p arq.Pair, basePeriod sim.Duration) {
 // episode closes. The strike runs synchronously on the pair's scheduler, so
 // the engine sees its state change exactly as a cosmic-ray upset would look
 // between two of its own events.
-func (inj *Injector) scrambleTick(sc arq.StateCorruptor, ev Event, until sim.Time) {
+func (inj *Injector) scrambleTick(sc arq.StateCorruptor, p *arq.Pair, ev Event, until sim.Time) {
 	if inj.sched.Now() >= until {
 		return
 	}
-	sc.CorruptState(inj.rng)
+	sc.CorruptState(p, inj.rng)
 	inj.mScrambles.Inc()
-	inj.sched.ScheduleAfterDetached(ev.Period, func() { inj.scrambleTick(sc, ev, until) })
+	inj.sched.ScheduleAfterDetached(ev.Period, func() { inj.scrambleTick(sc, p, ev, until) })
 }
 
 // ghostTick injects one forged frame per armed direction and re-arms until
 // the episode closes. Ghosts go through Pipe.Send like storm frames — they
 // occupy real wire time and suffer the direction's error process — and the
 // pipe copies, so the forged frame itself is garbage the moment Send returns.
-func (inj *Injector) ghostTick(gf arq.GhostForger, ev Event, until sim.Time) {
+func (inj *Injector) ghostTick(gf arq.GhostForger, p *arq.Pair, ev Event, until sim.Time) {
 	if inj.sched.Now() >= until {
 		return
 	}
 	if ev.Dir == AtoB || ev.Dir == Both {
-		if g := gf.ForgeGhost(inj.rng, true); g != nil {
+		if g := gf.ForgeGhost(p, inj.rng, true); g != nil {
 			inj.link.AtoB.Send(g)
 			inj.mGhosts.Inc()
 			inj.mInjected.Inc()
 		}
 	}
 	if ev.Dir == BtoA || ev.Dir == Both {
-		if g := gf.ForgeGhost(inj.rng, false); g != nil {
+		if g := gf.ForgeGhost(p, inj.rng, false); g != nil {
 			inj.link.BtoA.Send(g)
 			inj.mGhosts.Inc()
 			inj.mInjected.Inc()
 		}
 	}
-	inj.sched.ScheduleAfterDetached(ev.Period, func() { inj.ghostTick(gf, ev, until) })
+	inj.sched.ScheduleAfterDetached(ev.Period, func() { inj.ghostTick(gf, p, ev, until) })
 }
 
 func (inj *Injector) at(d sim.Duration, fn func()) {

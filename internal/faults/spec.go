@@ -96,8 +96,8 @@ func (k Kind) String() string {
 // Dir selects the link direction(s) an event applies to.
 type Dir uint8
 
-// Directions. AtoB carries I-frames, BtoA carries checkpoint traffic in a
-// lamsdlc.Pair.
+// Directions. AtoB carries I-frames, BtoA acknowledgement traffic (an
+// arq.Pair's checkpoints, for LAMS-DLC).
 const (
 	Both Dir = iota
 	AtoB

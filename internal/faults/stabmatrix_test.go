@@ -47,12 +47,14 @@ const stabAllSpec = "scramble@100ms+400ms:period=10ms; ghost@100ms+400ms:period=
 // casualties are excused by the checker's convergence rule, a post-era N2
 // failure declaration is legitimate triage (DESIGN.md §13), but an unexcused
 // §3.2 violation — silent loss, unexplained duplicate, a wedged link that
-// never declares — fails the matrix for any engine.
+// never declares — fails the matrix for any engine. Every engine must also
+// have been struck: the kind's counter moved, or the adversary silently
+// found no surface to act on.
 func TestStabMatrix(t *testing.T) {
-	kinds := []struct{ name, spec string }{
-		{"scramble", "scramble@100ms+400ms:period=10ms"},
-		{"ghost", "ghost@100ms+400ms:period=2ms"},
-		{"reorder", "reorder@100ms+400ms:jitter=2ms"},
+	kinds := []struct{ name, spec, counter string }{
+		{"scramble", "scramble@100ms+400ms:period=10ms", "lams_fault_corrupt_scrambles_total"},
+		{"ghost", "ghost@100ms+400ms:period=2ms", "lams_fault_corrupt_ghosts_total"},
+		{"reorder", "reorder@100ms+400ms:jitter=2ms", "lams_fault_corrupt_reordered_total"},
 	}
 	for _, kind := range kinds {
 		kind := kind
@@ -70,6 +72,9 @@ func TestStabMatrix(t *testing.T) {
 				eng, seed := cfgs[i].Protocol, cfgs[i].Seed
 				for _, v := range res.Violations {
 					t.Errorf("%s seed %d: %s", eng, seed, v)
+				}
+				if res.Snapshot.Counter(kind.counter) == 0 {
+					t.Errorf("%s seed %d: %s stayed 0: the episode did nothing", eng, seed, kind.counter)
 				}
 				if eng == "ssarq" && res.Failures != 0 {
 					t.Errorf("ssarq seed %d: declared failure %d times; a self-stabilizing engine converges instead",

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Corruption-adversary surfaces (ISSUE 9). HDLC, like LAMS-DLC, is not
+// Corruption-adversary surfaces. HDLC, like LAMS-DLC, is not
 // self-stabilizing, so it takes the BOUNDED contract DESIGN.md §13 states:
 // CorruptState scrambles only supervision and bookkeeping state the
 // protocol's own T1/N2 machinery demonstrably repairs, and never the
@@ -21,9 +21,9 @@ import (
 // pins. The poisoned srejSent entry is INSERTED at a derived key rather
 // than found by walking the map.
 
-// CorruptState implements arq.StateCorruptor.
-func (p *Pair) CorruptState(rng *sim.RNG) {
-	s, r := p.Sender, p.Receiver
+// CorruptState implements arq.StateCorruptor on a pair built from the configuration.
+func (Config) CorruptState(p *arq.Pair, rng *sim.RNG) {
+	s, r := p.Sender.(*Sender), p.Receiver.(*Receiver)
 	now := s.sched.Now()
 
 	// Sender: N2 progress scrambled within the lower half of its budget
@@ -71,8 +71,8 @@ var ghostPayload = make([]byte, 32)
 // documents (the displaced genuine frame reads as a duplicate forever and,
 // with the watermark run ahead, the sender's RRs all read implausible
 // until N2 declares failure: bounded, not self-stabilizing).
-func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
-	s, r := p.Sender, p.Receiver
+func (Config) ForgeGhost(p *arq.Pair, rng *sim.RNG, toReceiver bool) *frame.Frame {
+	s, r := p.Sender.(*Sender), p.Receiver.(*Receiver)
 	f := new(frame.Frame)
 	if toReceiver {
 		f.Kind = frame.KindHDLCI
@@ -103,6 +103,6 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 
 // Compile-time checks for the corruption surfaces.
 var (
-	_ arq.StateCorruptor = (*Pair)(nil)
-	_ arq.GhostForger    = (*Pair)(nil)
+	_ arq.StateCorruptor = Config{}
+	_ arq.GhostForger    = Config{}
 )

@@ -78,7 +78,7 @@ func TestScrambleConvergenceHDLC(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			at := sim.Time(int64(i) * int64(10*sim.Millisecond))
 			sc.sched.Schedule(at, func() {
-				sc.pair.CorruptState(rng)
+				cfg.CorruptState(sc.pair.Pair, rng)
 				sc.pair.Sender.Enqueue(arq.Datagram{ID: 1 + uint64(i), Payload: make([]byte, 128)})
 			})
 		}

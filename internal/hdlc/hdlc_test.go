@@ -11,17 +11,32 @@ import (
 
 type scenario struct {
 	sched *sim.Scheduler
-	pair  *Pair
+	pair  *testPair
 	link  *channel.Link
 	got   map[uint64]int
 	order []uint64
+}
+
+// testPair is an arq.Pair with its halves typed, for tests that reach into
+// one engine's state.
+type testPair struct {
+	*arq.Pair
+	Sender   *Sender
+	Receiver *Receiver
+}
+
+// newTestPair builds a pair on one scheduler through arq.NewPair, the one
+// pair constructor.
+func newTestPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *testPair {
+	p := arq.NewPair(sched, sched, link, cfg, deliver, onFailure)
+	return &testPair{Pair: p, Sender: p.Sender.(*Sender), Receiver: p.Receiver.(*Receiver)}
 }
 
 func newScenario(cfg Config, pipe channel.PipeConfig, seed uint64) *scenario {
 	sched := sim.NewScheduler()
 	link := channel.NewLink(sched, pipe, sim.NewRNG(seed))
 	sc := &scenario{sched: sched, link: link, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	sc.pair = newTestPair(sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		sc.got[dg.ID]++
 		sc.order = append(sc.order, dg.ID)
 	}, nil)
@@ -215,7 +230,7 @@ func TestLostRRRecoveredByPoll(t *testing.T) {
 	}, rng)
 	got := map[uint64]int{}
 	var order []uint64
-	pair := NewPair(sched, sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	pair := newTestPair(sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		got[dg.ID]++
 		order = append(order, dg.ID)
 	}, nil)
@@ -373,7 +388,7 @@ func TestStutterBeatsTimeoutRecovery(t *testing.T) {
 		}, rng)
 		var last sim.Time
 		count := 0
-		pair := NewPair(sched, sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
+		pair := newTestPair(sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
 			count++
 			last = now
 		}, nil)

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// API-parity regression tests: the capabilities hdlc.Pair gained to satisfy
-// the arq engine contract (failure callback via NewPair's onFailure,
-// end-of-pass reclaim of undelivered datagrams) behave like lamsdlc's.
+// API-parity regression tests: the HDLC halves' share of the arq engine
+// contract (failure callback via arq.NewPair's onFailure, end-of-pass
+// reclaim of undelivered datagrams) behaves like lamsdlc's.
 
 func parityPipe(im, cm channel.ErrorModel) channel.PipeConfig {
 	return channel.PipeConfig{
@@ -31,7 +31,7 @@ func TestFailureCallbackOnN2Exhaustion(t *testing.T) {
 	cfg.MaxTimeouts = 3
 	var failedAt sim.Time
 	var reason string
-	pair := NewPair(sched, sched, link, cfg, nil, func(now sim.Time, r string) {
+	pair := newTestPair(sched, link, cfg, nil, func(now sim.Time, r string) {
 		failedAt = now
 		reason = r
 	})
@@ -75,7 +75,7 @@ func TestZeroMaxTimeoutsNeverDeclares(t *testing.T) {
 	link := channel.NewLink(sched, parityPipe(nil, nil), sim.NewRNG(3))
 	cfg := Defaults(4 * sim.Millisecond)
 	called := false
-	pair := NewPair(sched, sched, link, cfg, nil, func(sim.Time, string) { called = true })
+	pair := newTestPair(sched, link, cfg, nil, func(sim.Time, string) { called = true })
 	pair.Start()
 	pair.Enqueue(arq.Datagram{ID: 1, Payload: make([]byte, 256)})
 	sched.RunFor(5 * sim.Millisecond)
@@ -96,7 +96,7 @@ func TestReclaimAtPassEnd(t *testing.T) {
 	link := channel.NewLink(sched, parityPipe(&everyNth{n: 3}, nil), sim.NewRNG(7))
 	cfg := Defaults(4 * sim.Millisecond)
 	delivered := make(map[uint64]bool)
-	pair := NewPair(sched, sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	pair := newTestPair(sched, link, cfg, func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		delivered[dg.ID] = true
 	}, nil)
 	pair.Start()

@@ -2,7 +2,6 @@ package hdlc
 
 import (
 	"repro/internal/arq"
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -22,10 +21,7 @@ func register(mode Mode, r arq.Registration) {
 	}
 	arq.Register(r,
 		func(roundTrip sim.Duration) Config { return force(Defaults(roundTrip)) },
-		func(k arq.Knobs) Config { return force(configure(k)) },
-		func(sendSched, recvSched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *Pair {
-			return NewPair(sendSched, recvSched, link, force(cfg), deliver, onFailure)
-		})
+		func(k arq.Knobs) Config { return force(configure(k)) })
 }
 
 // configure maps the harness knobs onto an HDLC configuration: absolute

@@ -20,7 +20,7 @@ func TestPayloadIntegrityEndToEnd(t *testing.T) {
 	sched := sim.NewScheduler()
 	link := channel.NewLink(sched, pipe, sim.NewRNG(77))
 	got := map[uint64][]byte{}
-	pair := NewPair(sched, sched, link, baseCfg(), func(_ sim.Time, dg arq.Datagram, _ uint32) {
+	pair := newTestPair(sched, link, baseCfg(), func(_ sim.Time, dg arq.Datagram, _ uint32) {
 		if _, dup := got[dg.ID]; !dup {
 			got[dg.ID] = append([]byte(nil), dg.Payload...)
 		}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Corruption-adversary surfaces (ISSUE 9). LAMS-DLC is not
+// Corruption-adversary surfaces. LAMS-DLC is not
 // self-stabilizing — §3.2's invariants presume the state machines start
 // legal and stay legal — so the contract here is the BOUNDED one DESIGN.md
 // §13 states: CorruptState scrambles supervision and bookkeeping state
@@ -22,9 +22,9 @@ import (
 // pins. Poisoned dedup entries are INSERTED (deterministic) rather than
 // found by walking r.seen.
 
-// CorruptState implements arq.StateCorruptor.
-func (p *Pair) CorruptState(rng *sim.RNG) {
-	s, r := p.Sender, p.Receiver
+// CorruptState implements arq.StateCorruptor on a pair built from the configuration.
+func (Config) CorruptState(p *arq.Pair, rng *sim.RNG) {
+	s, r := p.Sender.(*Sender), p.Receiver.(*Receiver)
 	now := s.sched.Now()
 
 	// Sender: flow-control fraction anywhere in its legal range (repaired
@@ -76,8 +76,8 @@ var ghostPayload = make([]byte, 32)
 // sender it forges checkpoints split between plausible watermarks (early
 // releases: bounded in-era casualties) and impossible ones the
 // effAck guard must refuse to release on.
-func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
-	s, r := p.Sender, p.Receiver
+func (Config) ForgeGhost(p *arq.Pair, rng *sim.RNG, toReceiver bool) *frame.Frame {
+	s, r := p.Sender.(*Sender), p.Receiver.(*Receiver)
 	f := new(frame.Frame)
 	if toReceiver {
 		f.Kind = frame.KindI
@@ -105,6 +105,6 @@ func (p *Pair) ForgeGhost(rng *sim.RNG, toReceiver bool) *frame.Frame {
 
 // Compile-time checks for the corruption surfaces.
 var (
-	_ arq.StateCorruptor = (*Pair)(nil)
-	_ arq.GhostForger    = (*Pair)(nil)
+	_ arq.StateCorruptor = Config{}
+	_ arq.GhostForger    = Config{}
 )

@@ -157,7 +157,7 @@ func TestScrambleConvergence(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			at := sim.Time(int64(i) * int64(10*sim.Millisecond))
 			sc.sched.Schedule(at, func() {
-				sc.pair.CorruptState(rng)
+				cfg.CorruptState(sc.pair.Pair, rng)
 				sc.pair.Sender.Enqueue(arq.Datagram{ID: uint64(i + 1), Payload: make([]byte, 128)})
 			})
 		}

@@ -13,12 +13,27 @@ import (
 // scenario bundles a wired-up protocol run for tests.
 type scenario struct {
 	sched    *sim.Scheduler
-	pair     *Pair
+	pair     *testPair
 	link     *channel.Link
 	got      map[uint64]int // datagram ID -> delivery count
 	order    []uint64
 	failedAt sim.Time
 	failMsg  string
+}
+
+// testPair is an arq.Pair with its halves typed, for tests that reach into
+// one engine's state.
+type testPair struct {
+	*arq.Pair
+	Sender   *Sender
+	Receiver *Receiver
+}
+
+// newTestPair builds a pair on one scheduler through arq.NewPair, the one
+// pair constructor.
+func newTestPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *testPair {
+	p := arq.NewPair(sched, sched, link, cfg, deliver, onFailure)
+	return &testPair{Pair: p, Sender: p.Sender.(*Sender), Receiver: p.Receiver.(*Receiver)}
 }
 
 type scenarioOpts struct {
@@ -39,7 +54,7 @@ func newScenario(t *testing.T, opts scenarioOpts) *scenario {
 		link = channel.NewLink(sched, opts.pipe, rng)
 	}
 	sc := &scenario{sched: sched, link: link, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, sched, link, opts.cfg,
+	sc.pair = newTestPair(sched, link, opts.cfg,
 		func(now sim.Time, dg arq.Datagram, seq uint32) {
 			sc.got[dg.ID]++
 			sc.order = append(sc.order, dg.ID)
@@ -217,7 +232,7 @@ func TestZeroLossProperty(t *testing.T) {
 		sched := sim.NewScheduler()
 		link := channel.NewLink(sched, pipe, sim.NewRNG(uint64(seed)+1))
 		got := map[uint64]int{}
-		pair := NewPair(sched, sched, link, cfg,
+		pair := newTestPair(sched, link, cfg,
 			func(_ sim.Time, dg arq.Datagram, _ uint32) { got[dg.ID]++ }, nil)
 		pair.Start()
 		const n = 60

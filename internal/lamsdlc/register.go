@@ -11,7 +11,7 @@ func init() {
 		Name:    "lams",
 		Aliases: []string{"lamsdlc", "lams-dlc"},
 		Display: "LAMS-DLC",
-	}, Defaults, configure, NewPair)
+	}, Defaults, configure)
 }
 
 // configure maps the harness knobs onto a LAMS-DLC configuration. W, Alpha,
@@ -27,3 +27,12 @@ func configure(k arq.Knobs) Config {
 	cfg.Metrics = k.Metrics
 	return cfg
 }
+
+// The capabilities consumers discover by type assertion: on a pair's
+// halves, and on the configuration it was built from.
+var (
+	_ arq.SpanReporter      = (*Sender)(nil)
+	_ arq.RateReporter      = (*Sender)(nil)
+	_ arq.CheckpointRetimer = (*Receiver)(nil)
+	_ arq.WindowsProvider   = Config{}
+)

@@ -25,7 +25,7 @@ type Stats struct {
 // outLink is the transmitting side of one neighbor adjacency.
 type outLink struct {
 	peer      ID
-	pair      arq.Pair
+	pair      *arq.Pair
 	nextID    uint64 // per-link DLC datagram IDs
 	failed    bool
 	reclaimed bool // stranded datagrams already pulled back
@@ -35,7 +35,7 @@ type outLink struct {
 type Node struct {
 	id    ID
 	sched *sim.Scheduler
-	eng   arq.Engine
+	eng   arq.EngineConfig
 
 	// links holds one outgoing session per neighbor, in neighbor-ID order:
 	// every walk over a node's adjacencies is deterministic by construction.
@@ -63,10 +63,13 @@ type Node struct {
 	Stats Stats
 }
 
-// New constructs a node. eng parameterizes every DLC link the node
-// terminates: any registered engine works, so an HDLC baseline can run the
-// same multi-hop topologies as LAMS-DLC.
-func New(sched *sim.Scheduler, id ID, eng arq.Engine) *Node {
+// New constructs a node. eng, a registered engine's configuration,
+// parameterizes every DLC link the node terminates: any engine works, so an
+// HDLC baseline can run the same multi-hop topologies as LAMS-DLC.
+func New(sched *sim.Scheduler, id ID, eng arq.EngineConfig) *Node {
+	if eng == nil {
+		panic("node: nil engine configuration")
+	}
 	if err := eng.Validate(); err != nil {
 		panic(err)
 	}
@@ -143,9 +146,9 @@ func Connect(sched *sim.Scheduler, a, b *Node, pipe channel.PipeConfig, rng *sim
 // responsible for routing link's pipes between the two shards
 // (channel.Pipe.SetRemote) before the run starts. The wired pair is
 // returned for report collection.
-func (n *Node) AttachSplit(neighbor *Node, link *channel.Link, eng arq.Engine) arq.Pair {
+func (n *Node) AttachSplit(neighbor *Node, link *channel.Link, eng arq.EngineConfig) *arq.Pair {
 	ol := &outLink{peer: neighbor.id}
-	ol.pair = eng.NewPair(n.sched, neighbor.sched, link,
+	ol.pair = arq.NewPair(n.sched, neighbor.sched, link, eng,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
 			neighbor.handleArrival(now, dg.Payload)
 		},
@@ -276,7 +279,7 @@ func (n *Node) Summary() string {
 // routes, connecting every adjacent pair with the given pipe configuration.
 // It returns the nodes and the data links (2(k−1) of them, in connect
 // order: forward then reverse per adjacency).
-func Line(sched *sim.Scheduler, k int, eng arq.Engine, pipe channel.PipeConfig, rng *sim.RNG) ([]*Node, []*channel.Link) {
+func Line(sched *sim.Scheduler, k int, eng arq.EngineConfig, pipe channel.PipeConfig, rng *sim.RNG) ([]*Node, []*channel.Link) {
 	if k < 2 {
 		panic("node: line topology needs at least 2 nodes")
 	}

@@ -36,7 +36,7 @@ func testCfg() lamsdlc.Config {
 	return cfg
 }
 
-func testEng() arq.Engine { return arq.MustEngine("lams", testCfg()) }
+func testEng() arq.EngineConfig { return testCfg() }
 
 func testPipe() channel.PipeConfig {
 	return channel.PipeConfig{
@@ -237,7 +237,7 @@ func TestBufferFullCounted(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := testCfg()
 	cfg.SendBufferCap = 4
-	nodes, _ := Line(sched, 2, arq.MustEngine("lams", cfg), testPipe(), sim.NewRNG(11))
+	nodes, _ := Line(sched, 2, cfg, testPipe(), sim.NewRNG(11))
 	refused := 0
 	for i := 0; i < 20; i++ {
 		if !nodes[0].Send(1, []byte{byte(i)}) {
@@ -389,25 +389,26 @@ func TestRingPanicsTooSmall(t *testing.T) {
 	Ring(sim.NewScheduler(), 2, testEng(), testPipe(), sim.NewRNG(1))
 }
 
-// sinkPair stands in for a DLC session at the Enqueue seam: it records what
-// the network layer hands the link and does nothing else. Every other Pair
-// method is the embedded nil interface's and must not be reached.
-type sinkPair struct {
-	arq.Pair
+// sinkSender stands in for a DLC session's sending half at the Enqueue
+// seam: it records what the network layer hands the link and does nothing
+// else. Every other SenderHalf method is the embedded nil interface's and
+// must not be reached.
+type sinkSender struct {
+	arq.SenderHalf
 	got []arq.Datagram
 }
 
-func (s *sinkPair) Enqueue(dg arq.Datagram) bool {
+func (s *sinkSender) Enqueue(dg arq.Datagram) bool {
 	s.got = append(s.got, dg)
 	return true
 }
 
 // sinkNode returns node id with one outgoing link, toward next, that ends
-// in a sinkPair, and a route to dst through it.
-func sinkNode(id, next, dst ID) (*Node, *sinkPair) {
+// in a sinkSender, and a route to dst through it.
+func sinkNode(id, next, dst ID) (*Node, *sinkSender) {
 	n := New(sim.NewScheduler(), id, testEng())
-	sink := &sinkPair{}
-	n.insertLink(&outLink{peer: next, pair: sink})
+	sink := &sinkSender{}
+	n.insertLink(&outLink{peer: next, pair: &arq.Pair{Sender: sink}})
 	n.SetRoute(dst, next)
 	return n, sink
 }
@@ -578,8 +579,8 @@ func TestReclaimOrderIsNeighborOrder(t *testing.T) {
 // links, and every route must still name the link it named before.
 func TestRoutesSurviveLaterAttach(t *testing.T) {
 	n, viaFive := sinkNode(3, 5, 9)
-	viaOne := &sinkPair{}
-	n.insertLink(&outLink{peer: 1, pair: viaOne})
+	viaOne := &sinkSender{}
+	n.insertLink(&outLink{peer: 1, pair: &arq.Pair{Sender: viaOne}})
 	n.SetRoute(8, 1)
 	buf9 := Packet{Src: 0, Dst: 9}.Encode()
 	buf8 := Packet{Src: 0, Dst: 8}.Encode()

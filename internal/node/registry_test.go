@@ -34,7 +34,7 @@ func TestLineRelayEveryRegisteredEngine(t *testing.T) {
 				IModel:  channel.FixedProb{P: 0.05},
 				CModel:  channel.FixedProb{P: 0.01},
 			}
-			eng := arq.MustEngine(reg.Name, reg.Defaults(2*2*sim.Millisecond))
+			eng := reg.Defaults(2 * 2 * sim.Millisecond)
 			nodes, _ := node.Line(sched, 3, eng, pipe, sim.NewRNG(5))
 			src, dst := nodes[0], nodes[2]
 			var got []node.Packet

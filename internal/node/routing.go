@@ -117,7 +117,7 @@ func RecomputeRoutes(nodes []*Node) {
 // Ring builds a k-node ring with shortest-path routes in both directions.
 // It returns the nodes and the data links in adjacency order (forward then
 // reverse per adjacency, adjacency i joining node i and node (i+1) mod k).
-func Ring(sched *sim.Scheduler, k int, eng arq.Engine, pipe channel.PipeConfig, rng *sim.RNG) ([]*Node, []*channel.Link) {
+func Ring(sched *sim.Scheduler, k int, eng arq.EngineConfig, pipe channel.PipeConfig, rng *sim.RNG) ([]*Node, []*channel.Link) {
 	if k < 3 {
 		panic("node: ring topology needs at least 3 nodes")
 	}

@@ -37,8 +37,11 @@ func (w Walker) Validate() error {
 	if w.PhasingF < 0 || w.PhasingF >= w.Planes {
 		return fmt.Errorf("orbit: walker phasing F=%d outside [0, %d)", w.PhasingF, w.Planes)
 	}
-	if w.AltitudeM <= 0 {
-		return fmt.Errorf("orbit: walker altitude %.0f m must be positive", w.AltitudeM)
+	if !(w.AltitudeM > 0) || math.IsInf(w.AltitudeM, 1) {
+		return fmt.Errorf("orbit: walker altitude %.0f m must be positive and finite", w.AltitudeM)
+	}
+	if math.IsNaN(w.InclinationDeg) || math.IsInf(w.InclinationDeg, 0) {
+		return fmt.Errorf("orbit: walker inclination %v° must be finite", w.InclinationDeg)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package session
 import (
 	"testing"
 
-	"repro/internal/arq"
 	"repro/internal/hdlc"
 	"repro/internal/sim"
 )
@@ -13,7 +12,7 @@ import (
 // knowing which engine carries the traffic.
 func hdlcCfg() Config {
 	p := hdlc.Defaults(13 * sim.Millisecond)
-	return Config{Engine: arq.MustEngine("srhdlc", p), Retarget: 10 * sim.Millisecond}
+	return Config{Engine: p, Retarget: 10 * sim.Millisecond}
 }
 
 // TestHandoverOverHDLCSelectiveRepeat reruns the carry-over contract with

@@ -41,9 +41,10 @@ type LinkFactory func(i int, p Pass) *channel.Link
 
 // Config parameterizes the Manager.
 type Config struct {
-	// Engine is the per-pass ARQ engine (protocol + configuration). Its
-	// link lifetime is overwritten per pass via WithLinkLifetime.
-	Engine arq.Engine
+	// Engine is the per-pass ARQ engine: a registered engine's
+	// configuration. Its link lifetime is overwritten per pass via
+	// WithLinkLifetime.
+	Engine arq.EngineConfig
 	// Retarget is the pointing-acquisition overhead at the start of every
 	// pass during which the link cannot carry traffic (§1: "a large
 	// retargeting overhead which occupies a significant portion of the
@@ -69,7 +70,7 @@ type Manager struct {
 
 	queue  []arq.Datagram // waiting for a pass, oldest first
 	nextID uint64
-	cur    arq.Pair
+	cur    *arq.Pair
 	curIdx int
 
 	reseq *resequence.Resequencer
@@ -82,6 +83,9 @@ type Manager struct {
 // New schedules a manager over the given passes. Passes must be sorted and
 // non-overlapping.
 func New(sched *sim.Scheduler, cfg Config, passes []Pass, factory LinkFactory) *Manager {
+	if cfg.Engine == nil {
+		panic("session: nil engine configuration")
+	}
 	if err := cfg.Engine.Validate(); err != nil {
 		panic(err)
 	}
@@ -150,7 +154,7 @@ func (m *Manager) CurrentPass() int {
 func (m *Manager) startPass(i int, p Pass) {
 	link := m.factory(i, p)
 	eng := m.cfg.Engine.WithLinkLifetime(p.End.Sub(m.sched.Now()))
-	pair := eng.NewPair(m.sched, m.sched, link,
+	pair := arq.NewPair(m.sched, m.sched, link, eng,
 		func(now sim.Time, dg arq.Datagram, _ uint32) {
 			// Cross-pass duplicate suppression + ordering.
 			before := m.reseq.Stats.Duplicates.Value()

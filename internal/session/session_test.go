@@ -15,7 +15,7 @@ func testCfg() Config {
 	p := lamsdlc.Defaults(13 * sim.Millisecond)
 	p.CheckpointInterval = 5 * sim.Millisecond
 	p.ProcTime = 10 * sim.Microsecond
-	return Config{Engine: arq.MustEngine("lams", p), Retarget: 20 * sim.Millisecond}
+	return Config{Engine: p, Retarget: 20 * sim.Millisecond}
 }
 
 func factory(sched *sim.Scheduler, rng *sim.RNG, pf float64) LinkFactory {

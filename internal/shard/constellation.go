@@ -153,8 +153,11 @@ func (c Config) validate() error {
 	if c.OfferInterval <= 0 || c.Horizon <= 0 {
 		return fmt.Errorf("shard: offer interval and horizon must be positive")
 	}
-	if c.RateBps <= 0 {
+	if !(c.RateBps > 0) {
 		return fmt.Errorf("shard: rate must be positive")
+	}
+	if c.RateBps < channel.MinRateBps {
+		return fmt.Errorf("shard: rate %g bits/s below the %.3g at which a frame's serialization time overflows", c.RateBps, channel.MinRateBps)
 	}
 	return nil
 }
@@ -402,7 +405,7 @@ type flowState struct {
 // aggregation in canonical order.
 type session struct {
 	link *channel.Link
-	pair arq.Pair
+	pair *arq.Pair
 }
 
 // Constellation is a fully built scenario, ready to run once. Splitting
@@ -466,10 +469,11 @@ func Build(cfg Config) (*Constellation, error) {
 			maxDelay = adjs[i].maxDelay
 		}
 	}
-	defEng, err := arq.DefaultEngine(cfg.Proto, 2*maxDelay)
+	reg, err := arq.ParseProtocol(cfg.Proto)
 	if err != nil {
 		return nil, err
 	}
+	defEng := reg.Defaults(2 * maxDelay)
 	nodes := make([]*node.Node, n)
 	for i := range nodes {
 		nodes[i] = node.New(shardOf(i).Scheduler(), node.ID(i), defEng)
@@ -482,10 +486,7 @@ func Build(cfg Config) (*Constellation, error) {
 	sessions := make([]session, 0, 2*len(adjs))
 	for ai := range adjs {
 		a := &adjs[ai]
-		linkEng, err := arq.DefaultEngine(cfg.Proto, 2*a.maxDelay)
-		if err != nil {
-			return nil, err
-		}
+		linkEng := reg.Defaults(2 * a.maxDelay)
 		pc := channel.PipeConfig{RateBps: cfg.RateBps, Delay: channel.OrbitDelay(a.geom, 0)}
 		for dir := 0; dir < 2; dir++ {
 			src, dst := a.u, a.v
@@ -572,11 +573,8 @@ func Build(cfg Config) (*Constellation, error) {
 		sort.Ints(neighbors[i])
 	}
 
-	flows := make([]flowState, 0, cfg.Flows)
-	nf := cfg.Flows
-	if nf > n/2 {
-		nf = n / 2
-	}
+	nf := min(cfg.Flows, n/2)
+	flows := make([]flowState, 0, nf)
 	perm := sim.NewRNG(sim.DeriveSeed(cfg.Seed, flowStream)).Perm(n)
 	parent := make([]int, n)
 	queue := make([]int, 0, n)

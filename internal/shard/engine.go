@@ -31,6 +31,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -231,6 +232,10 @@ type Engine struct {
 	shards []*Shard
 	window sim.Duration
 	stats  RunStats
+	// last is the final round's index once Run has begun: a frame due
+	// beyond it is filed under it, where the drain moves it to late, so no
+	// arrival past the horizon can grow a mailbox ring.
+	last int64
 
 	// The round barrier. The coordinator publishes a round's parameters,
 	// then advances released; each worker runs the round and adds one to
@@ -261,7 +266,7 @@ func New(k int, window sim.Duration) *Engine {
 	if window <= 0 {
 		panic("shard: lookahead window must be positive")
 	}
-	e := &Engine{shards: make([]*Shard, k), window: window}
+	e := &Engine{shards: make([]*Shard, k), window: window, last: math.MaxInt64}
 	e.bar.start.L, e.bar.done.L = &e.bar.mu, &e.bar.mu
 	for i := range e.shards {
 		sh := &Shard{id: i, sched: sim.NewScheduler()}
@@ -309,7 +314,7 @@ func (e *Engine) Wire(src, dst *Shard, p *channel.Pipe, laneID uint32) {
 		}
 		ln.seq++
 		// Round r (counted from 0) covers [rW, (r+1)W−1].
-		dst.post(message{at: at, f: f, lane: ln, seq: ln.seq}, int64(at)/int64(window))
+		dst.post(message{at: at, f: f, lane: ln, seq: ln.seq}, min(int64(at)/int64(window), e.last))
 	})
 }
 
@@ -387,6 +392,7 @@ func (e *Engine) work(sh *Shard) {
 func (e *Engine) Run(horizon sim.Duration, stop func() bool) int {
 	final := sim.Time(0).Add(horizon)
 	w := int64(e.window)
+	e.last = int64(final) / w
 	workers := uint64(len(e.shards) - 1)
 	bar := &e.bar
 	if bar.released.Load() != 0 {

@@ -259,9 +259,10 @@ func (e *Engine) inflight() int {
 
 // TestEngineDropInflightReturnsHorizonCutFrames pins the end of a run: a
 // frame stamped inside the final round but past the horizon, and one
-// stamped rounds beyond it (far enough to grow the mailbox ring), are
-// never delivered, stay in the mailbox, and are handed back by
-// DropInflight.
+// stamped rounds beyond it, are never delivered, stay in the mailbox, and
+// are handed back by DropInflight. The far one is filed under the final
+// round and leaves the mailbox ring at its size: growing the ring until the
+// far round fit once ran a 30 s run on a 0.1 bit/s link out of memory.
 func TestEngineDropInflightReturnsHorizonCutFrames(t *testing.T) {
 	const w = 2 * sim.Millisecond
 	horizon := 4*w + w/2 // the fifth round is cut short
@@ -284,6 +285,11 @@ func TestEngineDropInflightReturnsHorizonCutFrames(t *testing.T) {
 		eng, at, _ = boundaryScenario(t, k, w, 40*w, horizon, sim.Time(w))
 		if len(at) != 0 || eng.inflight() != 1 {
 			t.Fatalf("k=%d: deliveries %v, %d in flight, want none and 1", k, at, eng.inflight())
+		}
+		for _, sh := range eng.shards {
+			if n := len(sh.in.slots); n != 8 {
+				t.Fatalf("k=%d: shard %d mailbox ring grew to %d slots, want 8", k, sh.id, n)
+			}
 		}
 		eng.DropInflight()
 		if got := eng.inflight(); got != 0 {

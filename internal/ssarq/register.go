@@ -10,7 +10,7 @@ func init() {
 		Name:    "ssarq",
 		Aliases: []string{"ss", "ss-arq", "stab"},
 		Display: "SS-ARQ",
-	}, Defaults, configure, NewPair)
+	}, Defaults, configure)
 }
 
 // configure maps the harness knobs onto an SS-ARQ configuration: the round

@@ -10,16 +10,31 @@ import (
 
 type scenario struct {
 	sched *sim.Scheduler
-	pair  *Pair
+	pair  *testPair
 	got   map[uint64]int
 	last  sim.Time
+}
+
+// testPair is an arq.Pair with its halves typed, for tests that reach into
+// one engine's state.
+type testPair struct {
+	*arq.Pair
+	Sender   *Sender
+	Receiver *Receiver
+}
+
+// newTestPair builds a pair on one scheduler through arq.NewPair, the one
+// pair constructor.
+func newTestPair(sched *sim.Scheduler, link *channel.Link, cfg Config, deliver arq.DeliverFunc, onFailure arq.FailureFunc) *testPair {
+	p := arq.NewPair(sched, sched, link, cfg, deliver, onFailure)
+	return &testPair{Pair: p, Sender: p.Sender.(*Sender), Receiver: p.Receiver.(*Receiver)}
 }
 
 func newScenario(cfg Config, pipe channel.PipeConfig, seed uint64) *scenario {
 	sched := sim.NewScheduler()
 	link := channel.NewLink(sched, pipe, sim.NewRNG(seed))
 	sc := &scenario{sched: sched, got: make(map[uint64]int)}
-	sc.pair = NewPair(sched, sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
+	sc.pair = newTestPair(sched, link, cfg, func(now sim.Time, dg arq.Datagram, _ uint32) {
 		sc.got[dg.ID]++
 		sc.last = now
 	}, nil)
@@ -133,7 +148,7 @@ func TestConvergenceFromScrambledState(t *testing.T) {
 		for i := 0; i < eraDatagrams; i++ {
 			at := sim.Time(int64(i) * int64(5*sim.Millisecond))
 			sc.sched.Schedule(at, func() {
-				sc.pair.CorruptState(rng)
+				cfg.CorruptState(sc.pair.Pair, rng)
 				sc.pair.Enqueue(arq.Datagram{ID: uint64(i + 1), Payload: make([]byte, 128), EnqueuedAt: sc.sched.Now()})
 			})
 		}
@@ -199,10 +214,10 @@ func TestGhostFloodHarmlessAfterConvergence(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		at := sim.Time(int64(i) * int64(600*sim.Microsecond))
 		sc.sched.Schedule(at, func() {
-			if f := sc.pair.ForgeGhost(rng, true); f != nil {
+			if f := cfg.ForgeGhost(sc.pair.Pair, rng, true); f != nil {
 				sc.pair.Link().AtoB.Send(f)
 			}
-			if f := sc.pair.ForgeGhost(rng, false); f != nil {
+			if f := cfg.ForgeGhost(sc.pair.Pair, rng, false); f != nil {
 				sc.pair.Link().BtoA.Send(f)
 			}
 		})

@@ -155,27 +155,36 @@ func HDLCDefaultsFor(p LinkParams) HDLCConfig {
 	return hdlc.Defaults(2 * p.OneWay())
 }
 
-// LAMSPair is a wired LAMS-DLC sender/receiver pair.
-type LAMSPair = lamsdlc.Pair
+// LAMSPair is a wired LAMS-DLC sender/receiver pair: the arq.Pair, with its
+// halves typed.
+type LAMSPair struct {
+	*arq.Pair
+	Sender   *lamsdlc.Sender
+	Receiver *lamsdlc.Receiver
+}
 
-// HDLCPair is a wired baseline pair.
-type HDLCPair = hdlc.Pair
+// HDLCPair is a wired baseline pair, its halves typed like LAMSPair's.
+type HDLCPair struct {
+	*arq.Pair
+	Sender   *hdlc.Sender
+	Receiver *hdlc.Receiver
+}
 
 // NewLAMSPair wires a LAMS-DLC session over link (data flows A→B) and
 // starts it.
 func (s *Simulation) NewLAMSPair(link *Link, cfg Config, deliver DeliverFunc, onFailure FailureFunc) *LAMSPair {
-	p := lamsdlc.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
+	p := arq.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
 	p.Start()
-	return p
+	return &LAMSPair{Pair: p, Sender: p.Sender.(*lamsdlc.Sender), Receiver: p.Receiver.(*lamsdlc.Receiver)}
 }
 
 // NewHDLCPair wires a baseline session over link and starts it. onFailure
 // (may be nil) fires if the sender exhausts its N2 retry count
 // (HDLCConfig.MaxTimeouts), matching NewLAMSPair's signature.
 func (s *Simulation) NewHDLCPair(link *Link, cfg HDLCConfig, deliver DeliverFunc, onFailure FailureFunc) *HDLCPair {
-	p := hdlc.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
+	p := arq.NewPair(s.sched, s.sched, link, cfg, deliver, onFailure)
 	p.Start()
-	return p
+	return &HDLCPair{Pair: p, Sender: p.Sender.(*hdlc.Sender), Receiver: p.Receiver.(*hdlc.Receiver)}
 }
 
 // AnalysisFor maps a link and protocol configuration onto the paper's
