@@ -1,7 +1,9 @@
 # Tier-1 verification (ROADMAP.md): build everything, run everything. Every
 # gate is a Go test and runs here: the shape checks of E1–E21, the CLI
 # contracts (cmd/*/main_test.go), the allocation budgets and the run-memory
-# smoke test (TestE4AllocBudget, TestConstellationAllocBudget, TestMemSmoke).
+# smoke test (TestE4AllocBudget, TestConstellationAllocBudget — a warm
+# 1,024-satellite run at 0.004 allocations per event on one shard and on two —
+# TestMemSmoke).
 .PHONY: test
 test:
 	go build ./...
@@ -21,8 +23,8 @@ ci:
 	@set -e; for ex in examples/*/; do go run ./$$ex > /dev/null; done
 	$(MAKE) cover
 	go test -race ./...
-	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/shard -race -count=10 \
-		-run 'TestFreeList|TestLocal|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestQueue|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes'
+	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/node ./internal/shard -race -count=10 \
+		-run 'TestFreeList|TestLocal|TestSlices|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestQueue|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes|TestPacketBuffers|TestConstellationWarmReuse'
 	$(MAKE) fuzz
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	$(MAKE) lint

@@ -114,6 +114,20 @@ func (p *Pair) Stop() {
 	p.Sender.Shutdown()
 }
 
+// Recycle hands the storage both halves took from their schedulers' run
+// memory back to it (see Recycler); a half without such storage is skipped.
+// It is the teardown of a finished run, for a harness that knows nothing will
+// touch the pair again; the pair is dead afterwards, and each scheduler's own
+// Recycle follows.
+func (p *Pair) Recycle() {
+	if r, ok := p.Sender.(Recycler); ok {
+		r.Recycle()
+	}
+	if r, ok := p.Receiver.(Recycler); ok {
+		r.Recycle()
+	}
+}
+
 // Enqueue accepts a datagram from the network layer. False means the
 // engine refused it (buffer at capacity, or the engine failed/stopped).
 func (p *Pair) Enqueue(dg Datagram) bool { return p.Sender.Enqueue(dg) }
@@ -159,10 +173,18 @@ func (p *Pair) SetProbe(pr *Probe) {
 
 // Optional capability interfaces, discovered by type assertion where they
 // live: SpanReporter and RateReporter on a pair's Sender, CheckpointRetimer
-// on its Receiver, WindowsProvider, StabilizationBound, StateCorruptor and
-// GhostForger on its Config. They keep the core contract small: a consumer
+// on its Receiver, Recycler on either half, WindowsProvider,
+// StabilizationBound, StateCorruptor and GhostForger on its Config. They keep the core contract small: a consumer
 // that needs a protocol-specific surface asserts for it and degrades
 // gracefully when the engine lacks it.
+
+// Recycler is implemented by a half that keeps run-memory storage — sending
+// buffer, receive buffer, scratch lists — past what a run hands back by
+// itself: Recycle returns all of it, with every frame and datagram it still
+// holds, and leaves the half dead. Pair.Recycle calls it.
+type Recycler interface {
+	Recycle()
+}
 
 // SpanReporter reports the widest span of simultaneously live sequence
 // numbers observed — meaningful for engines that renumber retransmissions

@@ -21,18 +21,16 @@ import (
 // once per run. Everything is zeroed before Put, so Get never observes stale
 // state or pinned payload memory.
 var (
-	entries = sim.NewFreeList[Entry]()
-	chunks  = sim.NewFreeList[sim.QueueChunk[arq.Datagram]]()
-	windows = sim.NewFreeList[window]()
+	entries   = sim.NewFreeList[Entry]()
+	chunks    = sim.NewFreeList[sim.QueueChunk[arq.Datagram]]()
+	inflights = sim.NewSlices[*Entry]()
 )
 
-// window is the in-flight list's first backing array. Most queues of a
-// constellation never hold more than a few entries at once, so growing each
-// list from nil cost more allocations than the run's traffic; a list that
-// outgrows its window falls back to append's own growth, and one that empties
-// while still on its window hands it back.
-type window [windowSlots]*Entry
-
+// windowSlots is the in-flight list's first capacity, the smallest array the
+// run memory stores. Most queues of a constellation never hold more than a
+// few entries at once: a list grows from the run memory's arrays, and one
+// that empties while still on its first window hands it back; a larger array
+// stays with its queue until Recycle.
 const windowSlots = 8
 
 // Entry is one datagram on the in-flight list.
@@ -191,10 +189,7 @@ func (q *Queue) Renumber(now sim.Time, e *Entry) {
 
 func (q *Queue) push(e *Entry) {
 	q.next++
-	if q.inflight == nil {
-		q.inflight = windows.Get(q.sched)[:0]
-	}
-	q.inflight = append(q.inflight, e)
+	q.inflight = append(inflights.Grow(q.sched, q.inflight, 1), e)
 	q.note()
 }
 
@@ -214,7 +209,7 @@ func (q *Queue) Sweep(keep func(*Entry) bool) {
 	clear(q.inflight[w:]) // no stale *Entry pinned past the new length
 	q.inflight = q.inflight[:w]
 	if w == 0 && cap(q.inflight) == windowSlots {
-		windows.Put(q.sched, (*window)(q.inflight[:windowSlots]))
+		inflights.Put(q.sched, q.inflight)
 		q.inflight = nil
 	}
 	q.note()
@@ -239,6 +234,23 @@ func (q *Queue) Release(now sim.Time, e *Entry) {
 func (q *Queue) Close() {
 	q.closed = true
 	q.pump.Stop()
+}
+
+// Recycle hands the queue's storage back to the run memory — the entries
+// still in flight, the backlog's chunks and the in-flight array — dropping
+// the datagrams they hold. It is the teardown of a finished run: call it once
+// nothing will read the queue again and before the scheduler's own Recycle;
+// the queue is dead afterwards.
+func (q *Queue) Recycle() {
+	for _, e := range q.inflight {
+		*e = Entry{}
+		entries.Put(q.sched, e)
+	}
+	inflights.Put(q.sched, q.inflight)
+	q.inflight = nil
+	for q.backlog.Len() > 0 {
+		q.backlog.PopFront()
+	}
 }
 
 // UnreleasedDatagrams returns the datagrams still held, oldest first:

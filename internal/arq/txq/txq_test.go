@@ -479,3 +479,36 @@ func TestInFlightWindowFromRunMemory(t *testing.T) {
 		t.Fatal("a list that outgrew its window did not keep its own array")
 	}
 }
+
+// TestRecycleHandsEverythingBack pins the queue's teardown: a queue left
+// with entries in flight past its first window and a backlog three chunks
+// deep hands all of it — entries, in-flight array, chunks — back to the run
+// memory, zeroed, so the next queue to fill the same way allocates nothing.
+func TestRecycleHandsEverythingBack(t *testing.T) {
+	sched := sim.NewScheduler()
+	var m arq.Metrics
+	payload := []byte("payload")
+	fill := func(q *Queue) {
+		now := sched.Now()
+		for i := 0; i < 3*windowSlots+2*chunkSlots+1; i++ {
+			q.Enqueue(arq.Datagram{ID: uint64(i), Payload: payload})
+		}
+		for i := 0; i < 3*windowSlots; i++ {
+			q.Admit(now)
+		}
+	}
+	q := New(sched, &m, 0, debt, func() {}, nil, nil, nil)
+	fill(&q)
+	held := q.InFlight()[0]
+	q.Recycle()
+	if q.Outstanding() != 0 || q.InFlight() != nil {
+		t.Fatalf("a recycled queue still holds %d datagrams", q.Outstanding())
+	}
+	if !reflect.DeepEqual(*held, Entry{}) {
+		t.Fatal("an entry went back to the run memory still holding its datagram")
+	}
+	next := New(sched, &m, 0, debt, func() {}, nil, nil, nil)
+	if avg := testing.AllocsPerRun(10, func() { fill(&next); next.Recycle() }); avg != 0 {
+		t.Fatalf("filling a queue after a Recycle allocates %.1f objects, want 0", avg)
+	}
+}

@@ -1,6 +1,7 @@
 package lamsdlc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +367,10 @@ func TestLinkFailureDeclaredWithinBound(t *testing.T) {
 	}
 	if !sc.pair.Sender.Failed() {
 		t.Fatal("Failed() should report true")
+	}
+	// The text is formatted once per failure timeout and then shared.
+	if want := fmt.Sprintf("no enforced-NAK within %v of request-NAK", cfg.FailureTimeout()); sc.failMsg != want {
+		t.Fatalf("failure reason %q, want %q", sc.failMsg, want)
 	}
 	// Post-failure enqueues are refused.
 	if sc.pair.Sender.Enqueue(arq.Datagram{ID: 9999}) {

@@ -1,6 +1,8 @@
 package lamsdlc
 
 import (
+	"slices"
+
 	"repro/internal/arq"
 	"repro/internal/frame"
 	"repro/internal/sim"
@@ -49,13 +51,12 @@ type Receiver struct {
 	seen     map[uint64]sim.Time // datagram ID -> delivery instant
 	dedupAge sim.Queue[dedupRec]
 
-	// Checkpoint-emission scratch, recycled across cycles (ISSUE 6): the
-	// NAK union's dedup set and output list keep their backing storage
-	// (safe to reuse because the channel copies NAK lists on Send), and
-	// outbound checkpoints are built in a reusable scratch frame.
-	nakSeen map[uint32]bool
-	nakOut  []uint32
-	cpf     frame.Frame
+	// Checkpoint-emission scratch, recycled across cycles: the NAK union's
+	// output list keeps its backing storage (safe to reuse because the
+	// channel copies NAK lists on Send), and outbound checkpoints are built
+	// in a reusable scratch frame.
+	nakOut []uint32
+	cpf    frame.Frame
 
 	deliver arq.DeliverFunc
 	probe   *arq.Probe
@@ -69,11 +70,12 @@ type dedupRec struct {
 	at sim.Time
 }
 
-// The chunks of the receive buffer and the dedup FIFO, from the scheduler's
-// run memory.
+// The chunks of the receive buffer and the dedup FIFO, and the arrays of the
+// error lists and their union, from the scheduler's run memory.
 var (
 	procChunks  = sim.NewFreeList[sim.QueueChunk[*frame.Frame]]()
 	dedupChunks = sim.NewFreeList[sim.QueueChunk[dedupRec]]()
+	seqLists    = sim.NewSlices[uint32]()
 )
 
 // NewReceiver constructs a receiver delivering upward via deliver (which
@@ -178,10 +180,13 @@ func (r *Receiver) handleI(now sim.Time, f *frame.Frame) {
 	// Gap detection: every sequence number skipped over was a frame
 	// damaged or destroyed on the wire (the sender numbers all
 	// transmissions, including retransmissions, consecutively).
-	for missing := r.expected; missing < f.Seq; missing++ {
-		r.intervals[0] = append(r.intervals[0], missing)
-		r.m.NAKsSent.Inc()
-		r.im.gaps.Inc()
+	if gap := f.Seq - r.expected; gap > 0 {
+		r.intervals[0] = seqLists.Grow(r.sched, r.intervals[0], int(gap))
+		for missing := r.expected; missing < f.Seq; missing++ {
+			r.intervals[0] = append(r.intervals[0], missing)
+			r.m.NAKsSent.Inc()
+			r.im.gaps.Inc()
+		}
 	}
 	r.expected = f.Seq + 1
 
@@ -189,7 +194,7 @@ func (r *Receiver) handleI(now sim.Time, f *frame.Frame) {
 	// the frame; the discard is reported like any other error so the
 	// sender retransmits it, and Stop-Go throttles the sender meanwhile.
 	if r.cfg.RecvBufferCap > 0 && r.procQueue.Len() >= r.cfg.RecvBufferCap {
-		r.intervals[0] = append(r.intervals[0], f.Seq)
+		r.intervals[0] = append(seqLists.Grow(r.sched, r.intervals[0], 1), f.Seq)
 		r.m.NAKsSent.Inc()
 		r.m.RecvDropped.Inc()
 		r.im.dropped.Inc()
@@ -332,9 +337,13 @@ func (r *Receiver) send(enforced bool, reqSerial uint32) {
 	}
 }
 
-// cumulativeNAKs returns the union of the stored intervals, deduplicated
-// and in ascending order (the lists are built ascending and intervals are
-// disjoint in normal operation, but overflow discards can repeat a seq).
+// cumulativeNAKs returns the union of the stored intervals, oldest
+// generation first, each seq once where it first appears. In normal operation
+// that is a concatenation: every list is built ascending (gaps, then an
+// overflow discard, all at or above the watermark, which only rises) and each
+// generation lies above the one before, so every seq lands above the largest
+// taken so far. Only state corruption (a phantom report, CorruptState) can
+// repeat or reorder one, and only such a seq is looked up in what was taken.
 // The returned slice is scratch, valid until the next call; the channel
 // copies it on Send.
 func (r *Receiver) cumulativeNAKs() []uint32 {
@@ -345,19 +354,15 @@ func (r *Receiver) cumulativeNAKs() []uint32 {
 	if total == 0 {
 		return nil
 	}
-	if r.nakSeen == nil {
-		r.nakSeen = make(map[uint32]bool, total)
-	} else {
-		clear(r.nakSeen)
-	}
-	out := r.nakOut[:0]
-	// Oldest generation first keeps ascending order overall.
+	out := seqLists.Grow(r.sched, r.nakOut[:0], total)
+	var top uint32
 	for i := len(r.intervals) - 1; i >= 0; i-- {
 		for _, seq := range r.intervals[i] {
-			if !r.nakSeen[seq] {
-				r.nakSeen[seq] = true
-				out = append(out, seq)
+			if len(out) > 0 && seq <= top && slices.Contains(out, seq) {
+				continue
 			}
+			out = append(out, seq)
+			top = max(top, seq)
 		}
 	}
 	r.nakOut = out
@@ -391,6 +396,24 @@ func (r *Receiver) recordSeen(id uint64, now sim.Time) {
 			delete(r.seen, rec.id)
 		}
 	}
+}
+
+// Recycle hands the receive buffer, with the frames it holds, the dedup FIFO
+// and the error lists back to the run memory (arq.Recycler): the teardown of
+// a finished run, after which the receiver is dead.
+func (r *Receiver) Recycle() {
+	for r.procQueue.Len() > 0 {
+		frame.Put(r.procQueue.PopFront())
+	}
+	for r.dedupAge.Len() > 0 {
+		r.dedupAge.PopFront()
+	}
+	for i, iv := range r.intervals {
+		seqLists.Put(r.sched, iv)
+		r.intervals[i] = nil
+	}
+	seqLists.Put(r.sched, r.nakOut)
+	r.nakOut = nil
 }
 
 // DedupEntries returns the current dedup-memory population (tests and the

@@ -28,10 +28,11 @@ type Sender struct {
 	im    senderInstr
 
 	// Run-scoped scratch, recycled across checkpoints so the steady state
-	// allocates nothing (ISSUE 6): the per-checkpoint naked-seq set is a
-	// bitset spanning the live window, the retransmit decision list keeps
-	// its capacity, and outbound frames are built in a reusable scratch
-	// frame (the Wire contract says implementations copy on Send).
+	// allocates nothing: the per-checkpoint naked-seq set is a bitset
+	// spanning the live window, the retransmit decision list keeps its
+	// capacity (both grow from the run memory and go back in Recycle), and
+	// outbound frames are built in a reusable scratch frame (the Wire
+	// contract says implementations copy on Send).
 	nakBits []uint64
 	retxBuf []retxDecision
 	txf     frame.Frame
@@ -53,6 +54,12 @@ type Sender struct {
 
 	onFailure arq.FailureFunc
 }
+
+// The scratch lists' arrays, from the scheduler's run memory.
+var (
+	nakWords  = sim.NewSlices[uint64]()
+	decisions = sim.NewSlices[retxDecision]()
+)
 
 // NewSender constructs a sender. metrics may be shared with the peer
 // receiver; onFailure may be nil.
@@ -234,12 +241,8 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 		nakBase = s.InFlight()[0].Seq
 		nakSpan = s.NextSeq() - nakBase
 		words := int(nakSpan+63) / 64
-		if cap(s.nakBits) < words {
-			s.nakBits = make([]uint64, words)
-		} else {
-			s.nakBits = s.nakBits[:words]
-			clear(s.nakBits)
-		}
+		s.nakBits = nakWords.Grow(s.sched, s.nakBits[:0], words)[:words]
+		clear(s.nakBits)
 		for _, n := range f.NAKs {
 			if d := n - nakBase; d < nakSpan {
 				s.nakBits[d>>6] |= 1 << (d & 63)
@@ -297,6 +300,9 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 	// so the walk itself allocates nothing.
 	resolving := s.cfg.ResolvingPeriod()
 	retransmit := s.retxBuf[:0]
+	resend := func(e *txq.Entry, cause arq.RetxCause) {
+		retransmit = append(decisions.Grow(s.sched, retransmit, 1), retxDecision{e, cause})
+	}
 	s.Sweep(func(e *txq.Entry) bool {
 		d := e.Seq - nakBase
 		isNaked := nakSpan > 0 && d < nakSpan && s.nakBits[d>>6]&(1<<(d&63)) != 0
@@ -304,7 +310,7 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 		case isNaked:
 			// First notification for this incarnation: retransmit under
 			// a new number. (Stale NAKs name retired seqs and miss.)
-			retransmit = append(retransmit, retxDecision{e, arq.RetxNAK})
+			resend(e, arq.RetxNAK)
 			s.im.retxNAK.Inc()
 		case e.Seq < effAck && covered:
 			// Covered positive acknowledgement: release buffer space.
@@ -316,18 +322,18 @@ func (s *Sender) handleCheckpoint(now sim.Time, f *frame.Frame) {
 			if now.Sub(e.LastTx) < s.cfg.RoundTrip {
 				return true
 			}
-			retransmit = append(retransmit, retxDecision{e, arq.RetxCoverage})
+			resend(e, arq.RetxCoverage)
 			s.im.retxCoverage.Inc()
 		case f.Enforced && now.Sub(e.LastTx) >= s.cfg.RoundTrip:
 			// Enforced recovery: the receiver has never seen this frame
 			// although it has had a full round trip to arrive — resend.
-			retransmit = append(retransmit, retxDecision{e, arq.RetxEnforced})
+			resend(e, arq.RetxEnforced)
 			s.im.retxEnforced.Inc()
 		case now.Sub(e.LastTx) >= resolving:
 			// Resolving-period timeout (§3.3): an unreported frame this
 			// old can only be a corrupted trailing frame with no
 			// successor to reveal the gap.
-			retransmit = append(retransmit, retxDecision{e, arq.RetxResolving})
+			resend(e, arq.RetxResolving)
 			s.im.retxResolving.Inc()
 		default:
 			return true
@@ -462,7 +468,30 @@ func (s *Sender) onFailureTimeout() {
 		s.sendRequestNAK()
 		return
 	}
-	s.declareFailure(fmt.Sprintf("no enforced-NAK within %v of request-NAK", s.cfg.FailureTimeout()))
+	s.declareFailure(timeoutReason(s.sched, s.cfg.FailureTimeout()))
+}
+
+// timeoutReasons holds, on the run memory, the failure text for each failure
+// timeout formatted so far: every handover fails senders, and formatting the
+// text costs three allocations a failure. A string is immutable, so handing
+// out one copy changes nothing that Probe.FailureDeclared or onFailure sees.
+// Crosslink round trips differ link to link, so the table is emptied
+// whenever it reaches maxReasons.
+var timeoutReasons = sim.NewLocal[map[sim.Duration]string]()
+
+const maxReasons = 1 << 12
+
+func timeoutReason(sched *sim.Scheduler, timeout sim.Duration) string {
+	memo := timeoutReasons.Of(sched)
+	if reason, ok := (*memo)[timeout]; ok {
+		return reason
+	}
+	if *memo == nil || len(*memo) >= maxReasons {
+		*memo = make(map[sim.Duration]string)
+	}
+	reason := fmt.Sprintf("no enforced-NAK within %v of request-NAK", timeout)
+	(*memo)[timeout] = reason
+	return reason
 }
 
 func (s *Sender) declareFailure(reason string) {
@@ -475,6 +504,16 @@ func (s *Sender) declareFailure(reason string) {
 	if s.onFailure != nil {
 		s.onFailure(s.sched.Now(), reason)
 	}
+}
+
+// Recycle hands the sending buffer and the checkpoint scratch back to the run
+// memory (arq.Recycler): the teardown of a finished run, after which the
+// sender is dead.
+func (s *Sender) Recycle() {
+	s.Queue.Recycle()
+	nakWords.Put(s.sched, s.nakBits)
+	decisions.Put(s.sched, s.retxBuf)
+	s.nakBits, s.retxBuf = nil, nil
 }
 
 // Shutdown stops all timers and refuses further work without declaring a

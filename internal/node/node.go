@@ -20,6 +20,8 @@ type Stats struct {
 	BufferFull stats.Counter // packets refused by a link's sending buffer
 	LinkDown   stats.Counter // packets dropped on a failed link
 	Rerouted   stats.Counter // packets reclaimed from failed links and re-dispatched
+	Malformed  stats.Counter // arrivals too short to carry a packet header, dropped
+	Parked     stats.Counter // forwards the next hop refused, held for RecomputeRoutes
 }
 
 // outLink is the transmitting side of one neighbor adjacency.
@@ -40,13 +42,18 @@ type Node struct {
 	// links holds one outgoing session per neighbor, in neighbor-ID order:
 	// every walk over a node's adjacencies is deterministic by construction.
 	links []*outLink
-	// The three tables below are indexed by node ID and grow to the largest
-	// ID stored (see slot). routes[dst] is 1 + the index in links of the
-	// next hop toward dst — two bytes per destination — and 0, like a dst
-	// beyond the table, means no route.
+	// The three tables below are indexed by node ID and grow from the run
+	// memory's arrays to the largest ID stored (see entry). routes[dst] is
+	// 1 + the index in links of the next hop toward dst — two bytes per
+	// destination — and 0, like a dst beyond the table, means no route.
 	routes []uint16
 	reseq  []*resequence.Resequencer // per source
 	seqTo  []uint64                  // per-destination originating sequence numbers
+
+	// carver is the scheduler's packet carver and slabs the chain of slabs
+	// this node opened in it (see packetBuf).
+	carver *carver
+	slabs  *slab
 
 	// OnDeliver receives in-order, exactly-once packets addressed to this
 	// node. May be nil.
@@ -73,9 +80,26 @@ func New(sched *sim.Scheduler, id ID, eng arq.EngineConfig) *Node {
 	if err := eng.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Node{id: id, sched: sched, eng: eng}
+	n := &Node{id: id, sched: sched, eng: eng, carver: carvers.Of(sched)}
 	n.release = n.released
 	return n
+}
+
+// The tables' arrays, from the scheduler's run memory.
+var (
+	routeTables = sim.NewSlices[uint16]()
+	reseqTables = sim.NewSlices[*resequence.Resequencer]()
+	seqTables   = sim.NewSlices[uint64]()
+)
+
+// entry returns &(*t)[id], growing the table from arrays to reach it. A
+// table only ever grows, and an array from the run memory is zero beyond the
+// length it was handed out at, so the new entries are zero.
+func entry[T any](s *sim.Scheduler, arrays sim.Slices[T], t *[]T, id ID) *T {
+	if grow := int(id) + 1 - len(*t); grow > 0 {
+		*t = arrays.Grow(s, *t, grow)[:int(id)+1]
+	}
+	return &(*t)[id]
 }
 
 // slot returns &(*t)[id], growing the table to reach it.
@@ -84,6 +108,48 @@ func slot[T any](t *[]T, id ID) *T {
 		*t = append(*t, make([]T, grow)...)
 	}
 	return &(*t)[id]
+}
+
+// Packets are carved from slabs on the scheduler's run memory. A packet
+// buffer can be reused only once no hop, frame or resequencer can still reach
+// it, and the end of a run is the one point where that is known for all of
+// them, so a slab is never reused within its run: the node that opens one
+// keeps it on its chain, and Recycle hands the chain back. A node that is
+// never recycled takes its slabs to the collector.
+type slab struct {
+	next *slab
+	b    [slabBytes]byte
+}
+
+// slabBytes fills a 16 KiB allocation with a slab and its link.
+const slabBytes = 16<<10 - 8
+
+// carver is one scheduler's current slab and how much of it is carved.
+type carver struct {
+	cur  *slab
+	used int
+}
+
+var (
+	slabs   = sim.NewFreeList[slab]()
+	carvers = sim.NewLocal[carver]()
+)
+
+// packetBuf returns a buffer of size bytes for a packet n originates. Every
+// byte of it is written by the encoding, so a slab is not cleared on reuse.
+func (n *Node) packetBuf(size int) []byte {
+	if size > slabBytes {
+		return make([]byte, size)
+	}
+	c := n.carver
+	if c.cur == nil || size > slabBytes-c.used {
+		sl := slabs.Get(n.sched)
+		sl.next, n.slabs = n.slabs, sl
+		c.cur, c.used = sl, 0
+	}
+	buf := c.cur.b[c.used : c.used+size : c.used+size]
+	c.used += size
+	return buf
 }
 
 // linkIndex finds the outgoing link toward neighbor in the sorted links.
@@ -103,7 +169,7 @@ func (n *Node) SetRoute(dst, nextHop ID) {
 	if i, ok := n.linkIndex(nextHop); ok {
 		hop = uint16(i + 1)
 	}
-	*slot(&n.routes, dst) = hop
+	*entry(n.sched, routeTables, &n.routes, dst) = hop
 }
 
 // Neighbors lists directly connected nodes, sorted.
@@ -184,8 +250,9 @@ func (n *Node) insertLink(ol *outLink) {
 // after Send — the rule channel.Pipe.Send already imposes on a frame's
 // payload, extended end to end.
 func (n *Node) Send(dst ID, payload []byte) bool {
-	seq := slot(&n.seqTo, dst)
-	buf := Packet{Src: n.id, Dst: dst, Seq: *seq, Payload: payload}.Encode()
+	seq := entry(n.sched, seqTables, &n.seqTo, dst)
+	buf := n.packetBuf(headerLen + len(payload))
+	Packet{Src: n.id, Dst: dst, Seq: *seq, Payload: payload}.encodeTo(buf)
 	*seq++
 	n.Stats.Originated.Inc()
 	if dst == n.id {
@@ -222,7 +289,8 @@ func (n *Node) dispatch(dst ID, buf []byte) bool {
 func (n *Node) handleArrival(now sim.Time, buf []byte) {
 	pkt, err := DecodePacket(buf)
 	if err != nil {
-		return // malformed; a real node would log and count
+		n.Stats.Malformed.Inc()
+		return
 	}
 	if pkt.Dst == n.id {
 		n.deliverLocal(now, buf)
@@ -234,6 +302,7 @@ func (n *Node) handleArrival(now sim.Time, buf []byte) {
 		// A transit node has no upstream to push back on — the DLC behind
 		// us already released the frame — so park the packet for the next
 		// route recomputation rather than lose it.
+		n.Stats.Parked.Inc()
 		n.pendingReroute = append(n.pendingReroute, buf)
 	}
 }
@@ -242,9 +311,9 @@ func (n *Node) handleArrival(now sim.Time, buf []byte) {
 // to its source's resequencer, which releases in order.
 func (n *Node) deliverLocal(now sim.Time, buf []byte) {
 	pkt, _ := DecodePacket(buf)
-	rs := slot(&n.reseq, pkt.Src)
+	rs := entry(n.sched, reseqTables, &n.reseq, pkt.Src)
 	if *rs == nil {
-		*rs = resequence.New(n.release)
+		*rs = resequence.New(n.sched, n.release)
 	}
 	(*rs).Push(now, arq.Datagram{ID: pkt.Seq, Payload: buf})
 }
@@ -265,6 +334,37 @@ func (n *Node) Resequencer(src ID) *resequence.Resequencer {
 		return nil
 	}
 	return n.reseq[src]
+}
+
+// Recycle hands the node's run-memory storage back at the end of a run: each
+// outgoing link's pair (arq.Pair.Recycle), the resequencers, the tables
+// indexed by node ID and the packet slabs the node opened. A slab holds the
+// packets of every node on the scheduler, so a harness recycles all of its
+// nodes at once, when no packet of the run can be read any more, and before
+// the schedulers' own Recycle; the nodes are dead afterwards.
+func (n *Node) Recycle() {
+	for _, ol := range n.links {
+		ol.pair.Recycle()
+	}
+	for _, rs := range n.reseq {
+		if rs != nil {
+			rs.Recycle()
+		}
+	}
+	routeTables.Put(n.sched, n.routes)
+	reseqTables.Put(n.sched, n.reseq)
+	seqTables.Put(n.sched, n.seqTo)
+	n.routes, n.reseq, n.seqTo, n.pendingReroute = nil, nil, nil, nil
+	for sl := n.slabs; sl != nil; {
+		next := sl.next
+		if sl == n.carver.cur {
+			*n.carver = carver{}
+		}
+		sl.next = nil
+		slabs.Put(n.sched, sl)
+		sl = next
+	}
+	n.slabs = nil
 }
 
 // Summary renders headline counters.

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/arq"
@@ -96,6 +97,109 @@ func TestNoRouteCounted(t *testing.T) {
 	}
 	if n.Stats.NoRoute.Value() != 1 {
 		t.Fatal("no-route not counted")
+	}
+}
+
+// TestMalformedCounted pins the drop of an arrival too short to be a packet:
+// counted as Malformed, and nothing else moves.
+func TestMalformedCounted(t *testing.T) {
+	n, sink := sinkNode(1, 2, 9)
+	delivered := 0
+	n.OnDeliver = func(sim.Time, Packet) { delivered++ }
+	n.handleArrival(0, make([]byte, headerLen-1))
+	if n.Stats.Malformed.Value() != 1 {
+		t.Fatalf("malformed = %d, want 1", n.Stats.Malformed.Value())
+	}
+	if n.Stats.Forwarded.Value() != 0 || n.Stats.Delivered.Value() != 0 || delivered != 0 || len(sink.got) != 0 {
+		t.Fatal("a malformed arrival was forwarded or delivered")
+	}
+}
+
+// TestParkedCounted pins the forward a transit node cannot pass on: the next
+// hop refuses it (here: no route), so it is parked for the next route
+// recomputation and counted as Parked besides the refusal's own counter.
+func TestParkedCounted(t *testing.T) {
+	n, sink := sinkNode(1, 2, 9)
+	buf := Packet{Src: 0, Dst: 8, Seq: 3, Payload: []byte("x")}.Encode()
+	n.handleArrival(0, buf)
+	if n.Stats.Parked.Value() != 1 || n.Stats.NoRoute.Value() != 1 || n.Stats.Forwarded.Value() != 1 {
+		t.Fatalf("parked %d noroute %d forwarded %d, want 1 each",
+			n.Stats.Parked.Value(), n.Stats.NoRoute.Value(), n.Stats.Forwarded.Value())
+	}
+	if len(n.pendingReroute) != 1 || &n.pendingReroute[0][0] != &buf[0] || len(sink.got) != 0 {
+		t.Fatal("the refused forward was not parked as it arrived")
+	}
+}
+
+// TestPacketBuffersFromRunMemory pins where the one buffer of a packet comes
+// from: a slab on the scheduler's run memory. Within a run no byte is handed
+// out twice; Recycle hands the slabs back, and the next run on that memory
+// carves the same slabs without allocating; a run whose nodes are not
+// recycled leaves its slabs, and the packets in them, alone.
+func TestPacketBuffersFromRunMemory(t *testing.T) {
+	const packets, size = 40, 1000 // three slabs
+	type run struct {
+		node *Node
+		sink *sinkSender
+	}
+	start := func() run {
+		n := New(sim.NewScheduler(), 0, testEng())
+		sink := &sinkSender{got: make([]arq.Datagram, 0, packets)}
+		n.insertLink(&outLink{peer: 1, pair: &arq.Pair{Sender: sink}})
+		n.SetRoute(9, 1)
+		return run{n, sink}
+	}
+	payload := make([]byte, size)
+	send := func(r run) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < packets; i++ {
+			payload[0] = byte(i)
+			r.node.Send(9, payload)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	intact := func(r run) map[*byte]bool {
+		t.Helper()
+		at := map[*byte]bool{}
+		for i, dg := range r.sink.got {
+			p, err := DecodePacket(dg.Payload)
+			if err != nil || p.Seq != uint64(i) || p.Payload[0] != byte(i) || len(p.Payload) != size {
+				t.Fatalf("packet %d no longer holds what was sent: %v", i, p)
+			}
+			at[&dg.Payload[0]] = true
+		}
+		return at
+	}
+
+	first := start()
+	send(first)
+	seen := intact(first)
+	if len(seen) != packets {
+		t.Fatal("two packets of one run share a buffer")
+	}
+	first.node.Recycle()
+	first.node.sched.Recycle()
+
+	warm := start()
+	if allocs := send(warm); allocs != 0 {
+		t.Fatalf("sending on recycled slabs allocates %d objects, want 0", allocs)
+	}
+	for at := range intact(warm) {
+		if !seen[at] {
+			t.Fatal("a warm run carved a buffer outside the slabs the last run handed back")
+		}
+	}
+	warm.node.sched.Recycle() // the nodes are not recycled: their slabs stay theirs
+
+	cold := start()
+	send(cold)
+	kept := intact(warm)
+	for at := range intact(cold) {
+		if kept[at] {
+			t.Fatal("a run reused a slab of a run whose nodes were never recycled")
+		}
 	}
 }
 

@@ -34,11 +34,16 @@ var ErrShortPacket = errors.New("node: short packet")
 // Encode serializes the packet.
 func (p Packet) Encode() []byte {
 	buf := make([]byte, headerLen+len(p.Payload))
+	p.encodeTo(buf)
+	return buf
+}
+
+// encodeTo serializes the packet into buf, which must be exactly its size.
+func (p Packet) encodeTo(buf []byte) {
 	binary.BigEndian.PutUint16(buf[0:], uint16(p.Src))
 	binary.BigEndian.PutUint16(buf[2:], uint16(p.Dst))
 	binary.BigEndian.PutUint64(buf[4:], p.Seq)
 	copy(buf[headerLen:], p.Payload)
-	return buf
 }
 
 // DecodePacket parses an encoded packet. The payload aliases buf.

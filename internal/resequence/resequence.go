@@ -30,8 +30,15 @@ type Stats struct {
 
 // Resequencer restores per-source FIFO order with duplicate suppression.
 type Resequencer struct {
-	next    uint64
-	held    map[uint64]arq.Datagram
+	sched *sim.Scheduler
+	next  uint64
+	// held is the reorder buffer, a ring over the IDs from next on: a held
+	// datagram sits at held[ID mod len(held)], and every held ID is below
+	// next+len(held), so a slot names one ID. len(held) is a power of two
+	// (or zero); the ring grows from the run memory to the widest reorder
+	// distance seen. n counts the held datagrams.
+	held    []heldSlot
+	n       int
 	release func(now sim.Time, dg arq.Datagram)
 	// Window bounds the reorder buffer; zero means unbounded. When the
 	// buffer is full the resequencer releases the lowest held datagram
@@ -43,19 +50,39 @@ type Resequencer struct {
 	Stats Stats
 }
 
-// New returns a resequencer releasing in-order datagrams via release.
-func New(release func(now sim.Time, dg arq.Datagram)) *Resequencer {
+type heldSlot struct {
+	dg arq.Datagram
+	ok bool
+}
+
+// Resequencers and their rings come from the scheduler's run memory and go
+// back in Recycle.
+var (
+	resequencers = sim.NewFreeList[Resequencer]()
+	rings        = sim.NewSlices[heldSlot]()
+)
+
+// New returns a resequencer on sched's run memory releasing in-order
+// datagrams via release.
+func New(sched *sim.Scheduler, release func(now sim.Time, dg arq.Datagram)) *Resequencer {
 	if release == nil {
 		panic("resequence: nil release callback")
 	}
-	return &Resequencer{held: make(map[uint64]arq.Datagram), release: release}
+	r := resequencers.Get(sched)
+	r.sched, r.release = sched, release
+	return r
 }
 
 // Next returns the next ID the resequencer is waiting for.
 func (r *Resequencer) Next() uint64 { return r.next }
 
 // Held returns the reorder-buffer occupancy.
-func (r *Resequencer) Held() int { return len(r.held) }
+func (r *Resequencer) Held() int { return r.n }
+
+// slot returns the ring slot of id, which must lie below next+len(held).
+func (r *Resequencer) slot(id uint64) *heldSlot {
+	return &r.held[id&uint64(len(r.held)-1)]
+}
 
 // Push accepts one datagram from the DLC.
 func (r *Resequencer) Push(now sim.Time, dg arq.Datagram) {
@@ -64,41 +91,60 @@ func (r *Resequencer) Push(now sim.Time, dg arq.Datagram) {
 		r.Stats.Duplicates.Inc()
 		return
 	}
-	if dg.ID == r.next && len(r.held) == 0 {
+	if dg.ID == r.next && r.n == 0 {
 		// In order with nothing buffered — the overwhelming steady-state
 		// case. Bypass the reorder buffer entirely: same observable
-		// effects as the general path (one release, occupancy stays 0),
-		// without the map insert/lookup/delete churn.
+		// effects as the general path (one release, occupancy stays 0).
 		r.next++
 		r.Stats.Released.Inc()
 		r.release(now, dg)
 		r.Stats.Buffered.Update(int64(now), 0)
 		return
 	}
-	if _, dup := r.held[dg.ID]; dup {
+	gap := dg.ID - r.next
+	if gap < uint64(len(r.held)) && r.slot(dg.ID).ok {
 		r.Stats.Duplicates.Inc()
 		return
 	}
-	if gap := dg.ID - r.next; gap > r.Stats.MaxGap.Value() {
+	if gap > r.Stats.MaxGap.Value() {
 		// Addn keeps Counter monotone; set via difference.
 		r.Stats.MaxGap.Addn(gap - r.Stats.MaxGap.Value())
 	}
-	r.held[dg.ID] = dg
+	if gap >= uint64(len(r.held)) {
+		r.grow(gap)
+	}
+	*r.slot(dg.ID) = heldSlot{dg: dg, ok: true}
+	r.n++
 	r.drain(now)
-	if r.Window > 0 && len(r.held) > r.Window {
+	if r.Window > 0 && r.n > r.Window {
 		r.forceLowest(now)
 	}
-	r.Stats.Buffered.Update(int64(now), float64(len(r.held)))
+	r.Stats.Buffered.Update(int64(now), float64(r.n))
+}
+
+// grow widens the ring past gap, re-filing every held datagram.
+func (r *Resequencer) grow(gap uint64) {
+	old := r.held
+	r.held = rings.Grow(r.sched, nil, int(gap)+1)
+	r.held = r.held[:cap(r.held)]
+	for _, h := range old {
+		if h.ok {
+			*r.slot(h.dg.ID) = h
+		}
+	}
+	rings.Put(r.sched, old)
 }
 
 // drain releases the contiguous prefix starting at next.
 func (r *Resequencer) drain(now sim.Time) {
-	for {
-		dg, ok := r.held[r.next]
-		if !ok {
+	for r.n > 0 {
+		h := r.slot(r.next)
+		if !h.ok {
 			return
 		}
-		delete(r.held, r.next)
+		dg := h.dg
+		*h = heldSlot{}
+		r.n--
 		r.next++
 		r.Stats.Released.Inc()
 		r.release(now, dg)
@@ -108,31 +154,34 @@ func (r *Resequencer) drain(now sim.Time) {
 // forceLowest skips the missing IDs below the lowest held datagram and
 // releases forward from there — the overload escape hatch.
 func (r *Resequencer) forceLowest(now sim.Time) {
-	var lowest uint64
-	first := true
-	for id := range r.held {
-		if first || id < lowest {
-			lowest = id
-			first = false
-		}
-	}
-	if first {
+	if r.n == 0 {
 		return
 	}
-	r.next = lowest
+	for !r.slot(r.next).ok {
+		r.next++
+	}
 	r.drain(now)
 }
 
 // Flush releases everything held, in ID order, skipping gaps. Call at link
 // teardown when the missing datagrams are known to be rerouted elsewhere.
 func (r *Resequencer) Flush(now sim.Time) {
-	for len(r.held) > 0 {
+	for r.n > 0 {
 		r.forceLowest(now)
 	}
+}
+
+// Recycle hands the resequencer and its ring back to the run memory, dropping
+// what it still holds: the teardown of a finished run, after which r is dead.
+func (r *Resequencer) Recycle() {
+	sched := r.sched
+	rings.Put(sched, r.held)
+	*r = Resequencer{}
+	resequencers.Put(sched, r)
 }
 
 // Summary renders headline counters.
 func (r *Resequencer) Summary() string {
 	return fmt.Sprintf("released=%d dup=%d held=%d maxgap=%d",
-		r.Stats.Released.Value(), r.Stats.Duplicates.Value(), len(r.held), r.Stats.MaxGap.Value())
+		r.Stats.Released.Value(), r.Stats.Duplicates.Value(), r.n, r.Stats.MaxGap.Value())
 }

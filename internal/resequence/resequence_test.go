@@ -10,7 +10,7 @@ import (
 
 func collector() (*Resequencer, *[]uint64) {
 	var out []uint64
-	r := New(func(_ sim.Time, dg arq.Datagram) { out = append(out, dg.ID) })
+	r := New(sim.NewScheduler(), func(_ sim.Time, dg arq.Datagram) { out = append(out, dg.ID) })
 	return r, &out
 }
 
@@ -149,5 +149,5 @@ func TestSummaryAndNilCallback(t *testing.T) {
 			t.Fatal("nil callback accepted")
 		}
 	}()
-	New(nil)
+	New(sim.NewScheduler(), nil)
 }

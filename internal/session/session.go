@@ -104,7 +104,7 @@ func New(sched *sim.Scheduler, cfg Config, passes []Pass, factory LinkFactory) *
 		}
 	}
 	m := &Manager{sched: sched, cfg: cfg, passes: passes, factory: factory}
-	m.reseq = resequence.New(func(now sim.Time, dg arq.Datagram) {
+	m.reseq = resequence.New(sched, func(now sim.Time, dg arq.Datagram) {
 		m.Stats.Delivered.Inc()
 		if m.OnDeliver != nil {
 			m.OnDeliver(now, dg)

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -205,6 +207,11 @@ type Report struct {
 	// varies with K (and with the machine), so Render never prints it;
 	// Host.Render does.
 	Host RunStats
+
+	// Mismatched counts delivered packets whose payload differs from the
+	// pattern every flow offers: zero unless a packet buffer was reused
+	// while still reachable. Render does not print it.
+	Mismatched uint64
 }
 
 // Render prints the shard-count-invariant report, one experiment row per
@@ -390,16 +397,23 @@ func lookahead(adjs []adjacency) (sim.Duration, error) {
 }
 
 // flowState is one measured end-to-end flow. sent is written only by the
-// source's shard, delivered/delays/last only by the destination's; the
+// source's shard, delivered/mismatched/delays/last only by the
+// destination's, whose scheduler (home) lends delays its arrays; the
 // coordinator reads them at round barriers.
 type flowState struct {
-	src, dst  node.ID
-	routable  bool
-	sent      int
-	delivered int
-	last      sim.Time
-	delays    []sim.Duration
+	src, dst   node.ID
+	routable   bool
+	sent       int
+	delivered  int
+	mismatched int
+	last       sim.Time
+	home       *sim.Scheduler
+	delays     []sim.Duration
 }
+
+// delayLists are the arrays of the flows' delay lists and of the report's
+// merged one, from the run memory.
+var delayLists = sim.NewSlices[sim.Duration]()
 
 // session is one directed DLC adjacency direction, kept for report
 // aggregation in canonical order.
@@ -416,6 +430,7 @@ type Constellation struct {
 	eng      *Engine
 	window   sim.Duration
 	adjs     int
+	nodes    []*node.Node
 	sessions []session
 	flows    []flowState
 	handover int
@@ -630,12 +645,16 @@ func Build(cfg Config) (*Constellation, error) {
 			}
 		}
 		srcSched.ScheduleDetached(0, tick)
+		fl.home = shardOf(int(fl.dst)).Scheduler()
 		nodes[fl.dst].OnDeliver = func(now sim.Time, p node.Packet) {
 			if p.Src != fl.src {
 				return
 			}
+			if !bytes.Equal(p.Payload, payload) {
+				fl.mismatched++
+			}
 			sent := sim.Time(0).Add(sim.Duration(p.Seq) * interval)
-			fl.delays = append(fl.delays, now.Sub(sent))
+			fl.delays = append(delayLists.Grow(fl.home, fl.delays, 1), now.Sub(sent))
 			fl.delivered++
 			if now.After(fl.last) {
 				fl.last = now
@@ -648,6 +667,7 @@ func Build(cfg Config) (*Constellation, error) {
 		eng:      eng,
 		window:   window,
 		adjs:     len(adjs),
+		nodes:    nodes,
 		sessions: sessions,
 		flows:    flows,
 		handover: handover,
@@ -695,6 +715,7 @@ func (c *Constellation) Run() Report {
 		Handover:    c.handover,
 		Host:        c.eng.Stats(),
 	}
+	sched0 := c.eng.Shard(0).Scheduler()
 	var delays []sim.Duration
 	for fi := range flows {
 		fl := &flows[fi]
@@ -703,12 +724,13 @@ func (c *Constellation) Run() Report {
 		}
 		r.Offered += uint64(fl.sent)
 		r.Delivered += uint64(fl.delivered)
+		r.Mismatched += uint64(fl.mismatched)
 		if fl.last.After(r.Makespan) {
 			r.Makespan = fl.last
 		}
-		delays = append(delays, fl.delays...)
+		delays = append(delayLists.Grow(sched0, delays, len(fl.delays)), fl.delays...)
 	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
+	slices.Sort(delays)
 	if m := len(delays); m > 0 {
 		i95 := m * 95 / 100
 		if i95 >= m {
@@ -731,10 +753,25 @@ func (c *Constellation) Run() Report {
 	if capacity := cfg.RateBps * r.EndTime.Seconds() * float64(4*c.adjs); capacity > 0 {
 		r.Utilization = float64(r.BitsSent) / capacity
 	}
-	// Everything is read out and no frame is in flight (DropInflight): hand
-	// each shard's run memory — events, the standing timers still on its
-	// wheel, frames, sending-buffer entries — to the next constellation.
-	for i := 0; i < c.eng.Shards(); i++ {
+	// Everything is read out and no frame is in flight (DropInflight), so no
+	// packet of the run can be reached any more: hand back every buffer the
+	// run grew — sending buffers and their entries, receive buffers,
+	// resequencers, node tables, packet slabs, delay lists — and then each
+	// shard's run memory — events, the standing timers still on its wheel,
+	// frames, the mailboxes — to the next constellation. The depot hands out
+	// the last memory donated first, and New adopts in shard order, so
+	// donating in reverse gives each shard of the next engine the memory its
+	// own index grew: at K = 2 a shard's sources and destinations are not
+	// its neighbour's, and a swapped memory refills for a run.
+	delayLists.Put(sched0, delays)
+	for fi := range flows {
+		delayLists.Put(flows[fi].home, flows[fi].delays)
+		flows[fi].delays = nil
+	}
+	for _, n := range c.nodes {
+		n.Recycle()
+	}
+	for i := c.eng.Shards() - 1; i >= 0; i-- {
 		c.eng.Shard(i).Scheduler().Recycle()
 	}
 	return r

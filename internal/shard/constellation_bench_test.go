@@ -13,9 +13,11 @@ import (
 // ns/op, events/s and allocs/event all describe the run phase the shard
 // engine owns. Each size fans out over shard counts 1, 2, 4 and 8; the
 // report is bit-identical at every count, so the sub-benchmarks measure
-// pure engine overhead/speedup. On a single-core host (this CI container
-// has one CPU) the expectation is near-zero overhead rather than speedup;
-// see docs/EXPERIMENTS.md for the recorded numbers and the caveat.
+// pure engine overhead/speedup. A speedup needs a core per shard: with
+// fewer cores than shards expect near-zero overhead instead, and on a
+// two-core host no more than 2× (EXPERIMENTS.md has the recorded numbers).
+// At -benchtime 1x the one run is cold; from the second iteration on each
+// run starts on the run memory the one before donated.
 
 func benchConstellation(b *testing.B, sats, shards int) {
 	cfg := DefaultConfig(WalkerGrid(sats))

@@ -124,6 +124,20 @@ type Shard struct {
 	idleSince time.Time
 }
 
+// mailbox is the part of a shard that outlives its engine: the slot ring,
+// whose arrays a run grows to the traffic of its busiest rounds, and the
+// spare and late arrays. It rests in the run memory of the shard's
+// scheduler, every array empty and cleared, so the next engine on that
+// memory posts into arrays already grown. An engine takes it in New and
+// gives it back in DropInflight; an engine that never drops its in-flight
+// frames leaves its arrays to the collector.
+type mailbox struct {
+	slots       [][]message
+	spare, late []message
+}
+
+var mailboxes = sim.NewLocal[mailbox]()
+
 // ShardStats is where one shard's host time went over a Run, and what its
 // mailbox carried.
 type ShardStats struct {
@@ -270,7 +284,12 @@ func New(k int, window sim.Duration) *Engine {
 	e.bar.start.L, e.bar.done.L = &e.bar.mu, &e.bar.mu
 	for i := range e.shards {
 		sh := &Shard{id: i, sched: sim.NewScheduler()}
-		sh.in.slots = make([][]message, 8)
+		mb := mailboxes.Of(sh.sched)
+		sh.in.slots, sh.spare, sh.late = mb.slots, mb.spare, mb.late
+		*mb = mailbox{}
+		if sh.in.slots == nil {
+			sh.in.slots = make([][]message, 8)
+		}
 		sh.in.drained = -1
 		e.shards[i] = sh
 	}
@@ -513,9 +532,11 @@ func (st RunStats) Render() string {
 }
 
 // DropInflight releases every frame still crossing a mailbox back to the
-// free list of the shard that sent it. Call it once after Run, when no shard
-// is running any more: frames cut off by the horizon (or by an early stop)
-// are owned by nobody else.
+// free list of the shard that sent it, and leaves each shard's emptied
+// mailbox arrays in its scheduler's run memory for the next engine. Call it
+// once after Run, when no shard is running any more: frames cut off by the
+// horizon (or by an early stop) are owned by nobody else. The engine is dead
+// afterwards.
 func (e *Engine) DropInflight() {
 	for _, sh := range e.shards {
 		sh.in.mu.Lock()
@@ -523,12 +544,21 @@ func (e *Engine) DropInflight() {
 			for _, m := range s {
 				frame.Put(m.f)
 			}
-			sh.in.slots[i] = s[:0]
+			sh.in.slots[i] = empty(s)
 		}
 		sh.in.mu.Unlock()
 		for _, m := range sh.late {
 			frame.Put(m.f)
 		}
-		sh.late = sh.late[:0]
+		*mailboxes.Of(sh.sched) = mailbox{slots: sh.in.slots, spare: empty(sh.spare), late: empty(sh.late)}
+		sh.in.slots, sh.spare, sh.late = nil, nil, nil
 	}
+}
+
+// empty clears all of s's array, so that a resting mailbox pins no frame or
+// lane of the engine that used it, and returns it with length zero.
+func empty(s []message) []message {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }

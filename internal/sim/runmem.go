@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -165,3 +166,73 @@ func pop[T any](items *[]*T) *T {
 }
 
 func push[T any](items *[]*T, v *T) { *items = append(*items, v) }
+
+// Slices is a scheduler-scoped store of backing arrays for []T, kept by
+// capacity class — the powers of two from minSliceCap up. A buffer a run grows
+// (an in-flight list, a table indexed by node ID, a scratch list) takes its
+// arrays from the store and hands them back when it is done with them, so the
+// next run on the same run memory grows into the same arrays instead of
+// allocating. Put clears what it takes back, so an array from the store is
+// all-zero beyond the length of the slice it was handed out as, for as long as
+// its holder writes only below that length. Arrays still held when the
+// scheduler is recycled are simply not donated.
+type Slices[T any] struct{ store Local[sliceStore[T]] }
+
+// sliceStore[c] holds the resting arrays of capacity minSliceCap<<c.
+type sliceStore[T any] [sliceClasses][][]T
+
+const (
+	minSliceCap  = 8
+	sliceClasses = 40
+)
+
+// NewSlices reserves the store's slot in every run memory.
+func NewSlices[T any]() Slices[T] {
+	return Slices[T]{store: NewLocal[sliceStore[T]]()}
+}
+
+// Grow returns x with room for n more elements, like slices.Grow: x itself
+// when it has the room, otherwise x's elements copied into an array of the
+// smallest class that holds len(x)+n and at least doubles cap(x) — a stored
+// one, or a new one when the store has none — with x's own array handed
+// back. The caller drops x.
+func (p Slices[T]) Grow(s *Scheduler, x []T, n int) []T {
+	if n <= cap(x)-len(x) {
+		return x
+	}
+	return p.grow(s, x, n)
+}
+
+func (p Slices[T]) grow(s *Scheduler, x []T, n int) []T {
+	st := p.store.Of(s)
+	c := bits.Len(uint(max(len(x)+n, 2*cap(x), minSliceCap)-1)) - bits.Len(minSliceCap-1)
+	var y []T
+	if free := st[c]; len(free) > 0 {
+		y, free[len(free)-1] = free[len(free)-1], nil
+		st[c] = free[:len(free)-1]
+	} else {
+		y = make([]T, 0, minSliceCap<<c)
+	}
+	y = append(y, x...)
+	p.put(st, x)
+	return y
+}
+
+// Put hands x's array back to the store, cleared; an array whose capacity is
+// not a class size is left to the collector. The caller drops x.
+func (p Slices[T]) Put(s *Scheduler, x []T) {
+	if cap(x) >= minSliceCap {
+		p.put(p.store.Of(s), x)
+	}
+}
+
+func (p Slices[T]) put(st *sliceStore[T], x []T) {
+	c := cap(x)
+	if c < minSliceCap || c&(c-1) != 0 {
+		return
+	}
+	x = x[:c]
+	clear(x)
+	k := bits.Len(uint(c)) - bits.Len(minSliceCap)
+	st[k] = append(st[k], x[:0])
+}

@@ -303,3 +303,45 @@ func TestDonatedEventsKeepBirthOrder(t *testing.T) {
 		t.Fatalf("third life: %d events counted, want %d and an empty chain", third.mem.born, n)
 	}
 }
+
+var ints = NewSlices[int]()
+
+// TestSlicesGrowFromTheStore pins Slices: Grow hands out power-of-two arrays
+// from minSliceCap up, keeps the elements, and hands the outgrown array back
+// cleared; Put stores only class-sized arrays; and what one run Puts, the
+// scheduler that adopts its memory is handed back.
+func TestSlicesGrowFromTheStore(t *testing.T) {
+	emptyDepot()
+	s := NewScheduler()
+	x := ints.Grow(s, nil, 1)
+	if len(x) != 0 || cap(x) != minSliceCap {
+		t.Fatalf("first array len %d cap %d, want 0 and %d", len(x), cap(x), minSliceCap)
+	}
+	if same := ints.Grow(s, x, minSliceCap); &same[:1][0] != &x[:1][0] {
+		t.Fatal("Grow replaced an array that had the room")
+	}
+	for i := 0; i < minSliceCap; i++ {
+		x = append(x, i+1)
+	}
+	small := x
+	x = ints.Grow(s, x, 1)
+	if cap(x) != 2*minSliceCap || len(x) != minSliceCap || x[minSliceCap-1] != minSliceCap {
+		t.Fatalf("grown to len %d cap %d, want the %d elements in %d", len(x), cap(x), minSliceCap, 2*minSliceCap)
+	}
+	if small[0] != 0 {
+		t.Fatal("the outgrown array went back uncleared")
+	}
+	if y := ints.Grow(s, nil, minSliceCap); &y[:1][0] != &small[:1][0] {
+		t.Fatal("Grow did not reuse the array handed back")
+	}
+	ints.Put(s, make([]int, 3, 12)) // not a class size: left to the collector
+	if got := ints.store.Of(s)[1]; len(got) != 0 {
+		t.Fatal("the store took an array of a foreign capacity")
+	}
+
+	ints.Put(s, x)
+	s.Recycle()
+	if y := ints.Grow(NewScheduler(), nil, 2*minSliceCap); &y[:1][0] != &x[:1][0] || y[:1][0] != 0 {
+		t.Fatal("the adopter of the run memory was not handed back the cleared array")
+	}
+}

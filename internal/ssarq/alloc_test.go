@@ -76,3 +76,23 @@ func TestDrainedSendQueueHoldsNoChunk(t *testing.T) {
 		t.Fatal("a drained send queue kept its chunk")
 	}
 }
+
+// TestScanCycleNoAllocs pins the retransmission scanner: every scan re-arms
+// itself with the callback bound once at construction, so a busy link's scans
+// allocate nothing. A method value taken anew at each scan is one closure
+// allocated per scan.
+func TestScanCycleNoAllocs(t *testing.T) {
+	sched := sim.NewScheduler()
+	m := &arq.Metrics{}
+	s := NewSender(sched, nullWire{}, baseCfg(), m, nil)
+	s.Enqueue(arq.Datagram{ID: 1}) // never acknowledged: the lane stays busy
+	s.Start()
+	period := s.scanPeriod()
+	sched.RunFor(10 * period)
+	if avg := testing.AllocsPerRun(100, func() { sched.RunFor(period) }); avg != 0 {
+		t.Fatalf("a scan allocates %.2f objects, want 0", avg)
+	}
+	if m.Retransmissions.Value() == 0 {
+		t.Fatal("the pin measured no retransmission")
+	}
+}

@@ -47,6 +47,8 @@ type Sender struct {
 	stopped bool
 
 	txf frame.Frame // scratch for outbound I-frames: the wire copies
+
+	scan func() // tick bound once: a method value rescheduled every scan allocates
 }
 
 // queueChunks holds the send queue's chunks on the scheduler's run memory.
@@ -72,7 +74,7 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, 
 	if err := cfg.Validate(); err != nil {
 		panic("ssarq: invalid config: " + err.Error())
 	}
-	return &Sender{
+	s := &Sender{
 		sched: sched,
 		wire:  wire,
 		cfg:   cfg,
@@ -81,6 +83,8 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, 
 		lanes: make([]lane, Lanes),
 		queue: sim.NewQueue(sched, queueChunks),
 	}
+	s.scan = s.tick
+	return s
 }
 
 // SetProbe installs the transition observer; nil detaches.
@@ -94,7 +98,7 @@ func (s *Sender) Start() {
 		return
 	}
 	s.started = true
-	s.sched.ScheduleAfterDetached(s.scanPeriod(), s.tick)
+	s.sched.ScheduleAfterDetached(s.scanPeriod(), s.scan)
 }
 
 func (s *Sender) scanPeriod() sim.Duration {
@@ -116,7 +120,7 @@ func (s *Sender) tick() {
 			s.retransmit(ln, now)
 		}
 	}
-	s.sched.ScheduleAfterDetached(s.scanPeriod(), s.tick)
+	s.sched.ScheduleAfterDetached(s.scanPeriod(), s.scan)
 }
 
 // Enqueue accepts a datagram: straight into a free lane if one exists,
