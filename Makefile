@@ -13,7 +13,10 @@ test:
 # race run is load-bearing, not ceremony — the run budget under bench.All(),
 # the shard mailboxes and barrier, the live driver and the run memories that
 # schedulers hand each other all share state across goroutines. The run-memory
-# tests that guard one-owner use run ten times more under -race. Every
+# tests that guard one-owner use run ten times more under -race, and so do the
+# engine contract's warm-run rows, which hand every registered engine's run
+# memory from one scheduler to the next through the depot (a separate line:
+# a -run pattern with a slash would filter the other packages' subtests). Every
 # benchmark body runs once, so a regression that bites only a benchmark path
 # fails CI instead of the next perf investigation; every example runs once
 # and must exit 0; lamsbench's own tests run in its module.
@@ -25,6 +28,7 @@ ci:
 	go test -race ./...
 	go test ./internal/sim ./internal/frame ./internal/channel ./internal/arq/txq ./internal/node ./internal/shard -race -count=10 \
 		-run 'TestFreeList|TestLocal|TestSlices|TestDepot|TestRunMemory|TestRecycle|TestStaleTimer|TestDonated|TestList|TestSendHomes|TestQueue|TestInFlightWindow|TestCycleNoAllocs|TestEngineRehomes|TestPacketBuffers|TestConstellationWarmReuse'
+	go test ./internal/arq/arqtest -race -count=10 -run 'TestContract/warm-run'
 	$(MAKE) fuzz
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	$(MAKE) lint

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/arq/arqtest"
 	"repro/internal/channel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -173,75 +174,48 @@ func diffFields(prefix string, a, b reflect.Value) []string {
 // for its whole life (bench.Run reads the pointer it took before the run).
 func TestPairOwnershipContract(t *testing.T) {
 	const n = 300
-	newPair := func(name string, deliver arq.DeliverFunc) (*sim.Scheduler, *arq.Pair) {
-		reg, err := arq.ParseProtocol(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := sim.NewScheduler()
-		link := channel.NewLink(sched, channel.PipeConfig{
-			RateBps:    100e6,
-			Delay:      channel.ConstantDelay(4 * sim.Millisecond),
-			IModelSpec: "fixed:p=0.2",
-			CModelSpec: "fixed:p=0.05",
-		}, sim.NewRNG(9))
-		pair := arq.NewPair(sched, sched, link, reg.Defaults(8*sim.Millisecond), deliver, nil)
-		pair.Start()
-		return sched, pair
-	}
-	enqueue := func(pair *arq.Pair) {
-		for id := uint64(0); id < n; id++ {
-			if !pair.Enqueue(arq.Datagram{ID: id, Payload: make([]byte, 256)}) {
-				t.Fatalf("enqueue %d refused by a fresh pair", id)
-			}
-		}
+	pipe := channel.PipeConfig{
+		RateBps:    100e6,
+		Delay:      channel.ConstantDelay(4 * sim.Millisecond),
+		IModelSpec: "fixed:p=0.2",
+		CModelSpec: "fixed:p=0.05",
 	}
 	for _, name := range arq.Protocols() {
+		reg, _ := arq.ParseProtocol(name)
+		newScenario := func(t *testing.T) *arqtest.Scenario[arq.SenderHalf, arq.ReceiverHalf] {
+			return arqtest.New[arq.SenderHalf, arq.ReceiverHalf](t, reg.Defaults(8*sim.Millisecond), arqtest.Options{Pipe: pipe, Seed: 9})
+		}
 		t.Run(name+"/lossy", func(t *testing.T) {
-			delivered := make(map[uint64]bool)
-			sched, pair := newPair(name, func(_ sim.Time, dg arq.Datagram, _ uint32) { delivered[dg.ID] = true })
-			m := pair.Metrics()
-			enqueue(pair)
-			sched.RunFor(30 * sim.Millisecond)
-			pair.Stop()
-			held := pair.Reclaim()
-			if len(delivered) == 0 || len(held) == 0 {
-				t.Fatalf("not stopped mid-transfer: %d delivered, %d held", len(delivered), len(held))
+			sc := newScenario(t)
+			m := sc.Metrics()
+			sc.EnqueueAll(n, 256)
+			sc.Sched.RunFor(30 * sim.Millisecond)
+			sc.Stop()
+			if held := sc.Reclaimed(n); len(sc.Got) == 0 || len(held) == 0 {
+				t.Fatalf("not stopped mid-transfer: %d delivered, %d held", len(sc.Got), len(held))
 			}
-			owned := make(map[uint64]bool, len(held))
-			for _, dg := range held {
-				if owned[dg.ID] {
-					t.Errorf("Reclaim returned datagram %d twice", dg.ID)
-				}
-				owned[dg.ID] = true
-			}
-			for id := uint64(0); id < n; id++ {
-				if !delivered[id] && !owned[id] {
-					t.Errorf("datagram %d neither delivered nor reclaimable", id)
-				}
-			}
-			if pair.Enqueue(arq.Datagram{ID: n}) {
+			if sc.Enqueue(arq.Datagram{ID: n}) {
 				t.Error("stopped pair accepted a datagram")
 			}
-			if !pair.Failed() {
+			if !sc.Failed() {
 				t.Error("stopped pair does not report Failed")
 			}
-			if pair.Metrics() != m {
+			if sc.Metrics() != m {
 				t.Error("unsplit pair's Metrics() pointer changed over the run")
 			}
-			if got := m.Delivered.Value(); got < uint64(len(delivered)) {
-				t.Errorf("shared Metrics block saw %d deliveries, callback saw %d", got, len(delivered))
+			if got := m.Delivered.Value(); got < uint64(len(sc.Got)) {
+				t.Errorf("shared Metrics block saw %d deliveries, callback saw %d", got, len(sc.Got))
 			}
 		})
 		// Oldest first: on a dead link nothing is released or renumbered,
 		// so Reclaim must hand back exactly the enqueue order.
 		t.Run(name+"/order", func(t *testing.T) {
-			sched, pair := newPair(name, nil)
-			pair.Link().Fail()
-			enqueue(pair)
-			sched.RunFor(sim.Millisecond)
-			pair.Stop()
-			held := pair.Reclaim()
+			sc := newScenario(t)
+			sc.Link.Fail()
+			sc.EnqueueAll(n, 256)
+			sc.Sched.RunFor(sim.Millisecond)
+			sc.Stop()
+			held := sc.Reclaim()
 			if len(held) != n {
 				t.Fatalf("Reclaim returned %d of %d datagrams", len(held), n)
 			}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arq"
 	"repro/internal/workload"
 )
 
@@ -35,7 +36,8 @@ func mallocs(gc bool, fn func()) uint64 {
 // collection between two runs emptied them and the second run re-allocated
 // its whole working set.
 func TestRunAllocsIndependentOfGC(t *testing.T) {
-	for _, p := range []Protocol{LAMS, SRHDLC, GBNHDLC, "ssarq"} {
+	for _, name := range arq.Protocols() {
+		p := Protocol(name)
 		c := withErrors(Base(), 0.05, 0.01)
 		c.Protocol = p
 		c.N = 2000

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arq"
 	"repro/internal/bench"
 	_ "repro/internal/engines" // the matrix sweeps the full registry, ssarq included
 	"repro/internal/faults"
@@ -17,14 +18,14 @@ import (
 // wedged HDLC link declares instead of hanging, and the checker runs with
 // the convergence rule installed (bench wires it whenever the schedule
 // carries a corruption window).
-func stabConfig(t *testing.T, proto bench.Protocol, spec string, seed uint64) bench.RunConfig {
+func stabConfig(t *testing.T, proto, spec string, seed uint64) bench.RunConfig {
 	t.Helper()
 	s, err := faults.ParseSpec(spec)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
 	c := bench.Base()
-	c.Protocol = proto
+	c.Protocol = bench.Protocol(proto)
 	c.N = 600
 	c.OfferInterval = 500 * sim.Microsecond
 	c.Horizon = 5 * sim.Second
@@ -34,8 +35,6 @@ func stabConfig(t *testing.T, proto bench.Protocol, spec string, seed uint64) be
 	c.CheckInvariants = true
 	return c
 }
-
-var stabEngines = []bench.Protocol{bench.LAMS, bench.SRHDLC, bench.GBNHDLC, "ssarq"}
 
 const stabAllSpec = "scramble@100ms+400ms:period=10ms; ghost@100ms+400ms:period=2ms; reorder@100ms+400ms:jitter=2ms"
 
@@ -62,7 +61,7 @@ func TestStabMatrix(t *testing.T) {
 			// One batch per kind keeps the worker pool busy across the
 			// engine×seed grid instead of running 20 sims serially.
 			var cfgs []bench.RunConfig
-			for _, eng := range stabEngines {
+			for _, eng := range arq.Protocols() {
 				for seed := uint64(1); seed <= 5; seed++ {
 					cfgs = append(cfgs, stabConfig(t, eng, kind.spec, seed))
 				}
@@ -98,7 +97,7 @@ func TestStabMatrix(t *testing.T) {
 // time, metrics snapshot — must be independent of worker count.
 func TestStabDeterminismAcrossWorkers(t *testing.T) {
 	var cfgs []bench.RunConfig
-	for _, eng := range stabEngines {
+	for _, eng := range arq.Protocols() {
 		for seed := uint64(1); seed <= 5; seed++ {
 			cfgs = append(cfgs, stabConfig(t, eng, stabAllSpec, seed))
 		}

@@ -19,25 +19,42 @@ type Receiver struct {
 	im    receiverInstr
 
 	recvBase uint32 // N(R): next in-order sequence number needed
-	held     map[uint32]*frame.Frame
-	srejSent map[uint32]bool
-	rejSent  bool // GBN: one REJ outstanding per gap
+	*recvMaps
+	rejSent bool // GBN: one REJ outstanding per gap
 
 	deliveredInWindow int // RR cadence: acknowledge every window's worth
 
 	// Recycled scratch (ISSUE 6): outbound supervisory frames are built
 	// in ctrlf (the Wire contract copies on Send) and the SREJ gap scan
-	// reuses missBuf's backing array.
+	// reuses missBuf's backing array, from the run memory.
 	ctrlf   frame.Frame
 	missBuf []uint32
 
 	deliver arq.DeliverFunc
 }
 
+// recvMaps is a receiver's out-of-order buffer (held) and the gaps it has
+// SREJed (srejSent). They come from the scheduler's run memory and go back
+// cleared in Recycle — cleared, not dropped, so the next run's receiver
+// inherits their grown tables instead of regrowing them.
+type recvMaps struct {
+	held     map[uint32]*frame.Frame
+	srejSent map[uint32]bool
+}
+
+var (
+	recvMapLists = sim.NewFreeList[recvMaps]()
+	missLists    = sim.NewSlices[uint32]()
+)
+
 // NewReceiver constructs an HDLC receiver.
 func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics, deliver arq.DeliverFunc) *Receiver {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	maps := recvMapLists.Get(sched)
+	if maps.held == nil {
+		*maps = recvMaps{held: make(map[uint32]*frame.Frame), srejSent: make(map[uint32]bool)}
 	}
 	return &Receiver{
 		sched:    sched,
@@ -45,10 +62,24 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 		cfg:      cfg,
 		m:        m,
 		im:       newReceiverInstr(cfg.Metrics),
-		held:     make(map[uint32]*frame.Frame),
-		srejSent: make(map[uint32]bool),
+		recvMaps: maps,
 		deliver:  deliver,
 	}
+}
+
+// Recycle hands the out-of-order buffer's frames to their free list, and the
+// two maps, cleared, and the gap-scan array back to the run memory
+// (arq.Recycler): the teardown of a finished run, after which the receiver
+// is dead.
+func (r *Receiver) Recycle() {
+	for _, f := range r.held {
+		frame.Put(f)
+	}
+	clear(r.held)
+	clear(r.srejSent)
+	recvMapLists.Put(r.sched, r.recvMaps)
+	missLists.Put(r.sched, r.missBuf)
+	r.recvMaps, r.missBuf = nil, nil
 }
 
 // Start is a no-op: HDLC receivers are purely reactive.
@@ -148,7 +179,7 @@ func (r *Receiver) onGap(f *frame.Frame) {
 		missing := r.missBuf[:0]
 		for seq := r.recvBase; seq < f.Seq; seq++ {
 			if _, have := r.held[seq]; !have && !r.srejSent[seq] {
-				missing = append(missing, seq)
+				missing = append(missLists.Grow(r.sched, missing, 1), seq)
 			}
 		}
 		r.missBuf = missing

@@ -8,16 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/arq/arqtest"
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
-
-// nullWire swallows frames without copying or retaining them, so the pins
-// measure only the protocol state machines.
-type nullWire struct{}
-
-func (nullWire) Send(*frame.Frame)                {}
-func (nullWire) TxTime(*frame.Frame) sim.Duration { return 0 }
 
 // TestSenderCheckpointProcessingNoAllocs pins the full steady-state sender
 // cycle — enqueue, pump, checkpoint with a NAK (bitset classification,
@@ -25,7 +19,7 @@ func (nullWire) TxTime(*frame.Frame) sim.Duration { return 0 }
 func TestSenderCheckpointProcessingNoAllocs(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := &arq.Metrics{}
-	s := NewSender(sched, nullWire{}, baseCfg(), m, nil)
+	s := NewSender(sched, arqtest.NullWire{}, baseCfg(), m, nil)
 	s.Start()
 
 	payload := make([]byte, 64)
@@ -67,7 +61,7 @@ func TestReceiverResolveNoAllocs(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := baseCfg()
 	m := &arq.Metrics{}
-	r := NewReceiver(sched, nullWire{}, cfg, m, nil)
+	r := NewReceiver(sched, arqtest.NullWire{}, cfg, m, nil)
 	r.Start()
 
 	seq := uint32(0)
@@ -107,7 +101,7 @@ func TestDedupSeenPrunedAfter100k(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := baseCfg()
 	cfg.DedupWindow = 50 * sim.Millisecond
-	r := NewReceiver(sched, nullWire{}, cfg, &arq.Metrics{}, nil)
+	r := NewReceiver(sched, arqtest.NullWire{}, cfg, &arq.Metrics{}, nil)
 
 	const (
 		n   = 100_000
@@ -135,7 +129,7 @@ func TestDrainedReceiveBufferHoldsNoChunk(t *testing.T) {
 	sched := sim.NewScheduler()
 	c := procChunks.Get(sched)
 	procChunks.Put(sched, c) // c is the chunk the next PushBack takes
-	r := NewReceiver(sched, nullWire{}, baseCfg(), &arq.Metrics{}, nil)
+	r := NewReceiver(sched, arqtest.NullWire{}, baseCfg(), &arq.Metrics{}, nil)
 	var frames frame.List
 	for seq := uint32(0); seq < 3; seq++ {
 		f := frames.Get(false)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/arq/arqtest"
 	"repro/internal/channel"
 	"repro/internal/frame"
 	"repro/internal/sim"
@@ -14,18 +15,16 @@ import (
 // bytes that went in, per datagram, across a lossy channel with
 // retransmissions and renumbering.
 func TestPayloadIntegrityEndToEnd(t *testing.T) {
-	pipe := basePipe()
+	pipe := arqtest.Pipe()
 	pipe.IModel = channel.FixedProb{P: 0.25}
 	pipe.CModel = channel.FixedProb{P: 0.05}
-	sched := sim.NewScheduler()
-	link := channel.NewLink(sched, pipe, sim.NewRNG(77))
 	got := map[uint64][]byte{}
-	pair := newTestPair(sched, link, baseCfg(), func(_ sim.Time, dg arq.Datagram, _ uint32) {
-		if _, dup := got[dg.ID]; !dup {
-			got[dg.ID] = append([]byte(nil), dg.Payload...)
-		}
-	}, nil)
-	pair.Start()
+	sc := newScenario(t, baseCfg(), arqtest.Options{Pipe: pipe, Seed: 77,
+		Deliver: func(_ sim.Time, dg arq.Datagram, _ uint32) {
+			if _, dup := got[dg.ID]; !dup {
+				got[dg.ID] = append([]byte(nil), dg.Payload...)
+			}
+		}})
 	const n = 150
 	want := make([][]byte, n)
 	for i := 0; i < n; i++ {
@@ -34,9 +33,9 @@ func TestPayloadIntegrityEndToEnd(t *testing.T) {
 			p[j] = byte(i * (j + 3))
 		}
 		want[i] = p
-		pair.Sender.Enqueue(arq.Datagram{ID: uint64(i), Payload: p})
+		sc.Sender.Enqueue(arq.Datagram{ID: uint64(i), Payload: p})
 	}
-	sched.RunFor(30 * sim.Second)
+	sc.Sched.RunFor(30 * sim.Second)
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(got[uint64(i)], want[i]) {
 			t.Fatalf("datagram %d payload mismatch", i)
@@ -48,10 +47,10 @@ func TestPayloadIntegrityEndToEnd(t *testing.T) {
 // metric reflects propagation: it must be at least the one-way flight time
 // and close to it on a clean link.
 func TestDeliveryDelayMeasured(t *testing.T) {
-	sc := newScenario(t, scenarioOpts{cfg: baseCfg(), pipe: basePipe(), seed: 40})
-	sc.enqueueAll(50, 512)
-	sc.runFor(2 * sim.Second)
-	mean := sim.Duration(sc.pair.Metrics().DeliveryDelay.Mean())
+	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 40})
+	sc.EnqueueAll(50, 512)
+	sc.Sched.RunFor(2 * sim.Second)
+	mean := sim.Duration(sc.Metrics().DeliveryDelay.Mean())
 	oneWay := 13 * sim.Millisecond
 	if mean < oneWay {
 		t.Fatalf("mean delay %v below flight time %v", mean, oneWay)
@@ -238,7 +237,7 @@ func TestOverflowDiscardIsNAKed(t *testing.T) {
 // TestSenderSeqMonotone is the numbering discipline: every transmitted
 // I-frame, first or retransmitted, carries a strictly increasing N(S).
 func TestSenderSeqMonotone(t *testing.T) {
-	pipe := basePipe()
+	pipe := arqtest.Pipe()
 	pipe.IModel = channel.FixedProb{P: 0.3}
 	pipe.CModel = channel.FixedProb{P: 0.1}
 	sched := sim.NewScheduler()
@@ -289,10 +288,10 @@ func TestDedupWindowZeroDuplication(t *testing.T) {
 	cfg.RequestRetries = 10
 	// Corrupt long trains of checkpoints to force coverage gaps (the
 	// duplicate-generating path).
-	pipe := basePipe()
+	pipe := arqtest.Pipe()
 	pipe.IModel = channel.FixedProb{P: 0.1}
 	pipe.CModel = channel.FixedProb{P: 0.5} // brutal control channel
-	sc := newScenario(t, scenarioOpts{cfg: cfg, pipe: pipe, seed: 60})
+	sc := newScenario(t, cfg, arqtest.Options{Pipe: pipe, Seed: 60})
 	// Trickle traffic so frames are in flight whenever a coverage break
 	// (≥ C_depth consecutive checkpoint losses) happens; a burst transfer
 	// would complete before the first break.
@@ -301,18 +300,18 @@ func TestDedupWindowZeroDuplication(t *testing.T) {
 	var feed func()
 	feed = func() {
 		if id < n {
-			sc.pair.Sender.Enqueue(arq.Datagram{ID: id, Payload: make([]byte, 512)})
+			sc.Sender.Enqueue(arq.Datagram{ID: id, Payload: make([]byte, 512)})
 			id++
-			sc.sched.ScheduleAfter(3*sim.Millisecond, feed)
+			sc.Sched.ScheduleAfter(3*sim.Millisecond, feed)
 		}
 	}
-	sc.sched.ScheduleAfter(0, feed)
-	sc.runFor(120 * sim.Second)
-	sc.assertAllDelivered(t, n)
-	if d := sc.duplicates(); d != 0 {
+	sc.Sched.ScheduleAfter(0, feed)
+	sc.Sched.RunFor(120 * sim.Second)
+	sc.AssertAllDelivered(n)
+	if d := sc.Duplicates(); d != 0 {
 		t.Fatalf("%d duplicates reached the network layer with dedup enabled", d)
 	}
-	if sc.pair.Metrics().DupSuppressed.Value() == 0 {
+	if sc.Metrics().DupSuppressed.Value() == 0 {
 		t.Fatal("expected the dedup window to actually suppress something at P_C=0.5")
 	}
 }
@@ -322,24 +321,24 @@ func TestDedupWindowZeroDuplication(t *testing.T) {
 func TestDedupMemoryBounded(t *testing.T) {
 	cfg := baseCfg()
 	cfg.DedupWindow = 50 * sim.Millisecond
-	sc := newScenario(t, scenarioOpts{cfg: cfg, pipe: basePipe(), seed: 61})
+	sc := newScenario(t, cfg, arqtest.Options{Seed: 61})
 	const n = 2000
-	sc.enqueueAll(n, 512)
-	sc.runFor(10 * sim.Second)
-	sc.assertAllDelivered(t, n)
+	sc.EnqueueAll(n, 512)
+	sc.Sched.RunFor(10 * sim.Second)
+	sc.AssertAllDelivered(n)
 	// 100 Mbps / 533-byte frames ≈ 23k frames/s; a 50ms window holds
 	// ~1170; pruning is amortized per window so allow 3x.
-	if got := sc.pair.Receiver.DedupEntries(); got > 3500 {
+	if got := sc.Receiver.DedupEntries(); got > 3500 {
 		t.Fatalf("dedup memory %d entries, want bounded by the window", got)
 	}
 }
 
 // TestDedupOffByDefault keeps the baseline behavior unchanged.
 func TestDedupOffByDefault(t *testing.T) {
-	sc := newScenario(t, scenarioOpts{cfg: baseCfg(), pipe: basePipe(), seed: 62})
-	sc.enqueueAll(10, 64)
-	sc.runFor(sim.Second)
-	if sc.pair.Receiver.DedupEntries() != 0 {
+	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 62})
+	sc.EnqueueAll(10, 64)
+	sc.Sched.RunFor(sim.Second)
+	if sc.Receiver.DedupEntries() != 0 {
 		t.Fatal("dedup memory allocated without DedupWindow")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/arq/arqtest"
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
@@ -17,33 +18,33 @@ import (
 // advanced the watermark past all genuine traffic, permanently wedging the
 // link (every real frame then classified as a below-watermark duplicate).
 func TestImplausibleSeqJumpDiscarded(t *testing.T) {
-	sc := newScenario(t, scenarioOpts{cfg: baseCfg(), pipe: basePipe(), seed: 11})
-	sc.enqueueAll(20, 256)
-	sc.runFor(200 * sim.Millisecond)
-	before := sc.pair.Receiver.Expected()
+	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 11})
+	sc.EnqueueAll(20, 256)
+	sc.Sched.RunFor(200 * sim.Millisecond)
+	before := sc.Receiver.Expected()
 
 	ghost := frame.Get()
 	ghost.Kind = frame.KindI
 	ghost.Seq = before + MaxSeqJump + 1000
 	ghost.DatagramID = 1 << 62
 	ghost.Payload = make([]byte, 64)
-	sc.link.AtoB.Send(ghost)
+	sc.Link.AtoB.Send(ghost)
 	frame.Put(ghost)
-	sc.runFor(100 * sim.Millisecond)
+	sc.Sched.RunFor(100 * sim.Millisecond)
 
-	if got := sc.pair.Receiver.Expected(); got != before+20 && got < before {
+	if got := sc.Receiver.Expected(); got != before+20 && got < before {
 		t.Fatalf("watermark moved implausibly: %d -> %d", before, got)
 	}
-	if sc.got[1<<62] != 0 {
+	if sc.Got[1<<62] != 0 {
 		t.Fatal("forged datagram was delivered")
 	}
 	// The link must still work: fresh traffic flows to completion.
 	for i := 0; i < 20; i++ {
-		sc.pair.Sender.Enqueue(arq.Datagram{ID: 100 + uint64(i), Payload: make([]byte, 256)})
+		sc.Sender.Enqueue(arq.Datagram{ID: 100 + uint64(i), Payload: make([]byte, 256)})
 	}
-	sc.runFor(2 * sim.Second)
+	sc.Sched.RunFor(2 * sim.Second)
 	for i := 0; i < 20; i++ {
-		if sc.got[100+uint64(i)] == 0 {
+		if sc.Got[100+uint64(i)] == 0 {
 			t.Fatalf("post-ghost datagram %d never delivered: link wedged", 100+i)
 		}
 	}
@@ -56,13 +57,13 @@ func TestImplausibleSeqJumpDiscarded(t *testing.T) {
 func TestFutureDedupRecordExpires(t *testing.T) {
 	cfg := baseCfg()
 	cfg.DedupWindow = cfg.DedupHorizon()
-	sc := newScenario(t, scenarioOpts{cfg: cfg, pipe: basePipe(), seed: 12})
-	sc.enqueueAll(10, 128)
-	sc.runFor(200 * sim.Millisecond)
+	sc := newScenario(t, cfg, arqtest.Options{Seed: 12})
+	sc.EnqueueAll(10, 128)
+	sc.Sched.RunFor(200 * sim.Millisecond)
 
 	// Corrupt: wedge the FIFO head with a far-future record.
-	r := sc.pair.Receiver
-	now := sc.sched.Now()
+	r := sc.Receiver
+	now := sc.Sched.Now()
 	future := now.Add(1000 * cfg.DedupWindow)
 	r.seen[1<<62] = future
 	r.dedupAge.PushBack(dedupRec{id: 1 << 62, at: future})
@@ -72,11 +73,11 @@ func TestFutureDedupRecordExpires(t *testing.T) {
 	// out past the wedge.
 	for i := 0; i < 200; i++ {
 		at := now.Add(sim.Duration(int64(i) * int64(5*sim.Millisecond)))
-		sc.sched.Schedule(at, func() {
-			sc.pair.Sender.Enqueue(arq.Datagram{ID: 1000 + uint64(i), Payload: make([]byte, 128)})
+		sc.Sched.Schedule(at, func() {
+			sc.Sender.Enqueue(arq.Datagram{ID: 1000 + uint64(i), Payload: make([]byte, 128)})
 		})
 	}
-	sc.runFor(4 * cfg.DedupWindow)
+	sc.Sched.RunFor(4 * cfg.DedupWindow)
 
 	// Population must be bounded by one window's deliveries (~49 at 5 ms
 	// spacing with a ~244 ms window), not the whole history: with the bug,
@@ -91,12 +92,12 @@ func TestFutureDedupRecordExpires(t *testing.T) {
 // dropping undelivered datagrams. The sender must refuse the watermark but
 // keep the checkpoint's liveness and recovery signals.
 func TestImplausibleWatermarkNoRelease(t *testing.T) {
-	sc := newScenario(t, scenarioOpts{cfg: baseCfg(), pipe: basePipe(), seed: 13})
+	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 13})
 	// Hold acks back: kill the return path so nothing releases on its own.
-	sc.link.BtoA.SetHandler(func(sim.Time, *frame.Frame) {})
-	sc.enqueueAll(30, 256)
-	sc.runFor(100 * sim.Millisecond)
-	out := sc.pair.Outstanding()
+	sc.Link.BtoA.SetHandler(func(sim.Time, *frame.Frame) {})
+	sc.EnqueueAll(30, 256)
+	sc.Sched.RunFor(100 * sim.Millisecond)
+	out := sc.Outstanding()
 	if out == 0 {
 		t.Fatal("setup: nothing outstanding")
 	}
@@ -104,11 +105,11 @@ func TestImplausibleWatermarkNoRelease(t *testing.T) {
 	ghost := frame.Get()
 	ghost.Kind = frame.KindCheckpoint
 	ghost.Serial = 1
-	ghost.Ack = sc.pair.Sender.NextSeq() + 5000
-	sc.pair.Sender.HandleFrame(sc.sched.Now(), ghost)
+	ghost.Ack = sc.Sender.NextSeq() + 5000
+	sc.Sender.HandleFrame(sc.Sched.Now(), ghost)
 	frame.Put(ghost)
 
-	if got := sc.pair.Outstanding(); got < out {
+	if got := sc.Outstanding(); got < out {
 		t.Fatalf("implausible watermark released %d entries", out-got)
 	}
 }
@@ -118,11 +119,11 @@ func TestImplausibleWatermarkNoRelease(t *testing.T) {
 // Recovery never re-solicited on heard checkpoints and burned its retry
 // budget instead. The monotone-clock repair clamps it.
 func TestRecoveryReentryWithFutureClock(t *testing.T) {
-	sc := newScenario(t, scenarioOpts{cfg: baseCfg(), pipe: basePipe(), seed: 14})
-	sc.enqueueAll(5, 128)
-	sc.runFor(100 * sim.Millisecond)
-	s := sc.pair.Sender
-	now := sc.sched.Now()
+	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 14})
+	sc.EnqueueAll(5, 128)
+	sc.Sched.RunFor(100 * sim.Millisecond)
+	s := sc.Sender
+	now := sc.Sched.Now()
 
 	// Force recovery with a poisoned future solicitation clock.
 	s.recovering = true
@@ -137,9 +138,9 @@ func TestRecoveryReentryWithFutureClock(t *testing.T) {
 	if s.reqSentAt > now {
 		t.Fatalf("reqSentAt still in the future after repair: %v > %v", s.reqSentAt, now)
 	}
-	sc.runFor(2 * sc.pair.Sender.cfg.ExpectedResponse())
+	sc.Sched.RunFor(2 * sc.Sender.cfg.ExpectedResponse())
 	cp2 := frame.Frame{Kind: frame.KindCheckpoint, Serial: 101, Ack: 0}
-	s.HandleFrame(sc.sched.Now(), &cp2)
+	s.HandleFrame(sc.Sched.Now(), &cp2)
 	if s.reqSerial == reqBefore {
 		t.Fatal("sender never re-solicited: recovery re-entry still wedged")
 	}
@@ -152,25 +153,25 @@ func TestScrambleConvergence(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		cfg := baseCfg()
 		cfg.DedupWindow = cfg.DedupHorizon()
-		sc := newScenario(t, scenarioOpts{cfg: cfg, pipe: basePipe(), seed: seed})
+		sc := newScenario(t, cfg, arqtest.Options{Pipe: arqtest.Pipe(), Seed: seed})
 		rng := sim.NewRNG(seed * 7919)
 		for i := 0; i < 30; i++ {
 			at := sim.Time(int64(i) * int64(10*sim.Millisecond))
-			sc.sched.Schedule(at, func() {
-				cfg.CorruptState(sc.pair.Pair, rng)
-				sc.pair.Sender.Enqueue(arq.Datagram{ID: uint64(i + 1), Payload: make([]byte, 128)})
+			sc.Sched.Schedule(at, func() {
+				cfg.CorruptState(sc.Pair, rng)
+				sc.Sender.Enqueue(arq.Datagram{ID: uint64(i + 1), Payload: make([]byte, 128)})
 			})
 		}
-		sc.runFor(500 * sim.Millisecond)
+		sc.Sched.RunFor(500 * sim.Millisecond)
 		for i := 0; i < 40; i++ {
-			sc.pair.Sender.Enqueue(arq.Datagram{ID: 1000 + uint64(i), Payload: make([]byte, 128)})
+			sc.Sender.Enqueue(arq.Datagram{ID: 1000 + uint64(i), Payload: make([]byte, 128)})
 		}
-		sc.runFor(5 * sim.Second)
-		if sc.pair.Failed() {
-			t.Fatalf("seed %d: scramble era led to failure declaration: %s", seed, sc.failMsg)
+		sc.Sched.RunFor(5 * sim.Second)
+		if sc.Failed() {
+			t.Fatalf("seed %d: scramble era led to failure declaration: %s", seed, sc.FailMsg)
 		}
 		for i := 0; i < 40; i++ {
-			if sc.got[1000+uint64(i)] == 0 {
+			if sc.Got[1000+uint64(i)] == 0 {
 				t.Fatalf("seed %d: post-scramble datagram %d never delivered", seed, 1000+i)
 			}
 		}

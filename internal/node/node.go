@@ -383,26 +383,5 @@ func Line(sched *sim.Scheduler, k int, eng arq.EngineConfig, pipe channel.PipeCo
 	if k < 2 {
 		panic("node: line topology needs at least 2 nodes")
 	}
-	nodes := make([]*Node, k)
-	for i := range nodes {
-		nodes[i] = New(sched, ID(i), eng)
-	}
-	var links []*channel.Link
-	for i := 0; i+1 < k; i++ {
-		ab, ba := Connect(sched, nodes[i], nodes[i+1], pipe, rng)
-		links = append(links, ab, ba)
-	}
-	for i := range nodes {
-		for j := range nodes {
-			if i == j {
-				continue
-			}
-			if j > i {
-				nodes[i].SetRoute(ID(j), ID(i+1))
-			} else {
-				nodes[i].SetRoute(ID(j), ID(i-1))
-			}
-		}
-	}
-	return nodes, links
+	return chain(sched, k, k-1, eng, pipe, rng)
 }

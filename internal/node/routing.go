@@ -100,7 +100,7 @@ func RecomputeRoutes(nodes []*Node) {
 		}
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			*slot(&src.routes, nodes[u].id) = hop[u]
+			*entry(src.sched, routeTables, &src.routes, nodes[u].id) = hop[u]
 			for _, nb := range adj[u] {
 				if nb != si && hop[nb] == 0 {
 					hop[nb] = hop[u]
@@ -121,12 +121,20 @@ func Ring(sched *sim.Scheduler, k int, eng arq.EngineConfig, pipe channel.PipeCo
 	if k < 3 {
 		panic("node: ring topology needs at least 3 nodes")
 	}
+	return chain(sched, k, k, eng, pipe, rng)
+}
+
+// chain builds k nodes, joins node i to node (i+1) mod k for each of the
+// first adjacencies i — k−1 of them make a line, k a ring — and installs
+// the shortest-path routes. It returns the nodes and the data links,
+// forward then reverse per adjacency.
+func chain(sched *sim.Scheduler, k, adjacencies int, eng arq.EngineConfig, pipe channel.PipeConfig, rng *sim.RNG) ([]*Node, []*channel.Link) {
 	nodes := make([]*Node, k)
 	for i := range nodes {
 		nodes[i] = New(sched, ID(i), eng)
 	}
-	var links []*channel.Link
-	for i := 0; i < k; i++ {
+	links := make([]*channel.Link, 0, 2*adjacencies)
+	for i := 0; i < adjacencies; i++ {
 		ab, ba := Connect(sched, nodes[i], nodes[(i+1)%k], pipe, rng)
 		links = append(links, ab, ba)
 	}

@@ -4,16 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/arq"
+	"repro/internal/arq/arqtest"
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
-
-// nullWire swallows frames without copying or retaining them, so the pin
-// measures only the receiver.
-type nullWire struct{}
-
-func (nullWire) Send(*frame.Frame)                {}
-func (nullWire) TxTime(*frame.Frame) sim.Duration { return 0 }
 
 // TestReceiveCycleNoAllocs pins the receive cycle — a recycled I-frame
 // arrives, is delivered or suppressed as a duplicate or refused for its
@@ -25,7 +19,7 @@ func TestReceiveCycleNoAllocs(t *testing.T) {
 	cfg := baseCfg()
 	m := &arq.Metrics{}
 	delivered := 0
-	r := NewReceiver(sched, nullWire{}, cfg, m, func(sim.Time, arq.Datagram, uint32) { delivered++ })
+	r := NewReceiver(sched, arqtest.NullWire{}, cfg, m, func(sim.Time, arq.Datagram, uint32) { delivered++ })
 
 	var frames frame.List // the run's free list, as Pipe.Send uses it
 	arrive := func(seq uint32) {
@@ -61,7 +55,7 @@ func TestDrainedSendQueueHoldsNoChunk(t *testing.T) {
 	sched := sim.NewScheduler()
 	c := queueChunks.Get(sched)
 	queueChunks.Put(sched, c) // c is the chunk the next PushBack takes
-	s := NewSender(sched, nullWire{}, baseCfg(), &arq.Metrics{}, nil)
+	s := NewSender(sched, arqtest.NullWire{}, baseCfg(), &arq.Metrics{}, nil)
 	for i := 0; i <= len(s.lanes); i++ { // every lane busy, one datagram waits
 		s.Enqueue(arq.Datagram{ID: uint64(i)})
 	}
@@ -84,7 +78,7 @@ func TestDrainedSendQueueHoldsNoChunk(t *testing.T) {
 func TestScanCycleNoAllocs(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := &arq.Metrics{}
-	s := NewSender(sched, nullWire{}, baseCfg(), m, nil)
+	s := NewSender(sched, arqtest.NullWire{}, baseCfg(), m, nil)
 	s.Enqueue(arq.Datagram{ID: 1}) // never acknowledged: the lane stays busy
 	s.Start()
 	period := s.scanPeriod()

@@ -57,7 +57,7 @@ func nonTestImports(t *testing.T, dir string, visit func(file, path string)) {
 // interfaces and is configured with an arq.EngineConfig, so no field of
 // either struct may have a type an engine package declares.
 func TestHarnessLayering(t *testing.T) {
-	for _, layer := range []string{"bench", "node", "session", "shard", "faults", "trace", "workload", "resequence", "live"} {
+	for _, layer := range []string{"bench", "node", "session", "shard", "faults", "trace", "workload", "resequence", "live", "arq/arqtest"} {
 		nonTestImports(t, filepath.Join("internal", layer), func(file, path string) {
 			if enginePackages[path] {
 				t.Errorf("%s imports %s: engines are reached through internal/arq", file, path)
