@@ -37,13 +37,15 @@ ci:
 # Ten seconds of each fuzz target over a parser or decoder of outside input:
 # no input panics it, and what it accepts survives the round trip through its
 # own rendering. A crasher lands in the package's testdata/fuzz/ and is
-# committed with its fix.
+# committed with its fix. TestFuzzTargetsInMakefile fails when this list
+# misses a `func Fuzz` of the repo.
 .PHONY: fuzz
 fuzz:
 	@set -e; for target in \
 		internal/live:FuzzDeframer internal/live:FuzzStuffRoundTrip \
 		internal/faults:FuzzParseSpec internal/channel:FuzzParseModel \
-		internal/channel:FuzzReadTraceSet internal/channel:FuzzImportTwoColumn; do \
+		internal/channel:FuzzReadTraceSet internal/channel:FuzzImportTwoColumn \
+		internal/frame:FuzzDecode internal/frame:FuzzDecodeReuse; do \
 		go test ./$${target%%:*} -run '^$$' -fuzz "^$${target#*:}$$" -fuzztime 10s; \
 	done
 

@@ -41,12 +41,12 @@ func ExampleAnalysisParams() {
 		Alpha: 0.013,
 	}
 	fmt.Printf("s_LAMS=%.3f s_HDLC=%.3f\n", p.SBarLAMS(), p.SBarHDLC())
-	fmt.Printf("B_LAMS=%.0f frames, B_HDLC unbounded=%v\n", p.BLAMS(), p.BHDLC() > 1e300)
+	fmt.Printf("B_LAMS=%.0f frames\n", p.BLAMS())
 	fmt.Printf("eta_LAMS(4000)=%.2f eta_HDLC(4000)=%.2f\n",
 		p.EtaLAMS(4000), p.EtaHDLC(4000, analysis.PaperPrinted))
 	// Output:
 	// s_LAMS=1.053 s_HDLC=1.066
-	// B_LAMS=1204 frames, B_HDLC unbounded=true
+	// B_LAMS=1204 frames
 	// eta_LAMS(4000)=0.74 eta_HDLC(4000)=0.06
 }
 

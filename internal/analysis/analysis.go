@@ -168,11 +168,6 @@ func (p Params) BLAMS() float64 {
 	return p.HFrameLAMS()/p.Tf + p.Tproc/p.Tf
 }
 
-// BHDLC reports the SR-HDLC buffer for continuous operation: §4 proves
-// there is no transparent sending-buffer size (the backlog grows without
-// bound), so the function returns +Inf.
-func (p Params) BHDLC() float64 { return math.Inf(1) }
-
 // --- High-traffic totals (§4) -----------------------------------------------
 
 // HoldingFrames is h = H_frame^LAMS / t_f, the holding time expressed in
@@ -279,13 +274,6 @@ func (p Params) EtaHDLC(n int, v HDLCVariant) float64 {
 
 // --- Inconsistency gap and numbering (§2.3, §3.3) ---------------------------
 
-// InconsistencyGapLAMS is the bound on LAMS-DLC's protocol-state
-// inconsistency window: the expected normal response time plus
-// C_depth·I_cp.
-func (p Params) InconsistencyGapLAMS() float64 {
-	return p.R + p.Tc + p.Tproc + float64(p.Cdepth)*p.Icp
-}
-
 // ResolvingPeriod is R + ½·I_cp + C_depth·I_cp, the bound on a frame's
 // unresolved lifetime (§3.3) and therefore on H_frame for numbering.
 func (p Params) ResolvingPeriod() float64 {
@@ -296,19 +284,6 @@ func (p Params) ResolvingPeriod() float64 {
 // resolving period divided by the mean frame time.
 func (p Params) NumberingSizeLAMS() float64 {
 	return p.ResolvingPeriod() / p.Tf
-}
-
-// LinkFrameLength is §2.3's "maximum number of in-transit frames at a
-// time": (D_link · T_data) / (V · L_frame), with distance in metres, rate
-// in bits/s, and frame length in bits. GBN discards this many good frames
-// per error in the worst case, which is the paper's argument against it on
-// long fat links.
-func LinkFrameLength(distanceM, rateBps float64, frameBits int) float64 {
-	if frameBits <= 0 {
-		return 0
-	}
-	const c = 2.99792458e8
-	return distanceM * rateBps / (c * float64(frameBits))
 }
 
 // --- Parameter construction helpers -----------------------------------------

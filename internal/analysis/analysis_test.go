@@ -150,9 +150,6 @@ func TestHoldingTimeAndBufferScale(t *testing.T) {
 	if math.Abs(p.BLAMS()-want) > 1e-9 {
 		t.Fatalf("B_LAMS = %v, want %v", p.BLAMS(), want)
 	}
-	if !math.IsInf(p.BHDLC(), 1) {
-		t.Fatal("SR-HDLC has no transparent buffer size")
-	}
 }
 
 func TestNTotalErrorFree(t *testing.T) {
@@ -251,11 +248,6 @@ func TestEfficiencyGapGrowsWithAlpha(t *testing.T) {
 
 func TestInconsistencyGapAndNumbering(t *testing.T) {
 	p := baseParams()
-	ig := p.InconsistencyGapLAMS()
-	want := p.R + p.Tc + p.Tproc + 3*p.Icp
-	if math.Abs(ig-want) > 1e-15 {
-		t.Fatalf("inconsistency gap = %v, want %v", ig, want)
-	}
 	rp := p.ResolvingPeriod()
 	if math.Abs(rp-(p.R+0.5*p.Icp+3*p.Icp)) > 1e-15 {
 		t.Fatalf("resolving period = %v", rp)
@@ -333,24 +325,5 @@ func TestLowTrafficComparisonMatchesPaperDiscussion(t *testing.T) {
 	q.Alpha = 0.2
 	if !(q.DLowHDLC(n, PaperPrinted) > q.DLowLAMS(n)) {
 		t.Fatal("large α should hurt HDLC at low traffic")
-	}
-}
-
-func TestLinkFrameLength(t *testing.T) {
-	// 4,000 km at 300 Mbps with 8,360-bit frames: ~478 frames in flight.
-	got := LinkFrameLength(4e6, 300e6, 8360)
-	if math.Abs(got-478.7)/478.7 > 0.01 {
-		t.Fatalf("LinkFrameLength = %v, want ~478.7", got)
-	}
-	if LinkFrameLength(4e6, 300e6, 0) != 0 {
-		t.Fatal("zero frame bits")
-	}
-	// The quantity §2.3 uses to argue GBN is hopeless on long fat links:
-	// it grows linearly with both distance and rate.
-	if !(LinkFrameLength(8e6, 300e6, 8360) > 1.9*got) {
-		t.Fatal("not linear in distance")
-	}
-	if !(LinkFrameLength(4e6, 1e9, 8360) > 3*got) {
-		t.Fatal("not linear in rate")
 	}
 }

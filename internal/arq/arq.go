@@ -109,16 +109,6 @@ func (m *Metrics) MeanHoldingTime() sim.Duration {
 	return sim.Duration(m.HoldingTime.Mean())
 }
 
-// Summary renders the headline numbers for logs.
-func (m *Metrics) Summary() string {
-	return fmt.Sprintf(
-		"submitted=%d delivered=%d retx=%d ctrl=%d drop=%d fail=%d hold=%v sbuf=%.1f",
-		m.Submitted.Value(), m.Delivered.Value(), m.Retransmissions.Value(),
-		m.ControlSent.Value(), m.RecvDropped.Value(), m.Failures.Value(),
-		m.MeanHoldingTime(), m.SendBufOcc.Mean(),
-	)
-}
-
 // Timing bundles the scenario timing parameters shared by both protocols'
 // configuration, mirroring the symbols of Section 4.
 type Timing struct {

@@ -1,8 +1,13 @@
 package arqtest_test
 
 import (
+	"flag"
+	"os"
+	"os/exec"
 	"reflect"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arq"
@@ -52,7 +57,6 @@ var exempt = map[string]map[string]string{
 		"sendcap":         "configure ignores SendCap (DESIGN.md §16): mapping it moves the link_engines_burst pin, ROADMAP 1(a)",
 		"probes-recovery": "no checkpoint process, no enforced recovery",
 		"probes-receiver": "the receiver only acknowledges: no checkpoint process, no Stop-Go",
-		"warm-run":        "no arq.Recycler: the send queue's chunks go to the collector at teardown (ROADMAP item 9(c))",
 	},
 }
 
@@ -165,44 +169,71 @@ func determinism(t *testing.T, reg arq.Registration) {
 		t.Error("two runs of one seed delivered in different orders")
 	}
 	if ma, mb := a.Metrics(), b.Metrics(); !reflect.DeepEqual(*ma, *mb) {
-		t.Errorf("two runs of one seed counted differently:\n%s\n%s", ma.Summary(), mb.Summary())
+		t.Errorf("two runs of one seed counted differently:\n%+v\n%+v", *ma, *mb)
 	}
 }
 
 // stop: a Stop mid-transfer declares no failure; every datagram is
-// delivered or handed back by Reclaim, oldest first; and the stopped pair
-// refuses work and reports Failed.
+// delivered or handed back by Reclaim; and the stopped pair refuses work.
+// The row stops two transfers: one before any acknowledgement has come back,
+// where Reclaim must hand the held datagrams back oldest first, and one on a
+// lossy link after releases and retransmissions, through which an unsplit
+// pair keeps one Metrics block (bench.Run reads the pointer it took before
+// the run).
 func stop(t *testing.T, reg arq.Registration) {
-	pipe := arqtest.Pipe()
-	pipe.IModel = arqtest.CorruptEvery(3)
-	sc := newScenario(t, reg.Configure(knobs()), arqtest.Options{Pipe: pipe, Seed: 1})
 	const n = 200
+	early := arqtest.Pipe()
+	early.IModel = arqtest.CorruptEvery(3)
+	sc := newScenario(t, reg.Configure(knobs()), arqtest.Options{Pipe: early, Seed: 1})
 	sc.EnqueueAll(n, 512)
 	// The first frames have arrived, but no acknowledgement — hence no
 	// release and no retransmission — has come back yet: the held datagrams
 	// are still in enqueue order.
 	sc.Sched.RunFor(20 * sim.Millisecond)
-	sc.Stop()
-	held := sc.Reclaimed(n)
-	if len(sc.Got) == 0 || len(held) == 0 {
-		t.Fatalf("not stopped mid-transfer: %d delivered, %d held", len(sc.Got), len(held))
-	}
+	held := stopMidTransfer(t, sc, n)
 	for i := 1; i < len(held); i++ {
 		if held[i].ID <= held[i-1].ID {
 			t.Fatalf("Reclaim()[%d] is datagram %d after %d: not oldest first", i, held[i].ID, held[i-1].ID)
 		}
 	}
-	if sc.Enqueue(arq.Datagram{ID: n}) {
-		t.Error("stopped pair accepted a datagram")
+
+	lossy := arqtest.Pipe()
+	lossy.IModel = channel.FixedProb{P: 0.2}
+	lossy.CModel = channel.FixedProb{P: 0.05}
+	sc = newScenario(t, reg.Configure(knobs()), arqtest.Options{Pipe: lossy, Seed: 9})
+	m := sc.Metrics()
+	sc.EnqueueAll(n, 512)
+	sc.Sched.RunFor(3 * arqtest.RoundTrip)
+	if m.Retransmissions.Value() == 0 || m.HoldingTime.Max() == 0 {
+		t.Fatal("stopped before any retransmission and release")
 	}
-	if !sc.Failed() {
-		t.Error("stopped pair does not report Failed")
+	stopMidTransfer(t, sc, n)
+	if sc.Metrics() != m {
+		t.Error("unsplit pair's Metrics() pointer changed over the run")
+	}
+	if got := m.Delivered.Value(); got < uint64(len(sc.Got)) {
+		t.Errorf("shared Metrics block saw %d deliveries, callback saw %d", got, len(sc.Got))
+	}
+}
+
+// stopMidTransfer stops sc's transfer of datagrams 0…n−1, checks what every
+// Stop promises and returns what Reclaim handed back.
+func stopMidTransfer(t *testing.T, sc *scenario, n int) []arq.Datagram {
+	t.Helper()
+	sc.Stop()
+	held := sc.Reclaimed(n)
+	if len(sc.Got) == 0 || len(held) == 0 {
+		t.Fatalf("not stopped mid-transfer: %d delivered, %d held", len(sc.Got), len(held))
+	}
+	if sc.Enqueue(arq.Datagram{ID: uint64(n)}) {
+		t.Error("stopped pair accepted a datagram")
 	}
 	sc.Stop() // idempotent
 	sc.Sched.RunFor(20 * sim.Second)
 	if sc.FailedAt != 0 || sc.Metrics().Failures.Value() != 0 {
 		t.Errorf("Stop declared a failure: %q", sc.FailMsg)
 	}
+	return held
 }
 
 // sendCap: the SendCap knob, mapped by Configure, bounds the sending buffer:
@@ -332,7 +363,7 @@ func scramble(t *testing.T, reg arq.Registration) {
 			sc.Enqueue(arq.Datagram{ID: 1000 + uint64(i), Payload: make([]byte, 128)})
 		}
 		sc.Sched.RunFor(5 * sim.Second)
-		if sc.Failed() {
+		if sc.FailedAt != 0 {
 			t.Fatalf("seed %d: the scramble era led to a failure declaration: %s", seed, sc.FailMsg)
 		}
 		for i := 0; i < 40; i++ {
@@ -351,8 +382,20 @@ const warmAllocBudget = 40
 // next run everything it grew — sending buffer, receive buffer with the
 // frames it holds, scratch lists and maps — so a warm run stopped
 // mid-transfer allocates what an idle one does: the world it builds, and
-// nothing per datagram or per frame.
+// nothing per datagram or per frame. The row runs in a process of its own,
+// so its runs hand run memory only to each other: a half that drops what it
+// holds at teardown cannot live off the surplus earlier rows left in the
+// scheduler depot, and allocates.
 func warmRun(t *testing.T, reg arq.Registration) {
+	alone := "^TestContract$/^warm-run$/^" + regexp.QuoteMeta(reg.Name) + "$"
+	if f := flag.Lookup("test.run"); f == nil || f.Value.String() != alone {
+		out, err := exec.Command(os.Args[0], "-test.run="+alone, "-test.count=1", "-test.v").CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestContract/warm-run/"+reg.Name+" ") {
+			t.Fatalf("%s in a fresh process: %v\n%s", alone, err, out)
+		}
+		t.Logf("%s in a fresh process:\n%s", alone, out)
+		return
+	}
 	cfg := reg.Configure(knobs())
 	payload := make([]byte, 512)
 	warm := func(n int) float64 {

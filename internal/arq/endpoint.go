@@ -29,7 +29,6 @@ type SenderHalf interface {
 	Enqueue(dg Datagram) bool
 	UnreleasedDatagrams() []Datagram
 	Outstanding() int
-	Failed() bool
 	Shutdown()
 	SetProbe(p *Probe)
 }
@@ -139,9 +138,6 @@ func (p *Pair) Reclaim() []Datagram { return p.Sender.UnreleasedDatagrams() }
 // Outstanding returns the sending-buffer occupancy: unacknowledged frames
 // plus queued datagrams.
 func (p *Pair) Outstanding() int { return p.Sender.Outstanding() }
-
-// Failed reports whether the sender declared the link failed or was stopped.
-func (p *Pair) Failed() bool { return p.Sender.Failed() }
 
 // Metrics exposes the pair's measurement block. For a split pair the two
 // per-entity blocks are merged on demand; call only while both shards are

@@ -140,7 +140,7 @@ func TestEnqueueRefusal(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := newHarness(nil, c.capacity)
+			h := newHarness(metrics.New(), c.capacity)
 			h.sched.RunFor(sim.Millisecond)
 			accepted := 0
 			for i := 0; i < c.offered; i++ {
@@ -162,7 +162,7 @@ func TestEnqueueRefusal(t *testing.T) {
 					t.Fatalf("datagram %d stamped %v, want the enqueue instant", dg.ID, dg.EnqueuedAt)
 				}
 			}
-			if got := h.m.SendBufOcc.Current(); got != float64(c.accepted) {
+			if got := h.outstanding.Value(); got != float64(c.accepted) {
 				t.Fatalf("occupancy noted as %v, want %d", got, c.accepted)
 			}
 		})
@@ -190,7 +190,7 @@ func TestEnqueueRefusal(t *testing.T) {
 }
 
 func TestSweepKeepsOrderAndNilsTheTail(t *testing.T) {
-	h := newHarness(nil, 0)
+	h := newHarness(metrics.New(), 0)
 	h.fill(6)
 	backing := h.InFlight()[:6:6]
 	var dropped []*Entry
@@ -209,7 +209,7 @@ func TestSweepKeepsOrderAndNilsTheTail(t *testing.T) {
 			t.Fatalf("vacated slot %d still pins entry seq %d", 3+i, e.Seq)
 		}
 	}
-	if got := h.m.SendBufOcc.Current(); got != 3 {
+	if got := h.outstanding.Value(); got != 3 {
 		t.Fatalf("occupancy noted as %v after the sweep, want 3", got)
 	}
 
@@ -225,7 +225,7 @@ func TestSweepKeepsOrderAndNilsTheTail(t *testing.T) {
 	if e := dropped[0]; e.LastTx != now || e.FirstTx == now {
 		t.Fatalf("Renumber set FirstTx %v LastTx %v; only LastTx moves", e.FirstTx, e.LastTx)
 	}
-	if got := h.m.SendBufOcc.Current(); got != 6 {
+	if got := h.outstanding.Value(); got != 6 {
 		t.Fatalf("occupancy noted as %v after renumbering, want 6", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestReleaseAccounting(t *testing.T) {
 	if hs := snap.Histograms["test_holding_time_ns"]; hs.Count != 1 || hs.Sum != held || held != float64(4*sim.Millisecond+sim.Microsecond) {
 		t.Fatalf("holding-time histogram %+v, want one sample of %v (first transmission to release)", hs, held)
 	}
-	if got := h.m.HoldingTime.Mean(); h.m.HoldingTime.N() != 1 || got != held {
+	if got := h.m.HoldingTime.Mean(); h.m.HoldingTime.Max() != held || got != held {
 		t.Fatalf("arq.Metrics holding time %v, want %v", got, held)
 	}
 }
@@ -330,7 +330,7 @@ func TestCycleNoAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, round); avg != 0 {
 			t.Fatalf("buffer cycle of %d allocates %.2f/op, want 0", batch, avg)
 		}
-		if q.Outstanding() != 0 || m.HoldingTime.N() != uint64(batch)*151 {
+		if q.Outstanding() != 0 || m.Submitted.Value() != uint64(batch)*151 {
 			t.Fatal("the pin measured nothing")
 		}
 	}

@@ -187,9 +187,6 @@ func (m *GilbertElliott) Corrupt(rng *sim.RNG, start, end sim.Time, bits int) bo
 	return rng.Bernoulli(m.cache.prob(m.Scheme, ber, bits))
 }
 
-// MeanBurstLen returns the mean duration of a bad-state burst.
-func (m *GilbertElliott) MeanBurstLen() sim.Duration { return m.MeanBad }
-
 // BurstTrain is a deterministic burst process: the channel is destroyed for
 // BurstLen every Period (bursts at [k*Period, k*Period+BurstLen)), and
 // behaves as a BSC with BaseBER otherwise. Experiment E7 uses it to place

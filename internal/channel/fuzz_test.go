@@ -33,9 +33,9 @@ func FuzzParseModel(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := ParseModel(m.Spec())
-		if err != nil || again.Spec() != m.Spec() {
-			t.Fatalf("ParseModel(%q) accepted, but its Spec() %q re-parses as %q, %v", text, m.Spec(), again.Spec(), err)
+		again, err := ParseModel(m.String())
+		if err != nil || again.String() != m.String() {
+			t.Fatalf("ParseModel(%q) accepted, but its Spec() %q re-parses as %q, %v", text, m.String(), again.String(), err)
 		}
 		if m.New() == nil {
 			t.Fatalf("ParseModel(%q).New() returned nil", text)

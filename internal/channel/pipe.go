@@ -19,8 +19,8 @@ import (
 // Put drops the reference, it does not scrub the bytes). Control frames and
 // frames marked Corrupted are recycled by the pipe as soon as the handler
 // returns; a handler must never Put one of those, and one that wants to
-// keep one must Clone it. Every protocol entity in this repository consumes
-// control frames within the callback.
+// keep one must copy it, Payload and NAKs included. Every protocol entity in
+// this repository consumes control frames within the callback.
 type Handler func(now sim.Time, f *frame.Frame)
 
 // DelayFn returns the one-way propagation delay for a frame departing the
@@ -415,9 +415,6 @@ func (p *Pipe) SetDown(down bool) { p.down = down }
 // the shared down flag directly.
 func (p *Pipe) SetRxDown(down bool) { p.rxDown = down }
 
-// Down reports whether the pipe is dead.
-func (p *Pipe) Down() bool { return p.down }
-
 // SetRemote marks the pipe's two ends as living on different schedulers and
 // installs the transport between them: Send will call post(arrival, frame)
 // — on the transmit shard's goroutine — instead of scheduling the arrival
@@ -472,12 +469,3 @@ func (l *Link) Fail() {
 	l.AtoB.SetDown(true)
 	l.BtoA.SetDown(true)
 }
-
-// Restore revives both directions.
-func (l *Link) Restore() {
-	l.AtoB.SetDown(false)
-	l.BtoA.SetDown(false)
-}
-
-// Down reports whether either direction is dead.
-func (l *Link) Down() bool { return l.AtoB.Down() || l.BtoA.Down() }

@@ -39,9 +39,6 @@ type Model struct {
 	make func() ErrorModel
 }
 
-// Spec returns the text the model was parsed from.
-func (m Model) Spec() string { return m.spec }
-
 // String returns the spec.
 func (m Model) String() string { return m.spec }
 
@@ -89,9 +86,6 @@ func RegisterModel(r ModelRegistration) {
 	}
 	models.Add(r.Kind, r.Aliases, r)
 }
-
-// ModelKinds returns the registered canonical kinds, sorted.
-func ModelKinds() []string { return models.Names() }
 
 // SpecGrammar returns the one-line usage summary of every registered kind,
 // for flag help.

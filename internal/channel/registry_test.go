@@ -99,7 +99,7 @@ func TestParseModelUnknownKindListsRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	for _, kind := range ModelKinds() {
+	for _, kind := range models.Names() {
 		if !strings.Contains(err.Error(), kind) {
 			t.Errorf("unknown-kind error %q does not list registered kind %q", err, kind)
 		}
@@ -240,7 +240,7 @@ func TestParseBudget(t *testing.T) {
 
 func TestSpecGrammarMentionsEveryKind(t *testing.T) {
 	g := SpecGrammar()
-	for _, kind := range ModelKinds() {
+	for _, kind := range models.Names() {
 		if !strings.Contains(g, kind) {
 			t.Errorf("SpecGrammar() %q missing kind %q", g, kind)
 		}

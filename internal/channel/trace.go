@@ -92,14 +92,6 @@ func (s *TraceSet) Stream(name string) *Trace {
 // replay.
 func (s *TraceSet) Get(name string) *Trace { return s.byName[name] }
 
-// Add inserts a built trace (e.g. an import), replacing any same-named one.
-func (s *TraceSet) Add(tr *Trace) {
-	if _, ok := s.byName[tr.Name]; !ok {
-		s.order = append(s.order, tr.Name)
-	}
-	s.byName[tr.Name] = tr
-}
-
 // Names returns the stream names in creation order (the file order).
 func (s *TraceSet) Names() []string {
 	out := make([]string, len(s.order))

@@ -88,15 +88,14 @@ type Checker struct {
 	transmitted map[uint64]int // total tx per datagram (first + retx)
 	liveTx      map[uint32]txRecord
 
-	recovering    bool
-	lastCpHeard   sim.Time
-	haveCp        bool
-	lastEnforced  sim.Time
-	haveEnforced  bool
-	lastReqNAK    sim.Time
-	haveReq       bool
-	failed        bool
-	checkpointsRx int
+	recovering   bool
+	lastCpHeard  sim.Time
+	haveCp       bool
+	lastEnforced sim.Time
+	haveEnforced bool
+	lastReqNAK   sim.Time
+	haveReq      bool
+	failed       bool
 
 	// Corruption era (SetCorruption): [corrStart, corrEnd] is the scheduled
 	// adversary window, corrDeadline = corrEnd + the engine's convergence
@@ -240,7 +239,6 @@ func (c *Checker) excuseFinish(at sim.Time, rule, format string, args ...any) bo
 }
 
 func (c *Checker) onCheckpointHeard(now sim.Time, serial uint32, enforced bool) {
-	c.checkpointsRx++
 	// numbering: between this checkpoint and the previous one the sender
 	// had no opportunity to sweep, so every live incarnation must be
 	// younger than the steady-state bound stretched by the observed gap.
@@ -350,13 +348,6 @@ func (c *Checker) onReleased(now sim.Time, seq uint32, dgID uint64) {
 	delete(c.liveTx, seq)
 }
 
-// Checkpoints returns how many checkpoint-family frames the sender heard
-// (tests use it to confirm a schedule actually bit).
-func (c *Checker) Checkpoints() int { return c.checkpointsRx }
-
-// Failed reports whether the sender declared link failure during the run.
-func (c *Checker) Failed() bool { return c.failed }
-
 // Finish evaluates the end-of-run rules and returns every violation
 // accumulated over the run. unreleased is the sender's remaining buffer
 // (arq.Pair.Reclaim) — datagrams the contract still charges to the sender
@@ -393,7 +384,3 @@ func (c *Checker) Finish(unreleased []arq.Datagram) []Violation {
 	}
 	return c.violations
 }
-
-// Violations returns the breaches recorded so far (Finish appends the
-// end-of-run rules).
-func (c *Checker) Violations() []Violation { return c.violations }

@@ -43,8 +43,12 @@ func TestParseSpecGrammar(t *testing.T) {
 	if spec.Events[5].Dur != 30*sim.Millisecond {
 		t.Fatalf("handover default duration = %v, want 30ms", spec.Events[5].Dur)
 	}
-	if spec.End() != 8*sim.Second+30*sim.Millisecond {
-		t.Fatalf("End() = %v", spec.End())
+	var end sim.Duration
+	for _, e := range spec.Events {
+		end = max(end, e.End())
+	}
+	if end != 8*sim.Second+30*sim.Millisecond {
+		t.Fatalf("the last episode ends at %v", end)
 	}
 
 	// String round-trips through the parser.
@@ -527,7 +531,7 @@ func TestCheckerFlagsBreaches(t *testing.T) {
 		p := c.Probe()
 		p.CheckpointHeard(at(100), 1, false)
 		p.RecoveryStarted(at(110)) // 10ms of silence, want >= CheckpointTimerTimeout
-		expect(t, c.Violations(), "recovery-entry")
+		expect(t, c.Finish(nil), "recovery-entry")
 	})
 	t.Run("recovery exit without response", func(t *testing.T) {
 		c := faults.NewChecker(cfg.RecoveryWindows())
@@ -535,14 +539,14 @@ func TestCheckerFlagsBreaches(t *testing.T) {
 		p.CheckpointHeard(at(100), 1, false)
 		p.RecoveryStarted(at(200))
 		p.RecoveryEnded(at(210), false) // no enforced frame heard at 210ms
-		expect(t, c.Violations(), "recovery-exit")
+		expect(t, c.Finish(nil), "recovery-exit")
 	})
 	t.Run("new frame during recovery", func(t *testing.T) {
 		c := faults.NewChecker(cfg.RecoveryWindows())
 		p := c.Probe()
 		p.RecoveryStarted(at(200))
 		p.FirstTransmission(at(210), 5, 1)
-		expect(t, c.Violations(), "recovery-gate")
+		expect(t, c.Finish(nil), "recovery-gate")
 	})
 	t.Run("failure before the silence window", func(t *testing.T) {
 		c := faults.NewChecker(cfg.RecoveryWindows())
@@ -550,7 +554,7 @@ func TestCheckerFlagsBreaches(t *testing.T) {
 		p.RecoveryStarted(at(200))
 		p.RequestNAKSent(at(200), 1)
 		p.FailureDeclared(at(210), "no enforced-NAK") // want >= FailureTimeout
-		expect(t, c.Violations(), "failure-window")
+		expect(t, c.Finish(nil), "failure-window")
 	})
 	t.Run("stale incarnation outlives the resolving period", func(t *testing.T) {
 		c := faults.NewChecker(cfg.RecoveryWindows())
@@ -562,7 +566,7 @@ func TestCheckerFlagsBreaches(t *testing.T) {
 		for ts := at(20); ts < sim.Time(horizon); ts = ts.Add(10 * sim.Millisecond) {
 			p.CheckpointHeard(ts, 1, false)
 		}
-		expect(t, c.Violations(), "numbering")
+		expect(t, c.Finish(nil), "numbering")
 	})
 	t.Run("datagram lost", func(t *testing.T) {
 		c := faults.NewChecker(cfg.RecoveryWindows())

@@ -277,17 +277,6 @@ func (s *Spec) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// End returns the instant the last episode closes (0 for an empty spec).
-func (s *Spec) End() sim.Duration {
-	var end sim.Duration
-	for _, e := range s.Events {
-		if e.End() > end {
-			end = e.End()
-		}
-	}
-	return end
-}
-
 // CorruptionWindow returns the span covering every state-corruption event
 // (scramble, ghost, reorder). ok is false when the schedule has none — the
 // checker's convergence rule then stays dormant.

@@ -71,19 +71,6 @@ func (s Scheme) BlockErrorProb(ber float64) float64 {
 	return 1 - ok
 }
 
-// ResidualBER approximates the post-decoding bit error rate: when a block is
-// uncorrectable, roughly (T+1)/N of its data bits are wrong (the minimal
-// uncorrectable pattern); correctable blocks come out clean.
-func (s Scheme) ResidualBER(ber float64) float64 {
-	pe := s.BlockErrorProb(ber)
-	frac := float64(s.T+1) / float64(s.N)
-	r := pe * frac
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
 // FrameErrorProb returns the probability that a frame of frameBits data bits,
 // segmented into ceil(frameBits/K) blocks, is received in error: at least
 // one uncorrectable block.
@@ -147,16 +134,4 @@ func logChoose(n, k int) float64 {
 func lgamma(x int) float64 {
 	v, _ := math.Lgamma(float64(x))
 	return v
-}
-
-// FrameErrorProbUncoded returns 1-(1-ber)^bits, the frame error rate with no
-// coding — the P_F/P_C the paper's analysis uses directly.
-func FrameErrorProbUncoded(ber float64, bits int) float64 {
-	if ber <= 0 || bits <= 0 {
-		return 0
-	}
-	if ber >= 1 {
-		return 1
-	}
-	return -math.Expm1(float64(bits) * math.Log1p(-ber))
 }

@@ -88,28 +88,20 @@ func TestFrameErrorProbMonotone(t *testing.T) {
 	}
 }
 
+// TestFrameErrorProbUncodedMatchesScheme checks the uncoded scheme against
+// the closed form 1-(1-ber)^bits, the P_F/P_C the paper's analysis uses.
 func TestFrameErrorProbUncodedMatchesScheme(t *testing.T) {
 	for _, ber := range []float64{0, 1e-7, 1e-4, 0.5, 1} {
 		for _, bits := range []int{1, 100, 10000} {
-			a := FrameErrorProbUncoded(ber, bits)
+			a := 1.0
+			if ber < 1 {
+				a = -math.Expm1(float64(bits) * math.Log1p(-ber))
+			}
 			b := Uncoded.FrameErrorProb(ber, bits)
 			if math.Abs(a-b) > 1e-12 {
 				t.Fatalf("ber=%v bits=%d: %v vs %v", ber, bits, a, b)
 			}
 		}
-	}
-}
-
-func TestResidualBER(t *testing.T) {
-	if Hamming74.ResidualBER(0) != 0 {
-		t.Fatal("residual at 0")
-	}
-	r := Hamming74.ResidualBER(1e-4)
-	if r <= 0 || r >= 1e-4 {
-		t.Fatalf("residual BER = %v, want in (0, 1e-4)", r)
-	}
-	if Uncoded.ResidualBER(1) != 1 {
-		t.Fatalf("uncoded residual at ber=1: %v", Uncoded.ResidualBER(1))
 	}
 }
 

@@ -45,7 +45,6 @@ const (
 	KindRR              // HDLC Receive Ready (positive ack, window credit)
 	KindREJ             // HDLC Reject (Go-Back-N negative ack)
 	KindSREJ            // HDLC Selective Reject
-	kindMax
 )
 
 var kindNames = [...]string{
@@ -66,9 +65,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
-
-// Valid reports whether k names a real frame kind.
-func (k Kind) Valid() bool { return k > KindInvalid && k < kindMax }
 
 // Control reports whether the kind is a control frame (no user payload).
 func (k Kind) Control() bool { return k != KindI && k != KindHDLCI }
@@ -426,21 +422,6 @@ func (f *Frame) DecodeFrom(buf []byte) (int, error) {
 	default:
 		return 0, ErrBadKind
 	}
-}
-
-// Clone returns a deep copy of the frame. The channel model clones frames at
-// the sending boundary so a retransmitting protocol can keep mutating its
-// copy without racing the one in flight.
-func (f *Frame) Clone() *Frame {
-	g := *f
-	g.home = nil // the copy is the caller's own allocation, not the list's
-	if f.Payload != nil {
-		g.Payload = append([]byte(nil), f.Payload...)
-	}
-	if f.NAKs != nil {
-		g.NAKs = append([]uint32(nil), f.NAKs...)
-	}
-	return &g
 }
 
 // String renders a compact human-readable summary, e.g.

@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,7 +64,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("%v: consumed %d of %d bytes", f, n, len(buf))
 		}
 		// Decode normalizes empty slices to nil; compare semantically.
-		want := f.Clone()
+		want := clone(f)
 		if len(want.Payload) == 0 {
 			want.Payload = nil
 		}
@@ -172,24 +173,16 @@ func TestOversizeLimits(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := NewCheckpoint(1, 2, []uint32{3, 4}, true, false)
-	f.Payload = []byte("p")
-	g := f.Clone()
-	g.NAKs[0] = 99
-	g.Payload[0] = 'q'
-	if f.NAKs[0] != 3 || f.Payload[0] != 'p' {
-		t.Fatal("Clone shares backing arrays")
-	}
+// clone returns a deep copy of f that belongs to no list.
+func clone(f *Frame) *Frame {
+	g := *f
+	g.home = nil
+	g.Payload = slices.Clone(f.Payload)
+	g.NAKs = slices.Clone(f.NAKs)
+	return &g
 }
 
 func TestKindPredicates(t *testing.T) {
-	if KindInvalid.Valid() || Kind(200).Valid() {
-		t.Fatal("invalid kinds reported valid")
-	}
-	if !KindI.Valid() || !KindSREJ.Valid() {
-		t.Fatal("valid kinds reported invalid")
-	}
 	if KindI.Control() || KindHDLCI.Control() {
 		t.Fatal("information frames are not control frames")
 	}

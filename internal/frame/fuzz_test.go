@@ -56,7 +56,7 @@ func FuzzDecodeReuse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		var fr Frame
 		na, ea := fr.DecodeFrom(a)
-		snapshotA := fr.Clone()
+		snapshotA := clone(&fr)
 		nb, eb := fr.DecodeFrom(b)
 		var fresh Frame
 		nf, ef := fresh.DecodeFrom(b)

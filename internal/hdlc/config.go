@@ -96,9 +96,6 @@ func Defaults(roundTrip sim.Duration) Config {
 	}
 }
 
-// Alpha returns α = t_out − R.
-func (c Config) Alpha() sim.Duration { return c.Timeout - c.RoundTrip }
-
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {

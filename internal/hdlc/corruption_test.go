@@ -25,15 +25,15 @@ func TestImplausibleRRRefused(t *testing.T) {
 	if out == 0 {
 		t.Fatal("setup: nothing outstanding")
 	}
-	base := sc.Sender.SendBase()
+	base := sc.Sender.sendBase
 
 	ghost := frame.Frame{Kind: frame.KindRR, Ack: sc.Sender.NextSeq() + 5000}
 	sc.Sender.HandleFrame(sc.Sched.Now(), &ghost)
 	if got := sc.Sender.Unacked(); got < out {
 		t.Fatalf("implausible RR released %d frames", out-got)
 	}
-	if sc.Sender.SendBase() != base {
-		t.Fatalf("implausible RR moved sendBase %d -> %d", base, sc.Sender.SendBase())
+	if sc.Sender.sendBase != base {
+		t.Fatalf("implausible RR moved sendBase %d -> %d", base, sc.Sender.sendBase)
 	}
 
 	// A genuine RR must still release: sendBase was not poisoned.
@@ -57,7 +57,7 @@ func TestN2FiresUnderStarvation(t *testing.T) {
 	sc.EnqueueAll(10, 256)
 	// N2+1 expiries at one Timeout each, plus slack.
 	sc.Sched.RunFor(sim.Duration(cfg.MaxTimeouts+3) * cfg.Timeout)
-	if !sc.Failed() {
+	if !sc.Sender.Closed() {
 		t.Fatal("N2 supervision never fired under return-path starvation")
 	}
 	// Unreleased datagrams stay reclaimable for carry-over.

@@ -30,8 +30,8 @@ func TestFailureCallbackOnN2Exhaustion(t *testing.T) {
 	if sc.FailedAt == 0 {
 		t.Fatal("sender never declared failure after the link died")
 	}
-	if !sc.Failed() {
-		t.Fatal("Failed() false after declared failure")
+	if !sc.Sender.Closed() {
+		t.Fatal("sender still open after a declared failure")
 	}
 	if sc.FailMsg == "" {
 		t.Fatal("failure callback got an empty reason")
@@ -59,7 +59,7 @@ func TestZeroMaxTimeoutsNeverDeclares(t *testing.T) {
 	sc.Sched.RunFor(5 * sim.Millisecond)
 	sc.Link.Fail()
 	sc.Sched.RunFor(30 * sim.Second)
-	if sc.FailedAt != 0 || sc.Failed() {
+	if sc.FailedAt != 0 || sc.Sender.Closed() {
 		t.Fatal("failure declared with MaxTimeouts = 0")
 	}
 }
@@ -76,7 +76,7 @@ func TestReclaimAtPassEnd(t *testing.T) {
 	sc.EnqueueAll(n, 512)
 	sc.Sched.RunFor(3 * arqtest.RoundTrip)
 	sc.Stop()
-	if sc.Metrics().Retransmissions.Value() == 0 || sc.Metrics().HoldingTime.N() == 0 {
+	if sc.Metrics().Retransmissions.Value() == 0 || sc.Metrics().HoldingTime.Max() == 0 {
 		t.Fatal("stopped before any retransmission and release")
 	}
 	held := sc.Reclaimed(n)
@@ -102,8 +102,8 @@ func TestRecycleReturnsHeldFrames(t *testing.T) {
 		held[f] = true
 		r.HandleFrame(sched.Now(), f)
 	}
-	if r.Held() != 3 {
-		t.Fatalf("receiver holds %d frames, want 3", r.Held())
+	if len(r.held) != 3 {
+		t.Fatalf("receiver holds %d frames, want 3", len(r.held))
 	}
 	maps := r.recvMaps
 	r.Recycle()

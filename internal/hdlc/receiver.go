@@ -92,9 +92,6 @@ func (r *Receiver) Stop() {}
 // Sender.SetProbe).
 func (r *Receiver) SetProbe(*arq.Probe) {}
 
-// Held returns the receive-buffer occupancy (out-of-order frames).
-func (r *Receiver) Held() int { return len(r.held) }
-
 // HandleFrame processes one arriving frame.
 func (r *Receiver) HandleFrame(now sim.Time, f *frame.Frame) {
 	if f.Corrupted {

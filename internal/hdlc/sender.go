@@ -45,7 +45,6 @@ type Sender struct {
 	// Stutter mode.
 	stutterTimer *sim.Timer
 	stutterIdx   int
-	stutters     uint64
 
 	// Failure supervision: consecutive T1 expiries with no supervisory
 	// frame heard (the N2 retry count of real HDLC). Zero MaxTimeouts
@@ -66,9 +65,6 @@ func NewSender(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics) 
 	return s
 }
 
-// Stutters returns the number of idle-time stutter retransmissions sent.
-func (s *Sender) Stutters() uint64 { return s.stutters }
-
 // SetOnFailure installs the failure callback (the LAMS-DLC sender's
 // constructor takes it; a setter here so the raw constructor signature the
 // benchmark compiles against stays put). Config.NewSender is its one caller.
@@ -81,15 +77,8 @@ func (s *Sender) SetOnFailure(fn arq.FailureFunc) { s.onFailure = fn }
 // callbacks have no HDLC transition and never fire.
 func (s *Sender) SetProbe(p *arq.Probe) { s.Probe = p }
 
-// Failed reports whether the sender declared the link failed (or was shut
-// down).
-func (s *Sender) Failed() bool { return s.Closed() }
-
 // Start is a no-op for symmetry with the LAMS-DLC sender.
 func (s *Sender) Start() {}
-
-// SendBase exposes the lowest unacknowledged sequence number.
-func (s *Sender) SendBase() uint32 { return s.sendBase }
 
 // windowFull reports whether the window has no room for a new frame.
 func (s *Sender) windowFull() bool { return s.Unacked() >= s.cfg.WindowSize }
@@ -190,7 +179,6 @@ func (s *Sender) stutter() {
 	}
 	e := window[s.stutterIdx]
 	s.stutterIdx++
-	s.stutters++
 	s.im.stutterRetx.Inc()
 	s.transmit(e, s.stutterIdx == len(window), true, arq.RetxStutter)
 	// A stutter overwrites the budget rather than charging it: it runs on

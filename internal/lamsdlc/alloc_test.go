@@ -114,7 +114,7 @@ func TestDedupSeenPrunedAfter100k(t *testing.T) {
 	}
 	// Entries at most DedupWindow old survive: window/gap + 1 = 1001.
 	want := int(cfg.DedupWindow/gap) + 1
-	if got := r.DedupEntries(); got != want {
+	if got := len(r.seen); got != want {
 		t.Fatalf("dedup memory after %d datagrams = %d entries, want %d", n, got, want)
 	}
 	if got := r.dedupAge.Len(); got != want {

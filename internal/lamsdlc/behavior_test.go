@@ -159,7 +159,7 @@ func TestRecoveryBlocksNewFramesButAllowsRetransmission(t *testing.T) {
 	sched.RunFor(sim.Millisecond) // first frame out (seq 0)
 	// Silence until enforced recovery.
 	sched.RunFor(cfg.ExpectedResponse() + cfg.CheckpointTimerTimeout() + sim.Millisecond)
-	if !s.Recovering() {
+	if !s.recovering {
 		t.Fatal("not recovering")
 	}
 	txBefore := len(sent)
@@ -328,7 +328,7 @@ func TestDedupMemoryBounded(t *testing.T) {
 	sc.AssertAllDelivered(n)
 	// 100 Mbps / 533-byte frames ≈ 23k frames/s; a 50ms window holds
 	// ~1170; pruning is amortized per window so allow 3x.
-	if got := sc.Receiver.DedupEntries(); got > 3500 {
+	if got := len(sc.Receiver.seen); got > 3500 {
 		t.Fatalf("dedup memory %d entries, want bounded by the window", got)
 	}
 }
@@ -338,7 +338,7 @@ func TestDedupOffByDefault(t *testing.T) {
 	sc := newScenario(t, baseCfg(), arqtest.Options{Seed: 62})
 	sc.EnqueueAll(10, 64)
 	sc.Sched.RunFor(sim.Second)
-	if sc.Receiver.DedupEntries() != 0 {
+	if len(sc.Receiver.seen) != 0 {
 		t.Fatal("dedup memory allocated without DedupWindow")
 	}
 }

@@ -130,9 +130,6 @@ func (r *Receiver) SetCheckpointPeriod(d sim.Duration) {
 	r.ticker.SetPeriod(d)
 }
 
-// Expected exposes the next expected sequence number (tests).
-func (r *Receiver) Expected() uint32 { return r.expected }
-
 // StopGoAsserted reports whether flow control is currently asserting stop.
 func (r *Receiver) StopGoAsserted() bool { return r.stopGo }
 
@@ -415,10 +412,6 @@ func (r *Receiver) Recycle() {
 	seqLists.Put(r.sched, r.nakOut)
 	r.nakOut = nil
 }
-
-// DedupEntries returns the current dedup-memory population (tests and the
-// memory-bound claim).
-func (r *Receiver) DedupEntries() int { return len(r.seen) }
 
 func (r *Receiver) noteRecvOccupancy() {
 	r.m.RecvBufOcc.Update(int64(r.sched.Now()), float64(r.procQueue.Len()))

@@ -100,13 +100,6 @@ func (s *Sender) Start() {
 // Start: the probe is read synchronously by the state machine.
 func (s *Sender) SetProbe(p *arq.Probe) { s.Probe = p }
 
-// Failed reports whether the sender has declared the link failed.
-func (s *Sender) Failed() bool { return s.Closed() }
-
-// Recovering reports whether an Enforced Recovery is in progress (new
-// I-frames suspended).
-func (s *Sender) Recovering() bool { return s.recovering }
-
 // RateFraction returns the current flow-control send-rate fraction.
 func (s *Sender) RateFraction() float64 { return s.rateFraction }
 

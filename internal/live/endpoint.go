@@ -66,7 +66,7 @@ func newConnWire(w io.Writer, rateBps float64, onError func(error), reg *metrics
 		frames:  reg.Counter("live_tx_frames_total"),
 	}
 	if cw.dropped == nil {
-		cw.dropped = new(metrics.Counter) // Dropped() counts with or without a registry
+		cw.dropped = new(metrics.Counter) // counts with or without a registry
 	}
 	cw.ready.L = &cw.mu
 	go cw.writeLoop()
@@ -141,9 +141,6 @@ func (cw *connWire) Send(f *frame.Frame) {
 		cw.ready.Signal()
 	}
 }
-
-// Dropped returns the number of frames discarded at the transmit queue.
-func (cw *connWire) Dropped() uint64 { return cw.dropped.Value() }
 
 // TxTime reports the serialization time at the nominal link rate.
 func (cw *connWire) TxTime(f *frame.Frame) sim.Duration {

@@ -557,8 +557,8 @@ func TestEndpointExportsTransmitQueueMetrics(t *testing.T) {
 	if frames < n || writes == 0 || writes > frames {
 		t.Fatalf("live_tx_writes_total=%d live_tx_frames_total=%d after %d datagrams", writes, frames, n)
 	}
-	if _, ok := snap.Counters["live_txq_dropped_total"]; !ok || tx.wire.Dropped() != 0 {
-		t.Fatalf("live_txq_dropped_total exported=%v, Dropped()=%d", ok, tx.wire.Dropped())
+	if _, ok := snap.Counters["live_txq_dropped_total"]; !ok || tx.wire.dropped.Value() != 0 {
+		t.Fatalf("live_txq_dropped_total exported=%v, dropped=%d", ok, tx.wire.dropped.Value())
 	}
 }
 

@@ -198,8 +198,8 @@ func TestConnWireOverflowDropsExactlyWhatDoesNotFit(t *testing.T) {
 	if wantDropped < 3 {
 		t.Fatalf("test does not straddle the bound: %d dropped, %d bytes kept", wantDropped, len(want))
 	}
-	if got := cw.Dropped(); got != wantDropped {
-		t.Fatalf("Dropped() = %d, want %d", got, wantDropped)
+	if got := cw.dropped.Value(); got != wantDropped {
+		t.Fatalf("dropped = %d, want %d", got, wantDropped)
 	}
 	g.release <- nil
 	g.awaitWrite(t)

@@ -138,15 +138,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Mean returns the mean observation, or 0 with none.
-func (h *Histogram) Mean() float64 {
-	n := h.N()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // ExpBuckets returns n upper bounds growing geometrically from start by
 // factor: the standard shape for duration histograms spanning decades.
 func ExpBuckets(start, factor float64, n int) []float64 {

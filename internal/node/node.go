@@ -159,9 +159,6 @@ func (n *Node) linkIndex(neighbor ID) (int, bool) {
 	})
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() ID { return n.id }
-
 // SetRoute installs a static next-hop route. nextHop must already be a
 // connected neighbor; a route through anything else is no route.
 func (n *Node) SetRoute(dst, nextHop ID) {
@@ -170,15 +167,6 @@ func (n *Node) SetRoute(dst, nextHop ID) {
 		hop = uint16(i + 1)
 	}
 	*entry(n.sched, routeTables, &n.routes, dst) = hop
-}
-
-// Neighbors lists directly connected nodes, sorted.
-func (n *Node) Neighbors() []ID {
-	out := make([]ID, len(n.links))
-	for i, ol := range n.links {
-		out[i] = ol.peer
-	}
-	return out
 }
 
 // LinkMetrics exposes the DLC metrics of the outgoing link to a neighbor.

@@ -279,10 +279,19 @@ func TestLinkFailureCountsDrops(t *testing.T) {
 	}
 }
 
+// neighbors lists n's directly connected nodes, sorted.
+func neighbors(n *Node) []ID {
+	var out []ID
+	for _, ol := range n.links {
+		out = append(out, ol.peer)
+	}
+	return out
+}
+
 func TestNeighborsAndSummary(t *testing.T) {
 	sched := sim.NewScheduler()
 	nodes, _ := Line(sched, 3, testEng(), testPipe(), sim.NewRNG(5))
-	nb := nodes[1].Neighbors()
+	nb := neighbors(nodes[1])
 	if len(nb) != 2 || nb[0] != 0 || nb[1] != 2 {
 		t.Fatalf("neighbors = %v", nb)
 	}
@@ -292,7 +301,7 @@ func TestNeighborsAndSummary(t *testing.T) {
 	if nodes[0].Summary() == "" {
 		t.Fatal("summary")
 	}
-	if nodes[0].ID() != 0 {
+	if nodes[0].id != 0 {
 		t.Fatal("id")
 	}
 }
@@ -693,7 +702,7 @@ func TestRoutesSurviveLaterAttach(t *testing.T) {
 	if len(viaFive.got) != 1 || len(viaOne.got) != 1 {
 		t.Fatalf("dst 9 via 5: %d, dst 8 via 1: %d, want 1 and 1", len(viaFive.got), len(viaOne.got))
 	}
-	if nb := n.Neighbors(); len(nb) != 2 || nb[0] != 1 || nb[1] != 5 {
+	if nb := neighbors(n); len(nb) != 2 || nb[0] != 1 || nb[1] != 5 {
 		t.Fatalf("neighbors = %v", nb)
 	}
 	n.SetRoute(9, 7) // not a neighbor: no route

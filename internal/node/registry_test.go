@@ -41,7 +41,7 @@ func TestLineRelayEveryRegisteredEngine(t *testing.T) {
 			dst.OnDeliver = func(_ sim.Time, p node.Packet) { got = append(got, p) }
 			const n = 150
 			for i := 0; i < n; i++ {
-				if !src.Send(dst.ID(), []byte(fmt.Sprintf("pkt-%d", i))) {
+				if !src.Send(2, []byte(fmt.Sprintf("pkt-%d", i))) {
 					t.Fatalf("send %d refused", i)
 				}
 			}

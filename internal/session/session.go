@@ -32,9 +32,6 @@ type Pass struct {
 	Start, End sim.Time
 }
 
-// Duration returns the pass length.
-func (p Pass) Duration() sim.Duration { return p.End.Sub(p.Start) }
-
 // LinkFactory builds the simulated link for pass i. Each pass gets a fresh
 // link (new geometry, new error-process state).
 type LinkFactory func(i int, p Pass) *channel.Link
@@ -136,21 +133,6 @@ func (m *Manager) Send(payload []byte) uint64 {
 	return id
 }
 
-// Pending returns the datagrams waiting for a pass (excluding those inside
-// the active pair).
-func (m *Manager) Pending() int { return len(m.queue) }
-
-// Active reports whether a pass is currently carrying traffic.
-func (m *Manager) Active() bool { return m.cur != nil }
-
-// CurrentPass returns the index of the active pass, or -1.
-func (m *Manager) CurrentPass() int {
-	if m.cur == nil {
-		return -1
-	}
-	return m.curIdx
-}
-
 func (m *Manager) startPass(i int, p Pass) {
 	link := m.factory(i, p)
 	eng := m.cfg.Engine.WithLinkLifetime(p.End.Sub(m.sched.Now()))
@@ -195,17 +177,4 @@ func (m *Manager) Summary() string {
 	return fmt.Sprintf("passes=%d delivered=%d carried=%d dup=%d failures=%d pending=%d",
 		m.Stats.Passes.Value(), m.Stats.Delivered.Value(), m.Stats.CarriedOver.Value(),
 		m.Stats.Duplicates.Value(), m.Stats.Failures.Value(), len(m.queue))
-}
-
-// PassesFromWindows converts orbital visibility windows (durations since
-// epoch) into simulation-time passes 1:1.
-func PassesFromWindows(starts, ends []sim.Duration) []Pass {
-	if len(starts) != len(ends) {
-		panic("session: mismatched window slices")
-	}
-	out := make([]Pass, len(starts))
-	for i := range starts {
-		out[i] = Pass{Start: sim.Time(starts[i]), End: sim.Time(ends[i])}
-	}
-	return out
 }

@@ -81,7 +81,7 @@ func TestRetargetOverheadDelaysTraffic(t *testing.T) {
 	if len(got.ids) != 0 {
 		t.Fatal("delivered during retargeting")
 	}
-	if m.Active() {
+	if m.cur != nil {
 		t.Fatal("pass active during retargeting")
 	}
 	sched.RunFor(sim.Second)
@@ -111,7 +111,7 @@ func TestHandoverCarriesUnfinishedTraffic(t *testing.T) {
 	if m.Stats.CarriedOver.Value() == 0 {
 		t.Fatal("nothing carried over from the truncated pass")
 	}
-	if m.Active() {
+	if m.cur != nil {
 		t.Fatal("pass 1 still active in the gap")
 	}
 	sched.RunFor(10 * sim.Second)
@@ -119,8 +119,8 @@ func TestHandoverCarriesUnfinishedTraffic(t *testing.T) {
 	if m.Stats.Passes.Value() != 2 {
 		t.Fatalf("passes = %d", m.Stats.Passes.Value())
 	}
-	if m.Pending() != 0 {
-		t.Fatalf("pending = %d after final pass", m.Pending())
+	if len(m.queue) != 0 {
+		t.Fatalf("pending = %d after final pass", len(m.queue))
 	}
 }
 
@@ -163,11 +163,11 @@ func TestSendDuringActivePassGoesDirect(t *testing.T) {
 	var got collected
 	m.OnDeliver = got.hook()
 	sched.RunFor(100 * sim.Millisecond) // pass active
-	if !m.Active() || m.CurrentPass() != 0 {
+	if m.cur == nil || m.curIdx != 0 {
 		t.Fatal("pass should be active")
 	}
 	m.Send([]byte("direct"))
-	if m.Pending() != 0 {
+	if len(m.queue) != 0 {
 		t.Fatal("datagram queued instead of entering the active pair")
 	}
 	sched.RunFor(sim.Second)
@@ -216,9 +216,6 @@ func TestValidationPanics(t *testing.T) {
 		"overlapping passes": func() {
 			New(sched, testCfg(), []Pass{{0, 10}, {5, 20}}, f)
 		},
-		"mismatched windows": func() {
-			PassesFromWindows([]sim.Duration{1}, nil)
-		},
 	}
 	for name, fn := range cases {
 		func() {
@@ -232,28 +229,13 @@ func TestValidationPanics(t *testing.T) {
 	}
 }
 
-func TestPassesFromWindows(t *testing.T) {
-	ps := PassesFromWindows(
-		[]sim.Duration{sim.Second, 3 * sim.Second},
-		[]sim.Duration{2 * sim.Second, 4 * sim.Second})
-	if len(ps) != 2 || ps[0].Start != sim.Time(sim.Second) || ps[1].End != sim.Time(4*sim.Second) {
-		t.Fatalf("passes = %v", ps)
-	}
-	if ps[0].Duration() != sim.Second {
-		t.Fatal("duration")
-	}
-	if (Pass{}).Duration() != 0 {
-		t.Fatal("zero pass duration")
-	}
-}
-
 func TestSummary(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := New(sched, testCfg(), nil, factory(sched, sim.NewRNG(8), 0))
 	if m.Summary() == "" {
 		t.Fatal("summary")
 	}
-	if m.CurrentPass() != -1 {
+	if m.cur != nil {
 		t.Fatal("no pass should be active")
 	}
 }
@@ -268,12 +250,10 @@ func TestSessionOverOrbitWindows(t *testing.T) {
 		t.Skip("fewer than two windows in horizon")
 	}
 	const compress = 100
-	var starts, ends []sim.Duration
+	var passes []Pass
 	for _, w := range windows[:2] {
-		starts = append(starts, sim.Duration(w.Start/compress))
-		ends = append(ends, sim.Duration(w.End/compress))
+		passes = append(passes, Pass{Start: sim.Time(w.Start / compress), End: sim.Time(w.End / compress)})
 	}
-	passes := PassesFromWindows(starts, ends)
 
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(9)

@@ -98,7 +98,6 @@ func (m message) compare(n message) int {
 // into. All fields below the mailbox are touched only by the shard's own
 // round, which runs on one goroutine at a time.
 type Shard struct {
-	id    int
 	sched *sim.Scheduler
 
 	// in is the mailbox: posted messages bucketed by the round they fall
@@ -165,9 +164,6 @@ type RunStats struct {
 	Critical time.Duration
 	Shards   []ShardStats
 }
-
-// ID returns the shard's index in [0, Engine.Shards()).
-func (sh *Shard) ID() int { return sh.id }
 
 // Scheduler returns the shard's private scheduler. Entities homed on the
 // shard must be built on it, and it must only be driven through Engine.Run.
@@ -283,7 +279,7 @@ func New(k int, window sim.Duration) *Engine {
 	e := &Engine{shards: make([]*Shard, k), window: window, last: math.MaxInt64}
 	e.bar.start.L, e.bar.done.L = &e.bar.mu, &e.bar.mu
 	for i := range e.shards {
-		sh := &Shard{id: i, sched: sim.NewScheduler()}
+		sh := &Shard{sched: sim.NewScheduler()}
 		mb := mailboxes.Of(sh.sched)
 		sh.in.slots, sh.spare, sh.late = mb.slots, mb.spare, mb.late
 		*mb = mailbox{}
@@ -301,9 +297,6 @@ func (e *Engine) Shards() int { return len(e.shards) }
 
 // Shard returns shard i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
-
-// Window returns the lookahead window.
-func (e *Engine) Window() sim.Duration { return e.window }
 
 // Executed sums events executed across all shards. Because every
 // inter-satellite frame is mailboxed at every K, the sum is invariant

@@ -286,9 +286,9 @@ func TestEngineDropInflightReturnsHorizonCutFrames(t *testing.T) {
 		if len(at) != 0 || eng.inflight() != 1 {
 			t.Fatalf("k=%d: deliveries %v, %d in flight, want none and 1", k, at, eng.inflight())
 		}
-		for _, sh := range eng.shards {
+		for i, sh := range eng.shards {
 			if n := len(sh.in.slots); n != 8 {
-				t.Fatalf("k=%d: shard %d mailbox ring grew to %d slots, want 8", k, sh.id, n)
+				t.Fatalf("k=%d: shard %d mailbox ring grew to %d slots, want 8", k, i, n)
 			}
 		}
 		eng.DropInflight()

@@ -123,24 +123,6 @@ func (r *RNG) ExpDuration(mean Duration) Duration {
 	return Duration(r.Exp(float64(mean)))
 }
 
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, i.e. a geometric variate with support {0, 1, 2, ...}. For p >= 1
-// it returns 0; p <= 0 is invalid and panics.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("sim: Geometric with non-positive p")
-	}
-	// Inversion: floor(ln U / ln(1-p)) is geometric(p).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Log(u) / math.Log1p(-p))
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -149,24 +149,6 @@ func TestExpDuration(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(6)
-	const p = 0.2
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of failures-before-success
-	if math.Abs(mean-want)/want > 0.05 {
-		t.Fatalf("Geometric mean = %v, want ~%v", mean, want)
-	}
-	if r.Geometric(1) != 0 || r.Geometric(2) != 0 {
-		t.Fatal("p>=1 should yield 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(8)
 	for n := 0; n < 20; n++ {
@@ -294,7 +276,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 	if ticks != 2 {
 		t.Fatalf("ticked %d times, want 2", ticks)
 	}
-	if tk.Active() {
+	if tk.running {
 		t.Fatal("ticker should be stopped")
 	}
 }

@@ -170,8 +170,8 @@ func TestRecycleReapsTheWheel(t *testing.T) {
 	cancelled.Cancel()
 
 	s.Recycle()
-	if s.Len() != 0 || s.NextEventAt() != Never {
-		t.Fatalf("recycled scheduler still holds %d events, next at %v", s.Len(), s.NextEventAt())
+	if s.live != 0 || s.NextEventAt() != Never {
+		t.Fatalf("recycled scheduler still holds %d events, next at %v", s.live, s.NextEventAt())
 	}
 	if s.Now() != 20 || s.Executed() != 3 {
 		t.Fatalf("clock %v, executed %d after Recycle; want them readable as 20, 3", s.Now(), s.Executed())
@@ -180,7 +180,7 @@ func TestRecycleReapsTheWheel(t *testing.T) {
 		t.Fatal("a timer whose expiry was reaped does not read as stopped")
 	}
 	ticker.Stop() // must not reach into the reaped slot
-	if !pending.Active() || !cancelled.Cancelled() || cancelled.Fired() {
+	if !pending.valid() || pending.e.cancel || pending.e.fired || !cancelled.valid() || !cancelled.e.cancel || cancelled.e.fired {
 		t.Fatal("handles of unfired handled events changed their answers")
 	}
 	pending.Cancel() // harmless on the dead scheduler

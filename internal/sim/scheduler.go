@@ -78,26 +78,16 @@ type event struct {
 // Schedule and ScheduleAfter. It is a plain value — copying it is free and
 // returning one does not allocate, which is what lets the handle path share
 // the freelist with the detached path (the generation check makes reuse safe
-// even while handles are still outstanding). The zero Handle is inert: every
-// method is a no-op returning the zero answer.
+// even while handles are still outstanding). The zero Handle is inert: its
+// Cancel is a no-op.
 type Handle struct {
 	e   *event
 	gen uint64
-	at  Time
 }
 
 // valid reports whether the handle still refers to its own event (the slot
 // has not been recycled for a newer one).
 func (h Handle) valid() bool { return h.e != nil && h.e.gen == h.gen }
-
-// At returns the instant the event is (or was) scheduled to fire, or Never
-// for the zero Handle.
-func (h Handle) At() Time {
-	if h.e == nil {
-		return Never
-	}
-	return h.at
-}
 
 // Cancel removes the event from the schedule if it has not fired. Cancelling
 // an already-fired or already-cancelled event — or through the zero Handle —
@@ -107,20 +97,6 @@ func (h Handle) Cancel() {
 		h.e.owner.cancel(h.e)
 	}
 }
-
-// Fired reports whether the event's callback has run.
-func (h Handle) Fired() bool {
-	// Only firing retires a handled (non-detached) event to the freelist,
-	// so a generation mismatch is itself proof the event fired.
-	return h.e != nil && (h.e.gen != h.gen || h.e.fired)
-}
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (h Handle) Cancelled() bool { return h.valid() && h.e.cancel }
-
-// Active reports whether the event is still pending: scheduled, not yet
-// fired, not cancelled.
-func (h Handle) Active() bool { return h.valid() && !h.e.cancel && !h.e.fired }
 
 // bucket is an append-ordered intrusive event list. Append order is
 // insertion order, which is what makes same-instant FIFO structural.
@@ -257,9 +233,6 @@ func (s *Scheduler) flushMetrics() {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return s.live }
-
 // Executed returns the number of callbacks that have run.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
@@ -269,7 +242,7 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // time advances further.
 func (s *Scheduler) Schedule(at Time, fn func()) Handle {
 	e := s.schedule(at, fn, nil, nil, false)
-	return Handle{e: e, gen: e.gen, at: at}
+	return Handle{e: e, gen: e.gen}
 }
 
 // ScheduleDetached queues fn like Schedule but returns no handle: the event

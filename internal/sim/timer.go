@@ -130,12 +130,6 @@ func (t *Ticker) Stop() {
 	t.ev = nil
 }
 
-// Active reports whether the ticker is running.
-func (t *Ticker) Active() bool { return t.running }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Duration { return t.period }
-
 // SetPeriod changes the period for subsequent ticks. If the ticker is
 // running, the current pending tick keeps its deadline and the new period
 // applies afterwards.

@@ -251,14 +251,18 @@ func (s *Sender) noteOcc() {
 // Outstanding returns busy lanes plus queued datagrams.
 func (s *Sender) Outstanding() int { return s.nbusy + s.queue.Len() }
 
-// Failed implements the engine contract: SS-ARQ never declares failure.
-// A failure declaration would itself be corruptible state — the protocol's
-// only terminal condition is an orderly Shutdown.
-func (s *Sender) Failed() bool { return s.stopped }
-
 // Shutdown is orderly teardown: timers stop, new work is refused, held
 // datagrams stay reclaimable.
 func (s *Sender) Shutdown() { s.stopped = true }
+
+// Recycle implements arq.Recycler: draining the send queue hands its chunks
+// back to the run memory. The sender is dead afterwards. The receiver keeps
+// no run memory and needs no Recycle.
+func (s *Sender) Recycle() {
+	for s.queue.Len() > 0 {
+		s.queue.PopFront()
+	}
+}
 
 // UnreleasedDatagrams returns every datagram the sender still holds,
 // oldest first (busy lanes in load order, then the queue).

@@ -27,9 +27,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += (x - w.mean) / float64(w.n)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
 // Mean returns the sample mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -54,9 +51,6 @@ func (h *Histogram) Add(x float64) {
 		h.max = x
 	}
 }
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
 
 // Mean returns the exact mean of the observations.
 func (h *Histogram) Mean() float64 {
@@ -124,9 +118,6 @@ func (tw *TimeWeighted) Mean() float64 {
 
 // Max returns the largest value observed.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Current returns the most recent value.
-func (tw *TimeWeighted) Current() float64 { return tw.lastV }
 
 // Point is one (x, y) sample of a figure series.
 type Point struct {

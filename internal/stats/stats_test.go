@@ -8,14 +8,14 @@ import (
 
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 {
+	if w.n != 0 || w.Mean() != 0 {
 		t.Fatal("zero value not empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 8 {
+		t.Fatalf("N = %d", w.n)
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", w.Mean())
@@ -25,21 +25,21 @@ func TestWelfordBasics(t *testing.T) {
 func TestWelfordSingleObservation(t *testing.T) {
 	var w Welford
 	w.Add(3.5)
-	if w.N() != 1 || w.Mean() != 3.5 {
-		t.Fatalf("N = %d, Mean = %v after one 3.5", w.N(), w.Mean())
+	if w.n != 1 || w.Mean() != 3.5 {
+		t.Fatalf("N = %d, Mean = %v after one 3.5", w.n, w.Mean())
 	}
 }
 
 func TestHistogramNegativeAndSmall(t *testing.T) {
 	var h Histogram
-	if h.N() != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.n != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Add(-5) // clamps to 0
 	h.Add(0.25)
 	h.Add(0.75)
-	if h.N() != 3 {
-		t.Fatalf("N = %d", h.N())
+	if h.n != 3 {
+		t.Fatalf("N = %d", h.n)
 	}
 	if h.Mean() != 1.0/3 || h.Max() != 0.75 {
 		t.Fatalf("mean %v max %v: the negative value should count as 0", h.Mean(), h.Max())
@@ -47,8 +47,8 @@ func TestHistogramNegativeAndSmall(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Add(float64(i))
 	}
-	if want := 500501.0 / 1003; h.N() != 1003 || h.Mean() != want || h.Max() != 1000 {
-		t.Fatalf("n %d mean %v (want the exact sum/n %v) max %v", h.N(), h.Mean(), want, h.Max())
+	if want := 500501.0 / 1003; h.n != 1003 || h.Mean() != want || h.Max() != 1000 {
+		t.Fatalf("n %d mean %v (want the exact sum/n %v) max %v", h.n, h.Mean(), want, h.Max())
 	}
 }
 
@@ -75,8 +75,8 @@ func TestTimeWeighted(t *testing.T) {
 	if tw.Max() != 4 {
 		t.Fatalf("Max = %v", tw.Max())
 	}
-	if tw.Current() != 2 {
-		t.Fatalf("Current = %v", tw.Current())
+	if tw.lastV != 2 {
+		t.Fatalf("Current = %v", tw.lastV)
 	}
 }
 

@@ -136,7 +136,6 @@ type Recorder struct {
 	ring     []Event
 	capacity int
 	next     int
-	count    uint64
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity events.
@@ -149,7 +148,6 @@ func (r *Recorder) Add(e Event) {
 	if r.capacity == 0 {
 		return
 	}
-	r.count++
 	if len(r.ring) < r.capacity {
 		r.ring = append(r.ring, e)
 		return
@@ -157,9 +155,6 @@ func (r *Recorder) Add(e Event) {
 	r.ring[r.next] = e
 	r.next = (r.next + 1) % r.capacity
 }
-
-// Total returns the number of events offered and kept (before overwrite).
-func (r *Recorder) Total() uint64 { return r.count }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {

@@ -23,9 +23,6 @@ func TestRingKeepsMostRecent(t *testing.T) {
 			t.Fatalf("events = %v", evs)
 		}
 	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d", r.Total())
-	}
 }
 
 func TestRingUnderCapacity(t *testing.T) {

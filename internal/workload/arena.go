@@ -56,11 +56,6 @@ func (a *Arena) Reset() {
 	a.high = 0
 }
 
-// VerifyZeroPage panics if any byte of the shared zero page has been written.
-// It is Reset's check over the whole page, for tests that drive payload
-// consumers without an arena of their own to Reset.
-func VerifyZeroPage() { mustBeZero(zeroPage[:]) }
-
 func mustBeZero(page []byte) {
 	for i, b := range page {
 		if b != 0 {

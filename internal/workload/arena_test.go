@@ -51,11 +51,11 @@ func TestArenaAllocZeroedExactCap(t *testing.T) {
 		t.Fatal("empty payload is not empty")
 	}
 	a.Reset()
-	VerifyZeroPage()
+	mustBeZero(zeroPage[:])
 }
 
 // TestArenaResetDetectsWrites pins the enforcement: a consumer that writes to
-// a payload makes the run's Reset (and VerifyZeroPage) panic with the rule.
+// a payload makes the run's Reset (and the whole-page check) panic with the rule.
 func TestArenaResetDetectsWrites(t *testing.T) {
 	var a Arena
 	p := a.Alloc(64)
@@ -63,7 +63,7 @@ func TestArenaResetDetectsWrites(t *testing.T) {
 	p = a.Alloc(64)
 	p[17] = 0xFF
 	defer func() { p[17] = 0 }() // the page is the whole process's
-	for name, check := range map[string]func(){"Reset": a.Reset, "VerifyZeroPage": VerifyZeroPage} {
+	for name, check := range map[string]func(){"Reset": a.Reset, "zero page": func() { mustBeZero(zeroPage[:]) }} {
 		msg := mustPanic(t, check)
 		if !strings.Contains(msg, "byte 17") || !strings.Contains(msg, "immutable") {
 			t.Fatalf("%s panicked with %q, want the byte and the payload rule", name, msg)

@@ -46,12 +46,6 @@ func (g *Generator) UseArena(a *Arena) { g.arena = a }
 // Stop halts the generator.
 func (g *Generator) Stop() { g.stopped = true }
 
-// NextID returns the next datagram ID to be offered.
-func (g *Generator) NextID() uint64 { return g.nextID }
-
-// Done reports whether the generator has offered its full count.
-func (g *Generator) Done() bool { return g.remaining == 0 }
-
 func (g *Generator) offer() bool {
 	a := g.arena
 	if a == nil {

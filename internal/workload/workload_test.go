@@ -32,7 +32,7 @@ func TestConstantRate(t *testing.T) {
 			t.Fatalf("arrival %d at %v, want %v", i, at[i], want)
 		}
 	}
-	if !g.Done() {
+	if g.remaining != 0 {
 		t.Fatal("generator should be done")
 	}
 }
@@ -144,8 +144,8 @@ func TestStop(t *testing.T) {
 	if n == 0 || n > 12 {
 		t.Fatalf("n = %d after stop", n)
 	}
-	if g.NextID() != uint64(n) {
-		t.Fatalf("NextID = %d, want %d", g.NextID(), n)
+	if g.nextID != uint64(n) {
+		t.Fatalf("next ID = %d, want %d", g.nextID, n)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestLinkParamsVariants(t *testing.T) {
 		t.Fatalf("one way %v for ~3000 km", d)
 	}
 	// Orbit-driven.
-	ol := orbit.InPlanePair(1000e3, 30)
+	ol := orbit.Link{A: orbit.Orbit{AltitudeM: 1000e3}, B: orbit.Orbit{AltitudeM: 1000e3, PhaseRad: math.Pi / 6}}
 	lp2 := LinkParams{RateBps: 1e9, Orbit: &ol}
 	if lp2.OneWay() <= 0 {
 		t.Fatal("orbit delay")
